@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import min_abs_combo
 from .membership import (
     FAILS,
     HOLDS,
@@ -42,8 +41,9 @@ from .membership import (
     criterion_weight,
     criterion_weight_array,
     _grid_note,
+    _grid_verdict,
 )
-from .operator import OperatorParams, apply_coeff, phi_array
+from .operator import OperatorParams, apply_coeff, phi_array, require_pole_order
 from .series import (
     LaurentSeries,
     SampleGrid,
@@ -118,8 +118,7 @@ def coeff_bounds_report(
     """
     if kind not in ("general", "plus"):
         raise ValueError(f"kind: expected 'general' or 'plus', got {kind!r}")
-    if f.pole_order != op.p:
-        raise ValueError(f"p: params have p={op.p} but series has pole_order={f.pole_order}")
+    require_pole_order(op, f)
     ks = f.k_values()
     notes = []
     if kind == "general":
@@ -148,13 +147,8 @@ def coeff_bounds_report(
         bounds = budget(op, cp) / w[mask]
         margins = bounds - f.coeffs[mask].real
         ks = ks[mask]
-    worst = float(np.min(margins))
-    k_worst = int(ks[int(np.argmin(margins))])
     notes.append(f"indices checked: {len(ks)}")
-    detail = "; ".join(notes)
-    if worst >= -SUM_TOL:
-        return Report(HOLDS, worst, k_worst, detail)
-    return Report(FAILS, worst, k_worst, detail)
+    return _grid_verdict(ks, margins, lambda worst: worst >= -SUM_TOL, "; ".join(notes))
 
 
 # ----------------------------------------------------------------- distortion
@@ -274,12 +268,8 @@ def distortion_report(
     g = z_derivative(f) if which == "fprime_general" else f
     vals = np.abs(eval_many(g, zs)) / (r if which == "fprime_general" else 1.0)
     margins = np.minimum(vals - lower, upper - vals)
-    worst = float(np.min(margins))
-    witness = complex(zs[int(np.argmin(margins))])
     detail = f"which={which} r={r} lower={lower:.12g} upper={upper:.12g} angles={angles_count}"
-    if worst >= -SUM_TOL:
-        return Report(HOLDS, worst, witness, detail)
-    return Report(FAILS, worst, witness, detail)
+    return _grid_verdict(zs, margins, lambda worst: worst >= -SUM_TOL, detail)
 
 
 # --------------------------------------------------- convolution non-vanishing
@@ -314,8 +304,7 @@ def convolution_nonvanishing(
     exactly.  Meaningful only when f (is believed to) pass a membership
     check.  theta = 0 and 2 pi are excluded: the statement is open there.
     """
-    if f.pole_order != op.p:
-        raise ValueError(f"p: params have p={op.p} but series has pole_order={f.pole_order}")
+    require_pole_order(op, f)
     grid = grid or default_grid()
     if threshold is None:
         threshold = grid.margin
@@ -324,7 +313,7 @@ def convolution_nonvanishing(
     zs = grid.points(radius_cap=RADIUS_CAP)
     note = _grid_note(grid) + f" theta_count={theta_count}"
     if zs.size == 0:
-        return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {note}")
+        return _grid_verdict(zs, zs, lambda best: best > threshold, note)
     F = apply_coeff(op, f)
     a = eval_many(z_derivative(F), zs)
     b = eval_many(F, zs)
@@ -333,7 +322,10 @@ def convolution_nonvanishing(
     v = zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
     thetas = 2.0 * np.pi * np.arange(1, theta_count + 1) / (theta_count + 1)
     sigmas = np.exp(1j * thetas)
-    best, flat = min_abs_combo(u, v, cp.beta, sigmas)
+    # min over (sigma, point) of |u - beta sigma v|; flat index is sigma-major
+    vals = np.abs(u[None, :] - cp.beta * sigmas[:, None] * v[None, :])
+    flat = int(np.argmin(vals))
+    best = float(vals.flat[flat])
     z_at = complex(zs[flat % zs.size])
     theta_at = float(thetas[flat // zs.size])
     detail = f"min |value| = {best:.6g} at theta={theta_at:.6g}; {note}"
@@ -402,8 +394,7 @@ def partial_sum_bounds(
     which case the verdict is inconclusive -- the bounds' derivation
     genuinely needs it).
     """
-    if f.pole_order != op.p:
-        raise ValueError(f"p: params have p={op.p} but series has pole_order={f.pole_order}")
+    require_pole_order(op, f)
     if not f.is_normalized:
         raise ValueError("lead: ratio bounds expect a normalized series")
     if m_cut < 1 - op.p:
@@ -436,20 +427,13 @@ def partial_sum_bounds(
     # the ratio bounds run out to RATIO_RADIUS_CAP, so the membership-cap
     # wording of _grid_note would misreport radii in (0.95, 0.999]
     note = f"grid={grid.digest()} m_cut={m_cut} theta={theta_m:.12g}"
-    if zs.size == 0:
-        return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {note}")
     vf = eval_many(f, zs)
     vk = eval_many(km, zs)
     floor = 1e-14 * np.abs(zs) ** (-op.p)
     bad = (np.abs(vf) <= floor) | (np.abs(vk) <= floor)
-    if np.any(bad):
-        w = complex(zs[int(np.argmax(bad))])
-        return Report(FAILS, float("-inf"), w, f"denominator vanishes near z={w}; {note}")
-    m1 = np.real(vf / vk) - (1.0 - 1.0 / theta_m)
-    m2 = np.real(vk / vf) - theta_m / (1.0 + theta_m)
+    # the quotients at bad points are discarded: the verdict fails there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1 = np.real(vf / vk) - (1.0 - 1.0 / theta_m)
+        m2 = np.real(vk / vf) - theta_m / (1.0 + theta_m)
     margins = np.minimum(m1, m2)
-    worst = float(np.min(margins))
-    witness = complex(zs[int(np.argmin(margins))])
-    if worst >= -grid.margin:
-        return Report(HOLDS, worst, witness, note)
-    return Report(FAILS, worst, witness, note)
+    return _grid_verdict(zs, margins, lambda worst: worst >= -grid.margin, note, bad)

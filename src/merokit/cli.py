@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bounds import (
@@ -62,7 +61,7 @@ from .operator import (
     invert,
     phi,
 )
-from .series import LaurentSeries, SampleGrid, default_grid
+from .series import LaurentSeries, SampleGrid, default_grid, json_number
 
 USAGE_EXIT = 64
 
@@ -121,7 +120,7 @@ def _read_grid(path: str | None) -> SampleGrid:
 def _need_float(obj: dict, key: str, where: str) -> float:
     if not isinstance(obj, dict) or key not in obj:
         raise UsageError(f"{where}.{key}: missing")
-    return float(obj[key])
+    return json_number(obj[key], f"{where}.{key}")
 
 
 def _config(op=None, cp=None, grid=None, seed=None, **extra) -> dict:
@@ -416,9 +415,7 @@ def _cmd_report(args) -> tuple[int, str]:
     if not items:
         return 0, _dump({"all_expected": True, "items": []})
     base = suite_path.resolve().parent
-    jobs = max(1, args.jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda it: _run_item(it, base), items))
+    results = [_run_item(it, base) for it in items]
     sys.stderr.write(_table(results))
     all_ok = all(r["ok"] for r in results)
     return (0 if all_ok else 1), _dump({"all_expected": all_ok, "items": results})
@@ -515,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="run a JSON suite and aggregate")
     sp.add_argument("--suite", required=True, help="suite JSON file")
-    sp.add_argument("--jobs", type=int, default=4)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_report)
 

@@ -40,7 +40,10 @@ from .series import (
     PowerSeries,
     cauchy_mul,
     default_trunc_order,
+    json_number,
+    json_pair,
     log_one_minus,
+    polyval,
     series_exp,
 )
 
@@ -83,11 +86,10 @@ class MeasureAtoms:
             raise ValueError("atoms: expected an object with an 'atoms' list")
         out = []
         for i, item in enumerate(obj["atoms"]):
-            try:
-                (re, im), w = item
-                out.append((complex(float(re), float(im)), float(w)))
-            except (TypeError, ValueError):
-                raise ValueError(f"atoms.atoms[{i}]: expected [[re, im], w]") from None
+            if not isinstance(item, list) or len(item) != 2:
+                raise ValueError(f"atoms.atoms[{i}]: expected [[re, im], w]")
+            where = f"atoms.atoms[{i}]"
+            out.append((json_pair(item[0], where), json_number(item[1], where)))
         return cls(tuple(out))
 
 
@@ -110,10 +112,7 @@ class SchwarzPoly:
             zs = _SCHWARZ_RADIUS * np.exp(
                 2j * np.pi * np.arange(_SCHWARZ_SAMPLES) / _SCHWARZ_SAMPLES
             )
-            vals = np.zeros_like(zs)
-            for c in reversed(cs):
-                vals = (vals + c) * zs
-            boundary = float(np.max(np.abs(vals)))
+            boundary = float(np.max(np.abs(self.eval_many(zs))))
         else:
             boundary = 0.0
         object.__setattr__(self, "boundary_max", boundary)
@@ -124,10 +123,9 @@ class SchwarzPoly:
             )
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        vals = np.zeros_like(zs)
-        for c in reversed(self.coeffs):
-            vals = (vals + c) * zs
-        return vals
+        # operand order matters: ``polyval(...) * zs`` rounds exactly like
+        # the nested form z*(c_1 + z*(c_2 + ...)), ``zs * polyval(...)`` does not
+        return polyval(self.coeffs, zs) * zs
 
     def certificate(self) -> dict:
         return {
@@ -145,12 +143,9 @@ class SchwarzPoly:
     def from_json_dict(cls, obj: dict) -> "SchwarzPoly":
         if not isinstance(obj, dict) or "coeffs" not in obj:
             raise ValueError("schwarz: expected an object with a 'coeffs' list")
-        out = []
-        for i, pair in enumerate(obj["coeffs"]):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"schwarz.coeffs[{i}]: expected [re, im]")
-            out.append(complex(float(pair[0]), float(pair[1])))
-        return cls(tuple(out))
+        return cls(tuple(
+            json_pair(pair, f"schwarz.coeffs[{i}]") for i, pair in enumerate(obj["coeffs"])
+        ))
 
 
 def _pullback(op: OperatorParams, taylor: PowerSeries, trunc_order: int) -> LaurentSeries:

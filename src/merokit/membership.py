@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as ser
-from .operator import OperatorParams, apply_coeff, phi_array
-from .series import LaurentSeries, SampleGrid, eval_many, z_derivative
+from .operator import OperatorParams, apply_coeff, phi_array, require_pole_order
+from .series import LaurentSeries, SampleGrid, eval_many, json_number, z_derivative
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -72,7 +72,9 @@ class ClassParams:
         for key in ("alpha", "beta"):
             if key not in obj:
                 raise ValueError(f"params.{key}: missing")
-        return cls(float(obj["alpha"]), float(obj["beta"]))
+        return cls(
+            json_number(obj["alpha"], "params.alpha"), json_number(obj["beta"], "params.beta")
+        )
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,7 @@ def _degenerate_notes(op, cp, ks, coeffs_abs) -> list[str]:
 # ----------------------------------------------------- coefficient routes
 
 def _require_class_form(f: LaurentSeries, op: OperatorParams) -> None:
-    if f.pole_order != op.p:
-        raise ValueError(f"p: params have p={op.p} but series has pole_order={f.pole_order}")
+    require_pole_order(op, f)
     if not f.is_normalized:
         raise ValueError("lead: coefficient criteria expect a normalized series (lead == 1)")
 
@@ -259,17 +260,24 @@ def _grid_note(grid: SampleGrid) -> str:
     return note
 
 
-def _margins_report(zs, margins, bad, eps, note) -> Report:
-    if zs.size == 0:
-        return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {note}")
-    if np.any(bad):
-        w = complex(zs[np.argmax(bad)])
-        return Report(FAILS, float("-inf"), w, f"denominator vanishes near z={w}; {note}")
+def _grid_verdict(points, margins, passes, detail, bad=None,
+                  bad_detail="denominator vanishes near z={}") -> Report:
+    """Reduce pointwise margins to a Report.
+
+    ``points`` are the sample points (grid points, or coefficient indices)
+    and ``margins`` their margins; ``passes(worst)`` is the caller's own
+    threshold test.  No points gives inconclusive with a NaN margin; a
+    point flagged in ``bad`` fails outright, witnessed by the first one;
+    otherwise the smallest margin decides, witnessed by its point.
+    """
+    if points.size == 0:
+        return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {detail}")
+    if bad is not None and np.any(bad):
+        w = points[int(np.argmax(bad))].item()
+        return Report(FAILS, float("-inf"), w, f"{bad_detail.format(w)}; {detail}")
     worst = float(np.min(margins))
-    witness = complex(zs[int(np.argmin(margins))])
-    if worst > eps:
-        return Report(HOLDS, worst, witness, note)
-    return Report(FAILS, worst, witness, note)
+    witness = points[int(np.argmin(margins))].item()
+    return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
 def numeric_membership(
@@ -278,7 +286,7 @@ def numeric_membership(
     """Sample the defining inequality itself on the grid."""
     grid = grid or ser.default_grid()
     zs, margins, bad = numeric_margins(op, cp, f, grid)
-    return _margins_report(zs, margins, bad, grid.margin, _grid_note(grid))
+    return _grid_verdict(zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad)
 
 
 def disk_characterization(
@@ -288,7 +296,7 @@ def disk_characterization(
     ``numeric_membership`` pointwise; tests enforce that."""
     grid = grid or ser.default_grid()
     zs, margins, bad = disk_margins(op, cp, f, grid)
-    return _margins_report(zs, margins, bad, grid.margin, _grid_note(grid))
+    return _grid_verdict(zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad)
 
 
 # ------------------------------------------------- power-target containment
@@ -308,15 +316,11 @@ def subordination_power_target(
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha: need 0 <= alpha < 1, got {alpha}")
-    if f.pole_order != op.p:
-        raise ValueError(f"p: params have p={op.p} but series has pole_order={f.pole_order}")
+    require_pole_order(op, f)
     if f.lead != 1:
         raise ValueError("lead: containment target is normalized to v(0) = 1; lead must be 1")
     grid = grid or ser.default_grid()
-    note = _grid_note(grid)
     zs = grid.points(radius_cap=RADIUS_CAP)
-    if zs.size == 0:
-        return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {note}")
     F = apply_coeff(op, f)
     v = zs ** op.p * eval_many(F, zs)
     c = 2.0 * op.p * (1.0 - alpha)
@@ -336,15 +340,7 @@ def subordination_power_target(
         take = ok & (cand < best)
         best[take] = cand[take]
         admissible |= ok
-    if not np.all(admissible):
-        witness = complex(zs[int(np.argmin(admissible))])
-        return Report(
-            FAILS, float("-inf"), witness,
-            f"branch cut collision: no admissible preimage at z={witness}; {note}",
-        )
-    margins = 1.0 - best
-    worst = float(np.min(margins))
-    witness = complex(zs[int(np.argmin(margins))])
-    if worst > grid.margin:
-        return Report(HOLDS, worst, witness, note)
-    return Report(FAILS, worst, witness, note)
+    return _grid_verdict(
+        zs, 1.0 - best, lambda worst: worst > grid.margin, _grid_note(grid), ~admissible,
+        "branch cut collision: no admissible preimage at z={}",
+    )

@@ -48,7 +48,7 @@ from .membership import (
     numeric_membership,
 )
 from .operator import OperatorParams, phi_array, phi_base
-from .series import LaurentSeries, SampleGrid, default_grid, scale
+from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale
 
 _KINDS = ("plus", "general")
 
@@ -88,22 +88,13 @@ def weight_array(seq: WeightSeq, ks: np.ndarray) -> np.ndarray:
 
 
 def _aligned(f: LaurentSeries, g: LaurentSeries):
-    if f.pole_order != g.pole_order:
-        raise ValueError(f"pole_order: mismatch {f.pole_order} != {g.pole_order}")
+    a, b, k = _common_range(f, g)
     if not (f.is_normalized and g.is_normalized):
         raise ValueError("lead: distances are defined between normalized series")
-    if f.trunc_order == g.trunc_order:
-        return f.coeffs, g.coeffs, f.k_values()
-    if not (f.exact_support and g.exact_support):
+    if f.trunc_order != g.trunc_order and not (f.exact_support and g.exact_support):
         raise ValueError(
             "trunc_order: mismatched truncations need exact_support on both series"
         )
-    k = max(f.trunc_order, g.trunc_order)
-    n = k - (1 - f.pole_order) + 1
-    a = np.zeros(n, dtype=np.complex128)
-    b = np.zeros(n, dtype=np.complex128)
-    a[: len(f.coeffs)] = f.coeffs
-    b[: len(g.coeffs)] = g.coeffs
     return a, b, np.arange(1 - f.pole_order, k + 1)
 
 

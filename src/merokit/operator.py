@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import LaurentSeries, PowerSeries
+from .series import LaurentSeries, PowerSeries, json_int, json_number
 
 #: above this power, phi is computed as a float pow of the base instead
 #: of repeated multiplication; both paths agree to rounding and are
@@ -62,7 +62,12 @@ class OperatorParams:
         for key in ("lambda", "mu", "m", "p"):
             if key not in obj:
                 raise ValueError(f"params.{key}: missing")
-        return cls(float(obj["lambda"]), float(obj["mu"]), int(obj["m"]), int(obj["p"]))
+        return cls(
+            json_number(obj["lambda"], "params.lambda"),
+            json_number(obj["mu"], "params.mu"),
+            json_int(obj["m"], "params.m"),
+            json_int(obj["p"], "params.p"),
+        )
 
 
 def phi_base(op: OperatorParams, k: int | np.ndarray) -> float | np.ndarray:
@@ -104,10 +109,15 @@ def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
     return base ** float(op.m)
 
 
-def apply_coeff(op: OperatorParams, f: LaurentSeries) -> LaurentSeries:
-    """Coefficient route: multiply a_k by phi_k (pole untouched, phi_{-p}=1)."""
+def require_pole_order(op: OperatorParams, f: LaurentSeries) -> None:
+    """Reject a series whose pole order differs from the operator's p."""
     if f.pole_order != op.p:
         raise ValueError(f"p: params have p={op.p} but series has pole_order={f.pole_order}")
+
+
+def apply_coeff(op: OperatorParams, f: LaurentSeries) -> LaurentSeries:
+    """Coefficient route: multiply a_k by phi_k (pole untouched, phi_{-p}=1)."""
+    require_pole_order(op, f)
     mult = phi_array(op, f.k_values())
     return LaurentSeries(
         f.pole_order, f.trunc_order, f.coeffs * mult, f.lead, f.exact_support
@@ -124,8 +134,7 @@ def apply_differential(op: OperatorParams, f: LaurentSeries) -> LaurentSeries:
     realized literally as index shifts plus term-wise differentiation.
     Agrees with ``apply_coeff`` up to rounding at the same truncation.
     """
-    if f.pole_order != op.p:
-        raise ValueError(f"p: params have p={op.p} but series has pole_order={f.pole_order}")
+    require_pole_order(op, f)
     p = op.p
     # full coefficient vector over exponents -p .. K
     cur = np.concatenate(([complex(f.lead)], f.coeffs))
@@ -152,8 +161,7 @@ def invert(op: OperatorParams, g: LaurentSeries) -> LaurentSeries:
 
     Rejects parameter sets where some multiplier vanishes (lam = mu = 0
     never does: phi is then identically 1)."""
-    if g.pole_order != op.p:
-        raise ValueError(f"p: params have p={op.p} but series has pole_order={g.pole_order}")
+    require_pole_order(op, g)
     mult = phi_array(op, g.k_values())
     if np.any(mult == 0):
         bad = g.k_values()[mult == 0]

@@ -29,8 +29,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _backend
-
 #: stored-coefficient budget used when a caller does not pick one; the
 #: tail a_{1-p}..a_K then holds 64 entries, i.e. trunc_order = 64 - p.
 DEFAULT_COEFF_COUNT = 64
@@ -38,6 +36,27 @@ DEFAULT_COEFF_COUNT = 64
 
 def default_trunc_order(pole_order: int) -> int:
     return DEFAULT_COEFF_COUNT - pole_order
+
+
+def json_int(value, where: str) -> int:
+    """A JSON integer field; floats, strings and booleans are errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected a JSON integer, got {value!r}")
+    return value
+
+
+def json_number(value, where: str) -> float:
+    """A JSON number field; strings and booleans are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a JSON number, got {value!r}")
+    return float(value)
+
+
+def json_pair(pair, where: str) -> complex:
+    """A coefficient [re, im] of two JSON numbers."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"{where}: expected [re, im]")
+    return complex(json_number(pair[0], where), json_number(pair[1], where))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -151,21 +170,16 @@ class LaurentSeries:
         raw = obj["coeffs"]
         if not isinstance(raw, list):
             raise ValueError("series.coeffs: expected a list of [re, im] pairs")
-        vals = []
-        for i, pair in enumerate(raw):
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
-            ):
-                raise ValueError(f"series.coeffs[{i}]: expected [re, im]")
-            vals.append(complex(pair[0], pair[1]))
+        vals = [json_pair(pair, f"series.coeffs[{i}]") for i, pair in enumerate(raw)]
+        exact = obj.get("exact_support", False)
+        if not isinstance(exact, bool):
+            raise ValueError(f"series.exact_support: expected true or false, got {exact!r}")
         return cls(
-            int(obj["pole_order"]),
-            int(obj["trunc_order"]),
+            json_int(obj["pole_order"], "series.pole_order"),
+            json_int(obj["trunc_order"], "series.trunc_order"),
             np.array(vals, dtype=np.complex128),
             1.0,
-            bool(obj.get("exact_support", False)),
+            exact,
         )
 
 
@@ -186,10 +200,10 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def eval(self, z: complex) -> complex:
-        return complex(_backend.polyval(self.coeffs, np.array([z]))[0])
+        return complex(polyval(self.coeffs, np.array([z]))[0])
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        return _backend.polyval(self.coeffs, np.asarray(zs, dtype=np.complex128))
+        return polyval(self.coeffs, zs)
 
 
 @dataclass(frozen=True)
@@ -250,11 +264,15 @@ class SampleGrid:
             raise ValueError("grid: expected a JSON object")
         kwargs = {}
         if "radii" in obj:
-            kwargs["radii"] = tuple(obj["radii"])
+            if not isinstance(obj["radii"], list):
+                raise ValueError("grid.radii: expected a list of numbers")
+            kwargs["radii"] = tuple(
+                json_number(r, f"grid.radii[{i}]") for i, r in enumerate(obj["radii"])
+            )
         if "angles_count" in obj:
-            kwargs["angles_count"] = int(obj["angles_count"])
+            kwargs["angles_count"] = json_int(obj["angles_count"], "grid.angles_count")
         if "margin" in obj:
-            kwargs["margin"] = float(obj["margin"])
+            kwargs["margin"] = json_number(obj["margin"], "grid.margin")
         return cls(**kwargs)
 
 
@@ -345,14 +363,22 @@ def z_derivative(f: LaurentSeries) -> LaurentSeries:
 
 def cauchy_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Taylor product truncated to the shorter operand (no zero-padding)."""
-    return PowerSeries(_backend.cauchy_product(a.coeffs, b.coeffs))
+    n = min(len(a.coeffs), len(b.coeffs))
+    return PowerSeries(np.convolve(a.coeffs[:n], b.coeffs[:n])[:n])
 
 
 def series_exp(a: PowerSeries) -> PowerSeries:
     """exp of a Taylor series with zero constant term."""
     if a.coeffs[0] != 0:
         raise ValueError("series_exp: constant term must be exactly 0")
-    return PowerSeries(_backend.exp_recurrence(a.coeffs))
+    # b = exp(a):  n b_n = sum_{j=1..n} j a_j b_{n-j}
+    n = len(a.coeffs)
+    out = np.zeros(n, dtype=np.complex128)
+    out[0] = 1.0
+    ja = np.arange(n) * a.coeffs
+    for k in range(1, n):
+        out[k] = np.dot(ja[1 : k + 1], out[k - 1 :: -1][:k]) / k
+    return PowerSeries(out)
 
 
 def log_one_minus(x: complex, order: int) -> PowerSeries:
@@ -367,6 +393,16 @@ def log_one_minus(x: complex, order: int) -> PowerSeries:
 
 # --------------------------------------------------------------- evaluation
 
+def polyval(c, z) -> np.ndarray:
+    """Evaluate sum_j c[j] * z**j at each point of z (ascending c), by Horner."""
+    c = np.ascontiguousarray(c, dtype=np.complex128)
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    acc = np.zeros_like(z)
+    for j in range(len(c) - 1, -1, -1):
+        acc = acc * z + c[j]
+    return acc
+
+
 def _check_points(zs: np.ndarray) -> None:
     r = np.abs(zs)
     if np.any(r == 0):
@@ -380,7 +416,7 @@ def eval_many(f: LaurentSeries, zs: Iterable[complex]) -> np.ndarray:
     zs = np.asarray(zs, dtype=np.complex128)
     _check_points(zs)
     p = f.pole_order
-    tail = _backend.polyval(f.coeffs, zs)
+    tail = polyval(f.coeffs, zs)
     return f.lead * zs ** (-p) + zs ** (1 - p) * tail
 
 

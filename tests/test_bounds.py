@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import merokit.bounds
 from merokit.bounds import (
     TailPolicy,
     coeff_bound_general,
@@ -20,8 +21,13 @@ from merokit.bounds import (
     phi_growth_degree,
     ratio_weights,
 )
-from merokit.generators import extremal_fn, ratio_extremal
-from merokit.membership import ClassParams
+from merokit.generators import SchwarzPoly, extremal_fn, from_schwarz, ratio_extremal
+from merokit.membership import (
+    ClassParams,
+    disk_characterization,
+    numeric_membership,
+    subordination_power_target,
+)
 from merokit.operator import OperatorParams
 from merokit.series import LaurentSeries, SampleGrid, eval_at, hadamard, z_derivative
 
@@ -278,3 +284,90 @@ def test_partial_sum_bounds_validation():
         partial_sum_bounds(OP1, HALF, LaurentSeries.pole_only(1, 2), -1)
     with pytest.raises(ValueError, match="lead"):
         partial_sum_bounds(OP1, HALF, L(1, 0, [0.0], lead=2.0), 1)
+
+
+# ------------------------------------------------------- verdict thresholds
+#
+# Each checker compares its worst margin against its own threshold: strict
+# ``>`` for the membership, disk, containment and convolution checks,
+# ``>=`` for coefficient bounds, distortion and partial sums.  Each case
+# runs the checker once with its default threshold, then again with the
+# threshold moved exactly onto the worst margin and one ulp past it.
+
+TH_CP = ClassParams(0.2, 0.6)
+TH_RADII = (0.3, 0.6, 0.9)
+
+
+def _th_member():
+    return from_schwarz(OP1, TH_CP, SchwarzPoly((0.4, 0.1j)), 12)
+
+
+def _th_grid(margin):
+    return SampleGrid(TH_RADII, 32) if margin is None else SampleGrid(TH_RADII, 32, margin)
+
+
+def _th_numeric(at, monkeypatch):
+    return numeric_membership(OP1, TH_CP, _th_member(), _th_grid(at))
+
+
+def _th_disk(at, monkeypatch):
+    return disk_characterization(OP1, TH_CP, _th_member(), _th_grid(at))
+
+
+def _th_subordination(at, monkeypatch):
+    return subordination_power_target(OP1, TH_CP.alpha, _th_member(), _th_grid(at))
+
+
+def _th_convolution(at, monkeypatch):
+    return convolution_nonvanishing(OP1, TH_CP, _th_member(), _th_grid(None), 24, at)
+
+
+def _th_sum_tol(at, monkeypatch):
+    # coefficient bounds and distortion hold when worst >= -SUM_TOL
+    if at is not None:
+        monkeypatch.setattr(merokit.bounds, "SUM_TOL", -at)
+
+
+def _th_coeff(at, monkeypatch):
+    _th_sum_tol(at, monkeypatch)
+    f = LaurentSeries.pole_only(1, 4).with_coeff(2, 0.5)
+    return coeff_bounds_report(OP1, HALF, f, kind="general")
+
+
+def _th_distortion(at, monkeypatch):
+    _th_sum_tol(at, monkeypatch)
+    f = LaurentSeries.pole_only(1, 3).with_coeff(0, 2.0)
+    return distortion_report(OP1, HALF, f, 0.5, "f_plus", TailPolicy("exact_support"), 64)
+
+
+def _th_partial(at, monkeypatch):
+    grid = _th_grid(None)
+    if at is not None:
+        # holds when worst >= -margin; premise-satisfying inputs always have
+        # worst > 0, so the threshold is reached only by a negative margin,
+        # which the grid's own validation refuses
+        object.__setattr__(grid, "margin", -at)
+    return partial_sum_bounds(OP1, HALF, L(1, 1, [0.0, -0.05]), 1, grid)
+
+
+THRESHOLD_CASES = {
+    "numeric": (_th_numeric, True),
+    "disk": (_th_disk, True),
+    "subordination": (_th_subordination, True),
+    "convolution": (_th_convolution, True),
+    "coeff-general": (_th_coeff, False),
+    "distortion": (_th_distortion, False),
+    "partial-sums": (_th_partial, False),
+}
+
+
+@pytest.mark.parametrize("case", list(THRESHOLD_CASES))
+def test_worst_margin_exactly_on_threshold(case, monkeypatch):
+    check, strict = THRESHOLD_CASES[case]
+    worst = check(None, monkeypatch).worst_margin
+    assert np.isfinite(worst)
+    on = check(worst, monkeypatch)
+    assert on.worst_margin == worst
+    assert on.verdict == ("fails" if strict else "holds")
+    past = np.nextafter(worst, -np.inf if strict else np.inf)
+    assert check(past, monkeypatch).verdict == ("holds" if strict else "fails")

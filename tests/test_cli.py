@@ -1,16 +1,25 @@
 """Command-line front end: exit codes, JSON output shape, determinism,
 file handling and the suite runner."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import merokit
 from merokit.cli import USAGE_EXIT, main
 from merokit.series import LaurentSeries
 
 PARAMS = {"lambda": 1.0, "mu": 0.0, "m": 1, "p": 1, "alpha": 0.5, "beta": 1.0}
+
+# subprocesses import merokit from this checkout's sources
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run(capsys, *argv):
@@ -99,6 +108,44 @@ def test_domain_violation_maps_to_usage_error(capsys, tmp_path):
         capsys, "check", "--criterion", "exact", "--params", bad, "--series", f
     )
     assert code == USAGE_EXIT and "mu" in err
+
+
+@pytest.mark.parametrize(
+    "doc, key, value",
+    [
+        ("series", "exact_support", "false"),
+        ("series", "pole_order", 1.0),
+        ("series", "trunc_order", 2.5),
+        ("series", "coeffs", [[True, False], [0.0, 0.0], [0.0, 0.0]]),
+        ("params", "m", 1.7),
+        ("params", "p", True),
+        ("grid", "angles_count", 16.0),
+    ],
+)
+def test_json_reader_refuses_coercion(capsys, tmp_path, doc, key, value):
+    docs = {
+        "params": dict(PARAMS),
+        "series": {
+            "pole_order": 1, "trunc_order": 2, "coeffs": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        },
+        "grid": {"radii": [0.5], "angles_count": 16},
+    }
+
+    def check():
+        paths = {}
+        for name, obj in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj))
+        return run(
+            capsys, "check", "--criterion", "numeric", "--params", paths["params"],
+            "--series", paths["series"], "--grid", paths["grid"],
+        )
+
+    assert check()[0] != USAGE_EXIT
+    docs[doc][key] = value
+    code, out, err = check()
+    assert code == USAGE_EXIT and out == ""
+    assert f"{doc}.{key}" in err
 
 
 def test_missing_file_is_usage_error(capsys, params_file, tmp_path):
@@ -419,7 +466,17 @@ def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "merokit",
          "phi", "--lambda", "1", "--mu", "0", "--m", "1", "--p", "1", "--k", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_cli_import_starts_no_thread_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, merokit.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert merokit.backend_name() == "numpy"

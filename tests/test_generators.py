@@ -65,6 +65,26 @@ def test_schwarz_certificate_fields():
     assert again.coeffs == w.coeffs
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0.5,), (0.5, 0.3), (0.2 - 0.1j, 0.3j, -0.25, 0.1 + 0.05j), (0.0, 0.0, 0.9)],
+)
+def test_schwarz_eval_matches_nested_horner_bitwise(coeffs):
+    def nested(zs):
+        vals = np.zeros_like(zs)
+        for c in reversed(coeffs):
+            vals = (vals + c) * zs
+        return vals
+
+    w = SchwarzPoly(coeffs)
+    rng = np.random.default_rng(11)
+    zs = 0.999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    inner = rng.uniform(0.0, 0.99, 256) * np.exp(2j * np.pi * rng.uniform(size=256))
+    for pts in (zs, inner):
+        assert w.eval_many(pts).tobytes() == nested(pts).tobytes()
+    assert w.boundary_max == float(np.max(np.abs(nested(zs))))
+
+
 # ------------------------------------------------------ boundary-measure route
 
 def test_herglotz_single_atom_identity_operator():

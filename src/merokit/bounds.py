@@ -40,6 +40,9 @@ from .membership import (
     budget,
     criterion_weight,
     criterion_weight_array,
+    ratio_weights,
+    require_nonnegative_real,
+    vanishing_floor,
     _grid_note,
     _grid_verdict,
 )
@@ -71,13 +74,10 @@ class TailPolicy:
     """
 
     mode: str
-    tail_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _TAIL_MODES:
             raise ValueError(f"mode: expected one of {_TAIL_MODES}, got {self.mode!r}")
-        if self.tail_bound is not None and self.tail_bound < 0:
-            raise ValueError(f"tail_bound: must be >= 0, got {self.tail_bound}")
 
 
 def phi_growth_degree(op: OperatorParams) -> int:
@@ -133,11 +133,7 @@ def coeff_bounds_report(
         margins = bounds - np.abs(f.coeffs[mask])
         ks = ks[mask]
     else:
-        if np.any(f.coeffs.imag != 0) or np.any(f.coeffs.real < 0):
-            bad = ks[(f.coeffs.imag != 0) | (f.coeffs.real < 0)]
-            raise ValueError(
-                f"coeffs: nonnegative real coefficients required, violated at k={bad.tolist()}"
-            )
+        require_nonnegative_real(f)
         w = criterion_weight_array(op, cp, ks)
         mask = w > SUM_TOL
         if not np.any(mask):
@@ -171,7 +167,7 @@ def _tail_majorant(op: OperatorParams, extra_power: int, n_cut: int) -> float:
     return scale * x0 ** (1 - s) / (s - 1)
 
 
-def _certified_sum(op: OperatorParams, extra_power: int, tail: TailPolicy) -> float:
+def _certified_sum(op: OperatorParams, extra_power: int) -> float:
     """Upper estimate of sum_{k=1-p}^inf (k or 1)/((k+p) phi_k)."""
     ks = np.arange(1 - op.p, _SUM_TERMS + 1)
     terms = (ks.astype(float) ** extra_power if extra_power else 1.0) / (
@@ -181,10 +177,7 @@ def _certified_sum(op: OperatorParams, extra_power: int, tail: TailPolicy) -> fl
     window = terms[-16:]
     if np.any(np.diff(window) > 0):
         raise ValueError("tail: summand not decreasing at the cutoff; cannot certify")
-    bound = tail.tail_bound
-    if bound is None:
-        bound = _tail_majorant(op, extra_power, _SUM_TERMS)
-    return partial + bound
+    return partial + _tail_majorant(op, extra_power, _SUM_TERMS)
 
 
 def distortion(
@@ -233,7 +226,7 @@ def distortion(
             f"tail: mode {tail.mode!r} does not apply to an infinite convergent sum; "
             "use 'tail_estimate'"
         )
-    s_upper = _certified_sum(op, extra, tail)
+    s_upper = _certified_sum(op, extra)
     if which == "f_general":
         base = r ** (-op.p)
         spread = budget(op, cp) * r ** (1 - op.p) * s_upper
@@ -259,12 +252,12 @@ def distortion_report(
     inconclusive verdict, never a fake pass.
     """
     lower, upper = distortion(op, cp, r, which, tail)
+    zs = SampleGrid((r,), angles_count).points()
     if not np.isfinite(lower) and not np.isfinite(upper):
         return Report(
             INCONCLUSIVE, float("nan"), None,
             f"vacuous bounds (divergent multiplier sum) for which={which} at r={r}",
         )
-    zs = r * np.exp(2j * np.pi * np.arange(angles_count) / angles_count)
     g = z_derivative(f) if which == "fprime_general" else f
     vals = np.abs(eval_many(g, zs)) / (r if which == "fprime_general" else 1.0)
     margins = np.minimum(vals - lower, upper - vals)
@@ -329,9 +322,7 @@ def convolution_nonvanishing(
     z_at = complex(zs[flat % zs.size])
     theta_at = float(thetas[flat // zs.size])
     detail = f"min |value| = {best:.6g} at theta={theta_at:.6g}; {note}"
-    if best > threshold:
-        return Report(HOLDS, best, z_at, detail)
-    return Report(FAILS, best, z_at, detail)
+    return Report(HOLDS if best > threshold else FAILS, best, z_at, detail)
 
 
 # ------------------------------------------------------------- partial sums
@@ -350,11 +341,6 @@ def partial_sum(f: LaurentSeries, m_cut: int) -> LaurentSeries:
     ks = f.k_values()
     arr[ks >= m_cut] = 0.0
     return LaurentSeries(f.pole_order, f.trunc_order, arr, f.lead, True)
-
-
-def ratio_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.ndarray:
-    """The partial-sum hypothesis weights: criterion weight over budget."""
-    return criterion_weight_array(op, cp, np.asarray(ks)) / budget(op, cp)
 
 
 def _monotone_window_check(op, cp, hi: int):
@@ -429,7 +415,7 @@ def partial_sum_bounds(
     note = f"grid={grid.digest()} m_cut={m_cut} theta={theta_m:.12g}"
     vf = eval_many(f, zs)
     vk = eval_many(km, zs)
-    floor = 1e-14 * np.abs(zs) ** (-op.p)
+    floor = vanishing_floor(zs, op.p)
     bad = (np.abs(vf) <= floor) | (np.abs(vk) <= floor)
     # the quotients at bad points are discarded: the verdict fails there
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,10 +67,6 @@ from .series import LaurentSeries, SampleGrid, default_grid, json_number
 USAGE_EXIT = 64
 
 _EXIT = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}
-
-#: flags whose values are file paths; suite items resolve these against
-#: the suite file's directory
-_PATH_FLAGS = ("--params", "--series", "--grid", "--atoms", "--w", "--other", "--out")
 
 
 class UsageError(Exception):
@@ -253,14 +250,11 @@ def _cmd_verify(args) -> tuple[int, str]:
         mode = args.tail_mode
         if mode is None:
             mode = "exact_support" if args.which == "f_plus" else "tail_estimate"
-        tail = TailPolicy(mode, args.tail_bound)
-        rep = distortion_report(op, cp, f, args.r, args.which, tail, args.angles)
+        rep = distortion_report(op, cp, f, args.r, args.which, TailPolicy(mode), args.angles)
         cfg = _config(
             op=op, cp=cp, check=what, r=args.r, which=args.which,
             tail_mode=mode, angles=args.angles,
         )
-        if args.tail_bound is not None:
-            cfg["tail_bound"] = args.tail_bound
     elif what == "conv-nonvanish":
         grid = _read_grid(args.grid)
         rep = convolution_nonvanishing(op, cp, f, grid, args.theta_count, args.threshold)
@@ -281,6 +275,8 @@ def _cmd_nbhd(args) -> tuple[int, str]:
     if what == "delta":
         op = _read_op(args.params)
         return 0, f"{delta_star(op):.12g}\n"
+    if args.series is None:
+        raise UsageError("--series is required for this nbhd command")
     op, cp = _read_op_cp(args.params)
     if what == "distance":
         if args.other is None:
@@ -315,27 +311,6 @@ def _cmd_nbhd(args) -> tuple[int, str]:
 
 # --------------------------------------------------------------- suite runner
 
-def _resolve_paths(argv: list[str], base: Path) -> list[str]:
-    out: list[str] = []
-    expect_path = False
-    for tok in argv:
-        if expect_path and not tok.startswith("-"):
-            q = Path(tok)
-            tok = tok if q.is_absolute() else str(base / q)
-            expect_path = False
-        elif tok in _PATH_FLAGS:
-            expect_path = True
-        elif any(tok.startswith(flag + "=") for flag in _PATH_FLAGS):
-            flag, _, val = tok.partition("=")
-            q = Path(val)
-            tok = flag + "=" + (val if q.is_absolute() else str(base / q))
-            expect_path = False
-        else:
-            expect_path = False
-        out.append(tok)
-    return out
-
-
 def _matches(exit_code, verdict, expect) -> bool:
     if expect is None:
         return exit_code in (0, 1, 2)
@@ -350,7 +325,7 @@ def _matches(exit_code, verdict, expect) -> bool:
     return False
 
 
-def _run_item(item, base: Path) -> dict:
+def _run_item(item, parser: argparse.ArgumentParser) -> dict:
     res: dict = {"id": "", "exit_code": None, "verdict": None, "ok": False, "output": None}
     try:
         if not isinstance(item, dict):
@@ -365,11 +340,7 @@ def _run_item(item, base: Path) -> dict:
             raise UsageError("suite item: 'argv' must be a non-empty list of strings")
         if argv[0] == "report":
             raise UsageError("suite item: nested 'report' is not allowed")
-        ns = _build_parser().parse_args(_resolve_paths(argv, base))
-        code, text = ns.func(ns)
-        out_path = getattr(ns, "out", None)
-        if out_path:
-            Path(out_path).write_text(text)
+        code, text, _ = _run_argv(parser, argv)
         res["exit_code"] = code
         try:
             payload = json.loads(text)
@@ -407,15 +378,14 @@ def _table(results) -> str:
 
 
 def _cmd_report(args) -> tuple[int, str]:
-    suite_path = Path(args.suite)
     obj = _load_json(args.suite)
     if not isinstance(obj, dict) or not isinstance(obj.get("items"), list):
         raise UsageError(f"{args.suite}: expected an object with an 'items' list")
     items = obj["items"]
     if not items:
         return 0, _dump({"all_expected": True, "items": []})
-    base = suite_path.resolve().parent
-    results = [_run_item(it, base) for it in items]
+    parser = _build_parser(base=Path(args.suite).resolve().parent)
+    results = [_run_item(it, parser) for it in items]
     sys.stderr.write(_table(results))
     all_ok = all(r["ok"] for r in results)
     return (0 if all_ok else 1), _dump({"all_expected": all_ok, "items": results})
@@ -423,41 +393,58 @@ def _cmd_report(args) -> tuple[int, str]:
 
 # -------------------------------------------------------------------- parser
 
-def _add_params_series(sp, series: bool = True) -> None:
-    sp.add_argument("--params", required=True, help="merged parameter JSON file")
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _add_params_series(sp, path, series: bool = True) -> None:
+    sp.add_argument("--params", type=path, required=True, help="merged parameter JSON file")
     if series:
-        sp.add_argument("--series", required=True, help="series JSON file")
+        sp.add_argument("--series", type=path, required=True, help="series JSON file")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  With ``base`` (a suite's directory), relative file
+    paths resolve against it."""
+
+    def path(text: str) -> str:
+        return text if base is None or Path(text).is_absolute() else str(base / text)
+
     parser = _Parser(prog="merokit", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
     sp = sub.add_parser("phi", help="print one diagonal multiplier value")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--mu", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
+    sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(func=_cmd_phi)
 
     sp = sub.add_parser("apply", help="run the operator over a stored series")
-    _add_params_series(sp)
+    _add_params_series(sp, path)
     sp.add_argument(
         "--route", required=True, choices=("coeff", "differential", "invert", "integral")
     )
-    sp.add_argument("--c", type=float, help="integral route parameter (> 0)")
-    sp.add_argument("--out")
+    sp.add_argument("--c", type=_finite_float, help="integral route parameter (> 0)")
+    sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_apply)
 
     sp = sub.add_parser("gen", help="construct class members")
     sp.add_argument("kind", choices=("herglotz", "schwarz", "extremal"))
-    sp.add_argument("--params", required=True, help="merged parameter JSON file")
-    sp.add_argument("--atoms", help="boundary measure JSON (herglotz)")
-    sp.add_argument("--w", help="disk self-map JSON (schwarz)")
+    _add_params_series(sp, path, series=False)
+    sp.add_argument("--atoms", type=path, help="boundary measure JSON (herglotz)")
+    sp.add_argument("--w", type=path, help="disk self-map JSON (schwarz)")
     sp.add_argument("--n", type=int, help="extremal coefficient index")
     sp.add_argument("--trunc", type=int, help="truncation order override")
-    sp.add_argument("--out")
+    sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("check", help="membership criteria")
@@ -466,9 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("exact", "sufficient", "numeric", "disk", "subordination"),
     )
-    _add_params_series(sp)
-    sp.add_argument("--grid", help="sample grid JSON (numeric criteria)")
-    sp.add_argument("--out")
+    _add_params_series(sp, path)
+    sp.add_argument("--grid", type=path, help="sample grid JSON (numeric criteria)")
+    sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("verify", help="bound checkers")
@@ -478,8 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "coeff-general", "coeff-plus", "distortion", "conv-nonvanish", "partial-sums"
         ),
     )
-    _add_params_series(sp)
-    sp.add_argument("--r", type=float, help="radius (distortion)")
+    _add_params_series(sp, path)
+    sp.add_argument("--r", type=_finite_float, help="radius (distortion)")
     sp.add_argument(
         "--which", choices=("f_plus", "f_general", "fprime_general"),
         help="distortion target",
@@ -487,57 +474,66 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--tail-mode", choices=("exact_support", "tail_estimate", "divergent_flag")
     )
-    sp.add_argument("--tail-bound", type=float, help="explicit certified tail bound")
     sp.add_argument("--angles", type=int, default=720, help="circle samples (distortion)")
     sp.add_argument("--theta-count", type=int, default=360, help="phase samples (conv)")
-    sp.add_argument("--threshold", type=float, help="non-vanishing cutoff (conv)")
+    sp.add_argument("--threshold", type=_finite_float, help="non-vanishing cutoff (conv)")
     sp.add_argument("--m-cut", type=int, help="cut index (partial-sums)")
-    sp.add_argument("--grid", help="sample grid JSON")
-    sp.add_argument("--out")
+    sp.add_argument("--grid", type=path, help="sample grid JSON")
+    sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("nbhd", help="weighted-neighborhood tools")
     sp.add_argument("what", choices=("distance", "delta", "verify-plus", "verify-general"))
-    sp.add_argument("--params", required=True, help="merged parameter JSON file")
-    sp.add_argument("--series", help="series JSON file")
-    sp.add_argument("--other", help="second series JSON (distance)")
+    _add_params_series(sp, path, series=False)
+    sp.add_argument("--series", type=path, help="series JSON file")
+    sp.add_argument("--other", type=path, help="second series JSON (distance)")
     sp.add_argument("--kind", choices=("plus", "general"), default="plus")
-    sp.add_argument("--delta", type=float, help="neighborhood radius (verify-general)")
+    sp.add_argument("--delta", type=_finite_float, help="neighborhood radius (verify-general)")
     sp.add_argument("--trials", type=int, default=100, help="random perturbation count")
     sp.add_argument("--eps-trials", type=int, default=8, help="hypothesis samples")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grid", help="sample grid JSON (verify-general)")
-    sp.add_argument("--out")
+    sp.add_argument("--grid", type=path, help="sample grid JSON (verify-general)")
+    sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_nbhd)
 
     sp = sub.add_parser("report", help="run a JSON suite and aggregate")
     sp.add_argument("--suite", required=True, help="suite JSON file")
-    sp.add_argument("--out")
+    sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_report)
 
     return parser
 
 
+def _run_argv(parser: argparse.ArgumentParser, argv) -> tuple[int, str, bool]:
+    """Parse argv, run its handler and write its ``--out`` file, if any.
+
+    Returns the exit code, the output text and whether ``--out`` took the
+    text.  Domain errors (ValueError, OverflowError) and an unwritable
+    ``--out`` become usage errors.
+    """
+    args = parser.parse_args(argv)
+    try:
+        code, text = args.func(args)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(str(exc)) from None
+    out = getattr(args, "out", None)
+    if out:
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"{out}: {exc}") from None
+    return code, text, bool(out)
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.verb == "nbhd" and args.what != "delta" and args.series is None:
-            raise UsageError("--series is required for this nbhd command")
-        try:
-            code, text = args.func(args)
-        except UsageError:
-            raise
-        except (ValueError, OverflowError) as exc:
-            raise UsageError(str(exc)) from None
-        out = getattr(args, "out", None)
-        if out:
-            Path(out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return code
+        code, text, written = _run_argv(_build_parser(), argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    if not written:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -33,11 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import ClassParams, budget, criterion_weight
+from .bounds import coeff_bound_plus
+from .membership import SUM_TOL, ClassParams, ratio_weights
 from .operator import OperatorParams, invert
+from .operator import delta_star as _delta_star
 from .series import (
     LaurentSeries,
     PowerSeries,
+    SampleGrid,
     cauchy_mul,
     default_trunc_order,
     json_number,
@@ -84,6 +87,8 @@ class MeasureAtoms:
     def from_json_dict(cls, obj: dict) -> "MeasureAtoms":
         if not isinstance(obj, dict) or "atoms" not in obj:
             raise ValueError("atoms: expected an object with an 'atoms' list")
+        if not isinstance(obj["atoms"], list):
+            raise ValueError("atoms.atoms: expected a list of [[re, im], w] entries")
         out = []
         for i, item in enumerate(obj["atoms"]):
             if not isinstance(item, list) or len(item) != 2:
@@ -109,9 +114,7 @@ class SchwarzPoly:
         object.__setattr__(self, "coeffs", cs)
         cauchy = float(np.sum(np.abs(cs))) if cs else 0.0
         if cs:
-            zs = _SCHWARZ_RADIUS * np.exp(
-                2j * np.pi * np.arange(_SCHWARZ_SAMPLES) / _SCHWARZ_SAMPLES
-            )
+            zs = SampleGrid((_SCHWARZ_RADIUS,), _SCHWARZ_SAMPLES).points()
             boundary = float(np.max(np.abs(self.eval_many(zs))))
         else:
             boundary = 0.0
@@ -141,7 +144,7 @@ class SchwarzPoly:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SchwarzPoly":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("schwarz: expected an object with a 'coeffs' list")
         return cls(tuple(
             json_pair(pair, f"schwarz.coeffs[{i}]") for i, pair in enumerate(obj["coeffs"])
@@ -156,6 +159,13 @@ def _pullback(op: OperatorParams, taylor: PowerSeries, trunc_order: int) -> Laur
     return invert(op, transformed.renormalized())
 
 
+def _resolve_trunc(op: OperatorParams, trunc_order: int | None) -> int:
+    K = default_trunc_order(op.p) if trunc_order is None else int(trunc_order)
+    if K < 1 - op.p:
+        raise ValueError(f"trunc_order: must be >= {1 - op.p}, got {K}")
+    return K
+
+
 def from_herglotz(
     op: OperatorParams,
     alpha: float,
@@ -165,9 +175,7 @@ def from_herglotz(
     """Member from a finite boundary measure (beta = 1 construction)."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha: need 0 <= alpha < 1, got {alpha}")
-    K = default_trunc_order(op.p) if trunc_order is None else int(trunc_order)
-    if K < 1 - op.p:
-        raise ValueError(f"trunc_order: must be >= {1 - op.p}, got {K}")
+    K = _resolve_trunc(op, trunc_order)
     order = K + op.p
     c = 2.0 * op.p * (1.0 - alpha)
     acc = np.zeros(order + 1, dtype=np.complex128)
@@ -186,9 +194,7 @@ def from_schwarz(
     trunc_order: int | None = None,
 ) -> LaurentSeries:
     """Member from a polynomial disk self-map (any 0 < beta <= 1)."""
-    K = default_trunc_order(op.p) if trunc_order is None else int(trunc_order)
-    if K < 1 - op.p:
-        raise ValueError(f"trunc_order: must be >= {1 - op.p}, got {K}")
+    K = _resolve_trunc(op, trunc_order)
     order = K + op.p
     if not w.coeffs:
         return LaurentSeries.pole_only(op.p, K)
@@ -220,14 +226,8 @@ def extremal_fn(op: OperatorParams, cp: ClassParams, n: int) -> LaurentSeries:
 
     Rejects indices whose criterion weight is degenerate (<= 0), where no
     such nonnegative extremal exists."""
-    if n < 1 - op.p:
-        raise ValueError(f"n: must be >= {1 - op.p}, got {n}")
-    w = criterion_weight(op, cp, n)
-    if w <= 1e-12:
-        raise ValueError(f"n: criterion weight at k={n} is degenerate ({w}); no extremal")
-    K = max(n, 1 - op.p)
-    f = LaurentSeries.pole_only(op.p, K)
-    return f.with_coeff(n, budget(op, cp) / w)
+    coeff = coeff_bound_plus(op, cp, n)
+    return LaurentSeries.pole_only(op.p, n).with_coeff(n, coeff)
 
 
 def ratio_extremal(
@@ -243,8 +243,8 @@ def ratio_extremal(
     arbitrarily close to both bounds near the unit circle."""
     if m_cut < 1 - op.p:
         raise ValueError(f"m_cut: must be >= {1 - op.p}, got {m_cut}")
-    theta = criterion_weight(op, cp, m_cut) / budget(op, cp)
-    if theta <= 1e-12:
+    theta = float(ratio_weights(op, cp, np.array([m_cut]))[0])
+    if theta <= SUM_TOL:
         raise ValueError(f"m_cut: weight at k={m_cut} is degenerate ({theta}); no extremal")
     K = max(m_cut, 1 - op.p) if trunc_order is None else trunc_order
     f = LaurentSeries.pole_only(op.p, K)
@@ -259,9 +259,7 @@ def neighborhood_witnesses(
     (1 + delta_star).  g sits at weighted distance exactly delta_star
     from f and fails the exact criterion; for delta_star > delta this
     shows the radius is maximal.  Requires delta_star > delta."""
-    from .neighborhoods import delta_star as _delta  # deferred: avoids import cycle
-
-    d = _delta(op)
+    d = _delta_star(op)
     if not delta_star > d:
         raise ValueError(f"delta_star: must exceed delta = {d}, got {delta_star}")
     n = 1 - op.p

@@ -128,6 +128,12 @@ def budget(op: OperatorParams, cp: ClassParams) -> float:
     return 2.0 * op.p * cp.beta * (1.0 - cp.alpha)
 
 
+def ratio_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.ndarray:
+    """Criterion weight over budget: the partial-sum hypothesis weights and
+    the ``plus`` neighborhood weights."""
+    return criterion_weight_array(op, cp, np.asarray(ks)) / budget(op, cp)
+
+
 def _degenerate_notes(op, cp, ks, coeffs_abs) -> list[str]:
     notes = []
     w = criterion_weight_array(op, cp, ks)
@@ -154,6 +160,14 @@ def _require_class_form(f: LaurentSeries, op: OperatorParams) -> None:
         raise ValueError("lead: coefficient criteria expect a normalized series (lead == 1)")
 
 
+def require_nonnegative_real(f: LaurentSeries) -> None:
+    """Reject a series outside the nonnegative-coefficient subclass."""
+    bad = (f.coeffs.imag != 0) | (f.coeffs.real < 0)
+    if np.any(bad):
+        ks = f.k_values()[bad].tolist()
+        raise ValueError(f"coeffs: nonnegative real coefficients required, violated at k={ks}")
+
+
 def exact_membership_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries) -> Report:
     """Exact criterion on the nonnegative-coefficient subclass:
 
@@ -164,11 +178,7 @@ def exact_membership_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries)
     verdict is then inconclusive.
     """
     _require_class_form(f, op)
-    if np.any(f.coeffs.imag != 0) or np.any(f.coeffs.real < 0):
-        bad = f.k_values()[(f.coeffs.imag != 0) | (f.coeffs.real < 0)]
-        raise ValueError(
-            f"coeffs: nonnegative real coefficients required, violated at k={bad.tolist()}"
-        )
+    require_nonnegative_real(f)
     ks = f.k_values()
     a = f.coeffs.real
     w = criterion_weight_array(op, cp, ks)
@@ -208,6 +218,13 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
 
 # --------------------------------------------------------- numeric routes
 
+def vanishing_floor(zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
+    """Modulus below which a pole-order-p value at zs counts as vanishing:
+    such a function behaves like lead * z^-p near 0, so this is the
+    rounding scale of its values."""
+    return 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead))
+
+
 def _quotient(op: OperatorParams, f: LaurentSeries, grid: SampleGrid):
     """Q = z F'/(p F) on the capped grid, plus the points and a bad-denominator mask."""
     zs = grid.points(radius_cap=RADIUS_CAP)
@@ -216,9 +233,7 @@ def _quotient(op: OperatorParams, f: LaurentSeries, grid: SampleGrid):
     F = apply_coeff(op, f)
     b = eval_many(F, zs)
     a = eval_many(z_derivative(F), zs)
-    # F ~ lead * z^-p near 0; treat |F| below rounding scale as vanishing
-    floor = 1e-14 * np.abs(zs) ** (-op.p) * max(1.0, abs(f.lead))
-    bad = np.abs(b) <= floor
+    bad = np.abs(b) <= vanishing_floor(zs, op.p, f.lead)
     q = np.empty_like(b)
     q[~bad] = a[~bad] / (op.p * b[~bad])
     q[bad] = np.nan
@@ -234,8 +249,6 @@ def numeric_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid:
 
 def disk_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
     """Pointwise margins radius - |(-Q) - center| of the disk form (beta < 1)."""
-    if not cp.beta < 1.0:
-        raise ValueError("beta: the disk form requires beta < 1")
     center, radius = disk_parameters(cp)
     zs, q, bad = _quotient(op, f, grid)
     margins = radius - np.abs(-q - center)
@@ -321,10 +334,12 @@ def subordination_power_target(
         raise ValueError("lead: containment target is normalized to v(0) = 1; lead must be 1")
     grid = grid or ser.default_grid()
     zs = grid.points(radius_cap=RADIUS_CAP)
-    F = apply_coeff(op, f)
-    v = zs ** op.p * eval_many(F, zs)
+    Fz = eval_many(apply_coeff(op, f), zs)
+    v = zs ** op.p * Fz
     c = 2.0 * op.p * (1.0 - alpha)
-    logmag = np.log(np.abs(v))
+    # where v vanishes, log|v| = -inf puts the preimage on the unit circle
+    with np.errstate(divide="ignore"):
+        logmag = np.log(np.abs(v))
     arg = np.angle(v)
     half = np.pi / 2.0
     nmax = int(np.ceil(c * half / (2.0 * np.pi))) + 1
@@ -340,7 +355,11 @@ def subordination_power_target(
         take = ok & (cand < best)
         best[take] = cand[take]
         admissible |= ok
+    detail = _grid_note(grid)
+    vanish = np.abs(Fz) <= vanishing_floor(zs, op.p)
+    if np.any(vanish):
+        detail = f"z^p F vanishes near z={zs[int(np.argmax(vanish))].item()}; {detail}"
     return _grid_verdict(
-        zs, 1.0 - best, lambda worst: worst > grid.margin, _grid_note(grid), ~admissible,
+        zs, 1.0 - best, lambda worst: worst > grid.margin, detail, ~admissible,
         "branch cut collision: no admissible preimage at z={}",
     )

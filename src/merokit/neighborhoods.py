@@ -30,11 +30,11 @@ radius).  A violated premise yields "inconclusive", never a guess.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import neighborhood_witnesses
 from .membership import (
     FAILS,
     HOLDS,
@@ -43,11 +43,11 @@ from .membership import (
     ClassParams,
     Report,
     budget,
-    criterion_weight_array,
     exact_membership_plus,
     numeric_membership,
+    ratio_weights,
 )
-from .operator import OperatorParams, phi_array, phi_base
+from .operator import OperatorParams, delta_star, phi_array, phi_base
 from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale
 
 _KINDS = ("plus", "general")
@@ -73,12 +73,11 @@ def weight(seq: WeightSeq, k: int) -> float:
 def weight_array(seq: WeightSeq, ks: np.ndarray) -> np.ndarray:
     ks = np.asarray(ks)
     op, cp = seq.op, seq.cp
-    denom = budget(op, cp)
     if seq.kind == "plus":
-        out = criterion_weight_array(op, cp, ks) / denom
+        out = ratio_weights(op, cp, ks)
     else:
         bracket = cp.beta * (ks + abs(2.0 * cp.alpha - 1.0) * op.p) + ks + op.p
-        out = bracket * phi_array(op, ks) / denom
+        out = bracket * phi_array(op, ks) / budget(op, cp)
     if not np.all(np.isfinite(out)):
         raise OverflowError(
             f"weight: not finite at k={ks[~np.isfinite(out)].tolist()} "
@@ -110,21 +109,15 @@ def in_neighborhood(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries, delta: f
     return distance(seq, f, g) <= delta + SUM_TOL
 
 
-def delta_star(op: OperatorParams) -> float:
-    """The inclusion radius carried by the operator parameters."""
-    t = 2.0 * op.lam * op.mu + op.lam - op.mu
-    d = t / (1.0 + t)
-    if d == 0.0:
-        warnings.warn(
-            "delta_star: lam = mu = 0 gives a degenerate (zero) radius",
-            stacklevel=2,
-        )
-    return d
-
-
 def _premise_bound(op: OperatorParams) -> float:
     """1 / phi_{1-p} at m = 1; complements delta_star to exactly 1."""
     return 1.0 / float(phi_base(op, 1 - op.p))
+
+
+def _require_counts(**counts: int) -> None:
+    for name, n in counts.items():
+        if n < 0:
+            raise ValueError(f"{name}: must be >= 0, got {n}")
 
 
 def verify_inclusion_plus(
@@ -137,6 +130,7 @@ def verify_inclusion_plus(
     """Sampled check of the nonnegative-subclass inclusion: every g in the
     delta-neighborhood of a premise-satisfying member passes the exact
     criterion, and the sharpness witness just beyond delta fails it."""
+    _require_counts(trials=trials)
     d = delta_star(op)
     if d == 0.0:
         return Report(INCONCLUSIVE, 0.0, None, "degenerate radius delta = 0; nothing to verify")
@@ -165,7 +159,6 @@ def verify_inclusion_plus(
             "inclusion is not implied for this function",
         )
     rng = np.random.default_rng(seed)
-    lo = 1 - op.p
     nidx = min(16, len(ks))
     worst = np.inf
     for t in range(trials):
@@ -174,7 +167,6 @@ def verify_inclusion_plus(
         signs = rng.choice((-1.0, 1.0), size=nidx)
         arr = np.array(f.coeffs.real)
         for j in range(nidx):
-            k = lo + j
             if s[j] <= SUM_TOL:
                 continue  # degenerate weight: leave that coefficient alone
             arr[j] = max(0.0, arr[j] + signs[j] * u * mass[j] / s[j])
@@ -188,8 +180,6 @@ def verify_inclusion_plus(
             )
         worst = min(worst, rep.worst_margin)
     # sharpness: the witness just beyond delta must fail
-    from .generators import neighborhood_witnesses  # deferred: avoids import cycle
-
     ds = d * (1.0 + 1e-9)
     fw, gw = neighborhood_witnesses(op, cp, ds)
     wd = distance(seq, fw, gw)
@@ -230,6 +220,7 @@ def verify_inclusion_general(
     """
     if not delta > 0:
         raise ValueError(f"delta: must be > 0, got {delta}")
+    _require_counts(trials=trials, eps_trials=eps_trials)
     if f.trunc_order < op.p:
         raise ValueError(
             f"trunc_order: need at least p={op.p} to represent the eps-shift, got {f.trunc_order}"
@@ -254,7 +245,6 @@ def verify_inclusion_general(
     seq = WeightSeq("general", op, cp)
     ks = f.k_values()
     s = weight_array(seq, ks)
-    lo = 1 - op.p
     nidx = min(16, len(ks))
     worst = np.inf
     worst_witness: complex | None = None

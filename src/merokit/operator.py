@@ -18,16 +18,12 @@ of the other.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import LaurentSeries, PowerSeries, json_int, json_number
-
-#: above this power, phi is computed as a float pow of the base instead
-#: of repeated multiplication; both paths agree to rounding and are
-#: tested against each other.
-_POW_SWITCH = 16
+from .series import LaurentSeries, json_int, json_number
 
 
 @dataclass(frozen=True)
@@ -79,34 +75,39 @@ def phi_base(op: OperatorParams, k: int | np.ndarray) -> float | np.ndarray:
 def phi(op: OperatorParams, k: int) -> float:
     """Diagonal multiplier at index k.  Defined for k >= 1-p and k = -p
     (where it is identically 1)."""
-    if k < 1 - op.p and k != -op.p:
-        raise ValueError(f"k: must be >= {1 - op.p} (or the pole index {-op.p}), got {k}")
-    base = float(phi_base(op, k))
-    if op.m == 0:
-        return 1.0
-    if op.m <= _POW_SWITCH:
-        out = 1.0
-        for _ in range(op.m):
-            out *= base
-        return out
-    return float(base) ** op.m
+    with np.errstate(over="ignore"):
+        value = float(phi_array(op, np.array([k]))[0])
+    if not np.isfinite(value):
+        raise OverflowError(f"phi: the multiplier at k={k} overflows a float (m={op.m})")
+    return value
 
 
 def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
-    """Vectorized ``phi`` over an index array."""
+    """Vectorized ``phi`` over an index array, by repeated multiplication."""
     ks = np.asarray(ks)
     bad = ks[(ks < 1 - op.p) & (ks != -op.p)]
     if bad.size:
-        raise ValueError(f"k: indices below {1 - op.p} not admitted: {bad.tolist()}")
+        raise ValueError(
+            f"k: indices below {1 - op.p} (other than the pole index {-op.p}) "
+            f"not admitted: {bad.tolist()}"
+        )
     base = phi_base(op, ks)
-    if op.m == 0:
-        return np.ones_like(base, dtype=float)
-    if op.m <= _POW_SWITCH:
-        out = np.ones_like(base, dtype=float)
-        for _ in range(op.m):
-            out = out * base
-        return out
-    return base ** float(op.m)
+    out = np.ones_like(base, dtype=float)
+    for _ in range(op.m):
+        out = out * base
+    return out
+
+
+def delta_star(op: OperatorParams) -> float:
+    """The neighborhood inclusion radius carried by the operator parameters."""
+    t = 2.0 * op.lam * op.mu + op.lam - op.mu
+    d = t / (1.0 + t)
+    if d == 0.0:
+        warnings.warn(
+            "delta_star: lam = mu = 0 gives a degenerate (zero) radius",
+            stacklevel=2,
+        )
+    return d
 
 
 def require_pole_order(op: OperatorParams, f: LaurentSeries) -> None:

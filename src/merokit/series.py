@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -46,10 +47,16 @@ def json_int(value, where: str) -> int:
 
 
 def json_number(value, where: str) -> float:
-    """A JSON number field; strings and booleans are errors."""
+    """A finite JSON number field; strings, booleans, NaN and infinities are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a JSON number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: expected a finite number, got {x}")
+    return x
 
 
 def json_pair(pair, where: str) -> complex:

@@ -153,8 +153,6 @@ def test_distortion_validation():
         distortion(OP1, HALF, 0.5, "f_general", TailPolicy("exact_support"))
     with pytest.raises(ValueError, match="mode"):
         TailPolicy("whatever")
-    with pytest.raises(ValueError, match="tail_bound"):
-        TailPolicy("tail_estimate", -1.0)
 
 
 def test_distortion_report_holds_at_equality():

@@ -120,6 +120,9 @@ def test_domain_violation_maps_to_usage_error(capsys, tmp_path):
         ("params", "m", 1.7),
         ("params", "p", True),
         ("grid", "angles_count", 16.0),
+        ("series", "coeffs", [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        ("params", "alpha", float("inf")),
+        ("grid", "margin", float("inf")),
     ],
 )
 def test_json_reader_refuses_coercion(capsys, tmp_path, doc, key, value):
@@ -459,6 +462,138 @@ def test_shipped_default_suite_passes(capsys):
     assert agg["all_expected"] is True
     assert len(agg["items"]) == 18
 
+
+def test_report_item_resolves_equals_form_paths(capsys, tmp_path, monkeypatch):
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "inputs" / "params.json").write_text(json.dumps(PARAMS))
+    series_file(tmp_path / "inputs", "member.json", 1, 2, [0.0, 1 / 9, 0.0])
+    suite = write_suite(tmp_path, [
+        {
+            "id": "equals-form",
+            "argv": ["check", "--criterion", "exact",
+                     "--params=inputs/params.json", "--series=inputs/member.json"],
+            "expect": "holds",
+        },
+    ])
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, out, _ = run(capsys, "report", "--suite", suite)
+    assert code == 0
+    assert json.loads(out)["items"][0]["verdict"] == "holds"
+
+
+def _inputs(tmp_path):
+    files = {
+        "params.json": PARAMS,
+        "identity.json": {"lambda": 0.0, "mu": 0.0, "m": 0, "p": 1, "alpha": 0.5, "beta": 1.0},
+        "member.json": {"pole_order": 1, "trunc_order": 2,
+                        "coeffs": [[0.0, 0.0], [1 / 18, 0.0], [0.0, 0.0]], "exact_support": True},
+        "grid.json": {"radii": [0.3, 0.6], "angles_count": 16},
+        "atoms.json": {"atoms": [[[1.0, 0.0], 1.0]]},
+        "atoms-bad.json": {"atoms": 5},
+        "w.json": {"coeffs": [[0.5, 0.0]]},
+        "w-bad.json": {"coeffs": 5},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+
+
+_PS = ("--params", "@params.json", "--series", "@member.json")
+
+
+def _located(tmp_path, argv):
+    return [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+
+#: one argv per verb and failure mode; "@name" is a file in the test directory
+VERB_CASES = {
+    "phi": ["phi", "--lambda", "1", "--mu", "0", "--m", "1", "--p", "1", "--k", "2"],
+    "phi-bad-k": ["phi", "--lambda", "1", "--mu", "0", "--m", "1", "--p", "1", "--k", "-4"],
+    "apply": ["apply", *_PS, "--route", "coeff"],
+    "apply-no-c": ["apply", *_PS, "--route", "integral"],
+    "gen-extremal": ["gen", "extremal", "--params", "@params.json", "--n", "1"],
+    "gen-extremal-domain": ["gen", "extremal", "--params", "@identity.json", "--n", "-5"],
+    "gen-herglotz": ["gen", "herglotz", "--params", "@params.json", "--atoms", "@atoms.json",
+                     "--trunc", "4"],
+    "check-numeric": ["check", "--criterion", "numeric", *_PS, "--grid", "@grid.json"],
+    "check-missing-file": ["check", "--criterion", "exact", "--params", "@params.json",
+                           "--series", "@nope.json"],
+    "verify-coeff": ["verify", "coeff-plus", *_PS],
+    "verify-distortion": ["verify", "distortion", *_PS, "--r", "0.5", "--which", "f_plus",
+                          "--angles", "32"],
+    "nbhd-delta": ["nbhd", "delta", "--params", "@params.json"],
+    "nbhd-no-series": ["nbhd", "verify-plus", "--params", "@params.json"],
+    "nbhd-verify-plus": ["nbhd", "verify-plus", *_PS, "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERB_CASES))
+def test_verb_agrees_through_main_and_report(capsys, tmp_path, case):
+    _inputs(tmp_path)
+    argv = VERB_CASES[case]
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    suite = write_suite(tmp_path, [{"id": case, "argv": [a.lstrip("@") for a in argv]}])
+    _, agg, _ = run(capsys, "report", "--suite", suite)
+    item = json.loads(agg)["items"][0]
+    assert item["exit_code"] == code
+    if code == USAGE_EXIT:
+        assert out == "" and err == f"error: {item['error']}\n"
+    else:
+        try:
+            expected = json.loads(out)
+        except json.JSONDecodeError:
+            expected = out.strip()
+        assert item["output"] == expected and err == ""
+
+
+#: malformed input that must be a usage error, with a fragment of its message
+MALFORMED_CASES = {
+    "herglotz-atoms-not-list": (
+        ["gen", "herglotz", "--params", "@params.json", "--atoms", "@atoms-bad.json"],
+        "atoms.atoms: expected a list",
+    ),
+    "schwarz-coeffs-not-list": (
+        ["gen", "schwarz", "--params", "@params.json", "--w", "@w-bad.json"],
+        "schwarz: expected an object with a 'coeffs' list",
+    ),
+    "verify-plus-negative-trials": (
+        ["nbhd", "verify-plus", *_PS, "--trials", "-1"], "trials: must be >= 0, got -1",
+    ),
+    "verify-general-negative-eps-trials": (
+        ["nbhd", "verify-general", *_PS, "--eps-trials", "-1", "--delta", "0.1"],
+        "eps_trials: must be >= 0, got -1",
+    ),
+    "distortion-no-angles": (
+        ["verify", "distortion", *_PS, "--r", "0.5", "--which", "f_plus", "--angles", "0"],
+        "angles_count: must be an integer >= 1, got 0",
+    ),
+    "nan-threshold-flag": (
+        ["verify", "conv-nonvanish", *_PS, "--threshold", "nan"],
+        "argument --threshold: expected a finite number, got 'nan'",
+    ),
+    "phi-overflow": (
+        ["phi", "--lambda", "1", "--mu", "0", "--m", "2000", "--p", "1", "--k", "1"],
+        "phi: the multiplier at k=1 overflows a float (m=2000)",
+    ),
+    "unwritable-out": (
+        ["gen", "extremal", "--params", "@params.json", "--n", "1",
+         "--out", "@missing-dir/made.json"],
+        "missing-dir/made.json: [Errno 2] No such file or directory",
+    ),
+    "infinite-lambda-flag": (
+        ["phi", "--lambda", "inf", "--mu", "0", "--m", "1", "--p", "1", "--k", "1"],
+        "argument --lambda: expected a finite number, got 'inf'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+def test_malformed_input_is_usage_error(capsys, tmp_path, case):
+    _inputs(tmp_path)
+    argv, message = MALFORMED_CASES[case]
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    assert code == USAGE_EXIT and out == ""
+    assert message in err
 
 # --------------------------------------------------------------- module entry
 

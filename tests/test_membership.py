@@ -1,5 +1,7 @@
 """Membership criteria: weights, coefficient tests, numeric and disk routes,
 power-target containment."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,3 +300,14 @@ def test_subordination_requires_normalized_lead():
         subordination_power_target(M0, 0.5, L(1, 0, [0.0], lead=2.0))
     with pytest.raises(ValueError, match="alpha"):
         subordination_power_target(M0, 1.0, LaurentSeries.pole_only(1, 0))
+
+
+def test_subordination_names_vanishing_point_without_warning():
+    # f = 1/z - 2 under the identity operator: z F = 1 - 2z vanishes at z = 0.5
+    grid = SampleGrid(radii=(0.5,), angles_count=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = subordination_power_target(M0, 0.5, L(1, 0, [-2.0]), grid)
+    assert rep.verdict == "fails"
+    assert rep.worst_margin == 0.0 and rep.witness == 0.5
+    assert rep.detail.startswith("z^p F vanishes near z=(0.5+0j); grid=")

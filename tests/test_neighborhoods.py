@@ -216,3 +216,7 @@ def test_verify_general_validation():
         verify_inclusion_general(OP1, cp, f, 0.0)
     with pytest.raises(ValueError, match="trunc_order"):
         verify_inclusion_general(OP1, cp, LaurentSeries.pole_only(1, 0), 0.1)
+    with pytest.raises(ValueError, match="trials: must be >= 0, got -1"):
+        verify_inclusion_general(OP1, cp, f, 0.1, trials=-1)
+    with pytest.raises(ValueError, match="eps_trials: must be >= 0, got -2"):
+        verify_inclusion_general(OP1, cp, f, 0.1, eps_trials=-2)

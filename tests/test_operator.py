@@ -75,7 +75,7 @@ def test_phi_is_mth_power_of_base(lam, frac, m, p, k):
 
 
 def test_phi_large_power_switch_agrees_with_loop():
-    # above the switch the float pow path takes over; both agree
+    # a large power is still repeated multiplication; it matches a plain loop
     op = OperatorParams(0.3, 0.1, 20, 1)
     base = 1.0 + 2 * (0.3 - 0.1 + 3 * 0.3 * 0.1)
     prod = 1.0

@@ -1,4 +1,6 @@
 """Series arithmetic: construction, truncation discipline, evaluation."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,18 @@ def test_json_errors_name_the_field():
         LaurentSeries.from_json_dict(
             {"pole_order": 1, "trunc_order": 1, "coeffs": [[0, 0], [1]]}
         )
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("-1" + "0" * 400, id="int-1e400")],
+)
+def test_json_refuses_non_finite_numbers(literal):
+    doc = json.loads(f'{{"pole_order": 1, "trunc_order": 0, "coeffs": [[{literal}, 0]]}}')
+    with pytest.raises(ValueError, match=r"series.coeffs\[0\]: expected a finite number"):
+        LaurentSeries.from_json_dict(doc)
+    with pytest.raises(ValueError, match="grid.margin"):
+        SampleGrid.from_json_dict(json.loads(f'{{"margin": {literal}}}'))
 
 
 # ----------------------------------------------------------------- arithmetic

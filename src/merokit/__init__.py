@@ -1,13 +1,13 @@
 """merokit: construction and numeric verification of operator-defined
 classes of meromorphically multivalent functions.
 
-The package provides truncated Laurent/Taylor series arithmetic, a
-diagonal differential operator acting on coefficient sequences,
-membership tests for the associated function classes (exact, sufficient,
-sampled and disk forms), certified generators for class members,
-inequality verifiers (coefficient, distortion, convolution, partial-sum
-ratio bounds), and weighted coefficient neighborhoods.  Every check
-returns a Report with a verdict, its worst margin and a witness.
+The package provides truncated Laurent series arithmetic, a diagonal
+differential operator acting on coefficient sequences, membership tests
+for the associated function classes (exact, sufficient, sampled and disk
+forms), certified generators for class members, inequality verifiers
+(coefficient, distortion, convolution, partial-sum ratio bounds), and
+weighted coefficient neighborhoods.  Every check returns a Report with a
+verdict, its worst margin and a witness.
 """
 import types as _types
 
@@ -76,10 +76,8 @@ from .operator import (
 from .series import (
     DEFAULT_COEFF_COUNT,
     LaurentSeries,
-    PowerSeries,
     SampleGrid,
     add,
-    cauchy_mul,
     default_grid,
     default_trunc_order,
     derivative,

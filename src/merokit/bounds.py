@@ -319,6 +319,8 @@ def convolution_nonvanishing(
     vals = np.abs(u[None, :] - cp.beta * sigmas[:, None] * v[None, :])
     flat = int(np.argmin(vals))
     best = float(vals.flat[flat])
+    if not np.isfinite(best):
+        raise OverflowError("conv: the scanned value overflows a float")
     z_at = complex(zs[flat % zs.size])
     theta_at = float(thetas[flat // zs.size])
     detail = f"min |value| = {best:.6g} at theta={theta_at:.6g}; {note}"

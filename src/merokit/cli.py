@@ -15,14 +15,16 @@ report   run a JSON suite of the verbs above and aggregate the outcomes
 
 Exit codes: 0 for "holds" (or plain success), 1 for "fails", 2 for
 "inconclusive", 64 for usage errors (bad flags, malformed input files,
-domain violations).  JSON output is emitted with sorted keys, two-space
-indentation and a trailing newline, so identical inputs give byte-identical
-output; no timestamps or timings appear anywhere.
+domain violations, float overflow).  JSON output is strict, with sorted
+keys, two-space indentation and a trailing newline, so identical inputs
+give byte-identical output; no timestamps or timings appear anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -81,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------------ helpers
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_json(path: str):
@@ -340,7 +342,9 @@ def _run_item(item, parser: argparse.ArgumentParser) -> dict:
             raise UsageError("suite item: 'argv' must be a non-empty list of strings")
         if argv[0] == "report":
             raise UsageError("suite item: nested 'report' is not allowed")
-        code, text, _ = _run_argv(parser, argv)
+        # argparse prints --help to stdout, where the report's JSON goes
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, text, _ = _run_argv(parser, argv)
         res["exit_code"] = code
         try:
             payload = json.loads(text)

@@ -39,9 +39,7 @@ from .operator import OperatorParams, invert
 from .operator import delta_star as _delta_star
 from .series import (
     LaurentSeries,
-    PowerSeries,
     SampleGrid,
-    cauchy_mul,
     default_trunc_order,
     json_number,
     json_pair,
@@ -112,12 +110,9 @@ class SchwarzPoly:
     def __post_init__(self) -> None:
         cs = tuple(complex(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", cs)
-        cauchy = float(np.sum(np.abs(cs))) if cs else 0.0
-        if cs:
-            zs = SampleGrid((_SCHWARZ_RADIUS,), _SCHWARZ_SAMPLES).points()
-            boundary = float(np.max(np.abs(self.eval_many(zs))))
-        else:
-            boundary = 0.0
+        cauchy = float(np.sum(np.abs(cs)))
+        zs = SampleGrid((_SCHWARZ_RADIUS,), _SCHWARZ_SAMPLES).points()
+        boundary = float(np.max(np.abs(self.eval_many(zs))))  # 0.0 for w = 0
         object.__setattr__(self, "boundary_max", boundary)
         object.__setattr__(self, "cauchy_sum", cauchy)
         if boundary >= 1.0:
@@ -151,12 +146,10 @@ class SchwarzPoly:
         ))
 
 
-def _pullback(op: OperatorParams, taylor: PowerSeries, trunc_order: int) -> LaurentSeries:
-    """Interpret a Taylor series as z^p * (operator^m f) and recover f."""
-    transformed = LaurentSeries(
-        op.p, trunc_order, taylor.coeffs[1 : trunc_order + op.p + 1], taylor.coeffs[0]
-    )
-    return invert(op, transformed.renormalized())
+def _pullback(op: OperatorParams, taylor: np.ndarray, trunc_order: int) -> LaurentSeries:
+    """Interpret the coefficients of an exp series (constant term exactly 1)
+    as z^p * (operator^m f) and recover f."""
+    return invert(op, LaurentSeries(op.p, trunc_order, taylor[1 : trunc_order + op.p + 1]))
 
 
 def _resolve_trunc(op: OperatorParams, trunc_order: int | None) -> int:
@@ -182,9 +175,8 @@ def from_herglotz(
     for x, w in measure.atoms:
         if w == 0.0:
             continue
-        acc = acc + (c * w) * log_one_minus(x, order).coeffs
-    target = series_exp(PowerSeries(acc))
-    return _pullback(op, target, K)
+        acc = acc + (c * w) * log_one_minus(x, order)
+    return _pullback(op, series_exp(acc), K)
 
 
 def from_schwarz(
@@ -211,12 +203,10 @@ def from_schwarz(
     # supported, so padding with true zeros is sound here
     wq = np.zeros(order, dtype=np.complex128)
     wq[:d] = np.asarray(w.coeffs[:d])
-    integrand = cauchy_mul(PowerSeries(wq), PowerSeries(g))
     t = np.zeros(order + 1, dtype=np.complex128)
-    t[1:] = integrand.coeffs / np.arange(1, order + 1)
+    t[1:] = np.convolve(wq, g)[:order] / np.arange(1, order + 1)
     scale = -2.0 * op.p * (1.0 - cp.alpha) * cp.beta
-    target = series_exp(PowerSeries(scale * t))
-    return _pullback(op, target, K)
+    return _pullback(op, series_exp(scale * t), K)
 
 
 def extremal_fn(op: OperatorParams, cp: ClassParams, n: int) -> LaurentSeries:

@@ -29,6 +29,7 @@ pretending the bound constrains anything there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,7 @@ class Report:
 
     ``witness`` is the grid point (complex) or coefficient index (int)
     realizing the worst margin; a failing report always carries one.
+    A non-finite ``worst_margin`` is written to JSON as null.
     """
 
     verdict: str
@@ -102,9 +104,10 @@ class Report:
             w = [w.real, w.imag]
         elif isinstance(w, (int, np.integer)):
             w = int(w)
+        margin = float(self.worst_margin)
         return {
             "verdict": self.verdict,
-            "worst_margin": float(self.worst_margin),
+            "worst_margin": margin if math.isfinite(margin) else None,
             "witness": w,
             "detail": self.detail,
         }
@@ -134,24 +137,6 @@ def ratio_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.nda
     return criterion_weight_array(op, cp, np.asarray(ks)) / budget(op, cp)
 
 
-def _degenerate_notes(op, cp, ks, coeffs_abs) -> list[str]:
-    notes = []
-    w = criterion_weight_array(op, cp, ks)
-    degen = ks[w <= SUM_TOL]
-    if degen.size:
-        notes.append(
-            f"degenerate criterion weight (<= 0) at k={degen.tolist()}; "
-            "the sum does not constrain those coefficients"
-        )
-    sub = ks[(ks + op.p * (2.0 * cp.alpha - 1.0) < 0) & (coeffs_abs > 0)]
-    if sub.size:
-        notes.append(
-            f"sub-modulus weight at k={sub.tolist()} (k + p(2 alpha - 1) < 0); "
-            "the sum criterion is not equivalent to the pointwise condition there"
-        )
-    return notes
-
-
 # ----------------------------------------------------- coefficient routes
 
 def _require_class_form(f: LaurentSeries, op: OperatorParams) -> None:
@@ -168,6 +153,35 @@ def require_nonnegative_real(f: LaurentSeries) -> None:
         raise ValueError(f"coeffs: nonnegative real coefficients required, violated at k={ks}")
 
 
+def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str):
+    """Weights, weighted sum of ``a``, budget and report detail shared by the
+    coefficient criteria; an overflowing sum is an OverflowError."""
+    ks = f.k_values()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = criterion_weight_array(op, cp, ks)
+        total = float(np.dot(w, a))
+    if not math.isfinite(total):
+        raise OverflowError("coeffs: the weighted coefficient sum overflows a float")
+    rhs = budget(op, cp)
+    notes = []
+    degen = ks[w <= SUM_TOL]
+    if degen.size:
+        notes.append(
+            f"degenerate criterion weight (<= 0) at k={degen.tolist()}; "
+            "the sum does not constrain those coefficients"
+        )
+    sub = ks[(ks + op.p * (2.0 * cp.alpha - 1.0) < 0) & (a > 0)]
+    if sub.size:
+        notes.append(
+            f"sub-modulus weight at k={sub.tolist()} (k + p(2 alpha - 1) < 0); "
+            "the sum criterion is not equivalent to the pointwise condition there"
+        )
+    if not f.exact_support:
+        notes.append(tail_note)
+    detail = "; ".join(notes) if notes else f"sum={total:.17g} rhs={rhs:.17g}"
+    return w, total, rhs, detail
+
+
 def exact_membership_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries) -> Report:
     """Exact criterion on the nonnegative-coefficient subclass:
 
@@ -179,41 +193,26 @@ def exact_membership_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries)
     """
     _require_class_form(f, op)
     require_nonnegative_real(f)
-    ks = f.k_values()
     a = f.coeffs.real
-    w = criterion_weight_array(op, cp, ks)
-    total = float(np.dot(w, a))
-    rhs = budget(op, cp)
-    margin = rhs - total
-    notes = _degenerate_notes(op, cp, ks, a)
+    w, total, rhs, detail = _coefficient_sum(
+        op, cp, f, a, "truncation tail uncertified (exact_support is false)"
+    )
     if not f.exact_support:
-        notes.append("truncation tail uncertified (exact_support is false)")
-        return Report(INCONCLUSIVE, margin, None, "; ".join(notes))
-    detail = "; ".join(notes) if notes else f"sum={total:.17g} rhs={rhs:.17g}"
+        return Report(INCONCLUSIVE, rhs - total, None, detail)
     if total <= rhs + SUM_TOL:
-        return Report(HOLDS, margin, None, detail)
-    contrib = w * a
-    k_bad = int(ks[int(np.argmax(contrib))])
-    return Report(FAILS, margin, k_bad, detail)
+        return Report(HOLDS, rhs - total, None, detail)
+    k_bad = int(f.k_values()[int(np.argmax(w * a))])
+    return Report(FAILS, rhs - total, k_bad, detail)
 
 
 def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) -> Report:
     """Modulus-sum condition, sufficient for membership of the truncated
     function; an exceeded sum proves nothing, hence inconclusive."""
     _require_class_form(f, op)
-    ks = f.k_values()
-    aa = np.abs(f.coeffs)
-    w = criterion_weight_array(op, cp, ks)
-    total = float(np.dot(w, aa))
-    rhs = budget(op, cp)
-    margin = rhs - total
-    notes = _degenerate_notes(op, cp, ks, aa)
-    if not f.exact_support:
-        notes.append("tail not certified; verdict applies to the truncation")
-    detail = "; ".join(notes) if notes else f"sum={total:.17g} rhs={rhs:.17g}"
-    if total <= rhs + SUM_TOL:
-        return Report(HOLDS, margin, None, detail)
-    return Report(INCONCLUSIVE, margin, None, detail or "sum exceeds the bound; no conclusion")
+    _, total, rhs, detail = _coefficient_sum(
+        op, cp, f, np.abs(f.coeffs), "tail not certified; verdict applies to the truncation"
+    )
+    return Report(HOLDS if total <= rhs + SUM_TOL else INCONCLUSIVE, rhs - total, None, detail)
 
 
 # --------------------------------------------------------- numeric routes
@@ -281,7 +280,8 @@ def _grid_verdict(points, margins, passes, detail, bad=None,
     and ``margins`` their margins; ``passes(worst)`` is the caller's own
     threshold test.  No points gives inconclusive with a NaN margin; a
     point flagged in ``bad`` fails outright, witnessed by the first one;
-    otherwise the smallest margin decides, witnessed by its point.
+    otherwise the smallest margin decides, witnessed by its point, unless
+    it is not finite: the evaluation overflowed, an OverflowError.
     """
     if points.size == 0:
         return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {detail}")
@@ -290,6 +290,8 @@ def _grid_verdict(points, margins, passes, detail, bad=None,
         return Report(FAILS, float("-inf"), w, f"{bad_detail.format(w)}; {detail}")
     worst = float(np.min(margins))
     witness = points[int(np.argmin(margins))].item()
+    if not math.isfinite(worst):
+        raise OverflowError(f"margin: not finite at {witness}; the evaluation overflows a float")
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
@@ -321,11 +323,13 @@ def subordination_power_target(
     unit disk, c = 2 p (1 - alpha) -- the containment every beta = 1
     member satisfies.
 
-    Inversion: w = 1 - v^{1/c} over the finitely many admissible branches
-    (those with |Im log(1 - w)| < pi/2, the principal one included); the
-    point passes when some admissible preimage has |w| < 1 - margin.  A
-    point whose value admits no preimage at all fails with that witness.
-    The normalization v(0) = 1 is the series lead, checked exactly.
+    Inversion: w = 1 - v^{1/c} on the principal branch, theta = arg(v)/c.
+    Every branch gives the same |1 - w| = |v|^{1/c}, and the principal one
+    has the smallest |arg(1 - w)| = |theta|, hence the smallest |w|.  So
+    the point passes when that branch is admissible (|theta| < pi/2) and
+    |w| < 1 - margin; when it is not, no branch is, and the point fails
+    with that witness.  The normalization v(0) = 1 is the series lead,
+    checked exactly.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha: need 0 <= alpha < 1, got {alpha}")
@@ -337,29 +341,17 @@ def subordination_power_target(
     Fz = eval_many(apply_coeff(op, f), zs)
     v = zs ** op.p * Fz
     c = 2.0 * op.p * (1.0 - alpha)
-    # where v vanishes, log|v| = -inf puts the preimage on the unit circle
-    with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(v))
-    arg = np.angle(v)
-    half = np.pi / 2.0
-    nmax = int(np.ceil(c * half / (2.0 * np.pi))) + 1
-    best = np.full(zs.shape, np.inf)
-    admissible = np.zeros(zs.shape, dtype=bool)
-    for n in range(-nmax, nmax + 1):
-        theta = (arg + 2.0 * np.pi * n) / c
-        ok = np.abs(theta) < half
-        if not np.any(ok):
-            continue
-        w = 1.0 - np.exp(logmag / c + 1j * theta)
-        cand = np.abs(w)
-        take = ok & (cand < best)
-        best[take] = cand[take]
-        admissible |= ok
+    theta = np.angle(v) / c
+    admissible = np.abs(theta) < np.pi / 2.0
+    # where v vanishes, log|v| = -inf puts the preimage on the unit circle;
+    # an overflowing exp leaves an infinite |w|, which _grid_verdict refuses
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
     detail = _grid_note(grid)
     vanish = np.abs(Fz) <= vanishing_floor(zs, op.p)
     if np.any(vanish):
         detail = f"z^p F vanishes near z={zs[int(np.argmax(vanish))].item()}; {detail}"
     return _grid_verdict(
-        zs, 1.0 - best, lambda worst: worst > grid.margin, detail, ~admissible,
+        zs, 1.0 - np.abs(w), lambda worst: worst > grid.margin, detail, ~admissible,
         "branch cut collision: no admissible preimage at z={}",
     )

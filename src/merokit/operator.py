@@ -117,12 +117,15 @@ def require_pole_order(op: OperatorParams, f: LaurentSeries) -> None:
 
 
 def apply_coeff(op: OperatorParams, f: LaurentSeries) -> LaurentSeries:
-    """Coefficient route: multiply a_k by phi_k (pole untouched, phi_{-p}=1)."""
+    """Coefficient route: multiply a_k by phi_k (pole untouched, phi_{-p}=1).
+    An image coefficient that overflows a float is an OverflowError."""
     require_pole_order(op, f)
-    mult = phi_array(op, f.k_values())
-    return LaurentSeries(
-        f.pole_order, f.trunc_order, f.coeffs * mult, f.lead, f.exact_support
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = f.coeffs * phi_array(op, f.k_values())
+    if not np.all(np.isfinite(coeffs)):
+        k = f.k_values()[~np.isfinite(coeffs)][0]
+        raise OverflowError(f"apply: the operator image overflows a float at k={k} (m={op.m})")
+    return LaurentSeries(f.pole_order, f.trunc_order, coeffs, f.lead, f.exact_support)
 
 
 def apply_differential(op: OperatorParams, f: LaurentSeries) -> LaurentSeries:

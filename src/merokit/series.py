@@ -1,4 +1,4 @@
-"""Truncated Laurent and Taylor series over complex coefficients.
+"""Truncated Laurent series over complex coefficients.
 
 A pole-order-``p`` series represents
 
@@ -17,8 +17,9 @@ A missing coefficient is unknown, not zero, so nothing here zero-pads
 unless both operands carry ``exact_support`` (all coefficients beyond
 the stored range known to be exactly zero).
 
-Evaluation is only meaningful inside the punctured disk; ``eval`` and
-``eval_many`` reject |z| >= 1 and z == 0.
+Evaluation is only meaningful inside the punctured disk; ``eval_at`` and
+``eval_many`` reject |z| >= 1 and z == 0.  Taylor series are plain
+arrays of ascending coefficients.
 """
 from __future__ import annotations
 
@@ -66,12 +67,6 @@ def json_pair(pair, where: str) -> complex:
     return complex(json_number(pair[0], where), json_number(pair[1], where))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LaurentSeries:
     """Truncated series lead*z^-p + sum a_k z^k, k = 1-p .. trunc_order."""
@@ -97,7 +92,9 @@ class LaurentSeries:
                 f"coeffs: expected {want} entries for pole_order {p}, "
                 f"trunc_order {k}, got shape {arr.shape}"
             )
-        object.__setattr__(self, "coeffs", _freeze(arr))
+        arr = np.array(arr)  # a private, read-only copy
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "lead", complex(self.lead))
         object.__setattr__(self, "exact_support", bool(self.exact_support))
 
@@ -188,29 +185,6 @@ class LaurentSeries:
             1.0,
             exact,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class PowerSeries:
-    """Truncated Taylor series sum_{n=0}^{K} c_n z^n."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise ValueError("coeffs: expected a non-empty 1-d array")
-        object.__setattr__(self, "coeffs", _freeze(arr))
-
-    @property
-    def trunc_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, z: complex) -> complex:
-        return complex(polyval(self.coeffs, np.array([z]))[0])
-
-    def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        return polyval(self.coeffs, zs)
 
 
 @dataclass(frozen=True)
@@ -368,34 +342,30 @@ def z_derivative(f: LaurentSeries) -> LaurentSeries:
     )
 
 
-def cauchy_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Taylor product truncated to the shorter operand (no zero-padding)."""
-    n = min(len(a.coeffs), len(b.coeffs))
-    return PowerSeries(np.convolve(a.coeffs[:n], b.coeffs[:n])[:n])
-
-
-def series_exp(a: PowerSeries) -> PowerSeries:
-    """exp of a Taylor series with zero constant term."""
-    if a.coeffs[0] != 0:
+def series_exp(a) -> np.ndarray:
+    """exp of a Taylor series, given and returned as ascending coefficient
+    arrays; the constant term must be zero."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a[0] != 0:
         raise ValueError("series_exp: constant term must be exactly 0")
     # b = exp(a):  n b_n = sum_{j=1..n} j a_j b_{n-j}
-    n = len(a.coeffs)
+    n = len(a)
     out = np.zeros(n, dtype=np.complex128)
     out[0] = 1.0
-    ja = np.arange(n) * a.coeffs
+    ja = np.arange(n) * a
     for k in range(1, n):
         out[k] = np.dot(ja[1 : k + 1], out[k - 1 :: -1][:k]) / k
-    return PowerSeries(out)
+    return out
 
 
-def log_one_minus(x: complex, order: int) -> PowerSeries:
-    """log(1 - x z) = -sum_{n>=1} x^n z^n / n, truncated at ``order``."""
+def log_one_minus(x: complex, order: int) -> np.ndarray:
+    """Coefficients of log(1 - x z) = -sum_{n>=1} x^n z^n / n, truncated at ``order``."""
     if order < 1:
         raise ValueError(f"order: must be >= 1, got {order}")
     n = np.arange(1, order + 1)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[1:] = -(complex(x) ** n) / n
-    return PowerSeries(coeffs)
+    return coeffs
 
 
 # --------------------------------------------------------------- evaluation

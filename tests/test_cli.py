@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, JSON output shape, determinism,
 file handling and the suite runner."""
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import merokit
 from merokit.cli import USAGE_EXIT, main
@@ -387,6 +390,8 @@ def test_report_isolates_broken_item(capsys, params_file, tmp_path):
     series_file(tmp_path, "member.json", 1, 2, [0.0, 0.0, 0.0])
     suite = write_suite(tmp_path, [
         {"id": "bad-flags", "argv": ["phi", "--lambda", "1"], "expect": 64},
+        # argparse would print the help text where the report's JSON goes
+        {"id": "help", "argv": ["phi", "--help"], "expect": 64},
         {
             "id": "still-runs",
             "argv": ["check", "--criterion", "exact",
@@ -400,6 +405,8 @@ def test_report_isolates_broken_item(capsys, params_file, tmp_path):
     assert agg["all_expected"] is True
     assert agg["items"][0]["exit_code"] == 64
     assert "error" in agg["items"][0]
+    assert agg["items"][1]["exit_code"] == 64 and agg["items"][1]["output"] is None
+    assert "error" in agg["items"][1]
 
 
 def test_report_expectation_mismatch_fails(capsys, params_file, tmp_path):
@@ -454,13 +461,20 @@ def test_report_item_out_flag_writes_relative(capsys, params_file, tmp_path):
     assert made["certificate"]["n"] == 1
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name} in output")
+
+
 def test_shipped_default_suite_passes(capsys):
     suite = Path(__file__).resolve().parents[1] / "suites" / "default.json"
     code, out, err = run(capsys, "report", "--suite", suite)
     assert code == 0
-    agg = json.loads(out)
+    # strict JSON: the inconclusive item's NaN margin is written as null
+    agg = json.loads(out, parse_constant=_refuse_constant)
     assert agg["all_expected"] is True
     assert len(agg["items"]) == 18
+    vacuous = next(it for it in agg["items"] if it["id"] == "divergent-distortion-flagged")
+    assert vacuous["output"]["worst_margin"] is None
 
 
 def test_report_item_resolves_equals_form_paths(capsys, tmp_path, monkeypatch):
@@ -494,6 +508,8 @@ def _inputs(tmp_path):
         "atoms-bad.json": {"atoms": 5},
         "w.json": {"coeffs": [[0.5, 0.0]]},
         "w-bad.json": {"coeffs": 5},
+        # finite, but the operator image (phi_0 = 2) and the weighted sums overflow
+        "huge.json": {"pole_order": 1, "trunc_order": 1, "coeffs": [[1e308, 0.0], [0.0, 0.0]]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -584,6 +600,25 @@ MALFORMED_CASES = {
         ["phi", "--lambda", "inf", "--mu", "0", "--m", "1", "--p", "1", "--k", "1"],
         "argument --lambda: expected a finite number, got 'inf'",
     ),
+    **{
+        f"overflow-{verb[-1]}": (
+            [*verb, "--params", "@params.json", "--series", "@huge.json"],
+            "apply: the operator image overflows a float at k=0 (m=1)",
+        )
+        for verb in (
+            ["check", "--criterion", "numeric"],
+            ["check", "--criterion", "subordination"],
+            ["verify", "conv-nonvanish"],
+        )
+    },
+    **{
+        f"overflow-{criterion}": (
+            ["check", "--criterion", criterion, "--params", "@params.json",
+             "--series", "@huge.json"],
+            "coeffs: the weighted coefficient sum overflows a float",
+        )
+        for criterion in ("exact", "sufficient")
+    },
 }
 
 
@@ -593,7 +628,110 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, case):
     argv, message = MALFORMED_CASES[case]
     code, out, err = run(capsys, *_located(tmp_path, argv))
     assert code == USAGE_EXIT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+# ------------------------------------------------------- mutated JSON readers
+
+#: each reader's document, read through one argv; "@doc.json" is the mutated copy
+READER_CASES = {
+    "params": (dict(PARAMS), ["check", "--criterion", "sufficient",
+                              "--params", "@doc.json", "--series", "@member.json"]),
+    "series": (
+        {"pole_order": 1, "trunc_order": 2, "exact_support": True,
+         "coeffs": [[0.0, 0.0], [0.05, 0.0], [0.0, 0.0]]},
+        ["check", "--criterion", "numeric", "--params", "@params.json",
+         "--series", "@doc.json", "--grid", "@grid.json"],
+    ),
+    "grid": ({"radii": [0.3, 0.6], "angles_count": 16, "margin": 1e-9},
+             ["check", "--criterion", "numeric", *_PS, "--grid", "@doc.json"]),
+    "atoms": ({"atoms": [[[1.0, 0.0], 0.5], [[0.0, 1.0], 0.5]]},
+              ["gen", "herglotz", "--params", "@params.json", "--atoms", "@doc.json",
+               "--trunc", "4"]),
+    "schwarz": ({"coeffs": [[0.5, 0.0], [0.0, 0.25]]},
+                ["gen", "schwarz", "--params", "@params.json", "--w", "@doc.json",
+                 "--trunc", "4"]),
+    "suite": (
+        {"items": [
+            {"id": "phi", "argv": ["phi", "--lambda", "1", "--mu", "0", "--m", "1",
+                                   "--p", "1", "--k", "1"], "expect": 0},
+            {"id": "exact", "argv": ["check", "--criterion", "exact", "--params",
+                                     "params.json", "--series", "member.json"],
+             "expect": "holds"},
+        ]},
+        ["report", "--suite", "@doc.json"],
+    ),
+}
+
+#: replacement values: non-finite literals, booleans, strings, null, and
+#: scalars, lists and objects in place of one another
+REPLACEMENTS = [
+    float("nan"), float("inf"), float("-inf"), True, False, "0.5", "", None,
+    0, 7, 0.5, -1.0, [], [0.5, 0.0], {}, {"coeffs": 1},
+]
+
+
+def _swap_type(value):
+    """The same content under another JSON type."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float):
+        return str(value)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return value[0] if value else 0
+    if isinstance(value, dict):
+        return list(value.values())
+    return 0
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        if not path:
+            return value
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        how = draw(st.sampled_from(["replace", "swap", "drop"]))
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "swap":
+            parent[path[-1]] = _swap_type(parent[path[-1]])
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(READER_CASES))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_document_loads_or_is_usage_error(capsys, tmp_path, kind, data):
+    _inputs(tmp_path)
+    base, argv = READER_CASES[kind]
+    doc = data.draw(mutated(base))
+    (tmp_path / "doc.json").write_text(json.dumps(doc))  # NaN/Infinity literals included
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    if code == USAGE_EXIT:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1, 2) and "Traceback" not in err
+        json.loads(out, parse_constant=_refuse_constant)
+
 
 # --------------------------------------------------------------- module entry
 

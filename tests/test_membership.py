@@ -51,6 +51,9 @@ def test_report_requires_witness_on_failure():
         Report("maybe", 0.0)
     obj = Report("fails", -1.0, 0.5 + 0.25j).to_json_dict()
     assert obj["witness"] == [0.5, 0.25]
+    # strict JSON has no NaN or infinity: a non-finite margin is written as null
+    assert Report("fails", float("-inf"), 0.5).to_json_dict()["worst_margin"] is None
+    assert Report("inconclusive", float("nan")).to_json_dict()["worst_margin"] is None
 
 
 def test_weight_frozen_values():
@@ -311,3 +314,78 @@ def test_subordination_names_vanishing_point_without_warning():
     assert rep.verdict == "fails"
     assert rep.worst_margin == 0.0 and rep.witness == 0.5
     assert rep.detail.startswith("z^p F vanishes near z=(0.5+0j); grid=")
+
+
+def test_subordination_branch_cut_collision():
+    # c = 2(1 - 0.9) = 0.2 and v = 1 + 0.5 z^2: at |z| = 0.9, |arg v| reaches
+    # about 0.42 > (pi/2) c, so no branch of v^{1/c} stays admissible
+    rep = subordination_power_target(M0, 0.9, L(1, 1, [0.0, 0.5]))
+    witness = complex(0.7461338152995375, 0.5032736131236722)
+    assert rep.verdict == "fails"
+    assert rep.worst_margin == float("-inf") and rep.witness == witness
+    assert rep.detail == (
+        f"branch cut collision: no admissible preimage at z={witness}; grid=291f11565520"
+    )
+
+
+def _all_branches(v, c):
+    """Reference inversion: the best |w| over every admissible branch of
+    w = 1 - v^{1/c}, and whether any branch is admissible."""
+    with np.errstate(divide="ignore"):
+        logmag = np.log(np.abs(v))
+    arg = np.angle(v)
+    half = np.pi / 2.0
+    nmax = int(np.ceil(c * half / (2.0 * np.pi))) + 1
+    best = np.full(v.shape, np.inf)
+    admissible = np.zeros(v.shape, dtype=bool)
+    for n in range(-nmax, nmax + 1):
+        theta = (arg + 2.0 * np.pi * n) / c
+        ok = np.abs(theta) < half
+        if not np.any(ok):
+            continue
+        with np.errstate(over="ignore"):
+            w = 1.0 - np.exp(logmag / c + 1j * theta)
+        cand = np.abs(w)
+        take = ok & (cand < best)
+        best[take] = cand[take]
+        admissible |= ok
+    return best, admissible
+
+
+target_v = st.one_of(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-1.0, -2.5, -1e-3, 1e-3j - 1.0, -1e-3j - 1.0, 0.5, 3.0]),
+)
+
+
+@given(
+    v0=target_v,
+    c=st.floats(min_value=1e-3, max_value=4.0),
+    r=st.floats(min_value=0.05, max_value=0.95),
+    n=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_subordination_principal_branch_matches_enumeration(v0, c, r, n):
+    # p = 2, identity operator: v = z^2 F = 1 + a z, with a chosen so that
+    # the first grid point z = r carries v close to v0
+    op = OperatorParams(0.0, 0.0, 0, 2)
+    alpha = 1.0 - c / 4.0
+    f = L(2, -1, [(complex(v0) - 1.0) / r])
+    grid = SampleGrid(radii=(r,), angles_count=n)
+    zs = grid.points()
+    v = zs ** 2 * eval_many(apply_coeff(op, f), zs)
+    best, admissible = _all_branches(v, 2.0 * op.p * (1.0 - alpha))
+    if admissible.all() and not np.isfinite(best).all():
+        # |v|^{1/c} overflows: the margin has no float value
+        with pytest.raises(OverflowError, match="margin: not finite"):
+            subordination_power_target(op, alpha, f, grid)
+        return
+    rep = subordination_power_target(op, alpha, f, grid)
+    if not admissible.all():
+        assert rep.verdict == "fails" and rep.worst_margin == float("-inf")
+        assert rep.witness == zs[int(np.argmin(admissible))]
+        assert "branch cut collision" in rep.detail
+    else:
+        margins = 1.0 - best
+        assert rep.worst_margin == margins.min()
+        assert rep.witness == zs[int(np.argmin(margins))]

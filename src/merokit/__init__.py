@@ -82,6 +82,7 @@ from .series import (
     default_trunc_order,
     derivative,
     eval_at,
+    eval_circles,
     eval_many,
     hadamard,
     log_one_minus,

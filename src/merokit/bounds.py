@@ -25,6 +25,7 @@ always contains the asserted one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,12 @@ from .membership import (
     _grid_note,
     _grid_verdict,
 )
-from .operator import OperatorParams, apply_coeff, phi_array, require_pole_order
+from .operator import OperatorParams, _phi_product, apply_coeff, phi_array, require_pole_order
 from .series import (
     LaurentSeries,
     SampleGrid,
     default_grid,
+    eval_circles,
     eval_many,
     z_derivative,
 )
@@ -62,6 +64,9 @@ RATIO_RADIUS_CAP = 0.999
 _SUM_TERMS = 2048
 
 _TAIL_MODES = ("exact_support", "tail_estimate", "divergent_flag")
+
+#: bytes of |u - beta sigma v| the convolution scan holds at once
+_SCAN_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,11 @@ def _tail_majorant(op: OperatorParams, extra_power: int, n_cut: int) -> float:
 def _certified_sum(op: OperatorParams, extra_power: int) -> float:
     """Upper estimate of sum_{k=1-p}^inf (k or 1)/((k+p) phi_k)."""
     ks = np.arange(1 - op.p, _SUM_TERMS + 1)
-    terms = (ks.astype(float) ** extra_power if extra_power else 1.0) / (
-        (ks + op.p) * phi_array(op, ks)
-    )
+    # a multiplier that overflows a float leaves its term an exact 0, its limit
+    with np.errstate(over="ignore"):
+        terms = (ks.astype(float) ** extra_power if extra_power else 1.0) / (
+            (ks + op.p) * _phi_product(op, ks)
+        )
     partial = float(np.sum(terms))
     window = terms[-16:]
     if np.any(np.diff(window) > 0):
@@ -252,17 +259,24 @@ def distortion_report(
     inconclusive verdict, never a fake pass.
     """
     lower, upper = distortion(op, cp, r, which, tail)
-    zs = SampleGrid((r,), angles_count).points()
+    grid = SampleGrid((r,), angles_count)
+    zs = grid.points()
     if not np.isfinite(lower) and not np.isfinite(upper):
         return Report(
             INCONCLUSIVE, float("nan"), None,
             f"vacuous bounds (divergent multiplier sum) for which={which} at r={r}",
         )
     g = z_derivative(f) if which == "fprime_general" else f
-    vals = np.abs(eval_many(g, zs)) / (r if which == "fprime_general" else 1.0)
-    margins = np.minimum(vals - lower, upper - vals)
+
+    def margins(values):
+        vals = np.abs(values) / (r if which == "fprime_general" else 1.0)
+        return np.minimum(vals - lower, upper - vals)
+
     detail = f"which={which} r={r} lower={lower:.12g} upper={upper:.12g} angles={angles_count}"
-    return _grid_verdict(zs, margins, lambda worst: worst >= -SUM_TOL, detail)
+    return _grid_verdict(
+        zs, margins(eval_circles(g, grid)), lambda worst: worst >= -SUM_TOL, detail,
+        recheck=lambda points: (margins(eval_many(g, points)), np.zeros(points.shape, dtype=bool)),
+    )
 
 
 # --------------------------------------------------- convolution non-vanishing
@@ -278,6 +292,27 @@ def conv_derivative_kernel(p: int, trunc_order: int) -> LaurentSeries:
     hadamard with it equals z d/dz."""
     ks = np.arange(1 - p, trunc_order + 1, dtype=np.complex128)
     return LaurentSeries(p, trunc_order, ks, -float(p), False)
+
+
+def _min_modulus(u, v, beta: float, sigmas):
+    """min over (sigma, point) of |u - beta sigma v| and its sigma-major flat
+    index, the first one on ties, scanning a block of sigma rows at a time.
+    A NaN or infinite minimum is an OverflowError."""
+    rows = max(1, _SCAN_BLOCK_BYTES // (16 * max(u.size, 1)))
+    best, flat = math.inf, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, sigmas.size, rows):
+            vals = np.abs(u[None, :] - beta * sigmas[lo : lo + rows, None] * v[None, :])
+            i = int(np.argmin(vals))  # the first NaN, if there is one
+            low = float(vals.flat[i])
+            if math.isnan(low):
+                best = low
+                break
+            if low < best:
+                best, flat = low, lo * u.size + i
+    if not math.isfinite(best):
+        raise OverflowError("conv: the scanned value overflows a float")
+    return best, flat
 
 
 def convolution_nonvanishing(
@@ -308,23 +343,26 @@ def convolution_nonvanishing(
     if zs.size == 0:
         return _grid_verdict(zs, zs, lambda best: best > threshold, note)
     F = apply_coeff(op, f)
-    a = eval_many(z_derivative(F), zs)
-    b = eval_many(F, zs)
-    zp = zs ** op.p
-    u = zp * (a + op.p * b)
-    v = zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
+    dF = z_derivative(F)
+
+    def scanned(points, values):
+        a = values(dF)
+        b = values(F)
+        zp = points ** op.p
+        with np.errstate(over="ignore", invalid="ignore"):  # _min_modulus refuses non-finite
+            u = zp * (a + op.p * b)
+            v = zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
+        return u, v
+
     thetas = 2.0 * np.pi * np.arange(1, theta_count + 1) / (theta_count + 1)
     sigmas = np.exp(1j * thetas)
-    # min over (sigma, point) of |u - beta sigma v|; flat index is sigma-major
-    vals = np.abs(u[None, :] - cp.beta * sigmas[:, None] * v[None, :])
-    flat = int(np.argmin(vals))
-    best = float(vals.flat[flat])
-    if not np.isfinite(best):
-        raise OverflowError("conv: the scanned value overflows a float")
-    z_at = complex(zs[flat % zs.size])
-    theta_at = float(thetas[flat // zs.size])
-    detail = f"min |value| = {best:.6g} at theta={theta_at:.6g}; {note}"
-    return Report(HOLDS if best > threshold else FAILS, best, z_at, detail)
+    _, flat = _min_modulus(*scanned(zs, lambda g: eval_circles(g, grid, RADIUS_CAP)), cp.beta, sigmas)
+    i, s = flat % zs.size, flat // zs.size
+    # the worst pair, found on the FFT values, is reported with Horner's value
+    at = zs[i : i + 1]
+    best, _ = _min_modulus(*scanned(at, lambda g: eval_many(g, at)), cp.beta, sigmas[s : s + 1])
+    detail = f"min |value| = {best:.6g} at theta={float(thetas[s]):.6g}; {note}"
+    return Report(HOLDS if best > threshold else FAILS, best, complex(zs[i]), detail)
 
 
 # ------------------------------------------------------------- partial sums
@@ -390,7 +428,10 @@ def partial_sum_bounds(
     grid = grid or default_grid()
     ks = f.k_values()
     th = ratio_weights(op, cp, ks)
-    hyp = float(np.dot(th, np.abs(f.coeffs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hyp = float(np.dot(th, np.abs(f.coeffs)))
+    if not math.isfinite(hyp):
+        raise OverflowError("coeffs: the weighted hypothesis sum overflows a float")
     if not f.exact_support:
         return Report(
             INCONCLUSIVE, 1.0 - hyp, None,
@@ -415,13 +456,20 @@ def partial_sum_bounds(
     # the ratio bounds run out to RATIO_RADIUS_CAP, so the membership-cap
     # wording of _grid_note would misreport radii in (0.95, 0.999]
     note = f"grid={grid.digest()} m_cut={m_cut} theta={theta_m:.12g}"
-    vf = eval_many(f, zs)
-    vk = eval_many(km, zs)
-    floor = vanishing_floor(zs, op.p)
-    bad = (np.abs(vf) <= floor) | (np.abs(vk) <= floor)
-    # the quotients at bad points are discarded: the verdict fails there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m1 = np.real(vf / vk) - (1.0 - 1.0 / theta_m)
-        m2 = np.real(vk / vf) - theta_m / (1.0 + theta_m)
-    margins = np.minimum(m1, m2)
-    return _grid_verdict(zs, margins, lambda worst: worst >= -grid.margin, note, bad)
+
+    def margins(points, values):
+        vf = values(f)
+        vk = values(km)
+        floor = vanishing_floor(points, op.p)
+        bad = (np.abs(vf) <= floor) | (np.abs(vk) <= floor)
+        # the quotients at bad points are discarded: the verdict fails there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m1 = np.real(vf / vk) - (1.0 - 1.0 / theta_m)
+            m2 = np.real(vk / vf) - theta_m / (1.0 + theta_m)
+        return np.minimum(m1, m2), bad
+
+    grid_margins, bad = margins(zs, lambda g: eval_circles(g, grid, RATIO_RADIUS_CAP))
+    return _grid_verdict(
+        zs, grid_margins, lambda worst: worst >= -grid.margin, note, bad,
+        recheck=lambda points: margins(points, lambda g: eval_many(g, points)),
+    )

@@ -36,7 +36,14 @@ import numpy as np
 
 from . import series as ser
 from .operator import OperatorParams, apply_coeff, phi_array, require_pole_order
-from .series import LaurentSeries, SampleGrid, eval_many, json_number, z_derivative
+from .series import (
+    LaurentSeries,
+    SampleGrid,
+    eval_circles,
+    eval_many,
+    json_number,
+    z_derivative,
+)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -224,34 +231,49 @@ def vanishing_floor(zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
     return 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead))
 
 
-def _quotient(op: OperatorParams, f: LaurentSeries, grid: SampleGrid):
-    """Q = z F'/(p F) on the capped grid, plus the points and a bad-denominator mask."""
+def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, margin_of):
+    """margin_of(Q), Q = z F'/(p F), on the capped grid: the points, their
+    margins by FFT, a mask of the points where F vanishes, and ``recheck``,
+    which gives the margins and the mask at other points by Horner."""
     zs = grid.points(radius_cap=RADIUS_CAP)
     if zs.size == 0:
-        return zs, zs, np.zeros(0, dtype=bool)
+        return zs, zs, np.zeros(0, dtype=bool), None
     F = apply_coeff(op, f)
-    b = eval_many(F, zs)
-    a = eval_many(z_derivative(F), zs)
-    bad = np.abs(b) <= vanishing_floor(zs, op.p, f.lead)
-    q = np.empty_like(b)
-    q[~bad] = a[~bad] / (op.p * b[~bad])
-    q[bad] = np.nan
-    return zs, q, bad
+    dF = z_derivative(F)
+
+    def margins(points, values):
+        b = values(F)
+        a = values(dF)
+        bad = np.abs(b) <= vanishing_floor(points, op.p, f.lead)
+        q = np.empty_like(b)
+        with np.errstate(over="ignore", invalid="ignore"):  # _grid_verdict refuses non-finite
+            q[~bad] = a[~bad] / (op.p * b[~bad])
+            q[bad] = np.nan
+            return margin_of(q), bad
+
+    grid_margins, bad = margins(zs, lambda g: eval_circles(g, grid, RADIUS_CAP))
+    return zs, grid_margins, bad, lambda points: margins(points, lambda g: eval_many(g, points))
+
+
+def _numeric_form(cp: ClassParams):
+    """Q -> beta*|Q + 2 alpha - 1| - |Q + 1|, the defining inequality's margin."""
+    return lambda q: cp.beta * np.abs(q + (2.0 * cp.alpha - 1.0)) - np.abs(q + 1.0)
+
+
+def _disk_form(cp: ClassParams):
+    """Q -> radius - |(-Q) - center|, the disk form's margin (beta < 1)."""
+    center, radius = disk_parameters(cp)
+    return lambda q: radius - np.abs(-q - center)
 
 
 def numeric_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
     """Pointwise margins beta*|Q + 2 alpha - 1| - |Q + 1| over the grid."""
-    zs, q, bad = _quotient(op, f, grid)
-    margins = cp.beta * np.abs(q + (2.0 * cp.alpha - 1.0)) - np.abs(q + 1.0)
-    return zs, margins, bad
+    return _quotient_margins(op, f, grid, _numeric_form(cp))[:3]
 
 
 def disk_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
     """Pointwise margins radius - |(-Q) - center| of the disk form (beta < 1)."""
-    center, radius = disk_parameters(cp)
-    zs, q, bad = _quotient(op, f, grid)
-    margins = radius - np.abs(-q - center)
-    return zs, margins, bad
+    return _quotient_margins(op, f, grid, _disk_form(cp))[:3]
 
 
 def disk_parameters(cp: ClassParams) -> tuple[float, float]:
@@ -273,7 +295,7 @@ def _grid_note(grid: SampleGrid) -> str:
 
 
 def _grid_verdict(points, margins, passes, detail, bad=None,
-                  bad_detail="denominator vanishes near z={}") -> Report:
+                  bad_detail="denominator vanishes near z={}", recheck=None) -> Report:
     """Reduce pointwise margins to a Report.
 
     ``points`` are the sample points (grid points, or coefficient indices)
@@ -282,14 +304,24 @@ def _grid_verdict(points, margins, passes, detail, bad=None,
     point flagged in ``bad`` fails outright, witnessed by the first one;
     otherwise the smallest margin decides, witnessed by its point, unless
     it is not finite: the evaluation overflowed, an OverflowError.
+
+    ``recheck(points)``, when given, returns the margins and ``bad`` flags
+    at the given points by Horner.  The grid margins (by FFT) then only
+    locate the worst point, and its reported margin is Horner's, the value
+    ``eval_many`` gives there; a witness that Horner flags fails as bad.
     """
     if points.size == 0:
         return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {detail}")
     if bad is not None and np.any(bad):
         w = points[int(np.argmax(bad))].item()
         return Report(FAILS, float("-inf"), w, f"{bad_detail.format(w)}; {detail}")
-    worst = float(np.min(margins))
-    witness = points[int(np.argmin(margins))].item()
+    i = int(np.argmin(margins))
+    worst, witness = float(margins[i]), points[i].item()
+    if recheck is not None and math.isfinite(worst):
+        at, flagged = recheck(points[i : i + 1])
+        if flagged[0]:
+            return Report(FAILS, float("-inf"), witness, f"{bad_detail.format(witness)}; {detail}")
+        worst = float(at[0])
     if not math.isfinite(worst):
         raise OverflowError(f"margin: not finite at {witness}; the evaluation overflows a float")
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
@@ -300,8 +332,10 @@ def numeric_membership(
 ) -> Report:
     """Sample the defining inequality itself on the grid."""
     grid = grid or ser.default_grid()
-    zs, margins, bad = numeric_margins(op, cp, f, grid)
-    return _grid_verdict(zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad)
+    zs, margins, bad, recheck = _quotient_margins(op, f, grid, _numeric_form(cp))
+    return _grid_verdict(
+        zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad, recheck=recheck
+    )
 
 
 def disk_characterization(
@@ -310,8 +344,10 @@ def disk_characterization(
     """Sample the equivalent disk form (beta < 1 only).  Must agree with
     ``numeric_membership`` pointwise; tests enforce that."""
     grid = grid or ser.default_grid()
-    zs, margins, bad = disk_margins(op, cp, f, grid)
-    return _grid_verdict(zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad)
+    zs, margins, bad, recheck = _quotient_margins(op, f, grid, _disk_form(cp))
+    return _grid_verdict(
+        zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad, recheck=recheck
+    )
 
 
 # ------------------------------------------------- power-target containment
@@ -337,21 +373,29 @@ def subordination_power_target(
     if f.lead != 1:
         raise ValueError("lead: containment target is normalized to v(0) = 1; lead must be 1")
     grid = grid or ser.default_grid()
-    zs = grid.points(radius_cap=RADIUS_CAP)
-    Fz = eval_many(apply_coeff(op, f), zs)
-    v = zs ** op.p * Fz
+    F = apply_coeff(op, f)
     c = 2.0 * op.p * (1.0 - alpha)
-    theta = np.angle(v) / c
-    admissible = np.abs(theta) < np.pi / 2.0
-    # where v vanishes, log|v| = -inf puts the preimage on the unit circle;
-    # an overflowing exp leaves an infinite |w|, which _grid_verdict refuses
-    with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
+
+    def margins(points, Fz):
+        # where v vanishes, log|v| = -inf puts the preimage on the unit circle;
+        # an overflowing F or exp leaves a non-finite |w|, which _grid_verdict
+        # refuses, so such a point is no branch cut collision
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = points ** op.p * Fz
+            theta = np.angle(v) / c
+            w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
+            admissible = (np.abs(theta) < np.pi / 2.0) | ~np.isfinite(v)
+            return 1.0 - np.abs(w), ~admissible
+
+    zs = grid.points(radius_cap=RADIUS_CAP)
+    Fz = eval_circles(F, grid, RADIUS_CAP)
+    grid_margins, collides = margins(zs, Fz)
     detail = _grid_note(grid)
     vanish = np.abs(Fz) <= vanishing_floor(zs, op.p)
     if np.any(vanish):
         detail = f"z^p F vanishes near z={zs[int(np.argmax(vanish))].item()}; {detail}"
     return _grid_verdict(
-        zs, 1.0 - np.abs(w), lambda worst: worst > grid.margin, detail, ~admissible,
+        zs, grid_margins, lambda worst: worst > grid.margin, detail, collides,
         "branch cut collision: no admissible preimage at z={}",
+        recheck=lambda points: margins(points, eval_many(F, points)),
     )

@@ -75,15 +75,12 @@ def phi_base(op: OperatorParams, k: int | np.ndarray) -> float | np.ndarray:
 def phi(op: OperatorParams, k: int) -> float:
     """Diagonal multiplier at index k.  Defined for k >= 1-p and k = -p
     (where it is identically 1)."""
-    with np.errstate(over="ignore"):
-        value = float(phi_array(op, np.array([k]))[0])
-    if not np.isfinite(value):
-        raise OverflowError(f"phi: the multiplier at k={k} overflows a float (m={op.m})")
-    return value
+    return float(phi_array(op, np.array([k]))[0])
 
 
 def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
-    """Vectorized ``phi`` over an index array, by repeated multiplication."""
+    """Vectorized ``phi`` over an index array, by repeated multiplication.
+    A multiplier that overflows a float is an OverflowError."""
     ks = np.asarray(ks)
     bad = ks[(ks < 1 - op.p) & (ks != -op.p)]
     if bad.size:
@@ -91,10 +88,20 @@ def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
             f"k: indices below {1 - op.p} (other than the pole index {-op.p}) "
             f"not admitted: {bad.tolist()}"
         )
+    out = _phi_product(op, ks)
+    if not np.all(np.isfinite(out)):
+        k = int(ks[~np.isfinite(out)][0])
+        raise OverflowError(f"phi: the multiplier at k={k} overflows a float (m={op.m})")
+    return out
+
+
+def _phi_product(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
+    """``phi_array`` without its checks: a multiplier that overflows is inf."""
     base = phi_base(op, ks)
     out = np.ones_like(base, dtype=float)
-    for _ in range(op.m):
-        out = out * base
+    with np.errstate(over="ignore"):
+        for _ in range(op.m):
+            out = out * base
     return out
 
 

@@ -18,7 +18,9 @@ unless both operands carry ``exact_support`` (all coefficients beyond
 the stored range known to be exactly zero).
 
 Evaluation is only meaningful inside the punctured disk; ``eval_at`` and
-``eval_many`` reject |z| >= 1 and z == 0.  Taylor series are plain
+``eval_many`` reject |z| >= 1 and z == 0.  They evaluate by Horner at
+arbitrary points; ``eval_circles`` evaluates on the circles of a
+``SampleGrid`` by one inverse FFT per circle.  Taylor series are plain
 arrays of ascending coefficients.
 """
 from __future__ import annotations
@@ -333,13 +335,10 @@ def derivative(f: LaurentSeries) -> LaurentSeries:
 def z_derivative(f: LaurentSeries) -> LaurentSeries:
     """z * f'(z); same pole order, exact on truncations."""
     p = f.pole_order
-    return LaurentSeries(
-        p,
-        f.trunc_order,
-        f.k_values() * f.coeffs,
-        -p * f.lead,
-        f.exact_support,
-    )
+    # an overflowing k * a_k stays infinite, for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = f.k_values() * f.coeffs
+    return LaurentSeries(p, f.trunc_order, coeffs, -p * f.lead, f.exact_support)
 
 
 def series_exp(a) -> np.ndarray:
@@ -389,13 +388,39 @@ def _check_points(zs: np.ndarray) -> None:
 
 
 def eval_many(f: LaurentSeries, zs: Iterable[complex]) -> np.ndarray:
-    """Evaluate at points of the punctured unit disk."""
+    """Evaluate at points of the punctured unit disk, by Horner.  A value
+    that overflows is left infinite or NaN, without a warning, for the
+    caller to refuse."""
     zs = np.asarray(zs, dtype=np.complex128)
     _check_points(zs)
     p = f.pole_order
-    tail = polyval(f.coeffs, zs)
-    return f.lead * zs ** (-p) + zs ** (1 - p) * tail
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = polyval(f.coeffs, zs)
+        return f.lead * zs ** (-p) + zs ** (1 - p) * tail
 
 
 def eval_at(f: LaurentSeries, z: complex) -> complex:
     return complex(eval_many(f, np.array([z]))[0])
+
+
+def eval_circles(f: LaurentSeries, grid: SampleGrid, radius_cap: float | None = None) -> np.ndarray:
+    """Evaluate at ``grid.points(radius_cap)``, in that radii-major order.
+
+    With M = angles_count and w = exp(2 pi i / M), f(r w^j) = sum_k a_k r^k w^(jk)
+    is the unscaled inverse DFT of the terms a_k r^k placed at bin k mod M
+    (the pole at bin M - p).  Terms beyond M bins are folded onto their bin,
+    which is exact since w^M = 1.  A value that overflows is left infinite or
+    NaN, without a warning, for the caller to refuse.
+    """
+    radii = np.array([r for r in grid.radii if radius_cap is None or r <= radius_cap])
+    m = grid.angles_count
+    p = f.pole_order
+    c = np.concatenate(([f.lead], f.coeffs))  # a_k for k = -p .. trunc_order
+    # column j of ``bins`` holds k = j - start - p, and start + p = 0 mod m
+    start = -p % m
+    width = -(-(start + c.size) // m) * m
+    bins = np.zeros((radii.size, width), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bins[:, start : start + c.size] = c * radii[:, None] ** np.arange(-p, f.trunc_order + 1)
+        folded = bins.reshape(radii.size, width // m, m).sum(axis=1)
+        return np.fft.ifft(folded, axis=1, norm="forward").ravel()

@@ -1,5 +1,7 @@
 """Coefficient bounds, distortion intervals, convolution non-vanishing and
 partial-sum ratio bounds."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import merokit.bounds
 from merokit.bounds import (
     TailPolicy,
+    _min_modulus,
     coeff_bound_general,
     coeff_bound_plus,
     coeff_bounds_report,
@@ -135,6 +138,16 @@ def test_distortion_general_sum_brackets_telescoping_value():
     assert 1.0 < s_upper < 1.001
 
 
+def test_distortion_with_overflowing_multipliers_is_finite():
+    """With lam = 1, mu = 0, m = 100, phi_k = (k + 2)^100 overflows a float
+    from about k = 1200 on.  Those terms of the multiplier sums are exact
+    zeros, their limit, and the spread is far below an ulp of the base."""
+    op = OperatorParams(1.0, 0.0, 100, 1)
+    tail = TailPolicy("tail_estimate")
+    assert distortion(op, HALF, 0.5, "f_general", tail) == (2.0, 2.0)
+    assert distortion(op, HALF, 0.5, "fprime_general", tail) == (4.0, 4.0)
+
+
 def test_distortion_divergent_policy():
     tail = TailPolicy("divergent_flag")
     assert distortion(M0, HALF, 0.5, "f_general", tail) == (float("-inf"), float("inf"))
@@ -215,14 +228,58 @@ def test_convolution_holds_for_member():
 
 def test_convolution_flags_vanishing_point():
     """With a_1 = 4/9 the scanned combination is sigma + 3 a z^2 (2 - sigma)
-    after the operator triples a_1, and it vanishes exactly at z = 0.5,
-    sigma = -1.  Both lie on the scan grid (45 thetas puts pi on it), so
-    the minimum modulus collapses to rounding error and the check fails."""
+    after the operator triples a_1, and it vanishes exactly at z = 0.5 and
+    z = -0.5, sigma = -1.  All lie on the scan grid (45 thetas puts pi on
+    it), so the minimum modulus collapses to rounding error and the check
+    fails.  Rounding decides which of the two zeros is reported."""
     f = L(1, 1, [0.0, 4.0 / 9.0])
     rep = convolution_nonvanishing(OP1, HALF, f, theta_count=45)
     assert rep.verdict == "fails"
     assert rep.worst_margin < 1e-12
-    assert abs(rep.witness - 0.5) < 1e-12
+    assert min(abs(rep.witness - 0.5), abs(rep.witness + 0.5)) < 1e-12
+
+
+def _one_matrix_min(u, v, beta, sigmas):
+    """The scan as one (sigma, point) matrix: minimum and sigma-major argmin."""
+    vals = np.abs(u[None, :] - beta * sigmas[:, None] * v[None, :])
+    flat = int(np.argmin(vals))
+    return float(vals.flat[flat]), flat
+
+
+def test_blocked_scan_matches_one_matrix(monkeypatch):
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=37) + 1j * rng.normal(size=37)
+    v = rng.normal(size=37) + 1j * rng.normal(size=37)
+    sigmas = np.exp(2j * np.pi * np.arange(1, 12) / 12)
+    beta = 0.7
+    # exact zeros, the same products the scan forms, at (sigma, point) = (5, 1),
+    # (2, 30) and (2, 3): the sigma-major first one is (2, 3)
+    for s, z in ((5, 1), (2, 30), (2, 3)):
+        u[z] = beta * sigmas[s] * v[z]
+    u[11] = np.inf  # an infinite value that is not the minimum
+    want = _one_matrix_min(u, v, beta, sigmas)
+    assert want == (0.0, 2 * 37 + 3)
+    for block_bytes in (1, 16 * 37, 16 * 37 * 4, 1 << 20):
+        monkeypatch.setattr(merokit.bounds, "_SCAN_BLOCK_BYTES", block_bytes)
+        best, flat = _min_modulus(u, v, beta, sigmas)
+        assert (best.hex(), flat) == (want[0].hex(), want[1])
+    # tied nonzero minima: points 2 and 4 in every sigma row
+    u2 = rng.normal(size=5) + 1j * rng.normal(size=5)
+    v2 = np.zeros(5, dtype=complex)
+    u2[4] = u2[2] = 0.1
+    sig2 = np.exp(2j * np.pi * np.arange(1, 9) / 9)
+    want = _one_matrix_min(u2, v2, beta, sig2)
+    for block_bytes in (1, 16 * 5 * 3, 1 << 20):
+        monkeypatch.setattr(merokit.bounds, "_SCAN_BLOCK_BYTES", block_bytes)
+        assert _min_modulus(u2, v2, beta, sig2) == want
+    # a NaN anywhere makes the one-matrix minimum NaN: the scan refuses it,
+    # also when it sits in a later block than the finite minimum
+    u[36] = np.nan
+    assert math.isnan(_one_matrix_min(u, v, beta, sigmas)[0])
+    for block_bytes in (1, 1 << 20):
+        monkeypatch.setattr(merokit.bounds, "_SCAN_BLOCK_BYTES", block_bytes)
+        with pytest.raises(OverflowError, match="conv: the scanned value overflows"):
+            _min_modulus(u, v, beta, sigmas)
 
 
 def test_convolution_theta_grid_is_interior():

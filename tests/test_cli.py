@@ -510,6 +510,14 @@ def _inputs(tmp_path):
         "w-bad.json": {"coeffs": 5},
         # finite, but the operator image (phi_0 = 2) and the weighted sums overflow
         "huge.json": {"pole_order": 1, "trunc_order": 1, "coeffs": [[1e308, 0.0], [0.0, 0.0]]},
+        # identity operator: the image is finite, but k a_k and the grid values overflow
+        "identity-half.json": {"lambda": 0.0, "mu": 0.0, "m": 0, "p": 1,
+                               "alpha": 0.5, "beta": 0.5},
+        "huge-tail.json": {"pole_order": 1, "trunc_order": 63, "coeffs": [[1.5e307, 0.0]] * 64},
+        # every multiplier but the pole's, (k + 2)^2000, overflows
+        "params-m2000.json": {"lambda": 1, "mu": 0, "m": 2000, "p": 1, "alpha": 0.5, "beta": 1},
+        "zero.json": {"pole_order": 1, "trunc_order": 3, "coeffs": [[0.0, 0.0]] * 4,
+                      "exact_support": True},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -619,6 +627,30 @@ MALFORMED_CASES = {
         )
         for criterion in ("exact", "sufficient")
     },
+    **{
+        f"eval-overflow-{verb[-1]}": (
+            [*verb, "--params", "@identity-half.json", "--series", "@huge-tail.json"], message,
+        )
+        for verb, message in (
+            (["check", "--criterion", "numeric"], "margin: not finite at (0.1+0j)"),
+            (["check", "--criterion", "disk"], "margin: not finite at (0.1+0j)"),
+            (["verify", "conv-nonvanish"], "conv: the scanned value overflows a float"),
+        )
+    },
+    "partial-sums-hypothesis-overflow": (
+        ["verify", "partial-sums", "--params", "@identity-half.json",
+         "--series", "@huge-tail.json", "--m-cut", "3"],
+        "coeffs: the weighted hypothesis sum overflows a float",
+    ),
+    "phi-array-overflow-coeff-general": (
+        ["verify", "coeff-general", "--params", "@params-m2000.json", "--series", "@zero.json"],
+        "phi: the multiplier at k=2 overflows a float (m=2000)",
+    ),
+    "phi-array-overflow-invert": (
+        ["apply", "--route", "invert", "--params", "@params-m2000.json",
+         "--series", "@zero.json"],
+        "phi: the multiplier at k=0 overflows a float (m=2000)",
+    ),
 }
 
 

@@ -22,7 +22,7 @@ from merokit.membership import (
     sufficient_condition,
 )
 from merokit.operator import OperatorParams, apply_coeff
-from merokit.series import LaurentSeries, SampleGrid, eval_many, z_derivative
+from merokit.series import LaurentSeries, SampleGrid, eval_circles, eval_many, z_derivative
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)  # identity operator, p = 1
 
@@ -242,6 +242,26 @@ def test_disk_verdict_matches_numeric_on_member_and_non_member():
         assert a.verdict == b.verdict
 
 
+def test_reported_margin_is_horners_at_the_witness():
+    """The FFT values locate the worst point; the reported margin is the one
+    Horner gives there, bit for bit, and no Horner margin on the grid is
+    smaller by more than the two evaluators' rounding."""
+    rng = np.random.default_rng(5)
+    op = OperatorParams(0.7, 0.3, 1, 2)
+    cp = ClassParams(0.2, 0.6)
+    coeffs = (rng.normal(size=201) + 1j * rng.normal(size=201)) * 0.3 / np.arange(1, 202) ** 2
+    f = L(2, 199, coeffs)
+    grid = SampleGrid(radii=(0.3, 0.6, 0.9), angles_count=64)
+    zs = grid.points()
+    F = apply_coeff(op, f)
+    q = eval_many(z_derivative(F), zs) / (op.p * eval_many(F, zs))
+    horner = cp.beta * np.abs(q + (2.0 * cp.alpha - 1.0)) - np.abs(q + 1.0)
+    rep = numeric_membership(op, cp, f, grid)
+    i = int(np.flatnonzero(zs == rep.witness)[0])
+    assert rep.worst_margin == horner[i]
+    assert rep.worst_margin - horner.min() <= 1e-12 * max(1.0, abs(horner.min()))
+
+
 # --------------------------------------------------- membership implications
 
 def test_member_satisfies_range_reduction():
@@ -373,19 +393,29 @@ def test_subordination_principal_branch_matches_enumeration(v0, c, r, n):
     f = L(2, -1, [(complex(v0) - 1.0) / r])
     grid = SampleGrid(radii=(r,), angles_count=n)
     zs = grid.points()
-    v = zs ** 2 * eval_many(apply_coeff(op, f), zs)
-    best, admissible = _all_branches(v, 2.0 * op.p * (1.0 - alpha))
-    if admissible.all() and not np.isfinite(best).all():
+    c = 2.0 * op.p * (1.0 - alpha)
+    F = apply_coeff(op, f)
+    # the checker scans the FFT values and reports its worst point with
+    # Horner's value there; built the same way, the asserts below are exact
+    v = zs ** 2 * eval_circles(F, grid)
+    best, admissible = _all_branches(v, c)
+    if not admissible.all():
+        rep = subordination_power_target(op, alpha, f, grid)
+        assert rep.verdict == "fails" and rep.worst_margin == float("-inf")
+        assert rep.witness == zs[int(np.argmin(admissible))]
+        assert "branch cut collision" in rep.detail
+        return
+    i = int(np.argmin(1.0 - best))
+    best_at, admissible_at = _all_branches(zs[i : i + 1] ** 2 * eval_many(F, zs[i : i + 1]), c)
+    if not np.isfinite(best[i]) or admissible_at[0] and not np.isfinite(best_at[0]):
         # |v|^{1/c} overflows: the margin has no float value
         with pytest.raises(OverflowError, match="margin: not finite"):
             subordination_power_target(op, alpha, f, grid)
         return
     rep = subordination_power_target(op, alpha, f, grid)
-    if not admissible.all():
+    assert rep.witness == zs[i]
+    if not admissible_at[0]:
         assert rep.verdict == "fails" and rep.worst_margin == float("-inf")
-        assert rep.witness == zs[int(np.argmin(admissible))]
         assert "branch cut collision" in rep.detail
     else:
-        margins = 1.0 - best
-        assert rep.worst_margin == margins.min()
-        assert rep.witness == zs[int(np.argmin(margins))]
+        assert rep.worst_margin == 1.0 - best_at[0]

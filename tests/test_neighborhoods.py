@@ -40,11 +40,10 @@ def test_weight_kind_validation():
         WeightSeq("other", M0, ClassParams(0.0, 1.0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_weight_overflow_reported():
     op = OperatorParams(1.0, 1.0, 300, 1)
     seq = WeightSeq("plus", op, ClassParams(0.0, 1.0))
-    with pytest.raises(OverflowError, match="not finite"):
+    with pytest.raises(OverflowError, match=r"phi: the multiplier at k=10 overflows a float \(m=300\)"):
         weight_array(seq, np.array([10]))
 
 

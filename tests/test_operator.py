@@ -40,6 +40,20 @@ def test_phi_rejects_indices_below_range():
         phi_array(op, np.array([-3, 0, 1]))
 
 
+def test_phi_array_overflow_is_an_error():
+    # lambda = 1, mu = 0: phi_k = (k + 2)^m, and 2^2000 overflows a float
+    op = OperatorParams(1.0, 0.0, 2000, 1)
+    msg = r"phi: the multiplier at k=0 overflows a float \(m=2000\)"
+    with pytest.raises(OverflowError, match=msg):
+        phi_array(op, np.array([-1, 0, 1]))
+    with pytest.raises(OverflowError, match=msg):
+        phi(op, 0)
+    with pytest.raises(OverflowError, match=msg):
+        invert(op, L(1, 1, [0.0, 0.0]))
+    # the pole multiplier is exactly 1 for any m
+    assert phi_array(op, np.array([-1])).tolist() == [1.0]
+
+
 def test_params_validation():
     with pytest.raises(ValueError, match="mu"):
         OperatorParams(0.3, 0.5, 1, 1)  # mu > lam

@@ -14,6 +14,7 @@ from merokit.series import (
     default_trunc_order,
     derivative,
     eval_at,
+    eval_circles,
     eval_many,
     hadamard,
     log_one_minus,
@@ -267,6 +268,49 @@ def test_eval_commutes_with_scale(pair, c, z):
     lhs = eval_at(scale(f, c), z)
     rhs = c * eval_at(f, z)
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+
+
+@st.composite
+def circle_case(draw):
+    """A series with p in {1, 2, 3} and K in [1-p, 300], up to three radii in
+    (0, 1) and 1..64 angles, so that the terms often fold (K + p + 1 > M)."""
+    p = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1 - p, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = k + p
+    coeffs = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.uniform(0.1, 10.0)
+    lead = draw(finite_c.filter(lambda c: c != 0))
+    radii = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=0.999), min_size=1, max_size=3, unique=True)
+    )
+    m = draw(st.integers(min_value=1, max_value=64))
+    return L(p, k, coeffs, lead), tuple(sorted(radii)), m
+
+
+@given(case=circle_case())
+@settings(max_examples=150, deadline=None)
+def test_eval_circles_matches_horner(case):
+    f, radii, m = case
+    grid = SampleGrid(radii, m)
+    r = np.repeat(grid.radii, m)[:, None]  # the radius of each point, radii-major
+    powers = np.arange(-f.pole_order, f.trunc_order + 1)
+    for g in (f, z_derivative(f)):
+        scale = (np.abs(np.concatenate(([g.lead], g.coeffs))) * r ** powers).sum(axis=1)
+        got = eval_circles(g, grid)
+        assert got.shape == (len(radii) * m,)
+        # compared point by point with Horner at grid.points(): radii-major order
+        assert np.all(np.abs(got - eval_many(g, grid.points())) <= 1e-13 * scale)
+
+
+def test_eval_circles_frozen_values():
+    # 1/z + z on |z| = 0.5 at 4 angles: 2.5, -1.5i, -2.5, 1.5i; M = 1 folds
+    # both terms onto one bin, whose single value is f(0.5) = 2.5
+    f = L(1, 1, [0.0, 1.0])
+    assert np.allclose(eval_circles(f, SampleGrid((0.5,), 4)), [2.5, -1.5j, -2.5, 1.5j], atol=1e-15)
+    assert eval_circles(f, SampleGrid((0.25, 0.5), 1)).tolist() == [4.25, 2.5]
+    # the cap drops whole circles, as grid.points(radius_cap) does
+    assert eval_circles(f, SampleGrid((0.25, 0.5), 1), radius_cap=0.3).tolist() == [4.25]
+    assert eval_circles(f, SampleGrid((0.5,), 4), radius_cap=0.3).size == 0
 
 
 # ----------------------------------------------------------------- sample grid

@@ -44,6 +44,7 @@ from .membership import (
     ratio_weights,
     require_nonnegative_real,
     vanishing_floor,
+    _grid_check,
     _grid_note,
     _grid_verdict,
 )
@@ -149,7 +150,7 @@ def coeff_bounds_report(
         margins = bounds - f.coeffs[mask].real
         ks = ks[mask]
     notes.append(f"indices checked: {len(ks)}")
-    return _grid_verdict(ks, margins, lambda worst: worst >= -SUM_TOL, "; ".join(notes))
+    return _grid_verdict(ks, margins, None, lambda worst: worst >= -SUM_TOL, "; ".join(notes))
 
 
 # ----------------------------------------------------------------- distortion
@@ -158,18 +159,24 @@ def _tail_majorant(op: OperatorParams, extra_power: int, n_cut: int) -> float:
     """Certified bound on sum_{k>n_cut} (k+p)^extra_power / ((k+p) phi_k).
 
     Uses phi_k >= ((k+p)^2 lam mu)^m when mu > 0 and >= ((k+p) lam)^m when
-    mu = 0, then compares with the integral of x^(1-s).
+    mu = 0, then compares with the integral of x^(1-s).  The power of x0 =
+    n_cut + p is taken together with the multiplier's, so that neither
+    overflows alone.
     """
+    x0 = float(n_cut + op.p)
     if op.mu > 0.0:
         s = 2 * op.m + 1 - extra_power
-        scale = (op.lam * op.mu) ** (-op.m)
+        base = op.lam * op.mu * x0 * x0
     else:
         s = op.m + 1 - extra_power
-        scale = op.lam ** (-op.m)
+        base = op.lam * x0
     if s <= 1:
         raise ValueError("tail: integral comparison needs decay exponent > 1")
-    x0 = float(n_cut + op.p)
-    return scale * x0 ** (1 - s) / (s - 1)
+    with np.errstate(over="ignore", divide="ignore"):  # base may underflow to 0
+        majorant = float(np.float64(base) ** -op.m * x0 ** extra_power / (s - 1))
+    if not math.isfinite(majorant):
+        raise ValueError(f"tail: the majorant of the sum beyond k={n_cut} overflows a float")
+    return majorant
 
 
 def _certified_sum(op: OperatorParams, extra_power: int) -> float:
@@ -259,8 +266,6 @@ def distortion_report(
     inconclusive verdict, never a fake pass.
     """
     lower, upper = distortion(op, cp, r, which, tail)
-    grid = SampleGrid((r,), angles_count)
-    zs = grid.points()
     if not np.isfinite(lower) and not np.isfinite(upper):
         return Report(
             INCONCLUSIVE, float("nan"), None,
@@ -268,14 +273,13 @@ def distortion_report(
         )
     g = z_derivative(f) if which == "fprime_general" else f
 
-    def margins(values):
+    def margin_of(points, values):
         vals = np.abs(values) / (r if which == "fprime_general" else 1.0)
-        return np.minimum(vals - lower, upper - vals)
+        return np.minimum(vals - lower, upper - vals), None
 
     detail = f"which={which} r={r} lower={lower:.12g} upper={upper:.12g} angles={angles_count}"
-    return _grid_verdict(
-        zs, margins(eval_circles(g, grid)), lambda worst: worst >= -SUM_TOL, detail,
-        recheck=lambda points: (margins(eval_many(g, points)), np.zeros(points.shape, dtype=bool)),
+    return _grid_check(
+        SampleGrid((r,), angles_count), None, (g,), margin_of, lambda worst: worst >= -SUM_TOL, detail
     )
 
 
@@ -336,12 +340,14 @@ def convolution_nonvanishing(
     grid = grid or default_grid()
     if threshold is None:
         threshold = grid.margin
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold: need >= 0, got {threshold}")
     if theta_count < 1:
         raise ValueError(f"theta_count: need >= 1, got {theta_count}")
     zs = grid.points(radius_cap=RADIUS_CAP)
     note = _grid_note(grid) + f" theta_count={theta_count}"
     if zs.size == 0:
-        return _grid_verdict(zs, zs, lambda best: best > threshold, note)
+        return _grid_verdict(zs, zs, None, lambda best: best > threshold, note)
     F = apply_coeff(op, f)
     dF = z_derivative(F)
 
@@ -452,14 +458,11 @@ def partial_sum_bounds(
         )
     theta_m = float(ratio_weights(op, cp, np.array([m_cut]))[0])
     km = partial_sum(f, m_cut)
-    zs = grid.points(radius_cap=RATIO_RADIUS_CAP)
     # the ratio bounds run out to RATIO_RADIUS_CAP, so the membership-cap
     # wording of _grid_note would misreport radii in (0.95, 0.999]
     note = f"grid={grid.digest()} m_cut={m_cut} theta={theta_m:.12g}"
 
-    def margins(points, values):
-        vf = values(f)
-        vk = values(km)
+    def margin_of(points, vf, vk):
         floor = vanishing_floor(points, op.p)
         bad = (np.abs(vf) <= floor) | (np.abs(vk) <= floor)
         # the quotients at bad points are discarded: the verdict fails there
@@ -468,8 +471,6 @@ def partial_sum_bounds(
             m2 = np.real(vk / vf) - theta_m / (1.0 + theta_m)
         return np.minimum(m1, m2), bad
 
-    grid_margins, bad = margins(zs, lambda g: eval_circles(g, grid, RATIO_RADIUS_CAP))
-    return _grid_verdict(
-        zs, grid_margins, lambda worst: worst >= -grid.margin, note, bad,
-        recheck=lambda points: margins(points, lambda g: eval_many(g, points)),
+    return _grid_check(
+        grid, RATIO_RADIUS_CAP, (f, km), margin_of, lambda worst: worst >= -grid.margin, note
     )

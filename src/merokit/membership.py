@@ -90,8 +90,8 @@ class Report:
     """Outcome of one verification: verdict, worst margin, witness, detail.
 
     ``witness`` is the grid point (complex) or coefficient index (int)
-    realizing the worst margin; a failing report always carries one.
-    A non-finite ``worst_margin`` is written to JSON as null.
+    realizing the worst margin; a failing report always carries one, and a
+    margin.  A non-finite ``worst_margin`` is written to JSON as null.
     """
 
     verdict: str
@@ -104,6 +104,8 @@ class Report:
             raise ValueError(f"verdict: unknown value {self.verdict!r}")
         if self.verdict == FAILS and self.witness is None:
             raise ValueError("witness: a failing report must carry a witness")
+        if self.verdict == FAILS and math.isnan(self.worst_margin):
+            raise ValueError("worst_margin: a failing report must carry a margin, got NaN")
 
     def to_json_dict(self) -> dict:
         w = self.witness
@@ -231,28 +233,23 @@ def vanishing_floor(zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
     return 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead))
 
 
-def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, margin_of):
-    """margin_of(Q), Q = z F'/(p F), on the capped grid: the points, their
-    margins by FFT, a mask of the points where F vanishes, and ``recheck``,
-    which gives the margins and the mask at other points by Horner."""
-    zs = grid.points(radius_cap=RADIUS_CAP)
-    if zs.size == 0:
-        return zs, zs, np.zeros(0, dtype=bool), None
+def _quotient_form(op: OperatorParams, f: LaurentSeries, form):
+    """F and zF', and margin_of(points, F, zF'): form(Q), Q = z F'/(p F),
+    flagged where F vanishes (a flagged point fails before its margin is
+    read; _grid_verdict refuses a non-finite one)."""
     F = apply_coeff(op, f)
-    dF = z_derivative(F)
 
-    def margins(points, values):
-        b = values(F)
-        a = values(dF)
-        bad = np.abs(b) <= vanishing_floor(points, op.p, f.lead)
-        q = np.empty_like(b)
-        with np.errstate(over="ignore", invalid="ignore"):  # _grid_verdict refuses non-finite
-            q[~bad] = a[~bad] / (op.p * b[~bad])
-            q[bad] = np.nan
-            return margin_of(q), bad
+    def margin_of(points, b, a):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return form(a / (op.p * b)), np.abs(b) <= vanishing_floor(points, op.p, f.lead)
 
-    grid_margins, bad = margins(zs, lambda g: eval_circles(g, grid, RADIUS_CAP))
-    return zs, grid_margins, bad, lambda points: margins(points, lambda g: eval_many(g, points))
+    return (F, z_derivative(F)), margin_of
+
+
+def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, form):
+    series, margin_of = _quotient_form(op, f, form)
+    zs = grid.points(radius_cap=RADIUS_CAP)
+    return (zs, *margin_of(zs, *(eval_circles(g, grid, RADIUS_CAP) for g in series)))
 
 
 def _numeric_form(cp: ClassParams):
@@ -267,13 +264,13 @@ def _disk_form(cp: ClassParams):
 
 
 def numeric_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
-    """Pointwise margins beta*|Q + 2 alpha - 1| - |Q + 1| over the grid."""
-    return _quotient_margins(op, f, grid, _numeric_form(cp))[:3]
+    """Capped grid points, FFT margins beta*|Q + 2 alpha - 1| - |Q + 1|, flags."""
+    return _quotient_margins(op, f, grid, _numeric_form(cp))
 
 
 def disk_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
-    """Pointwise margins radius - |(-Q) - center| of the disk form (beta < 1)."""
-    return _quotient_margins(op, f, grid, _disk_form(cp))[:3]
+    """As ``numeric_margins``, for the disk form radius - |(-Q) - center|."""
+    return _quotient_margins(op, f, grid, _disk_form(cp))
 
 
 def disk_parameters(cp: ClassParams) -> tuple[float, float]:
@@ -294,48 +291,59 @@ def _grid_note(grid: SampleGrid) -> str:
     return note
 
 
-def _grid_verdict(points, margins, passes, detail, bad=None,
-                  bad_detail="denominator vanishes near z={}", recheck=None) -> Report:
+def _grid_verdict(points, margins, bad, passes, detail) -> Report:
     """Reduce pointwise margins to a Report.
 
     ``points`` are the sample points (grid points, or coefficient indices)
     and ``margins`` their margins; ``passes(worst)`` is the caller's own
     threshold test.  No points gives inconclusive with a NaN margin; a
-    point flagged in ``bad`` fails outright, witnessed by the first one;
-    otherwise the smallest margin decides, witnessed by its point, unless
-    it is not finite: the evaluation overflowed, an OverflowError.
-
-    ``recheck(points)``, when given, returns the margins and ``bad`` flags
-    at the given points by Horner.  The grid margins (by FFT) then only
-    locate the worst point, and its reported margin is Horner's, the value
-    ``eval_many`` gives there; a witness that Horner flags fails as bad.
+    point flagged in ``bad`` (its denominator vanishes; None flags none)
+    fails with a -inf margin, witnessed by the first one; otherwise the
+    smallest margin decides, witnessed by its point, unless it is not
+    finite: the evaluation overflowed, an OverflowError.
     """
     if points.size == 0:
         return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {detail}")
     if bad is not None and np.any(bad):
         w = points[int(np.argmax(bad))].item()
-        return Report(FAILS, float("-inf"), w, f"{bad_detail.format(w)}; {detail}")
+        return Report(FAILS, float("-inf"), w, f"denominator vanishes near z={w}; {detail}")
     i = int(np.argmin(margins))
     worst, witness = float(margins[i]), points[i].item()
-    if recheck is not None and math.isfinite(worst):
-        at, flagged = recheck(points[i : i + 1])
-        if flagged[0]:
-            return Report(FAILS, float("-inf"), witness, f"{bad_detail.format(witness)}; {detail}")
-        worst = float(at[0])
     if not math.isfinite(worst):
         raise OverflowError(f"margin: not finite at {witness}; the evaluation overflows a float")
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
+
+
+def _grid_check(grid: SampleGrid, cap, series, margin_of, passes, detail) -> Report:
+    """Reduce ``margin_of(points, *values)``, the margins and ``bad`` flags
+    from the values of ``series``, by ``_grid_verdict`` on the grid's radii
+    <= cap (all for cap None).  The FFT values (``eval_circles``) locate the
+    worst point; its reported margin is from Horner's values (``eval_many``)
+    there.  ``detail`` may be a function of the points and FFT values."""
+    points = grid.points(radius_cap=cap)
+    values = [eval_circles(g, grid, cap) for g in series]
+    if callable(detail):
+        detail = detail(points, *values)
+    report = _grid_verdict(points, *margin_of(points, *values), passes, detail)
+    if not math.isfinite(report.worst_margin):  # no points, or a flagged one
+        return report
+    at = np.array([report.witness])
+    return _grid_verdict(at, *margin_of(at, *(eval_many(g, at) for g in series)), passes, detail)
+
+
+def _quotient_check(op: OperatorParams, f: LaurentSeries, grid: SampleGrid | None, form) -> Report:
+    grid = grid or ser.default_grid()
+    series, margin_of = _quotient_form(op, f, form)
+    return _grid_check(
+        grid, RADIUS_CAP, series, margin_of, lambda worst: worst > grid.margin, _grid_note(grid)
+    )
 
 
 def numeric_membership(
     op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid | None = None
 ) -> Report:
     """Sample the defining inequality itself on the grid."""
-    grid = grid or ser.default_grid()
-    zs, margins, bad, recheck = _quotient_margins(op, f, grid, _numeric_form(cp))
-    return _grid_verdict(
-        zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad, recheck=recheck
-    )
+    return _quotient_check(op, f, grid, _numeric_form(cp))
 
 
 def disk_characterization(
@@ -343,11 +351,7 @@ def disk_characterization(
 ) -> Report:
     """Sample the equivalent disk form (beta < 1 only).  Must agree with
     ``numeric_membership`` pointwise; tests enforce that."""
-    grid = grid or ser.default_grid()
-    zs, margins, bad, recheck = _quotient_margins(op, f, grid, _disk_form(cp))
-    return _grid_verdict(
-        zs, margins, lambda worst: worst > grid.margin, _grid_note(grid), bad, recheck=recheck
-    )
+    return _quotient_check(op, f, grid, _disk_form(cp))
 
 
 # ------------------------------------------------- power-target containment
@@ -361,11 +365,13 @@ def subordination_power_target(
 
     Inversion: w = 1 - v^{1/c} on the principal branch, theta = arg(v)/c.
     Every branch gives the same |1 - w| = |v|^{1/c}, and the principal one
-    has the smallest |arg(1 - w)| = |theta|, hence the smallest |w|.  So
-    the point passes when that branch is admissible (|theta| < pi/2) and
-    |w| < 1 - margin; when it is not, no branch is, and the point fails
-    with that witness.  The normalization v(0) = 1 is the series lead,
-    checked exactly.
+    has the smallest |theta|; a branch is admissible when |theta| < pi/2.
+    The point's margin is min(1 - |w|, cos(min(|theta|, pi))): 1 - |w|
+    wherever the principal branch is admissible (there 1 - |w| <=
+    1 - sin|theta| <= cos theta), and <= 0, finite, where no branch is or
+    where |F| is at the vanishing floor (there w = 1 to rounding).  It is
+    continuous across the negative real axis of v.  The normalization
+    v(0) = 1 is the series lead, checked exactly.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha: need 0 <= alpha < 1, got {alpha}")
@@ -373,29 +379,23 @@ def subordination_power_target(
     if f.lead != 1:
         raise ValueError("lead: containment target is normalized to v(0) = 1; lead must be 1")
     grid = grid or ser.default_grid()
-    F = apply_coeff(op, f)
     c = 2.0 * op.p * (1.0 - alpha)
 
-    def margins(points, Fz):
-        # where v vanishes, log|v| = -inf puts the preimage on the unit circle;
-        # an overflowing F or exp leaves a non-finite |w|, which _grid_verdict
-        # refuses, so such a point is no branch cut collision
+    def margin_of(points, Fz):
+        # a vanishing v has w = 1 to rounding: margin <= 0, not |v|^{1/c} noise.
+        # An overflowing F or exp leaves a non-finite margin for _grid_verdict
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             v = points ** op.p * Fz
             theta = np.angle(v) / c
             w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
-            admissible = (np.abs(theta) < np.pi / 2.0) | ~np.isfinite(v)
-            return 1.0 - np.abs(w), ~admissible
+            m = np.minimum(1.0 - np.abs(w), np.cos(np.minimum(np.abs(theta), np.pi)))
+            return np.where(np.abs(Fz) <= vanishing_floor(points, op.p), np.minimum(m, 0.0), m), None
 
-    zs = grid.points(radius_cap=RADIUS_CAP)
-    Fz = eval_circles(F, grid, RADIUS_CAP)
-    grid_margins, collides = margins(zs, Fz)
-    detail = _grid_note(grid)
-    vanish = np.abs(Fz) <= vanishing_floor(zs, op.p)
-    if np.any(vanish):
-        detail = f"z^p F vanishes near z={zs[int(np.argmax(vanish))].item()}; {detail}"
-    return _grid_verdict(
-        zs, grid_margins, lambda worst: worst > grid.margin, detail, collides,
-        "branch cut collision: no admissible preimage at z={}",
-        recheck=lambda points: margins(points, eval_many(F, points)),
+    def detail(points, Fz):
+        vanish = np.abs(Fz) <= vanishing_floor(points, op.p)
+        at = f"z^p F vanishes near z={points[int(np.argmax(vanish))].item()}; " if np.any(vanish) else ""
+        return at + _grid_note(grid)
+
+    return _grid_check(
+        grid, RADIUS_CAP, (apply_coeff(op, f),), margin_of, lambda worst: worst > grid.margin, detail
     )

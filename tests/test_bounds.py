@@ -1,6 +1,7 @@
 """Coefficient bounds, distortion intervals, convolution non-vanishing and
 partial-sum ratio bounds."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import merokit.bounds
+import merokit.series
 from merokit.bounds import (
     TailPolicy,
     _min_modulus,
@@ -28,6 +30,8 @@ from merokit.generators import SchwarzPoly, extremal_fn, from_schwarz, ratio_ext
 from merokit.membership import (
     ClassParams,
     disk_characterization,
+    disk_margins,
+    numeric_margins,
     numeric_membership,
     subordination_power_target,
 )
@@ -148,6 +152,45 @@ def test_distortion_with_overflowing_multipliers_is_finite():
     assert distortion(op, HALF, 0.5, "fprime_general", tail) == (4.0, 4.0)
 
 
+def test_distortion_tail_majorant_with_huge_power():
+    """lam^(-m) alone overflows a float at lam = 0.5, m = 2000 (and
+    (lam mu)^(-m) at lam mu = 0.125, m = 1000), yet every multiplier term
+    and the majorant underflow to 0: the interval collapses onto the base."""
+    tail = TailPolicy("tail_estimate")
+    op = OperatorParams(0.5, 0.0, 2000, 1)
+    assert distortion(op, HALF, 0.5, "f_general", tail) == (2.0, 2.0)
+    assert distortion(op, HALF, 0.5, "fprime_general", tail) == (4.0, 4.0)
+    assert distortion(OperatorParams(0.5, 0.25, 1000, 1), HALF, 0.5, "fprime_general", tail) == (
+        4.0, 4.0,
+    )
+    rep = distortion_report(op, HALF, LaurentSeries.pole_only(1, 2), 0.5, "f_general", tail)
+    assert rep.verdict == "holds" and abs(rep.worst_margin) <= 1e-12
+
+
+def test_distortion_overflowing_tail_majorant_is_refused():
+    # (lam (2048 + p))^(-m) = 0.002049^(-2000) has no float value, nor has
+    # (lam mu (2048 + p)^2)^(-1) where lam mu = 1e-400 underflows to 0
+    for op in (OperatorParams(1e-6, 0.0, 2000, 1), OperatorParams(1e-200, 1e-200, 1, 1)):
+        with pytest.raises(ValueError, match="tail: the majorant of the sum beyond k=2048"):
+            distortion(op, HALF, 0.5, "f_general", TailPolicy("tail_estimate"))
+
+
+def test_distortion_tail_majorant_frozen_values():
+    # at small lam mu the tail beyond k = 2048 reaches the interval's last
+    # bits: the majorant (lam mu x0^2)^(-m) x0^extra/(s-1) moved the lower
+    # end of this one by 2 ulps from the form with (lam mu)^(-m) and x0^(1-s)
+    # apart (-0x1.0454f375c47b8p+8)
+    op = OperatorParams(0.003269453560871229, 7.682609405526497e-05, 1, 1)
+    cp = ClassParams(0.2898006661770327, 0.9993849920819283)
+    r, tail = 0.09982998679306695, TailPolicy("tail_estimate")
+    assert distortion(op, cp, r, "f_general", tail) == (
+        float.fromhex("0x1.359d3f3daf0d0p-1"), float.fromhex("0x1.36de991906a40p+4"),
+    )
+    assert distortion(op, cp, r, "fprime_general", tail) == (
+        float.fromhex("-0x1.0454f375c47b6p+8"), float.fromhex("0x1.cd037d514277ap+8"),
+    )
+
+
 def test_distortion_divergent_policy():
     tail = TailPolicy("divergent_flag")
     assert distortion(M0, HALF, 0.5, "f_general", tail) == (float("-inf"), float("inf"))
@@ -244,6 +287,15 @@ def _one_matrix_min(u, v, beta, sigmas):
     vals = np.abs(u[None, :] - beta * sigmas[:, None] * v[None, :])
     flat = int(np.argmin(vals))
     return float(vals.flat[flat]), flat
+
+
+def test_convolution_refuses_negative_threshold():
+    # |value| >= 0 > threshold would hold whatever f is
+    for threshold in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="threshold: need >= 0"):
+            convolution_nonvanishing(OP1, HALF, LaurentSeries.pole_only(1, 2), threshold=threshold)
+    rep = convolution_nonvanishing(OP1, HALF, LaurentSeries.pole_only(1, 2), threshold=0.0)
+    assert rep.verdict == "holds"
 
 
 def test_blocked_scan_matches_one_matrix(monkeypatch):
@@ -426,3 +478,62 @@ def test_worst_margin_exactly_on_threshold(case, monkeypatch):
     assert on.verdict == ("fails" if strict else "holds")
     past = np.nextafter(worst, -np.inf if strict else np.inf)
     assert check(past, monkeypatch).verdict == ("holds" if strict else "fails")
+
+
+# ------------------------------------------------------------- grid checkers
+#
+# Every sampled checker locates its worst point on the FFT values and
+# reports Horner's margin there, through ``series.eval_many``.  The
+# benchmark's traced run times that call as a layer, so each checker must
+# make it on every report that has grid points.
+
+GRID_CHECKERS = {
+    "numeric": lambda grid: numeric_membership(OP1, TH_CP, _th_member(), grid),
+    "disk": lambda grid: disk_characterization(OP1, TH_CP, _th_member(), grid),
+    "subordination": lambda grid: subordination_power_target(OP1, TH_CP.alpha, _th_member(), grid),
+    "partial-sums": lambda grid: partial_sum_bounds(OP1, HALF, L(1, 1, [0.0, -0.05]), 1, grid),
+    "convolution": lambda grid: convolution_nonvanishing(OP1, TH_CP, _th_member(), grid, 24),
+    "distortion": lambda grid: distortion_report(
+        OP1, HALF, LaurentSeries.pole_only(1, 3).with_coeff(0, 2.0), grid.radii[0], "f_plus",
+        TailPolicy("exact_support"), grid.angles_count,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CHECKERS))
+def test_grid_checker_rechecks_by_horner(case, monkeypatch):
+    calls = []
+    orig = merokit.series.eval_many
+
+    def counted(f, zs):
+        calls.append(np.size(zs))
+        return orig(f, zs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("merokit") and getattr(module, "eval_many", None) is orig:
+            monkeypatch.setattr(module, "eval_many", counted)
+    for grid in (SampleGrid((0.5,), 8), _th_grid(None), SampleGrid((0.2, 0.9), 7)):
+        del calls[:]
+        rep = GRID_CHECKERS[case](grid)
+        assert rep.verdict != "inconclusive" and rep.witness is not None
+        assert calls and all(size == 1 for size in calls)
+
+
+@pytest.mark.parametrize("case", list(GRID_CHECKERS))
+def test_grid_checker_on_empty_capped_grid(case):
+    """Radii beyond the cap leave no points: the membership cap 0.95, or the
+    ratio cap 0.999 for partial sums.  Distortion samples its own circle
+    |z| = r uncapped, so r = 0.96 still has points."""
+    rep = GRID_CHECKERS[case](SampleGrid((0.9995,) if case == "partial-sums" else (0.96, 0.99), 8))
+    if case == "distortion":
+        assert rep.verdict != "inconclusive" and rep.witness is not None
+        return
+    assert rep.verdict == "inconclusive" and rep.witness is None
+    assert np.isnan(rep.worst_margin) and rep.detail.startswith("no usable grid points; ")
+
+
+def test_margin_arrays_on_empty_capped_grid():
+    grid = SampleGrid((0.96, 0.99), 8)
+    for margins in (numeric_margins, disk_margins):
+        zs, m, bad = margins(OP1, TH_CP, _th_member(), grid)
+        assert zs.size == m.size == bad.size == 0

@@ -518,6 +518,14 @@ def _inputs(tmp_path):
         "params-m2000.json": {"lambda": 1, "mu": 0, "m": 2000, "p": 1, "alpha": 0.5, "beta": 1},
         "zero.json": {"pole_order": 1, "trunc_order": 3, "coeffs": [[0.0, 0.0]] * 4,
                       "exact_support": True},
+        # lam^(-m) overflows alone; every multiplier term and the tail underflow
+        "params-half-m2000.json": {"lambda": 0.5, "mu": 0, "m": 2000, "p": 1,
+                                   "alpha": 0.5, "beta": 1},
+        # (lam (2048 + p))^(-m) overflows: the tail majorant has no float value
+        "params-tiny-m2000.json": {"lambda": 1e-6, "mu": 0, "m": 2000, "p": 1,
+                                   "alpha": 0.5, "beta": 1},
+        "pole.json": {"pole_order": 1, "trunc_order": 0, "coeffs": [[0.0, 0.0]],
+                      "exact_support": True},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -595,6 +603,15 @@ MALFORMED_CASES = {
         ["verify", "conv-nonvanish", *_PS, "--threshold", "nan"],
         "argument --threshold: expected a finite number, got 'nan'",
     ),
+    "negative-threshold-flag": (
+        ["verify", "conv-nonvanish", *_PS, "--threshold", "-1"],
+        "threshold: need >= 0, got -1.0",
+    ),
+    "distortion-tail-overflow": (
+        ["verify", "distortion", "--params", "@params-tiny-m2000.json", "--series", "@pole.json",
+         "--r", "0.5", "--which", "f_general"],
+        "tail: the majorant of the sum beyond k=2048 overflows a float",
+    ),
     "phi-overflow": (
         ["phi", "--lambda", "1", "--mu", "0", "--m", "2000", "--p", "1", "--k", "1"],
         "phi: the multiplier at k=1 overflows a float (m=2000)",
@@ -652,6 +669,16 @@ MALFORMED_CASES = {
         "phi: the multiplier at k=0 overflows a float (m=2000)",
     ),
 }
+
+
+def test_verify_distortion_with_huge_power(capsys, tmp_path):
+    _inputs(tmp_path)
+    argv = ["verify", "distortion", "--params", "@params-half-m2000.json",
+            "--series", "@pole.json", "--r", "0.5", "--which", "f_general"]
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == "holds" and "lower=2 upper=2 " in rep["detail"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))

@@ -20,9 +20,17 @@ from merokit.membership import (
     numeric_membership,
     subordination_power_target,
     sufficient_condition,
+    vanishing_floor,
 )
 from merokit.operator import OperatorParams, apply_coeff
-from merokit.series import LaurentSeries, SampleGrid, eval_circles, eval_many, z_derivative
+from merokit.series import (
+    LaurentSeries,
+    SampleGrid,
+    default_grid,
+    eval_circles,
+    eval_many,
+    z_derivative,
+)
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)  # identity operator, p = 1
 
@@ -54,6 +62,13 @@ def test_report_requires_witness_on_failure():
     # strict JSON has no NaN or infinity: a non-finite margin is written as null
     assert Report("fails", float("-inf"), 0.5).to_json_dict()["worst_margin"] is None
     assert Report("inconclusive", float("nan")).to_json_dict()["worst_margin"] is None
+
+
+def test_report_refuses_failure_without_margin():
+    with pytest.raises(ValueError, match="worst_margin"):
+        Report("fails", float("nan"), 0.5)
+    with pytest.raises(ValueError, match="worst_margin"):
+        Report("fails", np.float64("nan"), 0.5)
 
 
 def test_weight_frozen_values():
@@ -338,14 +353,14 @@ def test_subordination_names_vanishing_point_without_warning():
 
 def test_subordination_branch_cut_collision():
     # c = 2(1 - 0.9) = 0.2 and v = 1 + 0.5 z^2: at |z| = 0.9, |arg v| reaches
-    # about 0.42 > (pi/2) c, so no branch of v^{1/c} stays admissible
+    # about 0.42 > (pi/2) c, so no branch of v^{1/c} stays admissible there.
+    # Those points fail with margin cos(min(|theta|, pi)) >= -1; the worst
+    # point is z = 0.9, where v = 1.405 > 1 and 1 - |w| = 2 - 1.405^5
     rep = subordination_power_target(M0, 0.9, L(1, 1, [0.0, 0.5]))
-    witness = complex(0.7461338152995375, 0.5032736131236722)
     assert rep.verdict == "fails"
-    assert rep.worst_margin == float("-inf") and rep.witness == witness
-    assert rep.detail == (
-        f"branch cut collision: no admissible preimage at z={witness}; grid=291f11565520"
-    )
+    assert rep.worst_margin == -3.4749684543781276 and rep.witness == 0.9
+    assert rep.worst_margin == pytest.approx(2.0 - 1.405 ** 5, abs=1e-12)
+    assert rep.detail == "grid=291f11565520"
 
 
 def _all_branches(v, c):
@@ -370,6 +385,46 @@ def _all_branches(v, c):
         best[take] = cand[take]
         admissible |= ok
     return best, admissible
+
+
+def _reference_margin(zs, Fz, p, c):
+    """min(1 - |w|, cos(min(|theta|, pi))), v = z^p F, theta = arg(v)/c: |w|
+    is the best admissible branch's, or the principal branch's where none is
+    admissible; at most 0 where |F| is at the vanishing floor.  Also gives
+    where a branch is admissible and where F vanishes."""
+    v = zs ** p * Fz
+    best, admissible = _all_branches(v, c)
+    theta = np.angle(v) / c
+    vanish = np.abs(Fz) <= vanishing_floor(zs, p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        principal = np.abs(1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta))
+        w = np.where(admissible, best, principal)
+        m = np.minimum(1.0 - w, np.cos(np.minimum(np.abs(theta), np.pi)))
+        return np.where(vanish, np.minimum(m, 0.0), m), admissible, vanish
+
+
+def test_subordination_on_the_branch_cut_has_a_finite_margin():
+    # f = 1/z + 0.5 z, operator (1, 0, 1), alpha = 0: v = z F = 1 + 1.5 z^2 is
+    # -0.215, on the negative real axis, at z = +-0.9i.  c = 2, theta = +-pi/2,
+    # and |w| = |1 -+ 0.215^{1/2} i| > 1 on either side of the cut
+    op, alpha = OperatorParams(1.0, 0.0, 1, 1), 0.0
+    f = L(1, 1, [0.0, 0.5])
+    grid = default_grid()
+    rep = subordination_power_target(op, alpha, f, grid)
+    assert rep.verdict == "fails"
+    assert rep.worst_margin == -0.10227038425242974
+    assert rep.witness == complex(-1.6532731788489269e-16, -0.9)
+    expected = 1.0 - abs(complex(1.0, 0.215 ** 0.5))
+    F = apply_coeff(op, f)
+    zs = grid.points()
+    cut = np.flatnonzero(np.isclose(zs, 0.9j) | np.isclose(zs, -0.9j))
+    for route in (eval_circles(F, grid)[cut], eval_many(F, zs[cut])):
+        margins, _, _ = _reference_margin(zs[cut], route, 1, 2.0)
+        assert np.all(np.isfinite(margins))
+        assert np.allclose(margins, expected, rtol=0, atol=1e-12)
+    at = np.array([rep.witness])
+    margin, _, _ = _reference_margin(at, eval_many(F, at), 1, 2.0)
+    assert rep.worst_margin == margin[0]
 
 
 target_v = st.one_of(
@@ -397,25 +452,62 @@ def test_subordination_principal_branch_matches_enumeration(v0, c, r, n):
     F = apply_coeff(op, f)
     # the checker scans the FFT values and reports its worst point with
     # Horner's value there; built the same way, the asserts below are exact
-    v = zs ** 2 * eval_circles(F, grid)
-    best, admissible = _all_branches(v, c)
-    if not admissible.all():
-        rep = subordination_power_target(op, alpha, f, grid)
-        assert rep.verdict == "fails" and rep.worst_margin == float("-inf")
-        assert rep.witness == zs[int(np.argmin(admissible))]
-        assert "branch cut collision" in rep.detail
-        return
-    i = int(np.argmin(1.0 - best))
-    best_at, admissible_at = _all_branches(zs[i : i + 1] ** 2 * eval_many(F, zs[i : i + 1]), c)
-    if not np.isfinite(best[i]) or admissible_at[0] and not np.isfinite(best_at[0]):
+    scanned, _, _ = _reference_margin(zs, eval_circles(F, grid), 2, c)
+    i = int(np.argmin(scanned))
+    at = zs[i : i + 1]
+    margin, admissible, vanish = _reference_margin(at, eval_many(F, at), 2, c)
+    if not np.isfinite(scanned[i]) or not np.isfinite(margin[0]):
         # |v|^{1/c} overflows: the margin has no float value
         with pytest.raises(OverflowError, match="margin: not finite"):
             subordination_power_target(op, alpha, f, grid)
         return
     rep = subordination_power_target(op, alpha, f, grid)
     assert rep.witness == zs[i]
-    if not admissible_at[0]:
-        assert rep.verdict == "fails" and rep.worst_margin == float("-inf")
-        assert "branch cut collision" in rep.detail
+    assert rep.worst_margin == margin[0]
+    if admissible[0] and not vanish[0]:
+        # where a branch is admissible, 1 - |w| <= cos(theta): the margin
+        # is the best branch's own
+        best, _ = _all_branches(at ** 2 * eval_many(F, at), c)
+        assert rep.worst_margin == 1.0 - best[0]
     else:
-        assert rep.worst_margin == 1.0 - best_at[0]
+        assert rep.verdict == "fails" and rep.worst_margin <= 0.0
+
+
+def test_subordination_fails_where_v_vanishes_to_rounding():
+    # f = 1/z + 2 under the identity operator, alpha = 0: z F = 1 + 2z is 0
+    # at z = -0.5, so w = 1 there, on the boundary.  Rounding leaves v about
+    # 1e-16 on either route, and 1 - |w| about |v|^{1/2} = 1e-8 above the
+    # grid margin; the vanishing floor caps the margin at 0
+    f = L(1, 0, [2.0])
+    grid = SampleGrid(radii=(0.5,), angles_count=4)
+    rep = subordination_power_target(M0, 0.0, f, grid)
+    assert rep.verdict == "fails"
+    assert rep.worst_margin == 0.0 and rep.witness == grid.points()[2]
+    assert rep.detail.startswith(f"z^p F vanishes near z={grid.points()[2]}; grid=")
+    zs = grid.points()
+    for route in (eval_circles(f, grid), eval_many(f, zs)):
+        margins, _, vanish = _reference_margin(zs, route, 1, 2.0)
+        assert list(vanish) == [False, False, True, False]
+        assert margins[2] <= 0.0
+
+
+@given(
+    p=st.sampled_from([1, 2]),
+    tail=st.lists(
+        st.one_of(
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            st.sampled_from([-2.0, -1.0, 0.5, 2.0, -1.5j]),
+        ),
+        min_size=1, max_size=4,
+    ),
+    alpha=st.floats(0.0, 0.95),
+    radii=st.sampled_from([(0.5,), (0.3, 0.9), (0.1, 0.5, 0.7, 0.9)]),
+    n=st.integers(min_value=1, max_value=16),
+)
+@settings(max_examples=150, deadline=None)
+def test_subordination_fails_only_with_finite_margin_and_witness(p, tail, alpha, radii, n):
+    f = L(p, len(tail) - p, tail)
+    rep = subordination_power_target(OperatorParams(0.0, 0.0, 0, p), alpha, f, SampleGrid(radii, n))
+    if rep.verdict == "fails":
+        assert np.isfinite(rep.worst_margin) and rep.worst_margin <= 1e-9
+        assert rep.witness in SampleGrid(radii, n).points()

@@ -43,7 +43,6 @@ from .membership import (
     criterion_weight_array,
     ratio_weights,
     require_nonnegative_real,
-    vanishing_floor,
     _grid_check,
     _grid_note,
     _grid_verdict,
@@ -150,7 +149,7 @@ def coeff_bounds_report(
         margins = bounds - f.coeffs[mask].real
         ks = ks[mask]
     notes.append(f"indices checked: {len(ks)}")
-    return _grid_verdict(ks, margins, None, lambda worst: worst >= -SUM_TOL, "; ".join(notes))
+    return _grid_verdict(ks, margins, lambda worst: worst >= -SUM_TOL, "; ".join(notes))
 
 
 # ----------------------------------------------------------------- distortion
@@ -275,7 +274,7 @@ def distortion_report(
 
     def margin_of(points, values):
         vals = np.abs(values) / (r if which == "fprime_general" else 1.0)
-        return np.minimum(vals - lower, upper - vals), None
+        return np.minimum(vals - lower, upper - vals)
 
     detail = f"which={which} r={r} lower={lower:.12g} upper={upper:.12g} angles={angles_count}"
     return _grid_check(
@@ -347,7 +346,7 @@ def convolution_nonvanishing(
     zs = grid.points(radius_cap=RADIUS_CAP)
     note = _grid_note(grid) + f" theta_count={theta_count}"
     if zs.size == 0:
-        return _grid_verdict(zs, zs, None, lambda best: best > threshold, note)
+        return _grid_verdict(zs, zs, lambda best: best > threshold, note)
     F = apply_coeff(op, f)
     dF = z_derivative(F)
 
@@ -463,13 +462,13 @@ def partial_sum_bounds(
     note = f"grid={grid.digest()} m_cut={m_cut} theta={theta_m:.12g}"
 
     def margin_of(points, vf, vk):
-        floor = vanishing_floor(points, op.p)
-        bad = (np.abs(vf) <= floor) | (np.abs(vk) <= floor)
-        # the quotients at bad points are discarded: the verdict fails there
+        # nothing vanishes: weights > 1 + SUM_TOL and sum theta_k |a_k| <= 1 + SUM_TOL give
+        # sum |a_k| <= 1 + 1e-12, so |z^p f|, |z^p k_m| >= 1 - 0.999 (1 + 1e-12), about 1e-3,
+        # on radii <= RATIO_RADIUS_CAP.  An overflowed value leaves a NaN margin (usage error)
         with np.errstate(divide="ignore", invalid="ignore"):
             m1 = np.real(vf / vk) - (1.0 - 1.0 / theta_m)
             m2 = np.real(vk / vf) - theta_m / (1.0 + theta_m)
-        return np.minimum(m1, m2), bad
+        return np.minimum(m1, m2)
 
     return _grid_check(
         grid, RATIO_RADIUS_CAP, (f, km), margin_of, lambda worst: worst >= -grid.margin, note

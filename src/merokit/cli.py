@@ -122,7 +122,8 @@ def _need_float(obj: dict, key: str, where: str) -> float:
     return json_number(obj[key], f"{where}.{key}")
 
 
-def _config(op=None, cp=None, grid=None, seed=None, **extra) -> dict:
+def _config(op=None, cp=None, grid=None, **extra) -> dict:
+    """The inputs that determined a result; an extra that is None was not given."""
     cfg: dict = {}
     if op is not None:
         cfg["operator"] = op.to_json_dict()
@@ -131,9 +132,7 @@ def _config(op=None, cp=None, grid=None, seed=None, **extra) -> dict:
     if grid is not None:
         cfg["grid"] = grid.to_json_dict()
         cfg["grid_digest"] = grid.digest()
-    if seed is not None:
-        cfg["seed"] = seed
-    cfg.update(extra)
+    cfg.update((key, value) for key, value in extra.items() if value is not None)
     return cfg
 
 
@@ -151,6 +150,8 @@ def _cmd_phi(args) -> tuple[int, str]:
 
 
 def _cmd_apply(args) -> tuple[int, str]:
+    if (args.c is None) == (args.route == "integral"):
+        raise UsageError("--c is required for route=integral and applies to no other route")
     op = _read_op(args.params)
     f = _read_series(args.series)
     if args.route == "coeff":
@@ -160,14 +161,9 @@ def _cmd_apply(args) -> tuple[int, str]:
     elif args.route == "invert":
         g = invert(op, f)
     else:
-        if args.c is None:
-            raise UsageError("--c is required for route=integral")
         g = integral_operator(f, args.c)
     obj = g.to_json_dict()
-    extra = {"route": args.route}
-    if args.c is not None:
-        extra["c"] = args.c
-    obj["config"] = _config(op=op, **extra)
+    obj["config"] = _config(op=op, route=args.route, c=args.c)
     return 0, _dump(obj)
 
 
@@ -260,9 +256,9 @@ def _cmd_verify(args) -> tuple[int, str]:
     elif what == "conv-nonvanish":
         grid = _read_grid(args.grid)
         rep = convolution_nonvanishing(op, cp, f, grid, args.theta_count, args.threshold)
-        cfg = _config(op=op, cp=cp, grid=grid, check=what, theta_count=args.theta_count)
-        if args.threshold is not None:
-            cfg["threshold"] = args.threshold
+        cfg = _config(
+            op=op, cp=cp, grid=grid, check=what, theta_count=args.theta_count, threshold=args.threshold
+        )
     else:
         if args.m_cut is None:
             raise UsageError("--m-cut is required for verify partial-sums")

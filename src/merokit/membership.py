@@ -91,7 +91,8 @@ class Report:
 
     ``witness`` is the grid point (complex) or coefficient index (int)
     realizing the worst margin; a failing report always carries one, and a
-    margin.  A non-finite ``worst_margin`` is written to JSON as null.
+    finite margin.  A NaN ``worst_margin`` (no usable points) is written to
+    JSON as null.
     """
 
     verdict: str
@@ -104,8 +105,8 @@ class Report:
             raise ValueError(f"verdict: unknown value {self.verdict!r}")
         if self.verdict == FAILS and self.witness is None:
             raise ValueError("witness: a failing report must carry a witness")
-        if self.verdict == FAILS and math.isnan(self.worst_margin):
-            raise ValueError("worst_margin: a failing report must carry a margin, got NaN")
+        if self.verdict == FAILS and not math.isfinite(self.worst_margin):
+            raise ValueError(f"worst_margin: a failing report needs a finite one, got {self.worst_margin}")
 
     def to_json_dict(self) -> dict:
         w = self.witness
@@ -226,50 +227,51 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
 
 # --------------------------------------------------------- numeric routes
 
-def vanishing_floor(zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
-    """Modulus below which a pole-order-p value at zs counts as vanishing:
-    such a function behaves like lead * z^-p near 0, so this is the
-    rounding scale of its values."""
-    return 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead))
+def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
+    """Where pole-order-p ``values`` at zs vanish: |value| <= 1e-14 |z|^-p max(1, |lead|), the
+    rounding scale of a function like lead * z^-p near 0.  A non-finite value never vanishes;
+    where |z|^-p overflows, every finite one does."""
+    with np.errstate(over="ignore"):
+        floor = 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead))
+    return np.isfinite(values) & (np.abs(values) <= floor)
 
 
-def _quotient_form(op: OperatorParams, f: LaurentSeries, form):
+def _quotient_form(op: OperatorParams, f: LaurentSeries, form, at_pole: float):
     """F and zF', and margin_of(points, F, zF'): form(Q), Q = z F'/(p F),
-    flagged where F vanishes (a flagged point fails before its margin is
-    read; _grid_verdict refuses a non-finite one)."""
+    or ``at_pole``, the limit of form(Q)/|Q| as Q -> inf, where F vanishes."""
     F = apply_coeff(op, f)
 
     def margin_of(points, b, a):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return form(a / (op.p * b)), np.abs(b) <= vanishing_floor(points, op.p, f.lead)
+            return np.where(vanishes(b, points, op.p, f.lead), at_pole, form(a / (op.p * b)))
 
     return (F, z_derivative(F)), margin_of
 
 
 def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, form):
-    series, margin_of = _quotient_form(op, f, form)
+    series, margin_of = _quotient_form(op, f, *form)
     zs = grid.points(radius_cap=RADIUS_CAP)
-    return (zs, *margin_of(zs, *(eval_circles(g, grid, RADIUS_CAP) for g in series)))
+    return zs, margin_of(zs, *(eval_circles(g, grid, RADIUS_CAP) for g in series))
 
 
 def _numeric_form(cp: ClassParams):
-    """Q -> beta*|Q + 2 alpha - 1| - |Q + 1|, the defining inequality's margin."""
-    return lambda q: cp.beta * np.abs(q + (2.0 * cp.alpha - 1.0)) - np.abs(q + 1.0)
+    """Q -> beta*|Q + 2 alpha - 1| - |Q + 1|, the defining inequality's margin, and at_pole beta - 1."""
+    return (lambda q: cp.beta * np.abs(q + (2.0 * cp.alpha - 1.0)) - np.abs(q + 1.0)), cp.beta - 1.0
 
 
 def _disk_form(cp: ClassParams):
-    """Q -> radius - |(-Q) - center|, the disk form's margin (beta < 1)."""
+    """Q -> radius - |(-Q) - center|, the disk form's margin (beta < 1), and at_pole -1."""
     center, radius = disk_parameters(cp)
-    return lambda q: radius - np.abs(-q - center)
+    return (lambda q: radius - np.abs(-q - center)), -1.0
 
 
 def numeric_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
-    """Capped grid points, FFT margins beta*|Q + 2 alpha - 1| - |Q + 1|, flags."""
+    """Capped grid points, FFT margins beta*|Q + 2 alpha - 1| - |Q + 1|, beta - 1 where F vanishes."""
     return _quotient_margins(op, f, grid, _numeric_form(cp))
 
 
 def disk_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
-    """As ``numeric_margins``, for the disk form radius - |(-Q) - center|."""
+    """As ``numeric_margins``, for the disk form radius - |(-Q) - center| (-1 where F vanishes)."""
     return _quotient_margins(op, f, grid, _disk_form(cp))
 
 
@@ -291,22 +293,28 @@ def _grid_note(grid: SampleGrid) -> str:
     return note
 
 
-def _grid_verdict(points, margins, bad, passes, detail) -> Report:
+def _vanishing_note(what: str, p: int, lead: complex, note: str):
+    """detail(points, F, ...): ``note``, led by the first point where F vanishes, if any."""
+
+    def detail(points, F, *_):
+        vanish = vanishes(F, points, p, lead)
+        at = f"{what} vanishes near z={points[int(np.argmax(vanish))].item()}; " if np.any(vanish) else ""
+        return at + note
+
+    return detail
+
+
+def _grid_verdict(points, margins, passes, detail) -> Report:
     """Reduce pointwise margins to a Report.
 
     ``points`` are the sample points (grid points, or coefficient indices)
     and ``margins`` their margins; ``passes(worst)`` is the caller's own
-    threshold test.  No points gives inconclusive with a NaN margin; a
-    point flagged in ``bad`` (its denominator vanishes; None flags none)
-    fails with a -inf margin, witnessed by the first one; otherwise the
-    smallest margin decides, witnessed by its point, unless it is not
-    finite: the evaluation overflowed, an OverflowError.
+    threshold test.  No points gives inconclusive with a NaN margin;
+    otherwise the smallest margin decides, witnessed by its point, unless
+    it is not finite: the evaluation overflowed, an OverflowError.
     """
     if points.size == 0:
         return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {detail}")
-    if bad is not None and np.any(bad):
-        w = points[int(np.argmax(bad))].item()
-        return Report(FAILS, float("-inf"), w, f"denominator vanishes near z={w}; {detail}")
     i = int(np.argmin(margins))
     worst, witness = float(margins[i]), points[i].item()
     if not math.isfinite(worst):
@@ -315,28 +323,27 @@ def _grid_verdict(points, margins, bad, passes, detail) -> Report:
 
 
 def _grid_check(grid: SampleGrid, cap, series, margin_of, passes, detail) -> Report:
-    """Reduce ``margin_of(points, *values)``, the margins and ``bad`` flags
-    from the values of ``series``, by ``_grid_verdict`` on the grid's radii
-    <= cap (all for cap None).  The FFT values (``eval_circles``) locate the
-    worst point; its reported margin is from Horner's values (``eval_many``)
-    there.  ``detail`` may be a function of the points and FFT values."""
+    """Reduce ``margin_of(points, *values)``, the margins from the values of
+    ``series``, by ``_grid_verdict`` on the grid's radii <= cap (all for
+    cap None).  The FFT values (``eval_circles``) locate the witness, if
+    there is one; its margin and verdict are from Horner's values
+    (``eval_many``) there.  ``detail`` may be a function of the points and FFT values."""
     points = grid.points(radius_cap=cap)
     values = [eval_circles(g, grid, cap) for g in series]
     if callable(detail):
         detail = detail(points, *values)
-    report = _grid_verdict(points, *margin_of(points, *values), passes, detail)
-    if not math.isfinite(report.worst_margin):  # no points, or a flagged one
+    report = _grid_verdict(points, margin_of(points, *values), passes, detail)
+    if report.witness is None:  # no points
         return report
     at = np.array([report.witness])
-    return _grid_verdict(at, *margin_of(at, *(eval_many(g, at) for g in series)), passes, detail)
+    return _grid_verdict(at, margin_of(at, *(eval_many(g, at) for g in series)), passes, detail)
 
 
 def _quotient_check(op: OperatorParams, f: LaurentSeries, grid: SampleGrid | None, form) -> Report:
     grid = grid or ser.default_grid()
-    series, margin_of = _quotient_form(op, f, form)
-    return _grid_check(
-        grid, RADIUS_CAP, series, margin_of, lambda worst: worst > grid.margin, _grid_note(grid)
-    )
+    series, margin_of = _quotient_form(op, f, *form)
+    detail = _vanishing_note("denominator", op.p, f.lead, _grid_note(grid))
+    return _grid_check(grid, RADIUS_CAP, series, margin_of, lambda worst: worst > grid.margin, detail)
 
 
 def numeric_membership(
@@ -389,13 +396,9 @@ def subordination_power_target(
             theta = np.angle(v) / c
             w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
             m = np.minimum(1.0 - np.abs(w), np.cos(np.minimum(np.abs(theta), np.pi)))
-            return np.where(np.abs(Fz) <= vanishing_floor(points, op.p), np.minimum(m, 0.0), m), None
+            return np.where(vanishes(Fz, points, op.p), np.minimum(m, 0.0), m)
 
-    def detail(points, Fz):
-        vanish = np.abs(Fz) <= vanishing_floor(points, op.p)
-        at = f"z^p F vanishes near z={points[int(np.argmax(vanish))].item()}; " if np.any(vanish) else ""
-        return at + _grid_note(grid)
-
+    detail = _vanishing_note("z^p F", op.p, 1.0, _grid_note(grid))
     return _grid_check(
         grid, RADIUS_CAP, (apply_coeff(op, f),), margin_of, lambda worst: worst > grid.margin, detail
     )

@@ -261,7 +261,7 @@ def verify_inclusion_general(
         rep = numeric_membership(op, cp, g, grid)
         if rep.verdict != HOLDS:
             return Report(
-                FAILS, rep.worst_margin, rep.witness if rep.witness is not None else t,
+                FAILS, rep.worst_margin, rep.witness,
                 f"sampled neighbor #{t} (seed {seed}) leaves the class: {rep.detail}",
             )
         if rep.worst_margin < worst:

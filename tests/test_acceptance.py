@@ -201,12 +201,9 @@ def test_04_disk_form_equivalence(announce):
             if rn.verdict != rd.verdict:
                 bad.append(("verdict", op, cp, rn.verdict, rd.verdict))
                 continue
-            _, mn, badn = numeric_margins(op, cp, f, grid)
-            _, md, badd = disk_margins(op, cp, f, grid)
-            if not np.array_equal(badn, badd):
-                bad.append(("bad-mask", op, cp))
-                continue
-            mask = ~badn & (np.abs(mn) > 1e-9) & (np.abs(md) > 1e-9)
+            _, mn = numeric_margins(op, cp, f, grid)
+            _, md = disk_margins(op, cp, f, grid)
+            mask = (np.abs(mn) > 1e-9) & (np.abs(md) > 1e-9)
             n_pts += int(mask.sum())
             if not np.all(np.sign(mn[mask]) == np.sign(md[mask])):
                 bad.append(("sign", op, cp))

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import merokit.bounds
@@ -35,8 +35,17 @@ from merokit.membership import (
     numeric_membership,
     subordination_power_target,
 )
+from merokit.neighborhoods import verify_inclusion_general
 from merokit.operator import OperatorParams
-from merokit.series import LaurentSeries, SampleGrid, eval_at, hadamard, z_derivative
+from merokit.series import (
+    LaurentSeries,
+    SampleGrid,
+    eval_at,
+    eval_circles,
+    eval_many,
+    hadamard,
+    z_derivative,
+)
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)
 OP1 = OperatorParams(1.0, 0.0, 1, 1)
@@ -386,6 +395,46 @@ def test_partial_sum_bounds_monotone_premise_gate():
     assert "monotone" in rep.detail
 
 
+@given(
+    p=st.integers(1, 2),
+    op_index=st.integers(0, 2),
+    alpha=st.floats(0.0, 0.9),
+    beta=st.floats(0.1, 1.0),
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=6,
+    ),
+    mass=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    m_cut_shift=st.integers(0, 7),
+    r=st.floats(0.001, 0.999),
+)
+@settings(max_examples=150, deadline=None)
+def test_partial_sum_premises_keep_values_off_zero(
+    p, op_index, alpha, beta, coeffs, mass, m_cut_shift, r
+):
+    """Weights > 1 + SUM_TOL and sum theta_k |a_k| <= 1 + SUM_TOL give
+    sum |a_k| <= 1 + 1e-12, so |z^p f| and |z^p k_m| stay at least
+    1 - 0.999 (1 + 1e-12), about 1e-3, on every radius <= 0.999: eleven
+    orders of magnitude above the vanishing floor 1e-14 |z|^-p."""
+    op = (OperatorParams(1.0, 0.0, 1, p), OperatorParams(1.0, 0.5, 1, p),
+          OperatorParams(2.0, 0.0, 2, p))[op_index]
+    cp = ClassParams(alpha, beta)
+    K = len(coeffs) - p
+    a = np.asarray(coeffs, dtype=complex)
+    th = ratio_weights(op, cp, np.arange(1 - p, K + 1))
+    hyp = float(np.dot(th, np.abs(a)))
+    f = L(p, K, a * (mass / hyp) if hyp > 1e-3 else a)  # a small sum already holds
+    m_cut = 1 - p + m_cut_shift
+    grid = SampleGrid((r, 0.999) if r < 0.999 else (0.999,), 16)
+    rep = partial_sum_bounds(op, cp, f, m_cut, grid)
+    assume(rep.verdict != "inconclusive")  # both premises hold
+    zs = grid.points()
+    floor = 1.0 - merokit.bounds.RATIO_RADIUS_CAP * (1.0 + 1e-12)
+    for g in (f, partial_sum(f, m_cut)):
+        for values in (eval_circles(g, grid), eval_many(g, zs)):
+            assert np.all(np.abs(zs ** p * values) >= floor - 1e-13)
+
+
 def test_partial_sum_bounds_validation():
     with pytest.raises(ValueError, match="m_cut"):
         partial_sum_bounds(OP1, HALF, LaurentSeries.pole_only(1, 2), -1)
@@ -535,5 +584,48 @@ def test_grid_checker_on_empty_capped_grid(case):
 def test_margin_arrays_on_empty_capped_grid():
     grid = SampleGrid((0.96, 0.99), 8)
     for margins in (numeric_margins, disk_margins):
-        zs, m, bad = margins(OP1, TH_CP, _th_member(), grid)
-        assert zs.size == m.size == bad.size == 0
+        zs, m = margins(OP1, TH_CP, _th_member(), grid)
+        assert zs.size == m.size == 0
+
+
+@given(
+    p=st.integers(1, 2),
+    m=st.integers(0, 2),
+    alpha=st.floats(0.0, 0.9),
+    beta=st.floats(0.1, 0.99),
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        min_size=4, max_size=6,
+    ),
+    zero_at=st.one_of(st.none(), st.integers(0, 15)),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_failure_has_finite_margin_and_witness(p, m, alpha, beta, coeffs, zero_at):
+    """Every checker's ``fails`` carries a finite margin and a witness, also
+    where F is exactly 0 at a grid point (identity operator, f = z^-p (1 - z/z0))."""
+    grid = SampleGrid((0.3, 0.5), 8)
+    op = OperatorParams(1.0 if m else 0.0, 0.0, m, p)
+    cp = ClassParams(alpha, beta)
+    a = np.asarray(coeffs, dtype=complex)
+    if zero_at is not None:
+        op = OperatorParams(0.0, 0.0, 0, p)
+        a[:] = 0.0
+        a[0] = -1.0 / grid.points()[zero_at]
+    f = L(p, len(a) - p, a)
+    reports = [
+        numeric_membership(op, cp, f, grid),
+        disk_characterization(op, cp, f, grid),
+        subordination_power_target(op, alpha, f, grid),
+        convolution_nonvanishing(op, cp, f, grid, 12),
+        partial_sum_bounds(op, cp, f, 1 - p, grid),
+        coeff_bounds_report(op, cp, f, "general"),
+        distortion_report(
+            op, cp, f, 0.5, "f_general", TailPolicy("tail_estimate" if op.m else "divergent_flag"), 16
+        ),
+        verify_inclusion_general(op, cp, f, 0.05, eps_trials=2, trials=2, grid=grid),
+    ]
+    if zero_at is not None:
+        assert reports[0].verdict == reports[1].verdict == "fails"
+    for rep in reports:
+        if rep.verdict == "fails":
+            assert math.isfinite(rep.worst_margin) and rep.witness is not None

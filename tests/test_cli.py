@@ -526,6 +526,11 @@ def _inputs(tmp_path):
                                    "alpha": 0.5, "beta": 1},
         "pole.json": {"pole_order": 1, "trunc_order": 0, "coeffs": [[0.0, 0.0]],
                       "exact_support": True},
+        # p = 2 on a radius of 1e-200: |z|^-p, and with it every grid value, overflows
+        "params-p2.json": {"lambda": 1, "mu": 0, "m": 1, "p": 2, "alpha": 0.3, "beta": 0.8},
+        "series-p2.json": {"pole_order": 2, "trunc_order": 1,
+                           "coeffs": [[0.0, 0.0], [0.01, 0.0], [0.0, 0.0]], "exact_support": True},
+        "grid-tiny-radius.json": {"radii": [1e-200, 0.5], "angles_count": 8},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -654,6 +659,22 @@ MALFORMED_CASES = {
             (["verify", "conv-nonvanish"], "conv: the scanned value overflows a float"),
         )
     },
+    **{
+        f"tiny-radius-overflow-{verb[-1]}": (
+            [*verb, "--params", "@params-p2.json", "--series", "@series-p2.json",
+             "--grid", "@grid-tiny-radius.json"], message,
+        )
+        for verb, message in (
+            (["check", "--criterion", "numeric"], "margin: not finite at (1e-200+0j)"),
+            (["check", "--criterion", "disk"], "margin: not finite at (1e-200+0j)"),
+            (["check", "--criterion", "subordination"], "margin: not finite at (1e-200+0j)"),
+            (["verify", "conv-nonvanish"], "conv: the scanned value overflows a float"),
+        )
+    },
+    "apply-c-outside-integral": (
+        ["apply", "--route", "coeff", "--c", "-5", *_PS],
+        "--c is required for route=integral and applies to no other route",
+    ),
     "partial-sums-hypothesis-overflow": (
         ["verify", "partial-sums", "--params", "@identity-half.json",
          "--series", "@huge-tail.json", "--m-cut", "3"],

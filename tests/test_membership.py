@@ -20,7 +20,7 @@ from merokit.membership import (
     numeric_membership,
     subordination_power_target,
     sufficient_condition,
-    vanishing_floor,
+    vanishes,
 )
 from merokit.operator import OperatorParams, apply_coeff
 from merokit.series import (
@@ -59,8 +59,7 @@ def test_report_requires_witness_on_failure():
         Report("maybe", 0.0)
     obj = Report("fails", -1.0, 0.5 + 0.25j).to_json_dict()
     assert obj["witness"] == [0.5, 0.25]
-    # strict JSON has no NaN or infinity: a non-finite margin is written as null
-    assert Report("fails", float("-inf"), 0.5).to_json_dict()["worst_margin"] is None
+    # strict JSON has no NaN: the margin of a report with nothing to measure is null
     assert Report("inconclusive", float("nan")).to_json_dict()["worst_margin"] is None
 
 
@@ -69,6 +68,9 @@ def test_report_refuses_failure_without_margin():
         Report("fails", float("nan"), 0.5)
     with pytest.raises(ValueError, match="worst_margin"):
         Report("fails", np.float64("nan"), 0.5)
+    for margin in (float("-inf"), float("inf"), np.float64("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Report("fails", margin, 0.5)
 
 
 def test_weight_frozen_values():
@@ -172,8 +174,7 @@ def test_numeric_matches_closed_form():
     cp = ClassParams(0.5, 1.0)
     f = L(1, 0, [-1.0])
     grid = SampleGrid(radii=(0.3, 0.6, 0.9), angles_count=16)
-    zs, margins, bad = numeric_margins(M0, cp, f, grid)
-    assert not np.any(bad)
+    zs, margins = numeric_margins(M0, cp, f, grid)
     assert np.allclose(margins, analytic_margin(zs), atol=1e-12)
     rep = numeric_membership(M0, cp, f, grid)
     assert rep.verdict == "holds"
@@ -188,12 +189,35 @@ def test_numeric_fails_on_non_member():
 
 
 def test_numeric_detects_vanishing_denominator():
-    # F = z^-1 - 2 vanishes at z = 0.5, a default grid point
+    # F = z^-1 - 2 vanishes at z = 0.5, a default grid point.  There the
+    # margin is beta - 1 = 0; the worst one, (1 - 2|z|)/|1 - 2z| = -1, is
+    # at z = 0.7, and the detail still names the vanishing point
     cp = ClassParams(0.5, 1.0)
     rep = numeric_membership(M0, cp, L(1, 0, [-2.0]))
     assert rep.verdict == "fails"
-    assert rep.worst_margin == float("-inf")
-    assert "denominator" in rep.detail
+    assert rep.worst_margin == -1.0
+    assert rep.witness == 0.7 + 0j
+    assert rep.detail == f"denominator vanishes near z=(0.5+0j); grid={default_grid().digest()}"
+
+
+def test_vanishing_denominator_margin_is_the_limit_of_the_form():
+    # F = z^-1 - 2 is exactly 0 at z = 0.5: the margin there is the form's
+    # limit over |Q| as Q -> inf, beta - 1 (numeric) or -1 (disk), on the
+    # FFT route (the margin arrays) and on the Horner route (the report)
+    cp = ClassParams(0.0, 0.5)
+    f = L(1, 0, [-2.0])
+    grid = SampleGrid(radii=(0.5,), angles_count=8)
+    for margins, check, stand_in in (
+        (numeric_margins, numeric_membership, cp.beta - 1.0),
+        (disk_margins, disk_characterization, -1.0),
+    ):
+        zs, m = margins(M0, cp, f, grid)
+        assert zs[0] == 0.5 and m[0] == stand_in
+        assert np.all(np.isfinite(m))
+        rep = check(M0, cp, f, grid)
+        assert rep.verdict == "fails"
+        assert rep.worst_margin == stand_in and rep.witness == 0.5 + 0j
+        assert rep.detail == f"denominator vanishes near z=(0.5+0j); grid={grid.digest()}"
 
 
 def test_numeric_with_no_usable_radii():
@@ -240,10 +264,9 @@ def test_disk_and_numeric_margins_agree_in_sign(tail, alpha, beta):
     cp = ClassParams(alpha, beta)
     f = L(1, len(tail) - 1, [0.0] + tail[:-1] if len(tail) > 1 else tail, exact=False)
     grid = SampleGrid(radii=(0.4, 0.8), angles_count=24)
-    zs, mn, bad_n = numeric_margins(M0, cp, f, grid)
-    _, md, bad_d = disk_margins(M0, cp, f, grid)
-    assert np.array_equal(bad_n, bad_d)
-    ok = ~bad_n & (np.abs(md) > 1e-9) & (np.abs(mn) > 1e-9)
+    zs, mn = numeric_margins(M0, cp, f, grid)
+    _, md = disk_margins(M0, cp, f, grid)
+    ok = (np.abs(md) > 1e-9) & (np.abs(mn) > 1e-9)
     assert np.all((mn[ok] > 0) == (md[ok] > 0))
 
 
@@ -395,7 +418,7 @@ def _reference_margin(zs, Fz, p, c):
     v = zs ** p * Fz
     best, admissible = _all_branches(v, c)
     theta = np.angle(v) / c
-    vanish = np.abs(Fz) <= vanishing_floor(zs, p)
+    vanish = vanishes(Fz, zs, p)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         principal = np.abs(1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta))
         w = np.where(admissible, best, principal)

@@ -26,13 +26,11 @@ always contains the asserted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .membership import (
-    FAILS,
-    HOLDS,
     INCONCLUSIVE,
     RADIUS_CAP,
     SUM_TOL,
@@ -52,7 +50,6 @@ from .series import (
     LaurentSeries,
     SampleGrid,
     default_grid,
-    eval_circles,
     eval_many,
     z_derivative,
 )
@@ -64,9 +61,6 @@ RATIO_RADIUS_CAP = 0.999
 _SUM_TERMS = 2048
 
 _TAIL_MODES = ("exact_support", "tail_estimate", "divergent_flag")
-
-#: bytes of |u - beta sigma v| the convolution scan holds at once
-_SCAN_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -297,25 +291,23 @@ def conv_derivative_kernel(p: int, trunc_order: int) -> LaurentSeries:
     return LaurentSeries(p, trunc_order, ks, -float(p), False)
 
 
-def _min_modulus(u, v, beta: float, sigmas):
-    """min over (sigma, point) of |u - beta sigma v| and its sigma-major flat
-    index, the first one on ties, scanning a block of sigma rows at a time.
-    A NaN or infinite minimum is an OverflowError."""
-    rows = max(1, _SCAN_BLOCK_BYTES // (16 * max(u.size, 1)))
-    best, flat = math.inf, 0
+def _nearest_phase(u, v, beta: float, theta_count: int):
+    """Per point, min over s = 1..T of |u - beta e^(2 pi i s/(T+1)) v| and the s attaining it.
+
+    |u - beta sigma v|^2 = |u|^2 + beta^2 |v|^2 - 2 beta |u||v| cos(theta - arg(u conj(v))), so
+    only the phases either side of arg(u conj(v)) (0 where u or v is 0) compete, going round
+    the excluded theta = 0; the lower s wins a tie.  Each candidate repeats the operations of
+    a scan over all T phases, so the minimum has that scan's bits unless rounding reorders
+    phases that tie in exact arithmetic.  A non-finite u or v gives a non-finite minimum.
+    """
+    n = theta_count + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, sigmas.size, rows):
-            vals = np.abs(u[None, :] - beta * sigmas[lo : lo + rows, None] * v[None, :])
-            i = int(np.argmin(vals))  # the first NaN, if there is one
-            low = float(vals.flat[i])
-            if math.isnan(low):
-                best = low
-                break
-            if low < best:
-                best, flat = low, lo * u.size + i
-    if not math.isfinite(best):
-        raise OverflowError("conv: the scanned value overflows a float")
-    return best, flat
+        star = np.where((u == 0) | (v == 0), 0.0, np.angle(u) - np.angle(v))
+        j = np.floor(np.mod(star, 2.0 * np.pi) * n / (2.0 * np.pi)).astype(np.int64)
+        wrap = (j < 1) | (j >= theta_count)  # theta* lies between theta_T and theta_1, or is NaN
+        lo, hi = np.where(wrap, 1, j), np.where(wrap, theta_count, j + 1)
+        at_lo, at_hi = (np.abs(u - beta * np.exp(1j * (2.0 * np.pi * s / n)) * v) for s in (lo, hi))
+    return np.minimum(at_lo, at_hi), np.where(at_hi < at_lo, hi, lo)
 
 
 def convolution_nonvanishing(
@@ -326,14 +318,15 @@ def convolution_nonvanishing(
     theta_count: int = 360,
     threshold: float | None = None,
 ) -> Report:
-    """Scan z^p [ (1-beta sigma) z F' + p (1-(2 alpha-1) beta sigma) F ]
-    over the grid and sigma = e^(i theta) on an interior theta grid,
-    reporting the smallest modulus found.
+    """Minimize |z^p [ (1-beta sigma) z F' + p (1-(2 alpha-1) beta sigma) F ]|
+    over the grid and sigma = e^(2 pi i s/(T+1)), s = 1..T = theta_count,
+    reporting the smallest modulus and, at the witness, its phase.
 
     F = the operator transform of f.  For class members the value never
     vanishes; f = z^-p gives the constant 2 p beta (1-alpha) e^(i theta)
     exactly.  Meaningful only when f (is believed to) pass a membership
     check.  theta = 0 and 2 pi are excluded: the statement is open there.
+    No array of length T is built; T <= 2**53 keeps the phase index exact.
     """
     require_pole_order(op, f)
     grid = grid or default_grid()
@@ -341,33 +334,29 @@ def convolution_nonvanishing(
         threshold = grid.margin
     if not threshold >= 0.0:
         raise ValueError(f"threshold: need >= 0, got {threshold}")
-    if theta_count < 1:
-        raise ValueError(f"theta_count: need >= 1, got {theta_count}")
-    zs = grid.points(radius_cap=RADIUS_CAP)
-    note = _grid_note(grid) + f" theta_count={theta_count}"
-    if zs.size == 0:
-        return _grid_verdict(zs, zs, lambda best: best > threshold, note)
+    if not 1 <= theta_count <= 2**53:
+        raise ValueError(f"theta_count: need 1 <= theta_count <= 2**53, got {theta_count}")
     F = apply_coeff(op, f)
     dF = z_derivative(F)
 
-    def scanned(points, values):
-        a = values(dF)
-        b = values(F)
+    def nearest(points, a, b):
         zp = points ** op.p
-        with np.errstate(over="ignore", invalid="ignore"):  # _min_modulus refuses non-finite
+        with np.errstate(over="ignore", invalid="ignore"):  # the driver refuses non-finite margins
             u = zp * (a + op.p * b)
             v = zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
-        return u, v
+        return _nearest_phase(u, v, cp.beta, theta_count)
 
-    thetas = 2.0 * np.pi * np.arange(1, theta_count + 1) / (theta_count + 1)
-    sigmas = np.exp(1j * thetas)
-    _, flat = _min_modulus(*scanned(zs, lambda g: eval_circles(g, grid, RADIUS_CAP)), cp.beta, sigmas)
-    i, s = flat % zs.size, flat // zs.size
-    # the worst pair, found on the FFT values, is reported with Horner's value
-    at = zs[i : i + 1]
-    best, _ = _min_modulus(*scanned(at, lambda g: eval_many(g, at)), cp.beta, sigmas[s : s + 1])
-    detail = f"min |value| = {best:.6g} at theta={float(thetas[s]):.6g}; {note}"
-    return Report(HOLDS if best > threshold else FAILS, best, complex(zs[i]), detail)
+    note = _grid_note(grid) + f" theta_count={theta_count}"
+    report = _grid_check(
+        grid, RADIUS_CAP, (dF, F), lambda *pv: nearest(*pv)[0], lambda best: best > threshold, note
+    )
+    if report.witness is None:
+        return report
+    at = np.array([report.witness])
+    s = int(nearest(at, eval_many(dF, at), eval_many(F, at))[1][0])
+    theta = 2.0 * np.pi * s / (theta_count + 1)
+    detail = f"min |value| = {report.worst_margin:.6g} at theta={theta:.6g}; {note}"
+    return replace(report, detail=detail)
 
 
 # ------------------------------------------------------------- partial sums

@@ -393,15 +393,23 @@ def _cmd_report(args) -> tuple[int, str]:
 
 # -------------------------------------------------------------------- parser
 
-def _finite_float(text: str) -> float:
-    """argparse type for float flags: NaN and infinities are refused."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _checked(cast, ok, expected: str):
+    """argparse type: ``cast`` the flag's text, then refuse a value that fails ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_int64 = _checked(int, lambda value: -(2**63) <= value < 2**63, "an integer within int64")
 
 
 def _add_params_series(sp, path, series: bool = True) -> None:
@@ -423,9 +431,9 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("phi", help="print one diagonal multiplier value")
     sp.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--m", type=_int64, required=True)
+    sp.add_argument("--p", type=_int64, required=True)
+    sp.add_argument("--k", type=_int64, required=True)
     sp.set_defaults(func=_cmd_phi)
 
     sp = sub.add_parser("apply", help="run the operator over a stored series")
@@ -442,8 +450,8 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
     _add_params_series(sp, path, series=False)
     sp.add_argument("--atoms", type=path, help="boundary measure JSON (herglotz)")
     sp.add_argument("--w", type=path, help="disk self-map JSON (schwarz)")
-    sp.add_argument("--n", type=int, help="extremal coefficient index")
-    sp.add_argument("--trunc", type=int, help="truncation order override")
+    sp.add_argument("--n", type=_int64, help="extremal coefficient index")
+    sp.add_argument("--trunc", type=_int64, help="truncation order override")
     sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_gen)
 
@@ -474,10 +482,10 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
     sp.add_argument(
         "--tail-mode", choices=("exact_support", "tail_estimate", "divergent_flag")
     )
-    sp.add_argument("--angles", type=int, default=720, help="circle samples (distortion)")
-    sp.add_argument("--theta-count", type=int, default=360, help="phase samples (conv)")
+    sp.add_argument("--angles", type=_int64, default=720, help="circle samples (distortion)")
+    sp.add_argument("--theta-count", type=_int64, default=360, help="phase samples (conv)")
     sp.add_argument("--threshold", type=_finite_float, help="non-vanishing cutoff (conv)")
-    sp.add_argument("--m-cut", type=int, help="cut index (partial-sums)")
+    sp.add_argument("--m-cut", type=_int64, help="cut index (partial-sums)")
     sp.add_argument("--grid", type=path, help="sample grid JSON")
     sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_verify)
@@ -489,9 +497,9 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--other", type=path, help="second series JSON (distance)")
     sp.add_argument("--kind", choices=("plus", "general"), default="plus")
     sp.add_argument("--delta", type=_finite_float, help="neighborhood radius (verify-general)")
-    sp.add_argument("--trials", type=int, default=100, help="random perturbation count")
-    sp.add_argument("--eps-trials", type=int, default=8, help="hypothesis samples")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--trials", type=_int64, default=100, help="random perturbation count")
+    sp.add_argument("--eps-trials", type=_int64, default=8, help="hypothesis samples")
+    sp.add_argument("--seed", type=_int64, default=0)
     sp.add_argument("--grid", type=path, help="sample grid JSON (verify-general)")
     sp.add_argument("--out", type=path)
     sp.set_defaults(func=_cmd_nbhd)
@@ -508,14 +516,16 @@ def _run_argv(parser: argparse.ArgumentParser, argv) -> tuple[int, str, bool]:
     """Parse argv, run its handler and write its ``--out`` file, if any.
 
     Returns the exit code, the output text and whether ``--out`` took the
-    text.  Domain errors (ValueError, OverflowError) and an unwritable
-    ``--out`` become usage errors.
+    text.  Domain errors (ValueError, OverflowError), allocations too large
+    (MemoryError) and an unwritable ``--out`` become usage errors.
     """
     args = parser.parse_args(argv)
     try:
         code, text = args.func(args)
     except (ValueError, OverflowError) as exc:
         raise UsageError(str(exc)) from None
+    except MemoryError as exc:
+        raise UsageError(f"out of memory: the input is too large ({exc})") from None
     out = getattr(args, "out", None)
     if out:
         try:

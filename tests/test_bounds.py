@@ -12,7 +12,7 @@ import merokit.bounds
 import merokit.series
 from merokit.bounds import (
     TailPolicy,
-    _min_modulus,
+    _nearest_phase,
     coeff_bound_general,
     coeff_bound_plus,
     coeff_bounds_report,
@@ -28,7 +28,9 @@ from merokit.bounds import (
 )
 from merokit.generators import SchwarzPoly, extremal_fn, from_schwarz, ratio_extremal
 from merokit.membership import (
+    RADIUS_CAP,
     ClassParams,
+    _grid_verdict,
     disk_characterization,
     disk_margins,
     numeric_margins,
@@ -36,7 +38,7 @@ from merokit.membership import (
     subordination_power_target,
 )
 from merokit.neighborhoods import verify_inclusion_general
-from merokit.operator import OperatorParams
+from merokit.operator import OperatorParams, apply_coeff
 from merokit.series import (
     LaurentSeries,
     SampleGrid,
@@ -307,40 +309,108 @@ def test_convolution_refuses_negative_threshold():
     assert rep.verdict == "holds"
 
 
-def test_blocked_scan_matches_one_matrix(monkeypatch):
+def test_nearest_phase_matches_one_matrix():
+    """At each point the two phases either side of arg(u conj(v)) give the
+    one-matrix scan's minimum, bit for bit, and its first-on-ties phase."""
     rng = np.random.default_rng(11)
-    u = rng.normal(size=37) + 1j * rng.normal(size=37)
-    v = rng.normal(size=37) + 1j * rng.normal(size=37)
-    sigmas = np.exp(2j * np.pi * np.arange(1, 12) / 12)
     beta = 0.7
-    # exact zeros, the same products the scan forms, at (sigma, point) = (5, 1),
-    # (2, 30) and (2, 3): the sigma-major first one is (2, 3)
-    for s, z in ((5, 1), (2, 30), (2, 3)):
-        u[z] = beta * sigmas[s] * v[z]
-    u[11] = np.inf  # an infinite value that is not the minimum
-    want = _one_matrix_min(u, v, beta, sigmas)
-    assert want == (0.0, 2 * 37 + 3)
-    for block_bytes in (1, 16 * 37, 16 * 37 * 4, 1 << 20):
-        monkeypatch.setattr(merokit.bounds, "_SCAN_BLOCK_BYTES", block_bytes)
-        best, flat = _min_modulus(u, v, beta, sigmas)
-        assert (best.hex(), flat) == (want[0].hex(), want[1])
-    # tied nonzero minima: points 2 and 4 in every sigma row
-    u2 = rng.normal(size=5) + 1j * rng.normal(size=5)
-    v2 = np.zeros(5, dtype=complex)
-    u2[4] = u2[2] = 0.1
-    sig2 = np.exp(2j * np.pi * np.arange(1, 9) / 9)
-    want = _one_matrix_min(u2, v2, beta, sig2)
-    for block_bytes in (1, 16 * 5 * 3, 1 << 20):
-        monkeypatch.setattr(merokit.bounds, "_SCAN_BLOCK_BYTES", block_bytes)
-        assert _min_modulus(u2, v2, beta, sig2) == want
-    # a NaN anywhere makes the one-matrix minimum NaN: the scan refuses it,
-    # also when it sits in a later block than the finite minimum
+    for T in (1, 2, 45, 360):
+        sigmas = np.exp(1j * (2.0 * np.pi * np.arange(1, T + 1) / (T + 1)))
+        u = rng.normal(size=40) + 1j * rng.normal(size=40)
+        v = rng.normal(size=40) + 1j * rng.normal(size=40)
+        # exact zeros on the phase grid: the products the scan forms
+        for z, s in ((1, 0), (2, T - 1), (3, T // 2)):
+            u[z] = (beta * sigmas[:, None] * v[None, z : z + 1])[s, 0]
+        # every phase ties: v = 0, and u = v = 0
+        v[4] = 0.0
+        u[5] = v[5] = 0.0
+        # theta* = pi (the two middle phases tie for even T), and theta* = 0
+        # (s = 1 ties s = T across the excluded theta = 0)
+        u[6], v[6] = 1.0, -1.0
+        u[7], v[7] = 1.0, 1.0
+        # theta* inside the first gap and inside the last gap
+        gap = 2.0 * np.pi / (T + 1)
+        u[8], v[8] = np.exp(1j * gap / 3), 1.0
+        u[9], v[9] = np.exp(-1j * gap / 3), 1.0
+        best, phase = _nearest_phase(u, v, beta, T)
+        for i in range(u.size):
+            want, s = _one_matrix_min(u[i : i + 1], v[i : i + 1], beta, sigmas)
+            assert (best[i].hex(), int(phase[i])) == (want.hex(), s + 1), (T, i)
+        assert best[1] == best[2] == best[3] == best[5] == 0.0
+        assert (phase[1], phase[2], phase[3]) == (1, T, T // 2 + 1)
+        assert phase[4] == phase[5] == 1 and phase[8] == 1 and phase[9] == T
+        # u = 0: every phase ties in exact arithmetic, and the rounding of
+        # sigma decides the scan's pick; theta* = 0 weighs s = 1 against T
+        u0, v0 = np.zeros(1, dtype=complex), np.array([0.3 - 0.4j])
+        best, phase = _nearest_phase(u0, v0, beta, T)
+        want, _ = _one_matrix_min(u0, v0, beta, sigmas)
+        assert best[0] == pytest.approx(want, rel=1e-15) and phase[0] in (1, T)
+    # an infinite value that is not the minimum passes; a NaN anywhere is the
+    # driver's overflow error
+    u[11] = np.inf
+    best, _ = _nearest_phase(u, v, beta, T)
+    assert best[11] == np.inf
+    _grid_verdict(np.arange(u.size), best, lambda worst: True, "")
     u[36] = np.nan
-    assert math.isnan(_one_matrix_min(u, v, beta, sigmas)[0])
-    for block_bytes in (1, 1 << 20):
-        monkeypatch.setattr(merokit.bounds, "_SCAN_BLOCK_BYTES", block_bytes)
-        with pytest.raises(OverflowError, match="conv: the scanned value overflows"):
-            _min_modulus(u, v, beta, sigmas)
+    best, _ = _nearest_phase(u, v, beta, T)
+    assert math.isnan(best[36])
+    with pytest.raises(OverflowError, match="margin: not finite at 36"):
+        _grid_verdict(np.arange(u.size), best, lambda worst: True, "")
+
+
+def _scan_report(op, cp, f, grid, theta_count):
+    """The full theta scan: the sigma-major argmin over (phase, point) of the
+    FFT values, and Horner's value at that point and phase."""
+    F = apply_coeff(op, f)
+    dF = z_derivative(F)
+    zs = grid.points(radius_cap=RADIUS_CAP)
+    thetas = 2.0 * np.pi * np.arange(1, theta_count + 1) / (theta_count + 1)
+    sigmas = np.exp(1j * thetas)
+
+    def uv(points, values):
+        a, b = values(dF), values(F)
+        zp = points ** op.p
+        return zp * (a + op.p * b), zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
+
+    _, flat = _one_matrix_min(*uv(zs, lambda g: eval_circles(g, grid, RADIUS_CAP)), cp.beta, sigmas)
+    i, s = flat % zs.size, flat // zs.size
+    at = zs[i : i + 1]
+    best, _ = _one_matrix_min(*uv(at, lambda g: eval_many(g, at)), cp.beta, sigmas[s : s + 1])
+    detail = f"min |value| = {best:.6g} at theta={float(thetas[s]):.6g}; "
+    return best, complex(zs[i]), detail + f"grid={grid.digest()} theta_count={theta_count}"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_convolution_matches_full_scan(seed):
+    rng = np.random.default_rng(seed)
+    op = OperatorParams(1.0, 0.5, 1, seed)
+    cp = ClassParams(rng.uniform(0.0, 0.9), rng.uniform(0.3, 1.0))
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    f = from_schwarz(op, cp, SchwarzPoly(tuple(c / (1.2 * np.sum(np.abs(c))))), 40)
+    grid = SampleGrid((0.3, 0.6, 0.9), 64)
+    for T in (1, 45, 360):
+        rep = convolution_nonvanishing(op, cp, f, grid, T)
+        best, witness, detail = _scan_report(op, cp, f, grid, T)
+        assert (rep.worst_margin.hex(), rep.witness, rep.detail) == (best.hex(), witness, detail)
+
+
+def test_convolution_theta_count_bound():
+    """No array of length theta_count is built, so 1e11 phases cost what 360
+    do, and their minimum is all but the infimum ||u| - beta |v|| over the
+    circle.  Beyond 2**53 the phase index is not exact in a double."""
+    f = extremal_fn(OP1, HALF, 1)
+    grid = SampleGrid((0.5,), 16)
+    for T in (10**11, 2**53):
+        rep = convolution_nonvanishing(OP1, HALF, f, grid, T)
+        assert rep.verdict == "holds" and rep.detail.endswith(f" theta_count={T}")
+    zs = grid.points()
+    F = apply_coeff(OP1, f)
+    a, b = eval_many(z_derivative(F), zs), eval_many(F, zs)
+    u, v = zs * (a + b), zs * a
+    assert rep.worst_margin == pytest.approx(np.min(np.abs(np.abs(u) - np.abs(v))), rel=1e-9)
+    for T in (0, 2**53 + 1):
+        with pytest.raises(ValueError, match=r"theta_count: need 1 <= theta_count <= 2\*\*53"):
+            convolution_nonvanishing(OP1, HALF, f, grid, T)
 
 
 def test_convolution_theta_grid_is_interior():

@@ -656,7 +656,7 @@ MALFORMED_CASES = {
         for verb, message in (
             (["check", "--criterion", "numeric"], "margin: not finite at (0.1+0j)"),
             (["check", "--criterion", "disk"], "margin: not finite at (0.1+0j)"),
-            (["verify", "conv-nonvanish"], "conv: the scanned value overflows a float"),
+            (["verify", "conv-nonvanish"], "margin: not finite at (0.1+0j)"),
         )
     },
     **{
@@ -668,9 +668,21 @@ MALFORMED_CASES = {
             (["check", "--criterion", "numeric"], "margin: not finite at (1e-200+0j)"),
             (["check", "--criterion", "disk"], "margin: not finite at (1e-200+0j)"),
             (["check", "--criterion", "subordination"], "margin: not finite at (1e-200+0j)"),
-            (["verify", "conv-nonvanish"], "conv: the scanned value overflows a float"),
+            (["verify", "conv-nonvanish"], "margin: not finite at (1e-200+0j)"),
         )
     },
+    "phi-k-beyond-int64": (
+        ["phi", "--lambda", "1", "--mu", "0", "--m", "1", "--p", "1", "--k", str(10**23)],
+        f"argument --k: expected an integer within int64, got '{10**23}'",
+    ),
+    "extremal-n-beyond-int64": (
+        ["gen", "extremal", "--params", "@params.json", "--n", str(10**23)],
+        f"argument --n: expected an integer within int64, got '{10**23}'",
+    ),
+    "theta-count-beyond-2**53": (
+        ["verify", "conv-nonvanish", *_PS, "--theta-count", str(2**53 + 1)],
+        f"theta_count: need 1 <= theta_count <= 2**53, got {2**53 + 1}",
+    ),
     "apply-c-outside-integral": (
         ["apply", "--route", "coeff", "--c", "-5", *_PS],
         "--c is required for route=integral and applies to no other route",
@@ -710,6 +722,25 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, case):
     assert code == USAGE_EXIT and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_allocation_failure_is_usage_error(capsys, tmp_path, monkeypatch):
+    """An input too large to allocate for (``gen extremal --n 100000000000``
+    asks for 745 GiB) is a usage error.  The handler's allocation is faked:
+    an overcommitting host might grant a real one."""
+    _inputs(tmp_path)
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(merokit.cli, "extremal_fn", too_large)
+    argv = ["gen", "extremal", "--params", "@params.json", "--n", "100000000000"]
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    assert code == USAGE_EXIT and out == ""
+    assert err == (
+        "error: out of memory: the input is too large "
+        "(Unable to allocate 745. GiB for an array with shape (100000000000,))\n"
+    )
 
 # ------------------------------------------------------- mutated JSON readers
 

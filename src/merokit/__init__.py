@@ -85,9 +85,7 @@ from .series import (
     eval_circles,
     eval_many,
     hadamard,
-    log_one_minus,
     scale,
-    series_exp,
     z_derivative,
 )
 

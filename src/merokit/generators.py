@@ -8,7 +8,7 @@ Two structural representations generate beta = 1 members:
       z^p * (operator^m f)(z) = prod_j (1 - x_j z)^{c w_j},
       c = 2 p (1 - alpha),
 
-  realized through the log/exp series machinery and then pulled back
+  each factor a binomial series, multiplied out and then pulled back
   through the operator's diagonal inverse.
 
 * ``from_schwarz``: a polynomial self-map w of the disk with w(0) = 0
@@ -21,7 +21,9 @@ Two structural representations generate beta = 1 members:
   The minus sign is forced by the defining quotient identity
   z F'/F = (p(2 alpha - 1) beta w - p)/(1 - beta w), which tests verify
   by residual; with w(z) = x z and beta = 1 this reproduces the
-  single-atom product above coefficient for coefficient.
+  single-atom product above coefficient for coefficient.  The
+  coefficients come from the linear recurrence that identity implies
+  for h = z^p F, one term per coefficient of w.
 
 ``extremal_fn`` builds the single-term function that meets the exact
 coefficient criterion with equality, and ``neighborhood_witnesses``
@@ -43,9 +45,7 @@ from .series import (
     default_trunc_order,
     json_number,
     json_pair,
-    log_one_minus,
     polyval,
-    series_exp,
 )
 
 #: boundary sampling used to certify a disk self-map
@@ -147,8 +147,8 @@ class SchwarzPoly:
 
 
 def _pullback(op: OperatorParams, taylor: np.ndarray, trunc_order: int) -> LaurentSeries:
-    """Interpret the coefficients of an exp series (constant term exactly 1)
-    as z^p * (operator^m f) and recover f."""
+    """Read the Taylor coefficients h_0 = 1, h_1, .. of h = z^p * (operator^m f)
+    as the tail of operator^m f and recover f."""
     return invert(op, LaurentSeries(op.p, trunc_order, taylor[1 : trunc_order + op.p + 1]))
 
 
@@ -171,12 +171,16 @@ def from_herglotz(
     K = _resolve_trunc(op, trunc_order)
     order = K + op.p
     c = 2.0 * op.p * (1.0 - alpha)
+    n = np.arange(1, order + 1)
     acc = np.zeros(order + 1, dtype=np.complex128)
+    acc[0] = 1.0
     for x, w in measure.atoms:
         if w == 0.0:
             continue
-        acc = acc + (c * w) * log_one_minus(x, order)
-    return _pullback(op, series_exp(acc), K)
+        # (1 - x z)^a = sum_n binom(a, n) (-x z)^n: ratio x (n - 1 - a) / n
+        factor = np.cumprod(np.concatenate(([1.0], x * (n - 1 - c * w) / n)))
+        acc = np.convolve(acc, factor)[: order + 1]
+    return _pullback(op, acc, K)
 
 
 def from_schwarz(
@@ -190,23 +194,18 @@ def from_schwarz(
     order = K + op.p
     if not w.coeffs:
         return LaurentSeries.pole_only(op.p, K)
-    # u = beta * w, as a Taylor array of length `order` (exponents 0..order-1)
-    u = np.zeros(order, dtype=np.complex128)
-    d = min(len(w.coeffs), order - 1)
-    u[1 : d + 1] = cp.beta * np.asarray(w.coeffs[:d])
-    # geometric expansion g = 1/(1 - u):  g_n = sum_{j=1..n} u_j g_{n-j}
-    g = np.zeros(order, dtype=np.complex128)
-    g[0] = 1.0
-    for n in range(1, order):
-        g[n] = np.dot(u[1 : n + 1], g[n - 1 :: -1][:n])
-    # w(t)/t is the coefficient shift of w; the polynomial is exactly
-    # supported, so padding with true zeros is sound here
-    wq = np.zeros(order, dtype=np.complex128)
-    wq[:d] = np.asarray(w.coeffs[:d])
-    t = np.zeros(order + 1, dtype=np.complex128)
-    t[1:] = np.convolve(wq, g)[:order] / np.arange(1, order + 1)
-    scale = -2.0 * op.p * (1.0 - cp.alpha) * cp.beta
-    return _pullback(op, series_exp(scale * t), K)
+    c = 2.0 * op.p * (1.0 - cp.alpha)
+    # h = z^p F solves (1 - beta w) z h' = -c beta w h, so
+    # n h_n = sum_{i=1..d} beta w_i (n - i - c) h_{n-i}, d = min(deg w, K + p)
+    bw = cp.beta * np.asarray(w.coeffs[:order])
+    d = bw.size
+    n = np.arange(1, order + 1)[:, None]
+    rows = (bw * (n - np.arange(1, d + 1) - c) / n)[:, ::-1]  # weights of h_{n-d} .. h_{n-1}
+    h = np.zeros(d + order + 1, dtype=np.complex128)  # h_{-d} .. h_{-1} are 0
+    h[d] = 1.0
+    for k in range(order):
+        h[d + k + 1] = rows[k] @ h[k + 1 : k + d + 1]
+    return _pullback(op, h[d:], K)
 
 
 def extremal_fn(op: OperatorParams, cp: ClassParams, n: int) -> LaurentSeries:

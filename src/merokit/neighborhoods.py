@@ -98,9 +98,15 @@ def _aligned(f: LaurentSeries, g: LaurentSeries):
 
 
 def distance(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries) -> float:
-    """Weighted-l1 coefficient distance sum s_k |b_k - a_k|."""
+    """Weighted-l1 coefficient distance sum s_k |b_k - a_k|; a distance
+    that overflows a float is an OverflowError."""
     a, b, ks = _aligned(f, g)
-    return float(np.dot(weight_array(seq, ks), np.abs(b - a)))
+    s = weight_array(seq, ks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.dot(s, np.abs(b - a)))
+    if not np.isfinite(total):
+        raise OverflowError("coeffs: the weighted distance overflows a float")
+    return total
 
 
 def in_neighborhood(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries, delta: float) -> bool:

@@ -96,12 +96,18 @@ def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
 
 
 def _phi_product(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
-    """``phi_array`` without its checks: a multiplier that overflows is inf."""
+    """``phi_array`` without its checks: a multiplier that overflows is inf.
+    The product stops early once a step leaves every entry unchanged (each
+    base is 1 or its power has overflowed to inf), since every later step
+    would too."""
     base = phi_base(op, ks)
     out = np.ones_like(base, dtype=float)
     with np.errstate(over="ignore"):
         for _ in range(op.m):
-            out = out * base
+            nxt = out * base
+            if np.array_equal(nxt, out):
+                break
+            out = nxt
     return out
 
 

@@ -20,8 +20,7 @@ the stored range known to be exactly zero).
 Evaluation is only meaningful inside the punctured disk; ``eval_at`` and
 ``eval_many`` reject |z| >= 1 and z == 0.  They evaluate by Horner at
 arbitrary points; ``eval_circles`` evaluates on the circles of a
-``SampleGrid`` by one inverse FFT per circle.  Taylor series are plain
-arrays of ascending coefficients.
+``SampleGrid`` by one inverse FFT per circle.
 """
 from __future__ import annotations
 
@@ -339,32 +338,6 @@ def z_derivative(f: LaurentSeries) -> LaurentSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = f.k_values() * f.coeffs
     return LaurentSeries(p, f.trunc_order, coeffs, -p * f.lead, f.exact_support)
-
-
-def series_exp(a) -> np.ndarray:
-    """exp of a Taylor series, given and returned as ascending coefficient
-    arrays; the constant term must be zero."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a[0] != 0:
-        raise ValueError("series_exp: constant term must be exactly 0")
-    # b = exp(a):  n b_n = sum_{j=1..n} j a_j b_{n-j}
-    n = len(a)
-    out = np.zeros(n, dtype=np.complex128)
-    out[0] = 1.0
-    ja = np.arange(n) * a
-    for k in range(1, n):
-        out[k] = np.dot(ja[1 : k + 1], out[k - 1 :: -1][:k]) / k
-    return out
-
-
-def log_one_minus(x: complex, order: int) -> np.ndarray:
-    """Coefficients of log(1 - x z) = -sum_{n>=1} x^n z^n / n, truncated at ``order``."""
-    if order < 1:
-        raise ValueError(f"order: must be >= 1, got {order}")
-    n = np.arange(1, order + 1)
-    coeffs = np.zeros(order + 1, dtype=np.complex128)
-    coeffs[1:] = -(complex(x) ** n) / n
-    return coeffs
 
 
 # --------------------------------------------------------------- evaluation

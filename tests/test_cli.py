@@ -531,6 +531,12 @@ def _inputs(tmp_path):
         "series-p2.json": {"pole_order": 2, "trunc_order": 1,
                            "coeffs": [[0.0, 0.0], [0.01, 0.0], [0.0, 0.0]], "exact_support": True},
         "grid-tiny-radius.json": {"radii": [1e-200, 0.5], "angles_count": 8},
+        # phi_k = (k + 2)^m: a product that would take 10^12 steps overflows early
+        "params-m1e12.json": {"lambda": 1, "mu": 0, "m": 10**12, "p": 1,
+                              "alpha": 0.5, "beta": 1},
+        # every difference 1e308 - (-1e308) overflows
+        "big3.json": {"pole_order": 1, "trunc_order": 2, "coeffs": [[1e308, 0.0]] * 3},
+        "negbig3.json": {"pole_order": 1, "trunc_order": 2, "coeffs": [[-1e308, 0.0]] * 3},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -692,6 +698,23 @@ MALFORMED_CASES = {
          "--series", "@huge-tail.json", "--m-cut", "3"],
         "coeffs: the weighted hypothesis sum overflows a float",
     ),
+    "phi-huge-power": (
+        ["phi", "--lambda", "1", "--mu", "0", "--m", "1000000000000", "--p", "1", "--k", "1"],
+        "phi: the multiplier at k=1 overflows a float (m=1000000000000)",
+    ),
+    "exact-huge-power": (
+        ["check", "--criterion", "exact", "--params", "@params-m1e12.json",
+         "--series", "@member.json"],
+        "phi: the multiplier at k=0 overflows a float (m=1000000000000)",
+    ),
+    **{
+        f"distance-overflow-{kind}": (
+            ["nbhd", "distance", "--params", "@params.json", "--series", "@big3.json",
+             "--other", "@negbig3.json", "--kind", kind],
+            "coeffs: the weighted distance overflows a float",
+        )
+        for kind in ("plus", "general")
+    },
     "phi-array-overflow-coeff-general": (
         ["verify", "coeff-general", "--params", "@params-m2000.json", "--series", "@zero.json"],
         "phi: the multiplier at k=2 overflows a float (m=2000)",

@@ -21,7 +21,8 @@ from merokit.membership import (
 )
 from merokit.neighborhoods import WeightSeq, distance
 from merokit.operator import OperatorParams, apply_coeff, phi
-from merokit.series import SampleGrid, eval_many, z_derivative
+from merokit.series import LaurentSeries, SampleGrid, eval_many, z_derivative
+from taylor_reference import herglotz_taylor, schwarz_taylor
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)
 OP1 = OperatorParams(1.0, 0.0, 1, 1)
@@ -170,6 +171,63 @@ def test_schwarz_members_pass_numeric_check():
     f = from_schwarz(OP1, cp, SchwarzPoly((0.3, 0.2j)))
     rep = numeric_membership(OP1, cp, f, SampleGrid(radii=(0.4, 0.8), angles_count=64))
     assert rep.verdict == "holds"
+
+
+def test_schwarz_uses_the_last_coefficient_of_w():
+    """deg w = K + p: the z^{K+p} term of w reaches a_K.  With w = 0.1 (z + z^2
+    + z^3 + z^4), alpha = 1/2 and beta = 1, z F = exp(-int w/(t(1 - w)) dt)
+    has the Taylor coefficients 1, -0.1, -0.05, -0.035, -0.028."""
+    f = from_schwarz(M0, ClassParams(0.5, 1.0), SchwarzPoly((0.1,) * 4), trunc_order=3)
+    assert np.allclose(f.coeffs, [-0.1, -0.05, -0.035, -0.028], rtol=0, atol=1e-15)
+
+
+def test_exact_polynomial_targets_are_exact():
+    """Polynomial targets come out bit for bit: x = +-1 with weight 1/2 and
+    alpha = 0 give z F = 1 - z^2, and w = z/2 with beta = 1, alpha = 0 gives
+    z F = (1 - z/2)^2, where h_n = h_{n-1} (n - 3) / (2n) is exactly 0 from n = 3."""
+    want = LaurentSeries.pole_only(1, 6).with_coeff(1, -1.0)
+    f = from_herglotz(M0, 0.0, MeasureAtoms(((1.0 + 0.0j, 0.5), (-1.0 + 0.0j, 0.5))), 6)
+    assert f.coeffs.tobytes() == want.coeffs.tobytes()
+    g = from_schwarz(M0, ClassParams(0.0, 1.0), SchwarzPoly((0.5,)), trunc_order=6)
+    assert g.coeffs.tolist() == [-1.0, 0.25, 0, 0, 0, 0, 0]
+
+
+def _random_atoms(rng):
+    n = int(rng.integers(1, 6))
+    if rng.uniform() < 0.4:  # a cluster of atoms 1e-3 rad apart
+        angles = rng.uniform(-np.pi, np.pi) + 1e-3 * np.arange(n)
+    else:
+        angles = rng.uniform(-np.pi, np.pi, size=n)
+    w = rng.dirichlet(np.ones(n))
+    w[-1] = 1.0 - float(np.sum(w[:-1]))
+    return MeasureAtoms(tuple((complex(np.exp(1j * t)), float(x)) for t, x in zip(angles, w)))
+
+
+def _random_schwarz(rng):
+    d = int(rng.integers(1, 7))
+    c = rng.normal(size=d) + 1j * rng.normal(size=d)
+    c *= float(rng.uniform(0.05, 0.9999)) / float(np.sum(np.abs(c)))
+    return SchwarzPoly(tuple(complex(x) for x in c))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("K", [63, 1023])
+def test_generators_match_log_exp_reference(p, K):
+    """Both closed-form recurrences agree with the log/exp route within
+    1e-12 of the largest coefficient (identity operator: f's tail is h)."""
+    rng = np.random.default_rng(1000 * p + K)
+    op = OperatorParams(0.0, 0.0, 0, p)
+    for _ in range(4):
+        alpha = float(rng.uniform(0.0, 0.99))
+        atoms = _random_atoms(rng)
+        want = herglotz_taylor(p, alpha, atoms.atoms, K + p)[1:]
+        got = from_herglotz(op, alpha, atoms, K).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        cp = ClassParams(alpha, float(rng.uniform(0.05, 1.0)))
+        w = _random_schwarz(rng)
+        want = schwarz_taylor(p, cp.alpha, cp.beta, w.coeffs, K + p)[1:]
+        got = from_schwarz(op, cp, w, K).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------------------ extremals

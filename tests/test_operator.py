@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from merokit.membership import ClassParams, exact_membership_plus
 from merokit.operator import (
     OperatorParams,
+    _phi_product,
     apply_coeff,
     apply_differential,
     integral_operator,
@@ -15,6 +16,7 @@ from merokit.operator import (
     kernel_h,
     phi,
     phi_array,
+    phi_base,
 )
 from merokit.series import LaurentSeries, hadamard
 
@@ -96,6 +98,36 @@ def test_phi_large_power_switch_agrees_with_loop():
     for _ in range(20):
         prod *= base
     assert phi(op, 1) == pytest.approx(prod, rel=1e-12)
+
+
+@given(
+    lam=st.floats(min_value=0.0, max_value=5.0),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    m=st.integers(min_value=0, max_value=1500),
+    p=st.integers(min_value=1, max_value=3),
+    top=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_phi_early_stop_is_bitwise_the_full_product(lam, frac, m, p, top):
+    """The product stops once a step changes nothing; the result is the one
+    all m multiplications give, bit for bit, including entries that overflow."""
+    op = OperatorParams(lam, lam * frac, m, p)
+    ks = np.concatenate(([-p], np.arange(1 - p, top + 1)))
+    base = phi_base(op, ks)
+    want = np.ones_like(base, dtype=float)
+    with np.errstate(over="ignore"):
+        for _ in range(m):
+            want = want * base
+    assert _phi_product(op, ks).tobytes() == want.tobytes()
+
+
+def test_phi_huge_power_overflows_without_the_full_loop():
+    # 10^12 multiplications would hang; inf is reached after about 650
+    op = OperatorParams(1.0, 0.0, 10**12, 1)
+    with pytest.raises(OverflowError, match=r"k=1 overflows a float \(m=1000000000000\)"):
+        phi(op, 1)
+    assert phi(op, -1) == 1.0  # the pole multiplier is a fixed point at once
+    assert phi(OperatorParams(0.0, 0.0, 10**12, 2), 5) == 1.0
 
 
 # -------------------------------------------------------------------- routes

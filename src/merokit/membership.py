@@ -41,6 +41,8 @@ from .series import (
     SampleGrid,
     eval_circles,
     eval_many,
+    eval_rows_at,
+    eval_rows_circles,
     json_number,
     z_derivative,
 )
@@ -230,28 +232,29 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
 def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
     """Where pole-order-p ``values`` at zs vanish: |value| <= 1e-14 |z|^-p max(1, |lead|), the
     rounding scale of a function like lead * z^-p near 0.  A non-finite value never vanishes;
-    where |z|^-p overflows, every finite one does."""
+    where |z|^-p overflows, every finite one does.  ``lead`` may be an array of one lead per
+    row of ``values``, shaped to broadcast against them."""
     with np.errstate(over="ignore"):
-        floor = 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead))
+        floor = 1e-14 * np.abs(zs) ** (-p) * np.maximum(1.0, np.abs(lead))
     return np.isfinite(values) & (np.abs(values) <= floor)
 
 
-def _quotient_form(op: OperatorParams, f: LaurentSeries, form, at_pole: float):
-    """F and zF', and margin_of(points, F, zF'): form(Q), Q = z F'/(p F),
-    or ``at_pole``, the limit of form(Q)/|Q| as Q -> inf, where F vanishes."""
-    F = apply_coeff(op, f)
+def _quotient_margin(p: int, form, at_pole: float):
+    """margin_of(points, vanish, F, zF'): form(Q), Q = z F'/(p F), or ``at_pole``, the
+    limit of form(Q)/|Q| as Q -> inf, where F vanishes (the mask ``vanish``)."""
 
-    def margin_of(points, b, a):
+    def margin_of(points, vanish, b, a):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(vanishes(b, points, op.p, f.lead), at_pole, form(a / (op.p * b)))
+            return np.where(vanish, at_pole, form(a / (p * b)))
 
-    return (F, z_derivative(F)), margin_of
+    return margin_of
 
 
 def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, form):
-    series, margin_of = _quotient_form(op, f, *form)
+    F = apply_coeff(op, f)
     zs = grid.points(radius_cap=RADIUS_CAP)
-    return zs, margin_of(zs, *(eval_circles(g, grid, RADIUS_CAP) for g in series))
+    b, a = (eval_circles(g, grid, RADIUS_CAP) for g in (F, z_derivative(F)))
+    return zs, _quotient_margin(op.p, *form)(zs, vanishes(b, zs, op.p, f.lead), b, a)
 
 
 def _numeric_form(cp: ClassParams):
@@ -293,11 +296,10 @@ def _grid_note(grid: SampleGrid) -> str:
     return note
 
 
-def _vanishing_note(what: str, p: int, lead: complex, note: str):
-    """detail(points, F, ...): ``note``, led by the first point where F vanishes, if any."""
+def _vanishing_note(what: str, note: str):
+    """detail(points, vanish): ``note``, led by the first point where ``what`` vanishes, if any."""
 
-    def detail(points, F, *_):
-        vanish = vanishes(F, points, p, lead)
+    def detail(points, vanish):
         at = f"{what} vanishes near z={points[int(np.argmax(vanish))].item()}; " if np.any(vanish) else ""
         return at + note
 
@@ -323,27 +325,39 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
 
 
 def _grid_check(grid: SampleGrid, cap, series, margin_of, passes, detail) -> Report:
-    """Reduce ``margin_of(points, *values)``, the margins from the values of
-    ``series``, by ``_grid_verdict`` on the grid's radii <= cap (all for
-    cap None).  The FFT values (``eval_circles``) locate the witness, if
+    """Reduce ``margin_of(points, vanish, *values)``, the margins from the
+    values of ``series``, by ``_grid_verdict`` on the grid's radii <= cap (all
+    for cap None).  The FFT values (``eval_circles``) locate the witness, if
     there is one; its margin and verdict are from Horner's values
-    (``eval_many``) there.  ``detail`` may be a function of the points and FFT values."""
+    (``eval_many``) there.
+
+    ``detail`` is the report's detail, or a ``_vanishing_note``: a function
+    of the points and ``vanish``, the mask where the first series vanishes
+    (``vanishes`` at its pole order and lead), computed once per set of
+    values.  Without a note, ``vanish`` is None."""
+    first = series[0]
+
+    def margins(points, values):
+        vanish = vanishes(values[0], points, first.pole_order, first.lead) if callable(detail) else None
+        return vanish, margin_of(points, vanish, *values)
+
     points = grid.points(radius_cap=cap)
-    values = [eval_circles(g, grid, cap) for g in series]
-    if callable(detail):
-        detail = detail(points, *values)
-    report = _grid_verdict(points, margin_of(points, *values), passes, detail)
+    vanish, fft_margins = margins(points, [eval_circles(g, grid, cap) for g in series])
+    note = detail(points, vanish) if callable(detail) else detail
+    report = _grid_verdict(points, fft_margins, passes, note)
     if report.witness is None:  # no points
         return report
     at = np.array([report.witness])
-    return _grid_verdict(at, margin_of(at, *(eval_many(g, at) for g in series)), passes, detail)
+    return _grid_verdict(at, margins(at, [eval_many(g, at) for g in series])[1], passes, note)
 
 
 def _quotient_check(op: OperatorParams, f: LaurentSeries, grid: SampleGrid | None, form) -> Report:
     grid = grid or ser.default_grid()
-    series, margin_of = _quotient_form(op, f, *form)
-    detail = _vanishing_note("denominator", op.p, f.lead, _grid_note(grid))
-    return _grid_check(grid, RADIUS_CAP, series, margin_of, lambda worst: worst > grid.margin, detail)
+    F = apply_coeff(op, f)
+    return _grid_check(
+        grid, RADIUS_CAP, (F, z_derivative(F)), _quotient_margin(op.p, *form),
+        lambda worst: worst > grid.margin, _vanishing_note("denominator", _grid_note(grid)),
+    )
 
 
 def numeric_membership(
@@ -351,6 +365,45 @@ def numeric_membership(
 ) -> Report:
     """Sample the defining inequality itself on the grid."""
     return _quotient_check(op, f, grid, _numeric_form(cp))
+
+
+def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.ndarray):
+    """``numeric_membership`` on the grid, for blocks of pole-order-p series with
+    tail indices ``ks``: rows_of(leads, tails), for leads (rows,) and tails (rows x
+    K), gives per row whether the single check holds without raising, and its
+    margin and witness, by that check's operations.
+
+    A row that does not hold (it fails, its image or a margin is not finite, or no
+    point is capped) is for the caller to re-run by ``numeric_membership``, which
+    gives its report or error.  An operator multiplier that overflows raises here,
+    as it does there."""
+    p = op.p
+    phi = phi_array(op, ks)
+    points = grid.points(radius_cap=RADIUS_CAP)
+    margin_of = _quotient_margin(p, *_numeric_form(cp))
+
+    def rows_of(leads, tails):
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = tails * phi  # apply_coeff and z_derivative, row by row
+            deriv = ks * image
+        holds = np.all(np.isfinite(image), axis=1)
+        if points.size == 0:
+            return np.zeros_like(holds), None, None
+        leads_d = -p * leads
+        b = eval_rows_circles(p, leads, image, grid, RADIUS_CAP)
+        a = eval_rows_circles(p, leads_d, deriv, grid, RADIUS_CAP)
+        margins = margin_of(points, vanishes(b, points, p, leads[:, None]), b, a)
+        i = np.argmin(margins, axis=1)
+        holds &= np.isfinite(margins[np.arange(i.size), i])
+        # the Horner recheck at each row's witness, F and zF' in one pass
+        at = points[i]
+        both = eval_rows_at(p, np.concatenate((leads, leads_d)), np.concatenate((image, deriv)), np.tile(at, 2))
+        b, a = np.split(both, 2)
+        worst = margin_of(at, vanishes(b, at, p, leads), b, a)
+        holds &= np.isfinite(worst) & (worst > grid.margin)
+        return holds, worst, at
+
+    return rows_of
 
 
 def disk_characterization(
@@ -388,7 +441,7 @@ def subordination_power_target(
     grid = grid or ser.default_grid()
     c = 2.0 * op.p * (1.0 - alpha)
 
-    def margin_of(points, Fz):
+    def margin_of(points, vanish, Fz):
         # a vanishing v has w = 1 to rounding: margin <= 0, not |v|^{1/c} noise.
         # An overflowing F or exp leaves a non-finite margin for _grid_verdict
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -396,9 +449,9 @@ def subordination_power_target(
             theta = np.angle(v) / c
             w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
             m = np.minimum(1.0 - np.abs(w), np.cos(np.minimum(np.abs(theta), np.pi)))
-            return np.where(vanishes(Fz, points, op.p), np.minimum(m, 0.0), m)
+            return np.where(vanish, np.minimum(m, 0.0), m)
 
-    detail = _vanishing_note("z^p F", op.p, 1.0, _grid_note(grid))
+    detail = _vanishing_note("z^p F", _grid_note(grid))
     return _grid_check(
         grid, RADIUS_CAP, (apply_coeff(op, f),), margin_of, lambda worst: worst > grid.margin, detail
     )

@@ -39,18 +39,24 @@ from .membership import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    RADIUS_CAP,
     SUM_TOL,
     ClassParams,
     Report,
+    _numeric_rows,
     budget,
+    criterion_weight_array,
     exact_membership_plus,
     numeric_membership,
     ratio_weights,
 )
-from .operator import OperatorParams, delta_star, phi_array, phi_base
+from .operator import OperatorParams, delta_star, phi_array, phi_base, require_pole_order
 from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale
 
 _KINDS = ("plus", "general")
+
+#: the largest complex array one block of sampled trials may hold
+_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,17 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name}: must be >= 0, got {n}")
 
 
+def _block_rows(width: int) -> int:
+    """Trials evaluated together: as many rows of ``width`` complex entries as
+    fit in _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (16 * max(width, 1)))
+
+
+def _grid_block_rows(grid: SampleGrid) -> int:
+    """``_block_rows`` for rows of values at the grid's capped points."""
+    return _block_rows(grid.angles_count * sum(r <= RADIUS_CAP for r in grid.radii))
+
+
 def verify_inclusion_plus(
     op: OperatorParams,
     cp: ClassParams,
@@ -166,25 +183,35 @@ def verify_inclusion_plus(
         )
     rng = np.random.default_rng(seed)
     nidx = min(16, len(ks))
+    moved = s[:nidx] > SUM_TOL  # a degenerate weight leaves its coefficient alone
+    s_moved = s[:nidx][moved]
+    # the exact criterion of each sampled g, as exact_membership_plus computes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = criterion_weight_array(op, cp, ks)
+    rhs = budget(op, cp)
     worst = np.inf
-    for t in range(trials):
-        u = d * rng.uniform(0.0, 1.0)
-        mass = rng.dirichlet(np.ones(nidx))
-        signs = rng.choice((-1.0, 1.0), size=nidx)
-        arr = np.array(f.coeffs.real)
-        for j in range(nidx):
-            if s[j] <= SUM_TOL:
-                continue  # degenerate weight: leave that coefficient alone
-            arr[j] = max(0.0, arr[j] + signs[j] * u * mass[j] / s[j])
-        g = LaurentSeries(op.p, f.trunc_order, arr.astype(complex), 1.0, True)
-        rep = exact_membership_plus(op, cp, g)
-        if rep.verdict != HOLDS:
-            return Report(
-                FAILS, rep.worst_margin, t,
-                f"sampled neighbor #{t} (seed {seed}) violates the exact criterion "
-                f"by {-rep.worst_margin:.3g}",
-            )
-        worst = min(worst, rep.worst_margin)
+    block = _block_rows(len(ks))
+    for first in range(0, trials, block):
+        rows = np.tile(f.coeffs.real, (min(block, trials - first), 1))
+        for row in rows:
+            u = d * rng.uniform(0.0, 1.0)
+            mass = rng.dirichlet(np.ones(nidx))
+            signs = rng.choice((-1.0, 1.0), size=nidx)
+            head = row[:nidx][moved] + signs[moved] * u * mass[moved] / s_moved
+            row[:nidx][moved] = np.where(head > 0.0, head, 0.0)  # max(0.0, head)
+        rows = rows.astype(complex)
+        for t, g_coeffs in enumerate(rows, first):
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(np.dot(w, g_coeffs.real))
+            if not total <= rhs + SUM_TOL:  # fails or overflows: the single check reports it
+                g = LaurentSeries(op.p, f.trunc_order, g_coeffs, 1.0, True)
+                rep = exact_membership_plus(op, cp, g)
+                return Report(
+                    FAILS, rep.worst_margin, t,
+                    f"sampled neighbor #{t} (seed {seed}) violates the exact criterion "
+                    f"by {-rep.worst_margin:.3g}",
+                )
+            worst = min(worst, rhs - total)
     # sharpness: the witness just beyond delta must fail
     ds = d * (1.0 + 1e-9)
     fw, gw = neighborhood_witnesses(op, cp, ds)
@@ -231,6 +258,7 @@ def verify_inclusion_general(
         raise ValueError(
             f"trunc_order: need at least p={op.p} to represent the eps-shift, got {f.trunc_order}"
         )
+    require_pole_order(op, f)
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)
     eps_list = [0.0 + 0.0j]
@@ -238,41 +266,50 @@ def verify_inclusion_general(
         e = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
         if abs(e) < 1.0:
             eps_list.append(delta * e)
-    for i, eps in enumerate(eps_list):
-        shifted = f.with_coeff(op.p, f.coeff(op.p) + eps)
-        g = scale(shifted, 1.0 / (1.0 + eps))
-        rep = numeric_membership(op, cp, g, grid)
-        if rep.verdict != HOLDS:
+    block = _grid_block_rows(grid)
+    rows_of = _numeric_rows(op, cp, grid, f.k_values())
+    for first in range(0, len(eps_list), block):
+        members = [
+            scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps))
+            for eps in eps_list[first : first + block]
+        ]
+        holds, _, _ = rows_of(np.array([g.lead for g in members]), np.array([g.coeffs for g in members]))
+        if not holds.all():  # the first miss is re-run for its report or error
+            i = first + int(np.argmin(holds))
+            rep = numeric_membership(op, cp, members[i - first], grid)
             return Report(
                 INCONCLUSIVE, rep.worst_margin, None,
-                f"hypothesis not established: eps sample #{i} (eps={eps:.6g}, seed {seed}) "
+                f"hypothesis not established: eps sample #{i} (eps={eps_list[i]:.6g}, seed {seed}) "
                 f"gives {rep.verdict} at witness {rep.witness}",
             )
     seq = WeightSeq("general", op, cp)
     ks = f.k_values()
     s = weight_array(seq, ks)
     nidx = min(16, len(ks))
+    moved = s[:nidx] > SUM_TOL
+    s_moved = s[:nidx][moved]
     worst = np.inf
     worst_witness: complex | None = None
-    for t in range(trials):
-        u = rng.uniform(0.0, delta)
-        mass = rng.dirichlet(np.ones(nidx))
-        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=nidx))
-        arr = np.array(f.coeffs)
-        for j in range(nidx):
-            if s[j] <= SUM_TOL:
-                continue
-            arr[j] = arr[j] + u * mass[j] * phases[j] / s[j]
-        g = LaurentSeries(op.p, f.trunc_order, arr, 1.0, f.exact_support)
-        rep = numeric_membership(op, cp, g, grid)
-        if rep.verdict != HOLDS:
+    for first in range(0, trials, block):
+        rows = np.tile(f.coeffs, (min(block, trials - first), 1))
+        for row in rows:
+            u = rng.uniform(0.0, delta)
+            mass = rng.dirichlet(np.ones(nidx))
+            phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=nidx))
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite step fails the image check
+                row[:nidx][moved] += u * mass[moved] * phases[moved] / s_moved
+        holds, margins, witnesses = rows_of(np.ones(len(rows), complex), rows)
+        if not holds.all():
+            r = int(np.argmin(holds))
+            g = LaurentSeries(op.p, f.trunc_order, rows[r], 1.0, f.exact_support)
+            rep = numeric_membership(op, cp, g, grid)
             return Report(
                 FAILS, rep.worst_margin, rep.witness,
-                f"sampled neighbor #{t} (seed {seed}) leaves the class: {rep.detail}",
+                f"sampled neighbor #{first + r} (seed {seed}) leaves the class: {rep.detail}",
             )
-        if rep.worst_margin < worst:
-            worst = rep.worst_margin
-            worst_witness = rep.witness
+        for margin, witness in zip(margins.tolist(), witnesses.tolist()):
+            if margin < worst:
+                worst, worst_witness = margin, witness
     detail = (
         f"eps_trials={len(eps_list)} trials={trials} seed={seed} delta={delta:.17g} "
         f"grid={grid.digest()}"

@@ -95,19 +95,26 @@ def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
     return out
 
 
+#: steps of ``_phi_product`` taken by repeated multiplication
+_PHI_STEPS = 4096
+
+
 def _phi_product(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
     """``phi_array`` without its checks: a multiplier that overflows is inf.
-    The product stops early once a step leaves every entry unchanged (each
-    base is 1 or its power has overflowed to inf), since every later step
-    would too."""
+    The first _PHI_STEPS factors are multiplied one at a time, stopping early
+    once a step leaves every entry unchanged (each base is 1 or its power has
+    overflowed to inf), since every later step would too; the product of any
+    remaining ones is ``base ** (m - _PHI_STEPS)``, one power."""
     base = phi_base(op, ks)
     out = np.ones_like(base, dtype=float)
     with np.errstate(over="ignore"):
-        for _ in range(op.m):
+        for _ in range(min(op.m, _PHI_STEPS)):
             nxt = out * base
             if np.array_equal(nxt, out):
-                break
+                return out
             out = nxt
+        if op.m > _PHI_STEPS:
+            out = out * base ** float(op.m - _PHI_STEPS)
     return out
 
 

@@ -343,8 +343,9 @@ def z_derivative(f: LaurentSeries) -> LaurentSeries:
 # --------------------------------------------------------------- evaluation
 
 def polyval(c, z) -> np.ndarray:
-    """Evaluate sum_j c[j] * z**j at each point of z (ascending c), by Horner."""
-    c = np.ascontiguousarray(c, dtype=np.complex128)
+    """Evaluate sum_j c[..., j] * z**j (ascending c) by Horner: a 1-D c at each
+    point of z, a (rows x K) block at one point z[i] per row i."""
+    c = np.ascontiguousarray(np.transpose(c), dtype=np.complex128)  # c[j]: the j-th column
     z = np.ascontiguousarray(z, dtype=np.complex128)
     acc = np.zeros_like(z)
     for j in range(len(c) - 1, -1, -1):
@@ -366,10 +367,17 @@ def eval_many(f: LaurentSeries, zs: Iterable[complex]) -> np.ndarray:
     caller to refuse."""
     zs = np.asarray(zs, dtype=np.complex128)
     _check_points(zs)
-    p = f.pole_order
+    return eval_rows_at(f.pole_order, f.lead, f.coeffs, zs)
+
+
+def eval_rows_at(p: int, lead, coeffs, zs: np.ndarray) -> np.ndarray:
+    """``eval_many`` of pole-order-p series given by their leads and tails: one
+    series (scalar lead, 1-D tail) at each point of zs, or a block of rows
+    (leads of shape (rows,), tails (rows x K)) at one point zs[i] per row i.
+    The caller checks the points."""
     with np.errstate(over="ignore", invalid="ignore"):
-        tail = polyval(f.coeffs, zs)
-        return f.lead * zs ** (-p) + zs ** (1 - p) * tail
+        tail = polyval(coeffs, zs)
+        return lead * zs ** (-p) + zs ** (1 - p) * tail
 
 
 def eval_at(f: LaurentSeries, z: complex) -> complex:
@@ -377,23 +385,45 @@ def eval_at(f: LaurentSeries, z: complex) -> complex:
 
 
 def eval_circles(f: LaurentSeries, grid: SampleGrid, radius_cap: float | None = None) -> np.ndarray:
-    """Evaluate at ``grid.points(radius_cap)``, in that radii-major order.
+    """Evaluate at ``grid.points(radius_cap)``, in that radii-major order: the
+    one-row case of ``eval_rows_circles``."""
+    return eval_rows_circles(f.pole_order, np.array([f.lead]), f.coeffs[None, :], grid, radius_cap)[0]
+
+
+def eval_rows_circles(
+    p: int, leads: np.ndarray, coeffs: np.ndarray, grid: SampleGrid, radius_cap: float | None = None
+) -> np.ndarray:
+    """Values of pole-order-p series, one per row of (leads (rows,), tails
+    (rows x K)), at ``grid.points(radius_cap)``: a (rows x points) array.
 
     With M = angles_count and w = exp(2 pi i / M), f(r w^j) = sum_k a_k r^k w^(jk)
     is the unscaled inverse DFT of the terms a_k r^k placed at bin k mod M
     (the pole at bin M - p).  Terms beyond M bins are folded onto their bin,
-    which is exact since w^M = 1.  A value that overflows is left infinite or
-    NaN, without a warning, for the caller to refuse.
+    which is exact since w^M = 1.  Each row is its own transform, so a row's
+    values do not depend on the rows beside it.  A value that overflows is
+    left infinite or NaN, without a warning, for the caller to refuse.
     """
     radii = np.array([r for r in grid.radii if radius_cap is None or r <= radius_cap])
     m = grid.angles_count
-    p = f.pole_order
-    c = np.concatenate(([f.lead], f.coeffs))  # a_k for k = -p .. trunc_order
+    c = np.concatenate((np.asarray(leads)[:, None], coeffs), axis=1)  # a_k for k = -p .. K
+    rows, n = c.shape
     # column j of ``bins`` holds k = j - start - p, and start + p = 0 mod m
     start = -p % m
-    width = -(-(start + c.size) // m) * m
-    bins = np.zeros((radii.size, width), dtype=np.complex128)
+    width = -(-(start + n) // m) * m
     with np.errstate(over="ignore", invalid="ignore"):
-        bins[:, start : start + c.size] = c * radii[:, None] ** np.arange(-p, f.trunc_order + 1)
-        folded = bins.reshape(radii.size, width // m, m).sum(axis=1)
-        return np.fft.ifft(folded, axis=1, norm="forward").ravel()
+        terms = c[:, None, :] * radii[:, None] ** np.arange(-p, n - p)
+        if n <= m:
+            # no bin takes two terms, so folding places each one; folding a second
+            # block of m columns (width 2m) adds +0 to it, which turns -0 into +0
+            flat = terms.reshape(rows * radii.size, n)
+            if width > m:
+                flat = flat + 0.0
+            folded = np.zeros((rows * radii.size, m), dtype=np.complex128)
+            head = min(n, m - start)
+            folded[:, start : start + head] = flat[:, :head]
+            folded[:, : n - head] = flat[:, head:]
+        else:
+            bins = np.zeros((rows, radii.size, width), dtype=np.complex128)
+            bins[:, :, start : start + n] = terms
+            folded = bins.reshape(rows * radii.size, width // m, m).sum(axis=1)
+        return np.fft.ifft(folded, axis=1, norm="forward").reshape(rows, radii.size * m)

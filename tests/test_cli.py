@@ -879,6 +879,18 @@ def test_module_entrypoint_subprocess():
     assert proc.stdout == "3\n"
 
 
+def test_phi_power_of_a_base_near_one_finishes():
+    """(1 + 2e-10)^(10^12) neither overflows nor stops changing within the
+    product's first 4096 steps; one power finishes the rest at once."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "merokit",
+         "phi", "--lambda", "1e-10", "--mu", "0", "--m", "1000000000000", "--p", "1", "--k", "1"],
+        capture_output=True, text=True, timeout=10, env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx((1.0 + 2e-10) ** 1e12, rel=1e-9)
+
+
 def test_cli_import_starts_no_thread_pool():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -220,6 +220,35 @@ def test_vanishing_denominator_margin_is_the_limit_of_the_form():
         assert rep.detail == f"denominator vanishes near z=(0.5+0j); grid={grid.digest()}"
 
 
+def test_vanishing_mask_is_computed_once_per_set_of_values(monkeypatch):
+    """One mask serves the margins and the detail: one ``vanishes`` call on the
+    FFT values and one on Horner's value at the witness, and none where the
+    detail names no vanishing point."""
+    from merokit import bounds, membership
+
+    calls = []
+    real = membership.vanishes
+
+    def counted(values, *args):
+        calls.append(np.shape(values))
+        return real(values, *args)
+
+    monkeypatch.setattr(membership, "vanishes", counted)
+    cp = ClassParams(0.0, 0.5)
+    f = L(1, 0, [-2.0])
+    grid = SampleGrid(radii=(0.5,), angles_count=8)
+    for check in (numeric_membership, disk_characterization):
+        calls.clear()
+        assert check(M0, cp, f, grid).detail.startswith("denominator vanishes near z=(0.5+0j)")
+        assert calls == [(8,), (1,)]
+    calls.clear()
+    assert subordination_power_target(M0, 0.5, f, grid).detail.startswith("z^p F vanishes near z=(0.5+0j)")
+    assert calls == [(8,), (1,)]
+    calls.clear()
+    bounds.convolution_nonvanishing(M0, cp, f, grid)
+    assert calls == []
+
+
 def test_numeric_with_no_usable_radii():
     cp = ClassParams(0.5, 1.0)
     grid = SampleGrid(radii=(0.99,), angles_count=8)

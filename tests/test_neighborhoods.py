@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merokit.generators import extremal_fn
-from merokit.membership import ClassParams
+from merokit import neighborhoods
+from merokit.generators import MeasureAtoms, SchwarzPoly, extremal_fn, from_herglotz, from_schwarz
+from merokit.membership import RADIUS_CAP, ClassParams
 from merokit.neighborhoods import (
     WeightSeq,
     delta_star,
@@ -16,8 +17,9 @@ from merokit.neighborhoods import (
     weight,
     weight_array,
 )
-from merokit.operator import OperatorParams
+from merokit.operator import OperatorParams, phi
 from merokit.series import LaurentSeries, SampleGrid
+import neighborhood_reference as serial
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)
 OP1 = OperatorParams(1.0, 0.0, 1, 1)
@@ -219,3 +221,234 @@ def test_verify_general_validation():
         verify_inclusion_general(OP1, cp, f, 0.1, trials=-1)
     with pytest.raises(ValueError, match="eps_trials: must be >= 0, got -2"):
         verify_inclusion_general(OP1, cp, f, 0.1, eps_trials=-2)
+
+
+# ------------------------------------------- batched trials against the serial loops
+
+def _outcome(fn, *args):
+    """A report as comparable bits (float.hex margin, witness, detail), or the raised error."""
+    try:
+        rep = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    w = rep.witness
+    w = (w.real.hex(), w.imag.hex()) if isinstance(w, complex) else w
+    return rep.verdict, float(rep.worst_margin).hex(), w, rep.detail
+
+
+def _general(*args):
+    """verify_inclusion_general's outcome, asserted equal to the serial loop's."""
+    got = _outcome(neighborhoods.verify_inclusion_general, *args)
+    assert got == _outcome(serial.verify_inclusion_general, *args)
+    return got
+
+
+def _plus(*args):
+    """verify_inclusion_plus's outcome, asserted equal to the serial loop's."""
+    got = _outcome(neighborhoods.verify_inclusion_plus, *args)
+    assert got == _outcome(serial.verify_inclusion_plus, *args)
+    return got
+
+
+def _member(p, seed, K=None):
+    """A seeded beta = 1 Herglotz member, its operator and class parameters."""
+    rng = np.random.default_rng([seed, p])
+    op = OperatorParams(float(rng.uniform(0.5, 1.0)), 0.1, int(rng.integers(1, 3)), p)
+    alpha = float(rng.uniform(0.0, 0.5))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    weights = rng.dirichlet(np.ones(3))
+    atoms = MeasureAtoms(tuple((complex(np.cos(t), np.sin(t)), w) for t, w in zip(angles, weights)))
+    return op, ClassParams(alpha, 1.0), from_herglotz(op, alpha, atoms, K)
+
+
+TRIAL_GRID = SampleGrid(radii=(0.3, 0.6, 0.9), angles_count=90)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2])
+def test_verify_general_holds_as_serially(p, seed):
+    op, cp, f = _member(p, seed)
+    delta = 0.002 / phi(op, p)
+    for grid in (TRIAL_GRID, None):
+        assert _general(op, cp, f, delta, 8, 32, grid, seed)[0] == "holds"
+
+
+def test_verify_general_schwarz_member_as_serially():
+    op = OperatorParams(0.7, 0.2, 1, 1)
+    cp = ClassParams(0.2, 0.6)
+    f = from_schwarz(op, cp, SchwarzPoly((0.3 + 0.1j, -0.2j, 0.1)))
+    for seed in range(4):
+        _general(op, cp, f, 0.01, 8, 32, TRIAL_GRID, seed)
+
+
+@pytest.mark.parametrize("p,d,first_miss", [(1, 0.05, 7), (2, 0.1, 6), (1, 2.0, 1)])
+def test_verify_general_inconclusive_as_serially(p, d, first_miss):
+    """Phase (a): an eps-shift leaves the class, in the first 4-row block of the
+    default grid or a later one."""
+    op, cp, f = _member(p, 4)
+    got = _general(op, cp, f, d / phi(op, p), 8, 32, None, 4)
+    assert got[0] == "inconclusive" and f"eps sample #{first_miss} " in got[3]
+
+
+def test_verify_general_fails_as_serially():
+    cp = ClassParams(0.3, 0.8)
+    f = LaurentSeries.pole_only(1, 8)
+    for seed in range(3):
+        got = _general(OP1, cp, f, 40.0, 1, 32, GRID, seed)
+        assert got[0] == "fails" and "sampled neighbor #" in got[3]
+
+
+def test_verify_general_fails_at_a_later_block_as_serially():
+    op, cp, f = _member(1, 4)
+    outcomes = [
+        _general(op, cp, f, d / phi(op, 1), 0, 32, grid, 11)
+        for d in (0.2, 0.8, 1.6)
+        for grid in (TRIAL_GRID, None)
+    ]
+    assert [o[0] for o in outcomes] == ["holds"] * 2 + ["fails"] * 4
+    assert "sampled neighbor #19 " in outcomes[3][3] and "sampled neighbor #10 " in outcomes[5][3]
+
+
+@pytest.mark.parametrize("counts", [(8, 0), (0, 32), (0, 0), (3, 5)])
+def test_verify_general_trial_counts_as_serially(counts):
+    op, cp, f = _member(1, 0)
+    got = _general(op, cp, f, 0.002, *counts, TRIAL_GRID, 3)
+    assert got[0] == "holds"
+    assert ("vacuous" in got[3]) == (counts[1] == 0)
+
+
+def test_verify_general_empty_capped_grid_as_serially():
+    op, cp, f = _member(1, 0)
+    grid = SampleGrid(radii=(0.97, 0.99), angles_count=16)
+    got = _general(op, cp, f, 0.002, 8, 32, grid, 0)
+    assert got[:2] == ("inconclusive", "nan")
+
+
+def test_verify_general_overflowing_rows_as_serially():
+    """A trial whose operator image or margin overflows raises the single check's error."""
+    op, cp, f = _member(1, 0)
+    got = _general(op, cp, f.with_coeff(3, 1e308), 0.002, 8, 32, TRIAL_GRID, 0)
+    assert got[0] == "OverflowError" and "image overflows" in got[1]
+    op = OperatorParams(1.0, 0.0, 1, 2)
+    cp = ClassParams(0.5, 0.5)
+    f = LaurentSeries.pole_only(2, 8)
+    got = _general(op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 98)
+    assert got == ("OverflowError", "apply: the operator image overflows a float at k=-1 (m=1)")
+    got = _general(op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 5)
+    assert got[0] == "OverflowError" and got[1].startswith("margin: not finite")
+
+
+def test_verify_general_overflowing_step_is_the_image_error():
+    """A step u mass e^(i t) / s_k beyond the float range (s_k just above SUM_TOL,
+    delta near the largest float) is the overflowing image's usage error, with
+    no numpy warning; the serial loop, its warning silenced, agrees."""
+    op = OperatorParams(1.0, 0.0, 1, 2)
+    cp = ClassParams(0.5, 1.0 - 1e-10)
+    f = LaurentSeries.pole_only(2, 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(serial.verify_inclusion_general, op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 1)
+    got = _outcome(neighborhoods.verify_inclusion_general, op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 1)
+    assert got == want == ("OverflowError", "apply: the operator image overflows a float at k=-1 (m=1)")
+
+
+def test_verify_general_errors_as_serially():
+    op, cp, f = _member(2, 0)
+    wrong_p = OperatorParams(op.lam, op.mu, op.m, 1)
+    assert _general(wrong_p, cp, f, 0.002, 8, 32, GRID, 0)[0] == "ValueError"
+    big_m = OperatorParams(1.0, 1.0, 300, 2)
+    assert _general(big_m, cp, f, 0.002, 8, 32, GRID, 0)[0] == "OverflowError"
+
+
+def _plus_member(op, cp, frac, seed, extra=10):
+    """Nonnegative exact coefficients with premise sum s_k a_k = frac / phi_{1-p}(m=1)."""
+    ks = np.arange(1 - op.p, 7 - op.p)
+    s = weight_array(WeightSeq("plus", op, cp), ks)
+    mass = np.random.default_rng(seed).dirichlet(np.ones(ks.size))
+    a = np.where(s > 1e-6, frac * (1.0 - delta_star(op)) * mass / np.where(s > 1e-6, s, 1.0), 0.0)
+    return L(op.p, 6 - op.p + extra, np.concatenate((a, np.zeros(extra))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2])
+def test_verify_plus_as_serially(p, seed):
+    op = OperatorParams(0.8, 0.3, 1, p)
+    cp = ClassParams(0.6, 0.7)  # every weight positive, also at p = 2
+    for frac in (0.3, 0.9, 1.0):
+        f = _plus_member(op, cp, frac, seed)
+        for trials in (0, 1, 100, 700):
+            got = _plus(op, cp, f, trials, seed)
+            assert got[0] == "holds" and "witness at delta*" in got[3]
+    over = _plus_member(op, cp, 1.5, seed)
+    assert "premise violated" in _plus(op, cp, over, 100, seed)[3]
+
+
+def test_verify_plus_clipped_steps_as_serially():
+    """From z^-p every step down clips to zero."""
+    for seed in range(3):
+        assert _plus(OP1, ClassParams(0.5, 1.0), LaurentSeries.pole_only(1, 8), 300, seed)[0] == "holds"
+
+
+def test_verify_plus_degenerate_weight_as_serially():
+    """A weight <= SUM_TOL leaves its coefficient alone in every trial; the
+    sharpness witness then has no extremal at that index, the same error."""
+    cp = ClassParams(5e-14, 1.0)
+    assert 0 < weight(WeightSeq("plus", OP1, cp), 0) <= 1e-12
+    f = LaurentSeries.pole_only(1, 8).with_coeff(1, 0.05)
+    for seed in range(3):
+        got = _plus(OP1, cp, f, 200, seed)
+        assert got == ("ValueError", "n: degenerate criterion weight at n=0; no finite bound")
+
+
+def test_verify_plus_failing_neighbor_as_serially(monkeypatch):
+    """A radius beyond delta* lets sampled neighbors violate the criterion."""
+    op = OperatorParams(0.8, 0.3, 1, 1)
+    cp = ClassParams(0.6, 0.7)
+    f = _plus_member(op, cp, 0.9, 0)
+    for module in (neighborhoods, serial):
+        monkeypatch.setattr(module, "delta_star", lambda _op: 0.95)
+    got = _plus(op, cp, f, 300, 1)
+    assert got[0] == "fails" and got[2] > 0
+
+
+def test_verify_plus_refusals_as_serially():
+    cp = ClassParams(0.5, 1.0)
+    assert _plus(OP1, cp, extremal_fn(OP1, cp, 0), 10, 0)[0] == "inconclusive"
+    assert _plus(OP1, cp, L(1, 1, [0.0, 0.05], exact=False), 10, 0)[0] == "inconclusive"
+    wrong_p = OperatorParams(1.0, 0.0, 1, 2)
+    assert _plus(wrong_p, cp, LaurentSeries.pole_only(1, 4), 10, 0)[0] == "ValueError"
+
+
+# ---------------------------------------------------------------- block sizes
+
+@pytest.mark.parametrize("radii,angles,rows", [(5, 720, 4), (20, 4096, 1)])
+def test_trial_blocks_stay_within_their_byte_cap(radii, angles, rows):
+    """A block of complex values at the capped points holds at most 256 KiB,
+    unless it is a single row, the least a block can hold."""
+    grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, radii)), angles)
+    points = grid.points(radius_cap=RADIUS_CAP).size
+    assert neighborhoods._grid_block_rows(grid) == rows
+    assert rows == 1 or rows * points * 16 <= 256 * 1024
+    assert (rows + 1) * points * 16 > 256 * 1024
+    assert neighborhoods._block_rows(0) == neighborhoods._block_rows(1) == 16384
+    assert neighborhoods._block_rows(10**9) == 1
+
+
+def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
+    sizes = []
+    screen = neighborhoods._numeric_rows
+
+    def spy(*args):
+        rows_of = screen(*args)
+
+        def counted(leads, tails):
+            sizes.append(len(leads))
+            return rows_of(leads, tails)
+
+        return counted
+
+    monkeypatch.setattr(neighborhoods, "_numeric_rows", spy)
+    op, cp, f = _member(1, 0)
+    grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 4096)
+    rep = neighborhoods.verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 2, 3, grid, 0)
+    assert rep.verdict == "holds"
+    assert sizes == [1] * 5

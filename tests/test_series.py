@@ -16,6 +16,8 @@ from merokit.series import (
     eval_at,
     eval_circles,
     eval_many,
+    eval_rows_at,
+    eval_rows_circles,
     hadamard,
     polyval,
     scale,
@@ -310,6 +312,67 @@ def test_eval_circles_frozen_values():
     # the cap drops whole circles, as grid.points(radius_cap) does
     assert eval_circles(f, SampleGrid((0.25, 0.5), 1), radius_cap=0.3).tolist() == [4.25]
     assert eval_circles(f, SampleGrid((0.5,), 4), radius_cap=0.3).size == 0
+
+
+@st.composite
+def row_block(draw):
+    """1..6 series of one pole order p in {1, 2, 3} and K in [1-p, 300], each
+    with its own lead, some coefficients exactly (signed) zero, up to three
+    radii and 1..64 angles, so that the terms often fold (K + p + 1 > M)."""
+    p = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1 - p, max_value=300))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = k + p
+    tails = (rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))) * rng.uniform(0.1, 10.0)
+    tails[rng.uniform(size=tails.shape) < 0.2] = -0.0
+    leads = np.array([draw(finite_c.filter(lambda c: c != 0)) for _ in range(rows)])
+    radii = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=0.999), min_size=1, max_size=3, unique=True)
+    )
+    m = draw(st.integers(min_value=1, max_value=64))
+    return p, k, leads, tails, SampleGrid(tuple(sorted(radii)), m)
+
+
+@given(block=row_block())
+@settings(max_examples=150, deadline=None)
+def test_row_blocks_evaluate_bitwise_as_single_rows(block):
+    """A row of a block gets the bits its own series gets alone: on the grid
+    circles (FFT), and by Horner at one point per row."""
+    p, k, leads, tails, grid = block
+    cap = grid.radii[-1] if len(grid.radii) == 1 else grid.radii[-2]  # drops the outer circle, if two or more
+    on_circles = eval_rows_circles(p, leads, tails, grid, cap)
+    points = grid.points(radius_cap=cap)
+    at = points[np.arange(len(leads)) * 7 % points.size]
+    horner = polyval(tails, at)
+    by_rows = eval_rows_at(p, leads, tails, at)
+    for i, (lead, tail) in enumerate(zip(leads, tails)):
+        f = L(p, k, tail, lead)
+        assert on_circles[i].tobytes() == eval_circles(f, grid, cap).tobytes()
+        assert horner[i].tobytes() == polyval(tail, at[i : i + 1]).tobytes()
+        assert by_rows[i].tobytes() == eval_many(f, at[i : i + 1]).tobytes()
+
+
+def _fold_reference(p, leads, tails, grid):
+    """The circle values by folding a zero-padded row of whole blocks of M bins."""
+    radii, m = np.array(grid.radii), grid.angles_count
+    c = np.concatenate((leads[:, None], tails), axis=1)
+    start = -p % m
+    width = -(-(start + c.shape[1]) // m) * m
+    bins = np.zeros((len(c), radii.size, width), dtype=np.complex128)
+    bins[:, :, start : start + c.shape[1]] = c[:, None, :] * radii[:, None] ** np.arange(-p, c.shape[1] - p)
+    folded = bins.reshape(-1, width // m, m).sum(axis=1)
+    return np.fft.ifft(folded, axis=1, norm="forward").reshape(len(c), -1)
+
+
+@given(block=row_block())
+@settings(max_examples=150, deadline=None)
+def test_circle_values_are_the_full_fold_bitwise(block):
+    """Where no bin takes two terms, placing each term gives the bits of the
+    zero-padded fold, signed zeros included."""
+    p, k, leads, tails, grid = block
+    got = eval_rows_circles(p, leads, tails, grid)
+    assert got.tobytes() == _fold_reference(p, leads, tails, grid).tobytes()
 
 
 # ----------------------------------------------------------------- sample grid

@@ -266,7 +266,7 @@ def distortion_report(
         )
     g = z_derivative(f) if which == "fprime_general" else f
 
-    def margin_of(points, _vanish, values):
+    def margin_of(points, values):
         vals = np.abs(values) / (r if which == "fprime_general" else 1.0)
         return np.minimum(vals - lower, upper - vals)
 
@@ -348,8 +348,7 @@ def convolution_nonvanishing(
 
     note = _grid_note(grid) + f" theta_count={theta_count}"
     report = _grid_check(
-        grid, RADIUS_CAP, (dF, F), lambda points, _, a, b: nearest(points, a, b)[0],
-        lambda best: best > threshold, note,
+        grid, RADIUS_CAP, (dF, F), lambda *pv: nearest(*pv)[0], lambda best: best > threshold, note
     )
     if report.witness is None:
         return report
@@ -451,7 +450,7 @@ def partial_sum_bounds(
     # wording of _grid_note would misreport radii in (0.95, 0.999]
     note = f"grid={grid.digest()} m_cut={m_cut} theta={theta_m:.12g}"
 
-    def margin_of(points, _vanish, vf, vk):
+    def margin_of(points, vf, vk):
         # nothing vanishes: weights > 1 + SUM_TOL and sum theta_k |a_k| <= 1 + SUM_TOL give
         # sum |a_k| <= 1 + 1e-12, so |z^p f|, |z^p k_m| >= 1 - 0.999 (1 + 1e-12), about 1e-3,
         # on radii <= RATIO_RADIUS_CAP.  An overflowed value leaves a NaN margin (usage error)

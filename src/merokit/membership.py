@@ -165,16 +165,31 @@ def require_nonnegative_real(f: LaurentSeries) -> None:
         raise ValueError(f"coeffs: nonnegative real coefficients required, violated at k={ks}")
 
 
-def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str):
-    """Weights, weighted sum of ``a``, budget and report detail shared by the
-    coefficient criteria; an overflowing sum is an OverflowError."""
-    ks = f.k_values()
+def _criterion(op: OperatorParams, cp: ClassParams, ks: np.ndarray):
+    """The coefficient criteria's weights over ``ks``, and sum_of(a): the weighted
+    sum of ``a`` (inf or NaN where it overflows), whether it is within the budget
+    (sum <= 2 p beta (1 - alpha) + SUM_TOL), and the margin budget - sum."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = criterion_weight_array(op, cp, ks)
-        total = float(np.dot(w, a))
+    rhs = budget(op, cp)
+
+    def sum_of(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.dot(w, a))
+        return total, total <= rhs + SUM_TOL, rhs - total
+
+    return w, sum_of
+
+
+def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str):
+    """Weights, whether the weighted sum of ``a`` is within the budget, the
+    margin and the report detail shared by the coefficient criteria; an
+    overflowing sum is an OverflowError."""
+    ks = f.k_values()
+    w, sum_of = _criterion(op, cp, ks)
+    total, within, margin = sum_of(a)
     if not math.isfinite(total):
         raise OverflowError("coeffs: the weighted coefficient sum overflows a float")
-    rhs = budget(op, cp)
     notes = []
     degen = ks[w <= SUM_TOL]
     if degen.size:
@@ -190,8 +205,8 @@ def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str):
         )
     if not f.exact_support:
         notes.append(tail_note)
-    detail = "; ".join(notes) if notes else f"sum={total:.17g} rhs={rhs:.17g}"
-    return w, total, rhs, detail
+    detail = "; ".join(notes) if notes else f"sum={total:.17g} rhs={budget(op, cp):.17g}"
+    return w, within, margin, detail
 
 
 def exact_membership_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries) -> Report:
@@ -206,25 +221,25 @@ def exact_membership_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries)
     _require_class_form(f, op)
     require_nonnegative_real(f)
     a = f.coeffs.real
-    w, total, rhs, detail = _coefficient_sum(
+    w, within, margin, detail = _coefficient_sum(
         op, cp, f, a, "truncation tail uncertified (exact_support is false)"
     )
     if not f.exact_support:
-        return Report(INCONCLUSIVE, rhs - total, None, detail)
-    if total <= rhs + SUM_TOL:
-        return Report(HOLDS, rhs - total, None, detail)
+        return Report(INCONCLUSIVE, margin, None, detail)
+    if within:
+        return Report(HOLDS, margin, None, detail)
     k_bad = int(f.k_values()[int(np.argmax(w * a))])
-    return Report(FAILS, rhs - total, k_bad, detail)
+    return Report(FAILS, margin, k_bad, detail)
 
 
 def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) -> Report:
     """Modulus-sum condition, sufficient for membership of the truncated
     function; an exceeded sum proves nothing, hence inconclusive."""
     _require_class_form(f, op)
-    _, total, rhs, detail = _coefficient_sum(
+    _, within, margin, detail = _coefficient_sum(
         op, cp, f, np.abs(f.coeffs), "tail not certified; verdict applies to the truncation"
     )
-    return Report(HOLDS if total <= rhs + SUM_TOL else INCONCLUSIVE, rhs - total, None, detail)
+    return Report(HOLDS if within else INCONCLUSIVE, margin, None, detail)
 
 
 # --------------------------------------------------------- numeric routes
@@ -296,16 +311,6 @@ def _grid_note(grid: SampleGrid) -> str:
     return note
 
 
-def _vanishing_note(what: str, note: str):
-    """detail(points, vanish): ``note``, led by the first point where ``what`` vanishes, if any."""
-
-    def detail(points, vanish):
-        at = f"{what} vanishes near z={points[int(np.argmax(vanish))].item()}; " if np.any(vanish) else ""
-        return at + note
-
-    return detail
-
-
 def _grid_verdict(points, margins, passes, detail) -> Report:
     """Reduce pointwise margins to a Report.
 
@@ -324,31 +329,60 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _grid_check(grid: SampleGrid, cap, series, margin_of, passes, detail) -> Report:
-    """Reduce ``margin_of(points, vanish, *values)``, the margins from the
-    values of ``series``, by ``_grid_verdict`` on the grid's radii <= cap (all
-    for cap None).  The FFT values (``eval_circles``) locate the witness, if
-    there is one; its margin and verdict are from Horner's values
-    (``eval_many``) there.
+def _grid_rows(p: int, leads, points, values, values_at, margin_of, vanishing: bool):
+    """Each row's grid margins, reduced to its witness: the grid checks' one
+    reduction, for one series (one row) or for a block of trials.
 
-    ``detail`` is the report's detail, or a ``_vanishing_note``: a function
-    of the points and ``vanish``, the mask where the first series vanishes
-    (``vanishes`` at its pole order and lead), computed once per set of
-    values.  Without a note, ``vanish`` is None."""
-    first = series[0]
+    ``values`` are the series' values at the (nonempty) ``points``, one
+    (rows x points) array per series, by FFT; ``values_at(at)`` are their
+    values at one point per row, by Horner.  ``margin_of(points, *values)`` is
+    elementwise; with ``vanishing`` it is ``margin_of(points, vanish,
+    *values)``, given also the mask where the first series (pole order p, one
+    lead per row in ``leads``) vanishes.  The FFT margins locate each row's
+    witness ``at``; recheck() gives its margin from Horner's values there.
+    Returns the mask on the points (None without ``vanishing``), the FFT
+    margins at the witnesses, ``at`` and ``recheck``, one entry per row each.
+    """
+    leads = np.asarray(leads)[:, None]
 
-    def margins(points, values):
-        vanish = vanishes(values[0], points, first.pole_order, first.lead) if callable(detail) else None
-        return vanish, margin_of(points, vanish, *values)
+    def margins(zs, vals):
+        if not vanishing:
+            return None, margin_of(zs, *vals)
+        vanish = vanishes(vals[0], zs, p, leads)
+        return vanish, margin_of(zs, vanish, *vals)
 
+    vanish, fft = margins(points, values)
+    i = np.argmin(fft, axis=1)
+    at = points[i]
+
+    def recheck():
+        return margins(at[:, None], [v[:, None] for v in values_at(at)])[1][:, 0]
+
+    return vanish, fft[np.arange(i.size), i], at, recheck
+
+
+def _grid_check(grid: SampleGrid, cap, series, margin_of, passes, note: str, vanishing=None) -> Report:
+    """Reduce the margins from the values of ``series`` by ``_grid_rows``, as
+    one row, on the grid's radii <= cap (all for cap None): FFT values
+    (``eval_circles``) locate the witness, Horner's (``eval_many``) give its
+    margin, and ``passes(worst)`` its verdict.  No points is inconclusive and a
+    margin that is not finite an OverflowError, as in ``_grid_verdict``.
+
+    ``vanishing`` names the first series, when ``margin_of`` takes the mask
+    where it vanishes (``vanishes`` at its pole order and lead); the note is
+    then led by the first such point, if any."""
     points = grid.points(radius_cap=cap)
-    vanish, fft_margins = margins(points, [eval_circles(g, grid, cap) for g in series])
-    note = detail(points, vanish) if callable(detail) else detail
-    report = _grid_verdict(points, fft_margins, passes, note)
-    if report.witness is None:  # no points
-        return report
-    at = np.array([report.witness])
-    return _grid_verdict(at, margins(at, [eval_many(g, at) for g in series])[1], passes, note)
+    if points.size == 0:
+        return _grid_verdict(points, points, passes, note)
+    first = series[0]
+    vanish, fft, at, recheck = _grid_rows(
+        first.pole_order, [first.lead], points, [eval_circles(g, grid, cap)[None, :] for g in series],
+        lambda at: [eval_many(g, at) for g in series], margin_of, vanishing is not None,
+    )
+    if vanishing is not None and np.any(vanish):
+        note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
+    _grid_verdict(at, fft, passes, note)  # an FFT margin that is not finite is an OverflowError
+    return _grid_verdict(at, recheck(), passes, note)
 
 
 def _quotient_check(op: OperatorParams, f: LaurentSeries, grid: SampleGrid | None, form) -> Report:
@@ -356,7 +390,7 @@ def _quotient_check(op: OperatorParams, f: LaurentSeries, grid: SampleGrid | Non
     F = apply_coeff(op, f)
     return _grid_check(
         grid, RADIUS_CAP, (F, z_derivative(F)), _quotient_margin(op.p, *form),
-        lambda worst: worst > grid.margin, _vanishing_note("denominator", _grid_note(grid)),
+        lambda worst: worst > grid.margin, _grid_note(grid), "denominator",
     )
 
 
@@ -371,7 +405,7 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
     """``numeric_membership`` on the grid, for blocks of pole-order-p series with
     tail indices ``ks``: rows_of(leads, tails), for leads (rows,) and tails (rows x
     K), gives per row whether the single check holds without raising, and its
-    margin and witness, by that check's operations.
+    margin and witness, by that check's reduction ``_grid_rows``.
 
     A row that does not hold (it fails, its image or a margin is not finite, or no
     point is capped) is for the caller to re-run by ``numeric_membership``, which
@@ -383,25 +417,22 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
     margin_of = _quotient_margin(p, *_numeric_form(cp))
 
     def rows_of(leads, tails):
+        if points.size == 0:
+            return np.zeros(len(leads), dtype=bool), None, None
         with np.errstate(over="ignore", invalid="ignore"):
             image = tails * phi  # apply_coeff and z_derivative, row by row
-            deriv = ks * image
-        holds = np.all(np.isfinite(image), axis=1)
-        if points.size == 0:
-            return np.zeros_like(holds), None, None
-        leads_d = -p * leads
-        b = eval_rows_circles(p, leads, image, grid, RADIUS_CAP)
-        a = eval_rows_circles(p, leads_d, deriv, grid, RADIUS_CAP)
-        margins = margin_of(points, vanishes(b, points, p, leads[:, None]), b, a)
-        i = np.argmin(margins, axis=1)
-        holds &= np.isfinite(margins[np.arange(i.size), i])
-        # the Horner recheck at each row's witness, F and zF' in one pass
-        at = points[i]
-        both = eval_rows_at(p, np.concatenate((leads, leads_d)), np.concatenate((image, deriv)), np.tile(at, 2))
-        b, a = np.split(both, 2)
-        worst = margin_of(at, vanishes(b, at, p, leads), b, a)
-        holds &= np.isfinite(worst) & (worst > grid.margin)
-        return holds, worst, at
+            blocks = ((leads, image), (-p * leads, ks * image))
+        stacked = [np.concatenate(parts) for parts in zip(*blocks)]  # F and zF' in one Horner pass
+        _, fft, at, recheck = _grid_rows(
+            p, leads, points, [eval_rows_circles(p, *b, grid, RADIUS_CAP) for b in blocks],
+            lambda at: np.split(eval_rows_at(p, *stacked, np.tile(at, 2)), 2), margin_of, True,
+        )
+        # z^-p divides by an underflowed z^p only where the FFT overflowed too: such a
+        # row is re-run, and its check refuses it before any Horner pass
+        with np.errstate(divide="ignore"):
+            worst = recheck()
+        holds = np.all(np.isfinite(image), axis=1) & np.isfinite(fft) & np.isfinite(worst)
+        return holds & (worst > grid.margin), worst, at
 
     return rows_of
 
@@ -451,7 +482,7 @@ def subordination_power_target(
             m = np.minimum(1.0 - np.abs(w), np.cos(np.minimum(np.abs(theta), np.pi)))
             return np.where(vanish, np.minimum(m, 0.0), m)
 
-    detail = _vanishing_note("z^p F", _grid_note(grid))
     return _grid_check(
-        grid, RADIUS_CAP, (apply_coeff(op, f),), margin_of, lambda worst: worst > grid.margin, detail
+        grid, RADIUS_CAP, (apply_coeff(op, f),), margin_of, lambda worst: worst > grid.margin,
+        _grid_note(grid), "z^p F",
     )

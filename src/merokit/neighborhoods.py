@@ -43,15 +43,15 @@ from .membership import (
     SUM_TOL,
     ClassParams,
     Report,
+    _criterion,
     _numeric_rows,
     budget,
-    criterion_weight_array,
     exact_membership_plus,
     numeric_membership,
     ratio_weights,
 )
 from .operator import OperatorParams, delta_star, phi_array, phi_base, require_pole_order
-from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale
+from .series import LaurentSeries, SampleGrid, _common_range, default_grid, fold_width, scale
 
 _KINDS = ("plus", "general")
 
@@ -138,9 +138,12 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * max(width, 1)))
 
 
-def _grid_block_rows(grid: SampleGrid) -> int:
-    """``_block_rows`` for rows of values at the grid's capped points."""
-    return _block_rows(grid.angles_count * sum(r <= RADIUS_CAP for r in grid.radii))
+def _grid_block_rows(grid: SampleGrid, p: int, tail: int) -> int:
+    """``_block_rows`` for numeric checks of series with ``tail`` coefficients
+    on the grid: the widest array a row takes is its zero-filled FFT bins on
+    the capped circles, or its tails of F and zF' stacked for the Horner pass."""
+    circles = sum(r <= RADIUS_CAP for r in grid.radii)
+    return _block_rows(max(2 * tail, circles * fold_width(p, 1 + tail, grid.angles_count)))
 
 
 def verify_inclusion_plus(
@@ -185,10 +188,7 @@ def verify_inclusion_plus(
     nidx = min(16, len(ks))
     moved = s[:nidx] > SUM_TOL  # a degenerate weight leaves its coefficient alone
     s_moved = s[:nidx][moved]
-    # the exact criterion of each sampled g, as exact_membership_plus computes it
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = criterion_weight_array(op, cp, ks)
-    rhs = budget(op, cp)
+    _, criterion = _criterion(op, cp, ks)  # exact_membership_plus's sum, once per sampled g
     worst = np.inf
     block = _block_rows(len(ks))
     for first in range(0, trials, block):
@@ -201,9 +201,8 @@ def verify_inclusion_plus(
             row[:nidx][moved] = np.where(head > 0.0, head, 0.0)  # max(0.0, head)
         rows = rows.astype(complex)
         for t, g_coeffs in enumerate(rows, first):
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = float(np.dot(w, g_coeffs.real))
-            if not total <= rhs + SUM_TOL:  # fails or overflows: the single check reports it
+            _, within, margin = criterion(g_coeffs.real)
+            if not within:  # fails or overflows: the single check reports it
                 g = LaurentSeries(op.p, f.trunc_order, g_coeffs, 1.0, True)
                 rep = exact_membership_plus(op, cp, g)
                 return Report(
@@ -211,7 +210,7 @@ def verify_inclusion_plus(
                     f"sampled neighbor #{t} (seed {seed}) violates the exact criterion "
                     f"by {-rep.worst_margin:.3g}",
                 )
-            worst = min(worst, rhs - total)
+            worst = min(worst, margin)
     # sharpness: the witness just beyond delta must fail
     ds = d * (1.0 + 1e-9)
     fw, gw = neighborhood_witnesses(op, cp, ds)
@@ -266,7 +265,7 @@ def verify_inclusion_general(
         e = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
         if abs(e) < 1.0:
             eps_list.append(delta * e)
-    block = _grid_block_rows(grid)
+    block = _grid_block_rows(grid, op.p, len(f.coeffs))
     rows_of = _numeric_rows(op, cp, grid, f.k_values())
     for first in range(0, len(eps_list), block):
         members = [

@@ -409,21 +409,15 @@ def eval_rows_circles(
     rows, n = c.shape
     # column j of ``bins`` holds k = j - start - p, and start + p = 0 mod m
     start = -p % m
-    width = -(-(start + n) // m) * m
+    width = fold_width(p, n, m)
+    bins = np.zeros((rows, radii.size, width), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = c[:, None, :] * radii[:, None] ** np.arange(-p, n - p)
-        if n <= m:
-            # no bin takes two terms, so folding places each one; folding a second
-            # block of m columns (width 2m) adds +0 to it, which turns -0 into +0
-            flat = terms.reshape(rows * radii.size, n)
-            if width > m:
-                flat = flat + 0.0
-            folded = np.zeros((rows * radii.size, m), dtype=np.complex128)
-            head = min(n, m - start)
-            folded[:, start : start + head] = flat[:, :head]
-            folded[:, : n - head] = flat[:, head:]
-        else:
-            bins = np.zeros((rows, radii.size, width), dtype=np.complex128)
-            bins[:, :, start : start + n] = terms
-            folded = bins.reshape(rows * radii.size, width // m, m).sum(axis=1)
+        bins[:, :, start : start + n] = c[:, None, :] * radii[:, None] ** np.arange(-p, n - p)
+        folded = bins.reshape(rows * radii.size, width // m, m).sum(axis=1)
         return np.fft.ifft(folded, axis=1, norm="forward").reshape(rows, radii.size * m)
+
+
+def fold_width(p: int, n: int, m: int) -> int:
+    """Columns per circle of the zero-filled bins ``eval_rows_circles`` folds:
+    n terms from k = -p, the pole at bin m - p, in whole blocks of m bins."""
+    return -(-(-p % m + n) // m) * m

@@ -1,4 +1,6 @@
 """Weighted coefficient neighborhoods and the two inclusion verifiers."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from merokit.neighborhoods import (
     weight_array,
 )
 from merokit.operator import OperatorParams, phi
-from merokit.series import LaurentSeries, SampleGrid
+from merokit.series import LaurentSeries, SampleGrid, fold_width
 import neighborhood_reference as serial
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)
@@ -283,7 +285,7 @@ def test_verify_general_schwarz_member_as_serially():
 
 @pytest.mark.parametrize("p,d,first_miss", [(1, 0.05, 7), (2, 0.1, 6), (1, 2.0, 1)])
 def test_verify_general_inconclusive_as_serially(p, d, first_miss):
-    """Phase (a): an eps-shift leaves the class, in the first 4-row block of the
+    """Phase (a): an eps-shift leaves the class, in the first block of the
     default grid or a later one."""
     op, cp, f = _member(p, 4)
     got = _general(op, cp, f, d / phi(op, p), 8, 32, None, 4)
@@ -336,6 +338,18 @@ def test_verify_general_overflowing_rows_as_serially():
     assert got == ("OverflowError", "apply: the operator image overflows a float at k=-1 (m=1)")
     got = _general(op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 5)
     assert got[0] == "OverflowError" and got[1].startswith("margin: not finite")
+
+
+def test_verify_general_tiny_radius_as_serially():
+    """At |z| = 1e-200 a double pole's term overflows: the margin's usage error,
+    with no numpy warning from a Horner pass past the FFT's non-finite margin."""
+    grid = SampleGrid((1e-200, 0.5), 8)
+    for op in (OP1, OperatorParams(1.0, 0.0, 1, 2)):
+        f = LaurentSeries.pole_only(op.p, 6)
+        for counts in ((8, 4), (0, 4)):
+            got = _general(op, ClassParams(0.3, 0.8), f, 0.01, *counts, grid, 0)
+            assert (got[0] == "OverflowError") == (op.p == 2)
+            assert op.p == 1 or got[1] == "margin: not finite at (1e-200+0j); the evaluation overflows a float"
 
 
 def test_verify_general_overflowing_step_is_the_image_error():
@@ -420,17 +434,43 @@ def test_verify_plus_refusals_as_serially():
 
 # ---------------------------------------------------------------- block sizes
 
-@pytest.mark.parametrize("radii,angles,rows", [(5, 720, 4), (20, 4096, 1)])
-def test_trial_blocks_stay_within_their_byte_cap(radii, angles, rows):
-    """A block of complex values at the capped points holds at most 256 KiB,
-    unless it is a single row, the least a block can hold."""
-    grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, radii)), angles)
-    points = grid.points(radius_cap=RADIUS_CAP).size
-    assert neighborhoods._grid_block_rows(grid) == rows
-    assert rows == 1 or rows * points * 16 <= 256 * 1024
-    assert (rows + 1) * points * 16 > 256 * 1024
+@pytest.mark.parametrize(
+    "radii,angles,tail,rows",
+    [
+        (np.linspace(0.1, 0.9, 5), 720, 65, 2),  # the default grid at K = 64
+        (np.linspace(0.1, 0.9, 20), 4096, 1024, 1),
+        ((0.5,), 8, 4096, 2),  # a long series on a small grid: its stacked tails
+        ((0.97, 0.99), 16, 4096, 2),  # no capped circle
+    ],
+)
+def test_trial_blocks_stay_within_their_byte_cap(radii, angles, tail, rows):
+    """A block's widest complex array, the rows' zero-filled FFT bins on the
+    capped circles or their tails of F and zF' stacked for one Horner pass,
+    holds at most 256 KiB, unless it is a single row, the least a block can hold."""
+    grid = SampleGrid(tuple(float(r) for r in radii), angles)
+    circles = sum(r <= RADIUS_CAP for r in grid.radii)
+    widest = max(2 * tail, circles * fold_width(1, 1 + tail, angles))
+    assert neighborhoods._grid_block_rows(grid, 1, tail) == rows
+    assert rows == 1 or rows * widest * 16 <= 256 * 1024
+    assert (rows + 1) * widest * 16 > 256 * 1024
     assert neighborhoods._block_rows(0) == neighborhoods._block_rows(1) == 16384
     assert neighborhoods._block_rows(10**9) == 1
+
+
+def test_trial_memory_does_not_grow_with_the_trial_count():
+    """A long series on a one-circle grid: eight times the trials leave the
+    traced peak of a run where it was, about a block's few arrays."""
+    op, cp, f = _member(1, 0, 4095)
+    grid = SampleGrid((0.5,), 8)
+    peaks = []
+    for trials in (8, 64):
+        tracemalloc.start()
+        rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 8, trials, grid, 0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert rep.verdict == "holds"
+    assert peaks[1] < peaks[0] + 64 * 1024
+    assert peaks[1] < 16 * 256 * 1024
 
 
 def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):

@@ -353,28 +353,6 @@ def test_row_blocks_evaluate_bitwise_as_single_rows(block):
         assert by_rows[i].tobytes() == eval_many(f, at[i : i + 1]).tobytes()
 
 
-def _fold_reference(p, leads, tails, grid):
-    """The circle values by folding a zero-padded row of whole blocks of M bins."""
-    radii, m = np.array(grid.radii), grid.angles_count
-    c = np.concatenate((leads[:, None], tails), axis=1)
-    start = -p % m
-    width = -(-(start + c.shape[1]) // m) * m
-    bins = np.zeros((len(c), radii.size, width), dtype=np.complex128)
-    bins[:, :, start : start + c.shape[1]] = c[:, None, :] * radii[:, None] ** np.arange(-p, c.shape[1] - p)
-    folded = bins.reshape(-1, width // m, m).sum(axis=1)
-    return np.fft.ifft(folded, axis=1, norm="forward").reshape(len(c), -1)
-
-
-@given(block=row_block())
-@settings(max_examples=150, deadline=None)
-def test_circle_values_are_the_full_fold_bitwise(block):
-    """Where no bin takes two terms, placing each term gives the bits of the
-    zero-padded fold, signed zeros included."""
-    p, k, leads, tails, grid = block
-    got = eval_rows_circles(p, leads, tails, grid)
-    assert got.tobytes() == _fold_reference(p, leads, tails, grid).tobytes()
-
-
 # ----------------------------------------------------------------- sample grid
 
 def test_default_grid_shape_and_digest():

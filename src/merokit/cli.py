@@ -76,6 +76,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        # no flag is expanded from a prefix, in any subparser
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
 
@@ -167,57 +171,63 @@ def _cmd_apply(args) -> tuple[int, str]:
     return 0, _dump(obj)
 
 
-def _cmd_gen(args) -> tuple[int, str]:
-    params = _load_json(args.params)
-    op = OperatorParams.from_json_dict(params)
-    if args.kind == "herglotz":
-        if args.atoms is None:
-            raise UsageError("--atoms is required for gen herglotz")
-        alpha = _need_float(params, "alpha", "params")
-        atoms = MeasureAtoms.from_json_dict(_load_json(args.atoms))
-        f = from_herglotz(op, alpha, atoms, args.trunc)
-        cert = {
-            "construction": "herglotz",
-            "alpha": alpha,
-            "beta": 1.0,
-            "atoms": atoms.to_json_dict()["atoms"],
-            "note": "unit boundary measure; member of the beta = 1 class by construction",
-        }
-        cfg = _config(op=op, alpha=alpha, trunc_order=f.trunc_order)
-    elif args.kind == "schwarz":
-        cp = ClassParams.from_json_dict(params)
-        if args.w is None:
-            raise UsageError("--w is required for gen schwarz")
-        w = SchwarzPoly.from_json_dict(_load_json(args.w))
-        f = from_schwarz(op, cp, w, args.trunc)
-        cert = {
-            "construction": "schwarz",
-            "w_coeffs": w.to_json_dict()["coeffs"],
-            "note": "disk self-map plugged into the defining quotient identity",
-        }
-        cert.update(w.certificate())
-        cfg = _config(op=op, cp=cp, trunc_order=f.trunc_order)
-    else:
-        cp = ClassParams.from_json_dict(params)
-        if args.n is None:
-            raise UsageError("--n is required for gen extremal")
-        f = extremal_fn(op, cp, args.n)
-        cert = {
-            "construction": "extremal",
-            "n": args.n,
-            "coefficient": f.coeff(args.n).real,
-            "note": "one-term function meeting the exact criterion with equality",
-        }
-        cfg = _config(op=op, cp=cp, n=args.n)
+def _gen_out(f: LaurentSeries, cfg: dict, cert: dict) -> tuple[int, str]:
     obj = f.to_json_dict()
     obj["config"] = cfg
     obj["certificate"] = cert
     return 0, _dump(obj)
 
 
-def _cmd_check(args) -> tuple[int, str]:
+def _gen_herglotz(args) -> tuple[int, str]:
+    params = _load_json(args.params)
+    op = OperatorParams.from_json_dict(params)
+    alpha = _need_float(params, "alpha", "params")
+    atoms = MeasureAtoms.from_json_dict(_load_json(args.atoms))
+    f = from_herglotz(op, alpha, atoms, args.trunc)
+    cert = {
+        "construction": "herglotz",
+        "alpha": alpha,
+        "beta": 1.0,
+        "atoms": atoms.to_json_dict()["atoms"],
+        "note": "unit boundary measure; member of the beta = 1 class by construction",
+    }
+    return _gen_out(f, _config(op=op, alpha=alpha, trunc_order=f.trunc_order), cert)
+
+
+def _gen_schwarz(args) -> tuple[int, str]:
     op, cp = _read_op_cp(args.params)
-    f = _read_series(args.series)
+    w = SchwarzPoly.from_json_dict(_load_json(args.w))
+    f = from_schwarz(op, cp, w, args.trunc)
+    cert = {
+        "construction": "schwarz",
+        "w_coeffs": w.to_json_dict()["coeffs"],
+        "note": "disk self-map plugged into the defining quotient identity",
+    }
+    cert.update(w.certificate())
+    return _gen_out(f, _config(op=op, cp=cp, trunc_order=f.trunc_order), cert)
+
+
+def _gen_extremal(args) -> tuple[int, str]:
+    op, cp = _read_op_cp(args.params)
+    f = extremal_fn(op, cp, args.n)
+    cert = {
+        "construction": "extremal",
+        "n": args.n,
+        "coefficient": f.coeff(args.n).real,
+        "note": "one-term function meeting the exact criterion with equality",
+    }
+    return _gen_out(f, _config(op=op, cp=cp, n=args.n), cert)
+
+
+def _read_inputs(args) -> tuple[OperatorParams, ClassParams, LaurentSeries]:
+    op, cp = _read_op_cp(args.params)
+    return op, cp, _read_series(args.series)
+
+
+def _cmd_check(args) -> tuple[int, str]:
+    if args.grid is not None and args.criterion in ("exact", "sufficient"):
+        raise UsageError("--grid applies only to criterion=numeric, disk and subordination")
+    op, cp, f = _read_inputs(args)
     grid = None
     if args.criterion == "exact":
         rep = exact_membership_plus(op, cp, f)
@@ -234,60 +244,58 @@ def _cmd_check(args) -> tuple[int, str]:
     return _report_out(rep, _config(op=op, cp=cp, grid=grid, criterion=args.criterion))
 
 
-def _cmd_verify(args) -> tuple[int, str]:
-    op, cp = _read_op_cp(args.params)
-    f = _read_series(args.series)
-    what = args.what
-    if what in ("coeff-general", "coeff-plus"):
-        kind = "general" if what == "coeff-general" else "plus"
-        rep = coeff_bounds_report(op, cp, f, kind)
-        cfg = _config(op=op, cp=cp, check=what)
-    elif what == "distortion":
-        if args.r is None or args.which is None:
-            raise UsageError("--r and --which are required for verify distortion")
-        mode = args.tail_mode
-        if mode is None:
-            mode = "exact_support" if args.which == "f_plus" else "tail_estimate"
-        rep = distortion_report(op, cp, f, args.r, args.which, TailPolicy(mode), args.angles)
-        cfg = _config(
-            op=op, cp=cp, check=what, r=args.r, which=args.which,
-            tail_mode=mode, angles=args.angles,
-        )
-    elif what == "conv-nonvanish":
-        grid = _read_grid(args.grid)
-        rep = convolution_nonvanishing(op, cp, f, grid, args.theta_count, args.threshold)
-        cfg = _config(
-            op=op, cp=cp, grid=grid, check=what, theta_count=args.theta_count, threshold=args.threshold
-        )
-    else:
-        if args.m_cut is None:
-            raise UsageError("--m-cut is required for verify partial-sums")
-        grid = _read_grid(args.grid)
-        rep = partial_sum_bounds(op, cp, f, args.m_cut, grid)
-        cfg = _config(op=op, cp=cp, grid=grid, check=what, m_cut=args.m_cut)
+def _verify_coeff(args) -> tuple[int, str]:
+    op, cp, f = _read_inputs(args)
+    rep = coeff_bounds_report(op, cp, f, args.what.removeprefix("coeff-"))
+    return _report_out(rep, _config(op=op, cp=cp, check=args.what))
+
+
+def _verify_distortion(args) -> tuple[int, str]:
+    op, cp, f = _read_inputs(args)
+    mode = args.tail_mode or ("exact_support" if args.which == "f_plus" else "tail_estimate")
+    rep = distortion_report(op, cp, f, args.r, args.which, TailPolicy(mode), args.angles)
+    return _report_out(rep, _config(
+        op=op, cp=cp, check=args.what, r=args.r, which=args.which,
+        tail_mode=mode, angles=args.angles,
+    ))
+
+
+def _verify_conv(args) -> tuple[int, str]:
+    op, cp, f = _read_inputs(args)
+    grid = _read_grid(args.grid)
+    rep = convolution_nonvanishing(op, cp, f, grid, args.theta_count, args.threshold)
+    return _report_out(rep, _config(
+        op=op, cp=cp, grid=grid, check=args.what, theta_count=args.theta_count,
+        threshold=args.threshold,
+    ))
+
+
+def _verify_partial_sums(args) -> tuple[int, str]:
+    op, cp, f = _read_inputs(args)
+    grid = _read_grid(args.grid)
+    rep = partial_sum_bounds(op, cp, f, args.m_cut, grid)
+    return _report_out(rep, _config(op=op, cp=cp, grid=grid, check=args.what, m_cut=args.m_cut))
+
+
+def _nbhd_delta(args) -> tuple[int, str]:
+    return 0, f"{delta_star(_read_op(args.params)):.12g}\n"
+
+
+def _nbhd_distance(args) -> tuple[int, str]:
+    op, cp, f = _read_inputs(args)
+    g = _read_series(args.other)
+    return 0, f"{distance(WeightSeq(args.kind, op, cp), f, g):.12g}\n"
+
+
+def _nbhd_verify_plus(args) -> tuple[int, str]:
+    op, cp, f = _read_inputs(args)
+    rep = verify_inclusion_plus(op, cp, f, trials=args.trials, seed=args.seed)
+    cfg = _config(op=op, cp=cp, seed=args.seed, check=args.what, trials=args.trials)
     return _report_out(rep, cfg)
 
 
-def _cmd_nbhd(args) -> tuple[int, str]:
-    what = args.what
-    if what == "delta":
-        op = _read_op(args.params)
-        return 0, f"{delta_star(op):.12g}\n"
-    if args.series is None:
-        raise UsageError("--series is required for this nbhd command")
-    op, cp = _read_op_cp(args.params)
-    if what == "distance":
-        if args.other is None:
-            raise UsageError("--other is required for nbhd distance")
-        f = _read_series(args.series)
-        g = _read_series(args.other)
-        seq = WeightSeq(args.kind, op, cp)
-        return 0, f"{distance(seq, f, g):.12g}\n"
-    f = _read_series(args.series)
-    if what == "verify-plus":
-        rep = verify_inclusion_plus(op, cp, f, trials=args.trials, seed=args.seed)
-        cfg = _config(op=op, cp=cp, seed=args.seed, check=what, trials=args.trials)
-        return _report_out(rep, cfg)
+def _nbhd_verify_general(args) -> tuple[int, str]:
+    op, cp, f = _read_inputs(args)
     delta = args.delta
     if delta is None:
         delta = delta_star(op)
@@ -300,11 +308,10 @@ def _cmd_nbhd(args) -> tuple[int, str]:
         op, cp, f, delta,
         eps_trials=args.eps_trials, trials=args.trials, grid=grid, seed=args.seed,
     )
-    cfg = _config(
-        op=op, cp=cp, grid=grid, seed=args.seed, check=what,
+    return _report_out(rep, _config(
+        op=op, cp=cp, grid=grid, seed=args.seed, check=args.what,
         delta=delta, trials=args.trials, eps_trials=args.eps_trials,
-    )
-    return _report_out(rep, cfg)
+    ))
 
 
 # --------------------------------------------------------------- suite runner
@@ -412,12 +419,6 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 _int64 = _checked(int, lambda value: -(2**63) <= value < 2**63, "an integer within int64")
 
 
-def _add_params_series(sp, path, series: bool = True) -> None:
-    sp.add_argument("--params", type=path, required=True, help="merged parameter JSON file")
-    if series:
-        sp.add_argument("--series", type=path, required=True, help="series JSON file")
-
-
 def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
     """The CLI parser.  With ``base`` (a suite's directory), relative file
     paths resolve against it."""
@@ -425,90 +426,83 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
     def path(text: str) -> str:
         return text if base is None or Path(text).is_absolute() else str(base / text)
 
-    parser = _Parser(prog="merokit", description=__doc__.splitlines()[0], allow_abbrev=False)
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    sp = sub.add_parser("phi", help="print one diagonal multiplier value")
-    sp.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
-    sp.add_argument("--mu", type=_finite_float, required=True)
-    sp.add_argument("--m", type=_int64, required=True)
-    sp.add_argument("--p", type=_int64, required=True)
-    sp.add_argument("--k", type=_int64, required=True)
-    sp.set_defaults(func=_cmd_phi)
-
-    sp = sub.add_parser("apply", help="run the operator over a stored series")
-    _add_params_series(sp, path)
-    sp.add_argument(
-        "--route", required=True, choices=("coeff", "differential", "invert", "integral")
-    )
-    sp.add_argument("--c", type=_finite_float, help="integral route parameter (> 0)")
-    sp.add_argument("--out", type=path)
-    sp.set_defaults(func=_cmd_apply)
-
-    sp = sub.add_parser("gen", help="construct class members")
-    sp.add_argument("kind", choices=("herglotz", "schwarz", "extremal"))
-    _add_params_series(sp, path, series=False)
-    sp.add_argument("--atoms", type=path, help="boundary measure JSON (herglotz)")
-    sp.add_argument("--w", type=path, help="disk self-map JSON (schwarz)")
-    sp.add_argument("--n", type=_int64, help="extremal coefficient index")
-    sp.add_argument("--trunc", type=_int64, help="truncation order override")
-    sp.add_argument("--out", type=path)
-    sp.set_defaults(func=_cmd_gen)
-
-    sp = sub.add_parser("check", help="membership criteria")
-    sp.add_argument(
-        "--criterion",
-        required=True,
-        choices=("exact", "sufficient", "numeric", "disk", "subordination"),
-    )
-    _add_params_series(sp, path)
-    sp.add_argument("--grid", type=path, help="sample grid JSON (numeric criteria)")
-    sp.add_argument("--out", type=path)
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("verify", help="bound checkers")
-    sp.add_argument(
-        "what",
-        choices=(
-            "coeff-general", "coeff-plus", "distortion", "conv-nonvanish", "partial-sums"
+    flags = {  # every flag, by name; each command takes the ones it uses
+        "--lambda": dict(dest="lam", type=_finite_float, required=True),
+        "--mu": dict(type=_finite_float, required=True),
+        "--m": dict(type=_int64, required=True),
+        "--p": dict(type=_int64, required=True),
+        "--k": dict(type=_int64, required=True),
+        "--criterion": dict(
+            required=True, choices=("exact", "sufficient", "numeric", "disk", "subordination")
         ),
-    )
-    _add_params_series(sp, path)
-    sp.add_argument("--r", type=_finite_float, help="radius (distortion)")
-    sp.add_argument(
-        "--which", choices=("f_plus", "f_general", "fprime_general"),
-        help="distortion target",
-    )
-    sp.add_argument(
-        "--tail-mode", choices=("exact_support", "tail_estimate", "divergent_flag")
-    )
-    sp.add_argument("--angles", type=_int64, default=720, help="circle samples (distortion)")
-    sp.add_argument("--theta-count", type=_int64, default=360, help="phase samples (conv)")
-    sp.add_argument("--threshold", type=_finite_float, help="non-vanishing cutoff (conv)")
-    sp.add_argument("--m-cut", type=_int64, help="cut index (partial-sums)")
-    sp.add_argument("--grid", type=path, help="sample grid JSON")
-    sp.add_argument("--out", type=path)
-    sp.set_defaults(func=_cmd_verify)
+        "--params": dict(type=path, required=True, help="merged parameter JSON file"),
+        "--series": dict(type=path, required=True, help="series JSON file"),
+        "--route": dict(required=True, choices=("coeff", "differential", "invert", "integral")),
+        "--c": dict(type=_finite_float, help="integral route parameter (> 0)"),
+        "--atoms": dict(type=path, required=True, help="boundary measure JSON"),
+        "--w": dict(type=path, required=True, help="disk self-map JSON"),
+        "--n": dict(type=_int64, required=True, help="extremal coefficient index"),
+        "--trunc": dict(type=_int64, help="truncation order override"),
+        "--r": dict(type=_finite_float, required=True, help="radius"),
+        "--which": dict(required=True, choices=("f_plus", "f_general", "fprime_general")),
+        "--tail-mode": dict(choices=("exact_support", "tail_estimate", "divergent_flag")),
+        "--angles": dict(type=_int64, default=720, help="circle samples"),
+        "--theta-count": dict(type=_int64, default=360, help="phase samples"),
+        "--threshold": dict(type=_finite_float, help="non-vanishing cutoff"),
+        "--m-cut": dict(type=_int64, required=True, help="cut index"),
+        "--other": dict(type=path, required=True, help="second series JSON"),
+        "--kind": dict(choices=("plus", "general"), default="plus"),
+        "--delta": dict(type=_finite_float, help="neighborhood radius"),
+        "--trials": dict(type=_int64, default=100, help="random perturbation count"),
+        "--eps-trials": dict(type=_int64, default=8, help="hypothesis samples"),
+        "--seed": dict(type=_int64, default=0),
+        "--grid": dict(type=path, help="sample grid JSON"),
+        "--suite": dict(required=True, help="suite JSON file"),
+        "--out": dict(type=path),
+    }
 
-    sp = sub.add_parser("nbhd", help="weighted-neighborhood tools")
-    sp.add_argument("what", choices=("distance", "delta", "verify-plus", "verify-general"))
-    _add_params_series(sp, path, series=False)
-    sp.add_argument("--series", type=path, help="series JSON file")
-    sp.add_argument("--other", type=path, help="second series JSON (distance)")
-    sp.add_argument("--kind", choices=("plus", "general"), default="plus")
-    sp.add_argument("--delta", type=_finite_float, help="neighborhood radius (verify-general)")
-    sp.add_argument("--trials", type=_int64, default=100, help="random perturbation count")
-    sp.add_argument("--eps-trials", type=_int64, default=8, help="hypothesis samples")
-    sp.add_argument("--seed", type=_int64, default=0)
-    sp.add_argument("--grid", type=path, help="sample grid JSON (verify-general)")
-    sp.add_argument("--out", type=path)
-    sp.set_defaults(func=_cmd_nbhd)
+    def command(subparsers, name: str, func, names, out: bool = True, **kwargs) -> None:
+        sp = subparsers.add_parser(name, **kwargs)
+        for flag in names + ("--out",) * out:
+            sp.add_argument(flag, **flags[flag])
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("report", help="run a JSON suite and aggregate")
-    sp.add_argument("--suite", required=True, help="suite JSON file")
-    sp.add_argument("--out", type=path)
-    sp.set_defaults(func=_cmd_report)
+    def kinds(name: str, help: str, dest: str, table) -> None:
+        leaves = sub.add_parser(name, help=help).add_subparsers(
+            dest=dest, required=True, metavar=dest
+        )
+        for kind, func, names in table:
+            command(leaves, kind, func, ("--params", *names))
 
+    parser = _Parser(prog="merokit", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    command(sub, "phi", _cmd_phi, ("--lambda", "--mu", "--m", "--p", "--k"), out=False,
+            help="print one diagonal multiplier value")
+    command(sub, "apply", _cmd_apply, ("--params", "--series", "--route", "--c"),
+            help="run the operator over a stored series")
+    kinds("gen", "construct class members", "kind", (
+        ("herglotz", _gen_herglotz, ("--atoms", "--trunc")),
+        ("schwarz", _gen_schwarz, ("--w", "--trunc")),
+        ("extremal", _gen_extremal, ("--n",)),
+    ))
+    command(sub, "check", _cmd_check, ("--criterion", "--params", "--series", "--grid"),
+            help="membership criteria")
+    kinds("verify", "bound checkers", "what", (
+        ("coeff-general", _verify_coeff, ("--series",)),
+        ("coeff-plus", _verify_coeff, ("--series",)),
+        ("distortion", _verify_distortion,
+         ("--series", "--r", "--which", "--tail-mode", "--angles")),
+        ("conv-nonvanish", _verify_conv, ("--series", "--theta-count", "--threshold", "--grid")),
+        ("partial-sums", _verify_partial_sums, ("--series", "--m-cut", "--grid")),
+    ))
+    kinds("nbhd", "weighted-neighborhood tools", "what", (
+        ("distance", _nbhd_distance, ("--series", "--other", "--kind")),
+        ("delta", _nbhd_delta, ()),
+        ("verify-plus", _nbhd_verify_plus, ("--series", "--trials", "--seed")),
+        ("verify-general", _nbhd_verify_general,
+         ("--series", "--delta", "--trials", "--eps-trials", "--seed", "--grid")),
+    ))
+    command(sub, "report", _cmd_report, ("--suite",), help="run a JSON suite and aggregate")
     return parser
 
 

@@ -190,27 +190,26 @@ def verify_inclusion_plus(
     s_moved = s[:nidx][moved]
     _, criterion = _criterion(op, cp, ks)  # exact_membership_plus's sum, once per sampled g
     worst = np.inf
-    block = _block_rows(len(ks))
-    for first in range(0, trials, block):
-        rows = np.tile(f.coeffs.real, (min(block, trials - first), 1))
-        for row in rows:
-            u = d * rng.uniform(0.0, 1.0)
-            mass = rng.dirichlet(np.ones(nidx))
-            signs = rng.choice((-1.0, 1.0), size=nidx)
-            head = row[:nidx][moved] + signs[moved] * u * mass[moved] / s_moved
-            row[:nidx][moved] = np.where(head > 0.0, head, 0.0)  # max(0.0, head)
-        rows = rows.astype(complex)
-        for t, g_coeffs in enumerate(rows, first):
-            _, within, margin = criterion(g_coeffs.real)
-            if not within:  # fails or overflows: the single check reports it
-                g = LaurentSeries(op.p, f.trunc_order, g_coeffs, 1.0, True)
-                rep = exact_membership_plus(op, cp, g)
-                return Report(
-                    FAILS, rep.worst_margin, t,
-                    f"sampled neighbor #{t} (seed {seed}) violates the exact criterion "
-                    f"by {-rep.worst_margin:.3g}",
-                )
-            worst = min(worst, margin)
+    base_row = f.coeffs.real.astype(complex)
+    for t in range(trials):
+        u = d * rng.uniform(0.0, 1.0)
+        mass = rng.dirichlet(np.ones(nidx))
+        signs = rng.choice((-1.0, 1.0), size=nidx)
+        g_coeffs = base_row.copy()
+        head = g_coeffs.real[:nidx][moved] + signs[moved] * u * mass[moved] / s_moved
+        g_coeffs.real[:nidx][moved] = np.where(head > 0.0, head, 0.0)  # max(0.0, head)
+        # the criterion reads the strided .real view of the complex row: np.dot sums a
+        # contiguous copy in another order, which moves some margins by 1 ulp
+        _, within, margin = criterion(g_coeffs.real)
+        if not within:  # fails or overflows: the single check reports it
+            g = LaurentSeries(op.p, f.trunc_order, g_coeffs, 1.0, True)
+            rep = exact_membership_plus(op, cp, g)
+            return Report(
+                FAILS, rep.worst_margin, t,
+                f"sampled neighbor #{t} (seed {seed}) violates the exact criterion "
+                f"by {-rep.worst_margin:.3g}",
+            )
+        worst = min(worst, margin)
     # sharpness: the witness just beyond delta must fail
     ds = d * (1.0 + 1e-9)
     fw, gw = neighborhood_witnesses(op, cp, ds)

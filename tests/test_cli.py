@@ -765,6 +765,80 @@ def test_allocation_failure_is_usage_error(capsys, tmp_path, monkeypatch):
         "(Unable to allocate 745. GiB for an array with shape (100000000000,))\n"
     )
 
+# ------------------------------------------------------------ per-kind flags
+
+#: a valid argv of each kind, then a flag that only another kind of its verb takes
+FOREIGN_FLAG_CASES = {
+    "gen-herglotz": (["gen", "herglotz", "--params", "@params.json", "--atoms", "@atoms.json"],
+                     ["--n", "1"]),
+    "gen-schwarz": (["gen", "schwarz", "--params", "@params.json", "--w", "@w.json"],
+                    ["--atoms", "@atoms.json"]),
+    "gen-extremal": (["gen", "extremal", "--params", "@params.json", "--n", "1"],
+                     ["--trunc", "99"]),
+    "verify-coeff-general": (["verify", "coeff-general", *_PS], ["--m-cut", "1"]),
+    "verify-coeff-plus": (["verify", "coeff-plus", *_PS], ["--grid", "@grid.json"]),
+    "verify-distortion": (["verify", "distortion", *_PS, "--r", "0.5", "--which", "f_plus"],
+                          ["--theta-count", "16"]),
+    "verify-conv-nonvanish": (["verify", "conv-nonvanish", *_PS], ["--angles", "32"]),
+    "verify-partial-sums": (["verify", "partial-sums", *_PS, "--m-cut", "1"], ["--r", "0.5"]),
+    "nbhd-distance": (["nbhd", "distance", *_PS, "--other", "@member.json"], ["--trials", "5"]),
+    "nbhd-delta": (["nbhd", "delta", "--params", "@params.json"], ["--seed", "3"]),
+    "nbhd-verify-plus": (["nbhd", "verify-plus", *_PS, "--trials", "5"],
+                         ["--delta", "0.9", "--kind", "general"]),
+    "nbhd-verify-general": (["nbhd", "verify-general", *_PS, "--trials", "2",
+                             "--eps-trials", "1"], ["--kind", "general"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_FLAG_CASES))
+def test_flag_of_another_kind_is_usage_error(capsys, tmp_path, case):
+    _inputs(tmp_path)
+    argv, foreign = FOREIGN_FLAG_CASES[case]
+    code, _, _ = run(capsys, *_located(tmp_path, argv))
+    assert code != USAGE_EXIT
+    code, out, err = run(capsys, *_located(tmp_path, [*argv, *foreign]))
+    assert code == USAGE_EXIT and out == ""
+    assert err == f"error: unrecognized arguments: {' '.join(_located(tmp_path, foreign))}\n"
+
+
+#: argv that the parser refuses, and a fragment of its one-line message
+REFUSED_ARGV_CASES = {
+    "herglotz-without-atoms": (["gen", "herglotz", "--params", "@params.json"],
+                               "are required: --atoms"),
+    "schwarz-without-w": (["gen", "schwarz", "--params", "@params.json"], "are required: --w"),
+    "extremal-without-n": (["gen", "extremal", "--params", "@params.json"], "are required: --n"),
+    "distortion-without-r-which": (["verify", "distortion", *_PS],
+                                   "are required: --r, --which"),
+    "partial-sums-without-cut": (["verify", "partial-sums", *_PS], "are required: --m-cut"),
+    "verify-plus-without-series": (["nbhd", "verify-plus", "--params", "@params.json"],
+                                   "are required: --series"),
+    "distance-without-other": (["nbhd", "distance", *_PS], "are required: --other"),
+    "delta-with-series": (["nbhd", "delta", "--params", "@params.json",
+                           "--series", "@missing.json"],
+                          "unrecognized arguments: --series "),
+    "abbreviated-criterion": (["check", "--crit", "exact", *_PS],
+                              "are required: --criterion"),
+    "abbreviated-trials": (["nbhd", "verify-plus", *_PS, "--tri", "5"],
+                           "unrecognized arguments: --tri 5"),
+    **{
+        f"check-{criterion}-with-grid": (
+            ["check", "--criterion", criterion, *_PS, "--grid", "@grid.json"],
+            "--grid applies only to criterion=numeric, disk and subordination",
+        )
+        for criterion in ("exact", "sufficient")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGV_CASES))
+def test_refused_argv_is_usage_error(capsys, tmp_path, case):
+    _inputs(tmp_path)
+    argv, message = REFUSED_ARGV_CASES[case]
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    assert code == USAGE_EXIT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
 # ------------------------------------------------------- mutated JSON readers
 
 #: each reader's document, read through one argv; "@doc.json" is the mutated copy

@@ -26,7 +26,7 @@ always contains the asserted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .series import (
     LaurentSeries,
     SampleGrid,
     default_grid,
-    eval_many,
     z_derivative,
 )
 
@@ -226,7 +225,7 @@ def distortion(
             return float("-inf"), float("inf")
         raise ValueError(
             f"tail: multiplier growth degree {degree} < {needed}, the sum diverges; "
-            "pass TailPolicy('divergent_flag') to acknowledge"
+            "pass TailPolicy('divergent_flag') (--tail-mode divergent_flag) to acknowledge"
         )
     if tail.mode != "tail_estimate":
         raise ValueError(
@@ -347,16 +346,16 @@ def convolution_nonvanishing(
         return _nearest_phase(u, v, cp.beta, theta_count)
 
     note = _grid_note(grid) + f" theta_count={theta_count}"
-    report = _grid_check(
-        grid, RADIUS_CAP, (dF, F), lambda *pv: nearest(*pv)[0], lambda best: best > threshold, note
+
+    def detail_at(report, a, b):  # the phase at the witness, from the Horner values there
+        s = int(nearest(np.array([report.witness]), a, b)[1][0])
+        theta = 2.0 * np.pi * s / (theta_count + 1)
+        return f"min |value| = {report.worst_margin:.6g} at theta={theta:.6g}; {note}"
+
+    return _grid_check(
+        grid, RADIUS_CAP, (dF, F), lambda *pv: nearest(*pv)[0], lambda best: best > threshold, note,
+        detail_at=detail_at,
     )
-    if report.witness is None:
-        return report
-    at = np.array([report.witness])
-    s = int(nearest(at, eval_many(dF, at), eval_many(F, at))[1][0])
-    theta = 2.0 * np.pi * s / (theta_count + 1)
-    detail = f"min |value| = {report.worst_margin:.6g} at theta={theta:.6g}; {note}"
-    return replace(report, detail=detail)
 
 
 # ------------------------------------------------------------- partial sums

@@ -30,7 +30,7 @@ pretending the bound constrains anything there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .operator import OperatorParams, apply_coeff, phi_array, require_pole_order
 from .series import (
     LaurentSeries,
     SampleGrid,
-    eval_circles,
+    SeriesRows,
     eval_many,
     eval_rows_at,
     eval_rows_circles,
@@ -244,23 +244,35 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
 
 # --------------------------------------------------------- numeric routes
 
-def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
+def vanishing_floor(zs: np.ndarray, p: int) -> np.ndarray:
+    """The lead-free floor 1e-14 |z|^-p of ``vanishes`` at zs (inf where |z|^-p overflows)."""
+    with np.errstate(over="ignore"):
+        return 1e-14 * np.abs(zs) ** (-p)
+
+
+def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0, floor=None) -> np.ndarray:
     """Where pole-order-p ``values`` at zs vanish: |value| <= 1e-14 |z|^-p max(1, |lead|), the
     rounding scale of a function like lead * z^-p near 0.  A non-finite value never vanishes;
     where |z|^-p overflows, every finite one does.  ``lead`` may be an array of one lead per
-    row of ``values``, shaped to broadcast against them."""
+    row of ``values``, shaped to broadcast against them.  ``floor`` is ``vanishing_floor(zs,
+    p)``, for a caller that tests several sets of values at the same points."""
+    if floor is None:
+        floor = vanishing_floor(zs, p)
     with np.errstate(over="ignore"):
-        floor = 1e-14 * np.abs(zs) ** (-p) * np.maximum(1.0, np.abs(lead))
-    return np.isfinite(values) & (np.abs(values) <= floor)
+        return np.isfinite(values) & (np.abs(values) <= floor * np.maximum(1.0, np.abs(lead)))
 
 
 def _quotient_margin(p: int, form, at_pole: float):
     """margin_of(points, vanish, F, zF'): form(Q), Q = z F'/(p F), or ``at_pole``, the
-    limit of form(Q)/|Q| as Q -> inf, where F vanishes (the mask ``vanish``)."""
+    limit of form(Q)/|Q| as Q -> inf, where F vanishes (the mask ``vanish``).  Q is
+    one buffer that ``form`` may overwrite, and the margins are written into form's result."""
 
     def margin_of(points, vanish, b, a):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(vanish, at_pole, form(a / (p * b)))
+            q = np.multiply(p, b)
+            margins = form(np.divide(a, q, out=q))
+        np.copyto(margins, at_pole, where=vanish)
+        return margins
 
     return margin_of
 
@@ -268,19 +280,32 @@ def _quotient_margin(p: int, form, at_pole: float):
 def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, form):
     F = apply_coeff(op, f)
     zs = grid.points(radius_cap=RADIUS_CAP)
-    b, a = (eval_circles(g, grid, RADIUS_CAP) for g in (F, z_derivative(F)))
+    b, a = eval_rows_circles(*SeriesRows.of((F, z_derivative(F))), grid, RADIUS_CAP)
     return zs, _quotient_margin(op.p, *form)(zs, vanishes(b, zs, op.p, f.lead), b, a)
 
 
 def _numeric_form(cp: ClassParams):
     """Q -> beta*|Q + 2 alpha - 1| - |Q + 1|, the defining inequality's margin, and at_pole beta - 1."""
-    return (lambda q: cp.beta * np.abs(q + (2.0 * cp.alpha - 1.0)) - np.abs(q + 1.0)), cp.beta - 1.0
+    shift = 2.0 * cp.alpha - 1.0
+
+    def form(q):
+        off = np.abs(q + 1.0)
+        margins = np.abs(np.add(q, shift, out=q))
+        np.multiply(cp.beta, margins, out=margins)
+        return np.subtract(margins, off, out=margins)
+
+    return form, cp.beta - 1.0
 
 
 def _disk_form(cp: ClassParams):
     """Q -> radius - |(-Q) - center|, the disk form's margin (beta < 1), and at_pole -1."""
     center, radius = disk_parameters(cp)
-    return (lambda q: radius - np.abs(-q - center)), -1.0
+
+    def form(q):
+        margins = np.abs(np.subtract(np.negative(q, out=q), center, out=q))
+        return np.subtract(radius, margins, out=margins)
+
+    return form, -1.0
 
 
 def numeric_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
@@ -329,60 +354,69 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _grid_rows(p: int, leads, points, values, values_at, margin_of, vanishing: bool):
+def _grid_rows(p: int, leads, points, values, margin_of, floor=None):
     """Each row's grid margins, reduced to its witness: the grid checks' one
     reduction, for one series (one row) or for a block of trials.
 
     ``values`` are the series' values at the (nonempty) ``points``, one
-    (rows x points) array per series, by FFT; ``values_at(at)`` are their
-    values at one point per row, by Horner.  ``margin_of(points, *values)`` is
-    elementwise; with ``vanishing`` it is ``margin_of(points, vanish,
-    *values)``, given also the mask where the first series (pole order p, one
-    lead per row in ``leads``) vanishes.  The FFT margins locate each row's
-    witness ``at``; recheck() gives its margin from Horner's values there.
-    Returns the mask on the points (None without ``vanishing``), the FFT
-    margins at the witnesses, ``at`` and ``recheck``, one entry per row each.
+    (rows x points) array per series, by FFT.  ``margin_of(points, *values)`` is
+    elementwise; given ``floor``, the ``vanishing_floor`` at the points, it is
+    ``margin_of(points, vanish, *values)``, given also the mask where the first
+    series (pole order p, one lead per row in ``leads``) vanishes.  The FFT
+    margins locate each row's witness ``at``; recheck(values_at) gives its
+    margin from the series' values there, one (rows,) array per series, by Horner.
+    Returns the mask on the points (None without ``floor``), the FFT margins at
+    the witnesses, ``at`` and ``recheck``, one entry per row each.
     """
     leads = np.asarray(leads)[:, None]
 
-    def margins(zs, vals):
-        if not vanishing:
+    def margins(zs, vals, fl):
+        if fl is None:
             return None, margin_of(zs, *vals)
-        vanish = vanishes(vals[0], zs, p, leads)
+        vanish = vanishes(vals[0], zs, p, leads, fl)
         return vanish, margin_of(zs, vanish, *vals)
 
-    vanish, fft = margins(points, values)
+    vanish, fft = margins(points, values, floor)
     i = np.argmin(fft, axis=1)
     at = points[i]
 
-    def recheck():
-        return margins(at[:, None], [v[:, None] for v in values_at(at)])[1][:, 0]
+    def recheck(values_at):
+        at_floor = None if floor is None else floor[i][:, None]
+        return margins(at[:, None], [v[:, None] for v in values_at], at_floor)[1][:, 0]
 
     return vanish, fft[np.arange(i.size), i], at, recheck
 
 
-def _grid_check(grid: SampleGrid, cap, series, margin_of, passes, note: str, vanishing=None) -> Report:
+def _grid_check(
+    grid: SampleGrid, cap, series, margin_of, passes, note: str, vanishing=None, detail_at=None
+) -> Report:
     """Reduce the margins from the values of ``series`` by ``_grid_rows``, as
-    one row, on the grid's radii <= cap (all for cap None): FFT values
-    (``eval_circles``) locate the witness, Horner's (``eval_many``) give its
-    margin, and ``passes(worst)`` its verdict.  No points is inconclusive and a
-    margin that is not finite an OverflowError, as in ``_grid_verdict``.
+    one row, on the grid's radii <= cap (all for cap None).  The series are
+    evaluated together, as ``SeriesRows``: one FFT call (``eval_rows_circles``)
+    locates the witness, one Horner pass (``eval_many``) gives every series'
+    value there, hence the margin, and ``passes(worst)`` the verdict.  No points
+    is inconclusive and a margin that is not finite an OverflowError, as in
+    ``_grid_verdict``.
 
     ``vanishing`` names the first series, when ``margin_of`` takes the mask
     where it vanishes (``vanishes`` at its pole order and lead); the note is
-    then led by the first such point, if any."""
+    then led by the first such point, if any.  ``detail_at(report, *values)``,
+    if given, is the report's detail, from the Horner values at its witness."""
     points = grid.points(radius_cap=cap)
     if points.size == 0:
         return _grid_verdict(points, points, passes, note)
-    first = series[0]
+    rows = SeriesRows.of(series)
+    p = rows.pole_order
+    floor = None if vanishing is None else vanishing_floor(points, p)
     vanish, fft, at, recheck = _grid_rows(
-        first.pole_order, [first.lead], points, [eval_circles(g, grid, cap)[None, :] for g in series],
-        lambda at: [eval_many(g, at) for g in series], margin_of, vanishing is not None,
+        p, rows.lead[:1], points, eval_rows_circles(*rows, grid, cap)[:, None], margin_of, floor
     )
     if vanishing is not None and np.any(vanish):
         note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
     _grid_verdict(at, fft, passes, note)  # an FFT margin that is not finite is an OverflowError
-    return _grid_verdict(at, recheck(), passes, note)
+    values_at = eval_many(rows, np.repeat(at, len(series)))[:, None]
+    report = _grid_verdict(at, recheck(values_at), passes, note)
+    return report if detail_at is None else replace(report, detail=detail_at(report, *values_at))
 
 
 def _quotient_check(op: OperatorParams, f: LaurentSeries, grid: SampleGrid | None, form) -> Report:
@@ -414,6 +448,7 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
     p = op.p
     phi = phi_array(op, ks)
     points = grid.points(radius_cap=RADIUS_CAP)
+    floor = vanishing_floor(points, p)
     margin_of = _quotient_margin(p, *_numeric_form(cp))
 
     def rows_of(leads, tails):
@@ -424,13 +459,12 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
             blocks = ((leads, image), (-p * leads, ks * image))
         stacked = [np.concatenate(parts) for parts in zip(*blocks)]  # F and zF' in one Horner pass
         _, fft, at, recheck = _grid_rows(
-            p, leads, points, [eval_rows_circles(p, *b, grid, RADIUS_CAP) for b in blocks],
-            lambda at: np.split(eval_rows_at(p, *stacked, np.tile(at, 2)), 2), margin_of, True,
+            p, leads, points, [eval_rows_circles(p, *b, grid, RADIUS_CAP) for b in blocks], margin_of, floor
         )
         # z^-p divides by an underflowed z^p only where the FFT overflowed too: such a
         # row is re-run, and its check refuses it before any Horner pass
         with np.errstate(divide="ignore"):
-            worst = recheck()
+            worst = recheck(np.split(eval_rows_at(p, *stacked, np.tile(at, 2)), 2))
         holds = np.all(np.isfinite(image), axis=1) & np.isfinite(fft) & np.isfinite(worst)
         return holds & (worst > grid.margin), worst, at
 

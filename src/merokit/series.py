@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -361,8 +361,24 @@ def _check_points(zs: np.ndarray) -> None:
         raise ValueError("z: evaluation requires |z| < 1")
 
 
-def eval_many(f: LaurentSeries, zs: Iterable[complex]) -> np.ndarray:
-    """Evaluate at points of the punctured unit disk, by Horner.  A value
+class SeriesRows(NamedTuple):
+    """Equally long pole-order-p series stacked as rows: their leads (rows,)
+    and tails (rows x K), the block form of ``eval_rows_at`` and
+    ``eval_rows_circles`` (which take these three fields in this order)."""
+
+    pole_order: int
+    lead: np.ndarray
+    coeffs: np.ndarray
+
+    @classmethod
+    def of(cls, series) -> "SeriesRows":
+        p = series[0].pole_order
+        return cls(p, np.array([g.lead for g in series]), np.array([g.coeffs for g in series]))
+
+
+def eval_many(f: LaurentSeries | SeriesRows, zs: Iterable[complex]) -> np.ndarray:
+    """Evaluate at points of the punctured unit disk, by Horner: a series at
+    each point of zs, or ``SeriesRows`` at one point zs[i] per row i.  A value
     that overflows is left infinite or NaN, without a warning, for the
     caller to refuse."""
     zs = np.asarray(zs, dtype=np.complex128)
@@ -413,8 +429,8 @@ def eval_rows_circles(
     bins = np.zeros((rows, radii.size, width), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         bins[:, :, start : start + n] = c[:, None, :] * radii[:, None] ** np.arange(-p, n - p)
-        folded = bins.reshape(rows * radii.size, width // m, m).sum(axis=1)
-        return np.fft.ifft(folded, axis=1, norm="forward").reshape(rows, radii.size * m)
+        bins = bins.reshape(rows * radii.size, width // m, m).sum(axis=1)  # folded; frees the zero fill
+        return np.fft.ifft(bins, axis=1, norm="forward").reshape(rows, radii.size * m)
 
 
 def fold_width(p: int, n: int, m: int) -> int:

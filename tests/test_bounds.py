@@ -601,10 +601,11 @@ def test_worst_margin_exactly_on_threshold(case, monkeypatch):
 
 # ------------------------------------------------------------- grid checkers
 #
-# Every sampled checker locates its worst point on the FFT values and
-# reports Horner's margin there, through ``series.eval_many``.  The
-# benchmark's traced run times that call as a layer, so each checker must
-# make it on every report that has grid points.
+# Every sampled checker evaluates its series together, as stacked rows: one
+# FFT call (``series.eval_rows_circles``) locates its worst point, and one
+# Horner pass (``series.eval_many`` of the stacked rows, one
+# ``series.eval_rows_at`` call) gives every series' value there, from which
+# the report's margin (and the convolution's phase) is taken.
 
 GRID_CHECKERS = {
     "numeric": lambda grid: numeric_membership(OP1, TH_CP, _th_member(), grid),
@@ -619,23 +620,49 @@ GRID_CHECKERS = {
 }
 
 
+#: the series each checker evaluates: (F, zF'), (f, k_m), (zF', F) or one
+SERIES_ROWS = {"numeric": 2, "disk": 2, "subordination": 1, "partial-sums": 2, "convolution": 2, "distortion": 1}
+
+RECHECK_GRIDS = (SampleGrid((0.5,), 8), _th_grid(None), SampleGrid((0.2, 0.9), 7))
+
+
 @pytest.mark.parametrize("case", list(GRID_CHECKERS))
 def test_grid_checker_rechecks_by_horner(case, monkeypatch):
     calls = []
-    orig = merokit.series.eval_many
+    for fn in ("eval_rows_circles", "eval_rows_at"):
+        orig = getattr(merokit.series, fn)
 
-    def counted(f, zs):
-        calls.append(np.size(zs))
-        return orig(f, zs)
+        def counted(*args, fn=fn, orig=orig):
+            calls.append((fn, args))
+            return orig(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("merokit") and getattr(module, "eval_many", None) is orig:
-            monkeypatch.setattr(module, "eval_many", counted)
-    for grid in (SampleGrid((0.5,), 8), _th_grid(None), SampleGrid((0.2, 0.9), 7)):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("merokit") and getattr(module, fn, None) is orig:
+                monkeypatch.setattr(module, fn, counted)
+    rows = SERIES_ROWS[case]
+    for grid in RECHECK_GRIDS:
         del calls[:]
         rep = GRID_CHECKERS[case](grid)
         assert rep.verdict != "inconclusive" and rep.witness is not None
-        assert calls and all(size == 1 for size in calls)
+        assert [fn for fn, _ in calls] == ["eval_rows_circles", "eval_rows_at"]
+        (_, leads, tails, _, _), (_, at_leads, at_tails, zs) = (args for _, args in calls)
+        assert len(leads) == len(tails) == len(at_leads) == len(at_tails) == rows
+        assert zs.tolist() == [rep.witness] * rows  # one witness point per series row
+
+
+@pytest.mark.parametrize("theta_count", [1, 24, 360])
+def test_convolution_phase_is_horner_phase_at_witness(theta_count):
+    f = _th_member()
+    F = apply_coeff(OP1, f)
+    for grid in RECHECK_GRIDS:
+        rep = convolution_nonvanishing(OP1, TH_CP, f, grid, theta_count)
+        at = np.array([rep.witness])
+        a, b = eval_many(z_derivative(F), at), eval_many(F, at)  # a fresh Horner pass
+        u = at * (a + b)  # p = 1
+        v = at * (a + (2.0 * TH_CP.alpha - 1.0) * b)
+        s = int(_nearest_phase(u, v, TH_CP.beta, theta_count)[1][0])
+        theta = 2.0 * np.pi * s / (theta_count + 1)
+        assert rep.detail.startswith(f"min |value| = {rep.worst_margin:.6g} at theta={theta:.6g}; ")
 
 
 @pytest.mark.parametrize("case", list(GRID_CHECKERS))

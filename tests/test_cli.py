@@ -839,6 +839,18 @@ def test_refused_argv_is_usage_error(capsys, tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 
+
+def test_distortion_divergence_names_the_flag(capsys, tmp_path):
+    """A divergent multiplier sum is refused with the flag that acknowledges it."""
+    _inputs(tmp_path)
+    argv = ["verify", "distortion", *_PS, "--r", "0.3", "--which", "fprime_general"]
+    code, out, err = run(capsys, *_located(tmp_path, [*argv, "--tail-mode", "exact_support"]))
+    assert code == USAGE_EXIT and out == ""
+    assert err.startswith("error: tail: ") and err.count("\n") == 1
+    assert "the sum diverges" in err and "--tail-mode divergent_flag" in err
+    code, out, _ = run(capsys, *_located(tmp_path, [*argv, "--tail-mode", "divergent_flag"]))
+    assert code == 2 and json.loads(out)["verdict"] == "inconclusive"
+
 # ------------------------------------------------------- mutated JSON readers
 
 #: each reader's document, read through one argv; "@doc.json" is the mutated copy

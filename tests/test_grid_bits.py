@@ -1,0 +1,240 @@
+"""Frozen bits of the six grid checkers and the two margin arrays.
+
+Each report's float.hex margin, witness and detail, and a sha256 of the
+``numeric_margins``/``disk_margins`` arrays, are pinned for one seeded
+K = 255 Herglotz member (p = 1) and one K = 255 Schwarz member (p = 2), on a
+20x512 grid and on a 3x16 grid where 256 terms fold onto 16 bins.  A change
+to how the checkers evaluate their series (FFT batching, the Horner recheck,
+the margin forms) must leave every one of these bits in place.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from merokit.bounds import TailPolicy, convolution_nonvanishing, distortion_report, partial_sum_bounds
+from merokit.generators import MeasureAtoms, SchwarzPoly, from_herglotz, from_schwarz
+from merokit.membership import (
+    ClassParams,
+    disk_characterization,
+    disk_margins,
+    numeric_margins,
+    numeric_membership,
+    ratio_weights,
+    subordination_power_target,
+)
+from merokit.operator import OperatorParams
+from merokit.series import LaurentSeries, SampleGrid
+
+K = 255
+
+GRIDS = {
+    "20x512": SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 512),
+    "fold16": SampleGrid((0.3, 0.6, 0.9), 16),
+}
+
+
+def _members():
+    """(name, operator, class parameters, disk-form parameters, member) for both members."""
+    rng = np.random.default_rng(20261018)
+    op1 = OperatorParams(0.8, 0.2, 1, 1)  # mu > 0: both distortion sums converge
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    weights = rng.dirichlet(np.ones(3))
+    atoms = MeasureAtoms(tuple((complex(np.cos(t), np.sin(t)), float(w)) for t, w in zip(angles, weights)))
+    herglotz = from_herglotz(op1, 0.3, atoms, K)
+    op2 = OperatorParams(0.7, 0.15, 1, 2)
+    cp2 = ClassParams(0.2, 0.6)
+    w = rng.normal(size=3) + 1j * rng.normal(size=3)
+    w *= 0.6 / float(np.sum(np.abs(w)))
+    schwarz = from_schwarz(op2, cp2, SchwarzPoly(tuple(complex(c) for c in w)), K)
+    return (
+        ("herglotz", op1, ClassParams(0.3, 1.0), ClassParams(0.3, 0.8), herglotz),
+        ("schwarz", op2, cp2, cp2, schwarz),
+    )
+
+
+def _ratio_member(op, f):
+    """f's tail scaled to an exactly supported series whose partial-sum
+    hypothesis sum is 0.5, so that the ratio check reaches the grid."""
+    cp = ClassParams(0.8, 1.0)  # ratio weights > 1 and increasing at p = 1 and 2
+    hyp = float(np.dot(ratio_weights(op, cp, f.k_values()), np.abs(f.coeffs)))
+    return cp, LaurentSeries(f.pole_order, f.trunc_order, f.coeffs * (0.5 / hyp), 1.0, True)
+
+
+def _bits(rep):
+    w = rep.witness
+    witness = None if w is None else (float.hex(w.real), float.hex(w.imag))
+    return rep.verdict, float.hex(float(rep.worst_margin)), witness, rep.detail
+
+
+def _sha(margins):
+    return hashlib.sha256(np.ascontiguousarray(margins).tobytes()).hexdigest()
+
+
+def observed():
+    """Every pinned value, keyed by member, grid and check."""
+    out = {}
+    for name, op, cp, cp_disk, f in _members():
+        cp_ratio, g = _ratio_member(op, f)
+        for gname, grid in GRIDS.items():
+            key = f"{name} {gname}"
+            out[f"{key} numeric"] = _bits(numeric_membership(op, cp, f, grid))
+            out[f"{key} disk"] = _bits(disk_characterization(op, cp_disk, f, grid))
+            out[f"{key} subordination"] = _bits(subordination_power_target(op, cp.alpha, f, grid))
+            out[f"{key} convolution"] = _bits(convolution_nonvanishing(op, cp, f, grid, 90))
+            for which, r in (("f_general", grid.radii[-1]), ("fprime_general", grid.radii[0])):
+                rep = distortion_report(op, cp, f, r, which, TailPolicy("tail_estimate"), grid.angles_count)
+                out[f"{key} distortion {which}"] = _bits(rep)
+            out[f"{key} partial-sums"] = _bits(partial_sum_bounds(op, cp_ratio, g, 2, grid))
+            out[f"{key} numeric_margins"] = _sha(numeric_margins(op, cp, f, grid)[1])
+            out[f"{key} disk_margins"] = _sha(disk_margins(op, cp_disk, f, grid)[1])
+    return out
+
+
+#: taken before the checkers evaluated their series as stacked rows
+EXPECTED = {'herglotz 20x512 convolution': ('holds',
+                                            '0x1.79b28098161cfp-3',
+                                            ('0x1.41cfd088b9f67p-1', '-0x1.49cf0b2d3316dp-1'),
+                                            'min |value| = 0.184422 at theta=5.38559; grid=3393b8c7f592 '
+                                            'theta_count=90'),
+            'herglotz 20x512 disk': ('fails',
+                                     '-0x1.898a6472ee462p+0',
+                                     ('0x1.c054aab8401c4p-1', '-0x1.a9e2e4e57ef8cp-3'),
+                                     'grid=3393b8c7f592'),
+            'herglotz 20x512 disk_margins': '7cf33f9fefa29e7de31a0072e0be5b0b471fa8b70eabf4d254f780e0740605b2',
+            'herglotz 20x512 distortion f_general': ('holds',
+                                                     '0x1.6869c53bf6e3ap-1',
+                                                     ('-0x1.b3bc610742e24p-1', '0x1.2bce53bd336b2p-2'),
+                                                     'which=f_general r=0.9 lower=-0.111360481749 '
+                                                     'upper=2.33358270397 angles=512'),
+            'herglotz 20x512 distortion fprime_general': ('holds',
+                                                          '0x1.c7ddcc442e000p-4',
+                                                          ('-0x1.3fca3b659433ep-4', '0x1.ffe28853bbe20p-5'),
+                                                          'which=fprime_general r=0.1 lower=99.8276400743 '
+                                                          'upper=100.172359926 angles=512'),
+            'herglotz 20x512 numeric': ('holds',
+                                        '0x1.af6e45df036d8p-4',
+                                        ('-0x1.5cebfd7993b7dp-1', '0x1.2cfb675e6b551p-1'),
+                                        'grid=3393b8c7f592'),
+            'herglotz 20x512 numeric_margins': '12ce66a8076d30bc96f4adc26a80f7fdc171a44d131c3bfbccd09a75c045377b',
+            'herglotz 20x512 partial-sums': ('holds',
+                                             '0x1.e49b5729cc7c0p-7',
+                                             ('0x1.a9b943a7a4bf2p-1', '0x1.60ae596039873p-2'),
+                                             'grid=3393b8c7f592 m_cut=2 theta=66.08'),
+            'herglotz 20x512 subordination': ('holds',
+                                              '0x1.06d99fa8ec928p-2',
+                                              ('0x1.b8f5467b25c78p-1', '-0x1.0b86bf6f37587p-2'),
+                                              'grid=3393b8c7f592'),
+            'herglotz fold16 convolution': ('holds',
+                                            '0x1.7b263aa996d49p-3',
+                                            ('0x1.45d5b5c3f4f6ap-1', '-0x1.45d5b5c3f4f6dp-1'),
+                                            'min |value| = 0.185132 at theta=5.38559; grid=2485623efeee '
+                                            'theta_count=90'),
+            'herglotz fold16 disk': ('fails',
+                                     '-0x1.4f0df0ffde894p-1',
+                                     ('0x1.a9b943a7a4bf1p-1', '-0x1.60ae59603987dp-2'),
+                                     'grid=2485623efeee'),
+            'herglotz fold16 disk_margins': 'd81be260a8244c3b900bd8270074dea39a848e55d8f41e4416d974a6b419fce7',
+            'herglotz fold16 distortion f_general': ('holds',
+                                                     '0x1.6910ab78bdee6p-1',
+                                                     ('-0x1.a9b943a7a4bf2p-1', '0x1.60ae596039875p-2'),
+                                                     'which=f_general r=0.9 lower=-0.111360481749 '
+                                                     'upper=2.33358270397 angles=16'),
+            'herglotz fold16 distortion fprime_general': ('holds',
+                                                          '0x1.c61473e564ac0p-2',
+                                                          ('-0x1.b27247aff148ep-3', '0x1.b27247aff148fp-3'),
+                                                          'which=fprime_general r=0.3 lower=10.594031334 '
+                                                          'upper=11.6281908883 angles=16'),
+            'herglotz fold16 numeric': ('holds',
+                                        '0x1.b06e0562e62e8p-4',
+                                        ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
+                                        'grid=2485623efeee'),
+            'herglotz fold16 numeric_margins': '4c42e01bd1d312c6ce56707759628591e37015ea4f1021f04caeb69d0384ecdb',
+            'herglotz fold16 partial-sums': ('holds',
+                                             '0x1.e49b5729cc7c0p-7',
+                                             ('0x1.a9b943a7a4bf2p-1', '0x1.60ae596039873p-2'),
+                                             'grid=2485623efeee m_cut=2 theta=66.08'),
+            'herglotz fold16 subordination': ('holds',
+                                              '0x1.0dc80aecd47b4p-2',
+                                              ('0x1.a9b943a7a4bf1p-1', '-0x1.60ae59603987dp-2'),
+                                              'grid=2485623efeee'),
+            'schwarz 20x512 convolution': ('holds',
+                                           '0x1.081a6a99bd2cdp+0',
+                                           ('-0x1.6096cdaf45d46p-1', '0x1.28ad758d85519p-1'),
+                                           'min |value| = 1.03165 at theta=0.483322; grid=3393b8c7f592 '
+                                           'theta_count=90'),
+            'schwarz 20x512 disk': ('holds',
+                                    '0x1.04d769d8722c0p-2',
+                                    ('-0x1.884df1f100191p-1', '-0x1.e3763be752acbp-2'),
+                                    'grid=3393b8c7f592'),
+            'schwarz 20x512 disk_margins': '374ee1f010c43f5be046a7f023dfe0abd44e5b76e3bcca426aa27525d7e8910c',
+            'schwarz 20x512 distortion f_general': ('holds',
+                                                    '0x1.bebc55ab80ab8p+0',
+                                                    ('-0x1.2cfb675e6b555p-1', '-0x1.5cebfd7993b7ap-1'),
+                                                    'which=f_general r=0.9 lower=-0.894446694655 '
+                                                    'upper=3.36358249712 angles=512'),
+            'schwarz 20x512 distortion fprime_general': ('fails',
+                                                         '-0x1.8352b2433b1c0p+4',
+                                                         ('-0x1.1d6cb1765b96fp-5', '-0x1.7fef1e8249822p-4'),
+                                                         'which=fprime_general r=0.1 lower=1998.78531025 '
+                                                         'upper=2001.21468975 angles=512'),
+            'schwarz 20x512 numeric': ('holds',
+                                       '0x1.9753fc3555185p-2',
+                                       ('-0x1.a2f1d1bd196e1p-1', '-0x1.7fc80f3e252fep-2'),
+                                       'grid=3393b8c7f592'),
+            'schwarz 20x512 numeric_margins': '9c6c18e5c6f67cb384348c0b8d9350b221d9571df47c78ba200df77daff48f39',
+            'schwarz 20x512 partial-sums': ('holds',
+                                            '0x1.43804837c0100p-6',
+                                            ('-0x1.399ef5e8e1afep-1', '0x1.519b6a24fe6f1p-1'),
+                                            'grid=3393b8c7f592 m_cut=2 theta=47.7'),
+            'schwarz 20x512 subordination': ('holds',
+                                             '0x1.9bcf728088cd9p-1',
+                                             ('-0x1.cca9456ddebbfp-1', '-0x1.69e0092130f3cp-6'),
+                                             'grid=3393b8c7f592'),
+            'schwarz fold16 convolution': ('holds',
+                                           '0x1.08e6f3f89b36fp+0',
+                                           ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
+                                           'min |value| = 1.03477 at theta=0.34523; grid=2485623efeee '
+                                           'theta_count=90'),
+            'schwarz fold16 disk': ('holds',
+                                    '0x1.0b03234f24654p-2',
+                                    ('-0x1.a9b943a7a4bf3p-1', '-0x1.60ae596039871p-2'),
+                                    'grid=2485623efeee'),
+            'schwarz fold16 disk_margins': 'df01a813d98252afb784412ce368cd30f83f916e59aa9791bca69d06a7f13444',
+            'schwarz fold16 distortion f_general': ('holds',
+                                                    '0x1.bf4a59bab957ep+0',
+                                                    ('-0x1.45d5b5c3f4f6dp-1', '-0x1.45d5b5c3f4f6bp-1'),
+                                                    'which=f_general r=0.9 lower=-0.894446694655 '
+                                                    'upper=3.36358249712 angles=16'),
+            'schwarz fold16 distortion fprime_general': ('fails',
+                                                         '-0x1.9c8fa2af9ca00p+0',
+                                                         ('-0x1.d63dcc804cb4fp-4', '-0x1.1bd0d7c5187f5p-2'),
+                                                         'which=fprime_general r=0.3 lower=72.859384321 '
+                                                         'upper=75.2887638272 angles=16'),
+            'schwarz fold16 numeric': ('holds',
+                                       '0x1.97b7f79f7a93fp-2',
+                                       ('-0x1.a9b943a7a4bf3p-1', '-0x1.60ae596039871p-2'),
+                                       'grid=2485623efeee'),
+            'schwarz fold16 numeric_margins': '45c06a0c579851b0590490d712161ebeb39caf826615e00273b10449dcd0ec92',
+            'schwarz fold16 partial-sums': ('holds',
+                                            '0x1.43af4148a23e0p-6',
+                                            ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
+                                            'grid=2485623efeee m_cut=2 theta=47.7'),
+            'schwarz fold16 subordination': ('holds',
+                                             '0x1.9bd42906e5f7cp-1',
+                                             ('-0x1.ccccccccccccdp-1', '0x1.fc4ab28be3f40p-54'),
+                                             'grid=2485623efeee')}
+
+
+@pytest.fixture(scope="module")
+def observed_bits():
+    return observed()
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED))
+def test_grid_bits_are_frozen(observed_bits, key):
+    assert observed_bits[key] == EXPECTED[key]
+
+
+def test_every_value_is_pinned(observed_bits):
+    assert sorted(observed_bits) == sorted(EXPECTED)

@@ -473,6 +473,22 @@ def test_trial_memory_does_not_grow_with_the_trial_count():
     assert peaks[1] < 16 * 256 * 1024
 
 
+def test_default_scale_trial_memory_peak():
+    """tracemalloc's peak of a default-scale call (K = 63 on the 5x720 grid, 8 + 32
+    trials in 2-row blocks) was 652 KiB while the numeric form allocated five
+    full-size temporaries and the FFT kept its zero-filled bins; it is about
+    623 KiB with reused buffers, and must stay below 640 KiB."""
+    op, cp, f = _member(1, 0)
+    args = (op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
+    verify_inclusion_general(*args)  # first-call allocations are not the trials' own
+    tracemalloc.start()
+    rep = verify_inclusion_general(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rep.verdict == "holds"
+    assert peak < 640 * 1024
+
+
 def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
     sizes = []
     screen = neighborhoods._numeric_rows

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from merokit.series import (
     LaurentSeries,
     SampleGrid,
+    SeriesRows,
     add,
     default_grid,
     default_trunc_order,
@@ -351,6 +352,26 @@ def test_row_blocks_evaluate_bitwise_as_single_rows(block):
         assert on_circles[i].tobytes() == eval_circles(f, grid, cap).tobytes()
         assert horner[i].tobytes() == polyval(tail, at[i : i + 1]).tobytes()
         assert by_rows[i].tobytes() == eval_many(f, at[i : i + 1]).tobytes()
+
+
+@given(block=row_block())
+@settings(max_examples=50, deadline=None)
+def test_series_rows_evaluate_as_each_series(block):
+    """``eval_many`` of series stacked by ``SeriesRows.of`` gives each row, at its
+    own point, the bits ``eval_many`` gives that series alone."""
+    p, k, leads, tails, grid = block
+    series = [L(p, k, tail, lead) for lead, tail in zip(leads, tails)]
+    points = grid.points()
+    at = points[np.arange(len(series)) * 5 % points.size]
+    stacked = eval_many(SeriesRows.of(series), at)
+    assert stacked.tobytes() == np.concatenate([eval_many(f, at[i : i + 1]) for i, f in enumerate(series)]).tobytes()
+
+
+def test_series_rows_refuse_points_outside_the_punctured_disk():
+    rows = SeriesRows.of([L(1, 1, [1.0, 2.0]), L(1, 1, [0.5, 0.0], -1.0)])
+    for bad, message in ((0.0, r"at z = 0"), (1.0, r"requires \|z\| < 1")):
+        with pytest.raises(ValueError, match=message):
+            eval_many(rows, np.array([0.5, bad]))
 
 
 # ----------------------------------------------------------------- sample grid

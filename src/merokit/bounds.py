@@ -186,6 +186,14 @@ def _certified_sum(op: OperatorParams, extra_power: int) -> float:
     return partial + _tail_majorant(op, extra_power, _SUM_TERMS)
 
 
+def _power(r: float, n: int) -> float:
+    """r**n for a radius r in (0, 1); one that overflows a float is a ValueError."""
+    try:
+        return r ** n
+    except OverflowError:
+        raise ValueError(f"r: r**{n} overflows a float at r={r}") from None
+
+
 def distortion(
     op: OperatorParams,
     cp: ClassParams,
@@ -204,15 +212,14 @@ def distortion(
                              with S' = sum k/((k+p) phi_k).
 
     A divergent S (or S') with tail.mode == "divergent_flag" yields the
-    vacuous interval (-inf, inf); without the flag it is an error.
+    vacuous interval (-inf, inf); without the flag it is an error.  So is a
+    radius so small that a bound overflows a float.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r: need 0 < r < 1, got {r}")
     if which == "f_plus":
         b = coeff_bound_plus(op, cp, 1 - op.p)
-        base = r ** (-op.p)
-        spread = b * r ** (1 - op.p)
-        return base - spread, base + spread
+        return _interval(r, _power(r, -op.p), b * _power(r, 1 - op.p))
     if which not in ("f_general", "fprime_general"):
         raise ValueError(
             f"which: expected f_plus, f_general or fprime_general, got {which!r}"
@@ -234,12 +241,16 @@ def distortion(
         )
     s_upper = _certified_sum(op, extra)
     if which == "f_general":
-        base = r ** (-op.p)
-        spread = budget(op, cp) * r ** (1 - op.p) * s_upper
-    else:
-        base = op.p * r ** (-op.p - 1)
-        spread = budget(op, cp) * r ** (2 - op.p) * s_upper
-    return base - spread, base + spread
+        return _interval(r, _power(r, -op.p), budget(op, cp) * _power(r, 1 - op.p) * s_upper)
+    return _interval(r, op.p * _power(r, -op.p - 1), budget(op, cp) * _power(r, 2 - op.p) * s_upper)
+
+
+def _interval(r: float, base: float, spread: float) -> tuple[float, float]:
+    """(base - spread, base + spread); one that overflows a float is a ValueError."""
+    lower, upper = base - spread, base + spread
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"r: the distortion bounds at r={r} overflow a float")
+    return lower, upper
 
 
 def distortion_report(
@@ -255,13 +266,22 @@ def distortion_report(
 
     Meaningful for class members (nonnegative subclass for f_plus).
     Vacuous intervals from a flagged divergent configuration give an
-    inconclusive verdict, never a fake pass.
+    inconclusive verdict, never a fake pass.  So does an interval collapsed
+    to one float coarser than SUM_TOL, the tolerance of the check: near
+    r = 0 the spread is lost to rounding against 1/r^p.
     """
     lower, upper = distortion(op, cp, r, which, tail)
     if not np.isfinite(lower) and not np.isfinite(upper):
         return Report(
             INCONCLUSIVE, float("nan"), None,
             f"vacuous bounds (divergent multiplier sum) for which={which} at r={r}",
+        )
+    if lower == upper and math.ulp(lower) > SUM_TOL:
+        # the spread is positive, lost to rounding, by more than the check's tolerance
+        return Report(
+            INCONCLUSIVE, float("nan"), None,
+            f"bounds collapse to one float, lower = upper = {lower:.12g}, for which={which} at r={r}; "
+            f"its spacing {math.ulp(lower):.3g} exceeds the tolerance {SUM_TOL:g}",
         )
     g = z_derivative(f) if which == "fprime_general" else f
 
@@ -302,7 +322,7 @@ def _nearest_phase(u, v, beta: float, theta_count: int):
     n = theta_count + 1
     with np.errstate(over="ignore", invalid="ignore"):
         star = np.where((u == 0) | (v == 0), 0.0, np.angle(u) - np.angle(v))
-        j = np.floor(np.mod(star, 2.0 * np.pi) * n / (2.0 * np.pi)).astype(np.int64)
+        j = np.floor(np.where(star < 0, star + 2.0 * np.pi, star) * n / (2.0 * np.pi)).astype(np.int64)
         wrap = (j < 1) | (j >= theta_count)  # theta* lies between theta_T and theta_1, or is NaN
         lo, hi = np.where(wrap, 1, j), np.where(wrap, theta_count, j + 1)
         at_lo, at_hi = (np.abs(u - beta * np.exp(1j * (2.0 * np.pi * s / n)) * v) for s in (lo, hi))
@@ -378,8 +398,9 @@ def partial_sum(f: LaurentSeries, m_cut: int) -> LaurentSeries:
 
 def _monotone_window_check(op, cp, hi: int):
     """Verify the ratio weights are > 1 and strictly increasing on
-    [1-p, hi], extending past the point where the bracket turns positive
-    (beyond that both factors increase, so the property persists)."""
+    [1-p, max(hi, k_pos) + 2], past the index k_pos where the bracket turns
+    positive: beyond it both factors increase, so the property persists at
+    every larger index, and no cut needs a wider window."""
     p = op.p
     # bracket k(beta+1) + p(1+beta(2 alpha - 1)) is increasing; find its sign flip
     k_pos = int(np.ceil((-p * (1.0 + cp.beta * (2.0 * cp.alpha - 1.0))) / (cp.beta + 1.0))) + 1
@@ -436,7 +457,7 @@ def partial_sum_bounds(
             INCONCLUSIVE, 1.0 - hyp, None,
             f"hypothesis fails: weighted coefficient sum {hyp:.17g} > 1",
         )
-    mono_bad = _monotone_window_check(op, cp, max(f.trunc_order, m_cut))
+    mono_bad = _monotone_window_check(op, cp, f.trunc_order)
     if mono_bad is not None:
         return Report(
             INCONCLUSIVE, 1.0 - hyp, None,

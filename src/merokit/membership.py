@@ -40,9 +40,8 @@ from .series import (
     LaurentSeries,
     SampleGrid,
     SeriesRows,
+    eval_circles,
     eval_many,
-    eval_rows_at,
-    eval_rows_circles,
     json_number,
     z_derivative,
 )
@@ -280,7 +279,7 @@ def _quotient_margin(p: int, form, at_pole: float):
 def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, form):
     F = apply_coeff(op, f)
     zs = grid.points(radius_cap=RADIUS_CAP)
-    b, a = eval_rows_circles(*SeriesRows.of((F, z_derivative(F))), grid, RADIUS_CAP)
+    b, a = eval_circles(SeriesRows.of((F, z_derivative(F))), grid, RADIUS_CAP)
     return zs, _quotient_margin(op.p, *form)(zs, vanishes(b, zs, op.p, f.lead), b, a)
 
 
@@ -354,21 +353,25 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _grid_rows(p: int, leads, points, values, margin_of, floor=None):
-    """Each row's grid margins, reduced to its witness: the grid checks' one
-    reduction, for one series (one row) or for a block of trials.
+def _grid_rows(rows: SeriesRows, points, values, margin_of, floor=None):
+    """Each candidate's grid margins, reduced to its witness: the grid checks'
+    one reduction, for one candidate (a single check) or a block of trials.
 
-    ``values`` are the series' values at the (nonempty) ``points``, one
-    (rows x points) array per series, by FFT.  ``margin_of(points, *values)`` is
-    elementwise; given ``floor``, the ``vanishing_floor`` at the points, it is
-    ``margin_of(points, vanish, *values)``, given also the mask where the first
-    series (pole order p, one lead per row in ``leads``) vanishes.  The FFT
-    margins locate each row's witness ``at``; recheck(values_at) gives its
-    margin from the series' values there, one (rows,) array per series, by Horner.
-    Returns the mask on the points (None without ``floor``), the FFT margins at
-    the witnesses, ``at`` and ``recheck``, one entry per row each.
+    ``rows`` stacks every candidate's series, series-major (the first series of
+    each candidate, then the second, ...), and ``values`` are their values at
+    the (nonempty) ``points``, by FFT: one (candidates x points) array per
+    series.  ``margin_of(points, *values)`` is elementwise; given ``floor``, the
+    ``vanishing_floor`` at the points, it is ``margin_of(points, vanish,
+    *values)``, given also the mask where the first series vanishes.  The FFT
+    margins locate each candidate's witness ``at``, and one Horner pass gives
+    every series' value there, hence the margin.  Returns the mask on the
+    points (None without ``floor``), and per candidate the FFT margin at the
+    witness, ``at``, the Horner margin there and the Horner values (one row
+    per series).
     """
-    leads = np.asarray(leads)[:, None]
+    count = len(values)
+    p = rows.pole_order
+    leads = rows.lead[: len(rows.lead) // count, None]
 
     def margins(zs, vals, fl):
         if fl is None:
@@ -379,20 +382,21 @@ def _grid_rows(p: int, leads, points, values, margin_of, floor=None):
     vanish, fft = margins(points, values, floor)
     i = np.argmin(fft, axis=1)
     at = points[i]
-
-    def recheck(values_at):
-        at_floor = None if floor is None else floor[i][:, None]
-        return margins(at[:, None], [v[:, None] for v in values_at], at_floor)[1][:, 0]
-
-    return vanish, fft[np.arange(i.size), i], at, recheck
+    # z^-p divides by an underflowed z^p only where the FFT overflowed too,
+    # a margin that the caller refuses
+    with np.errstate(divide="ignore"):
+        values_at = eval_many(rows, np.tile(at, count)).reshape(count, i.size)
+    at_floor = None if floor is None else floor[i][:, None]
+    worst = margins(at[:, None], values_at[:, :, None], at_floor)[1][:, 0]
+    return vanish, fft[np.arange(i.size), i], at, worst, values_at
 
 
 def _grid_check(
     grid: SampleGrid, cap, series, margin_of, passes, note: str, vanishing=None, detail_at=None
 ) -> Report:
     """Reduce the margins from the values of ``series`` by ``_grid_rows``, as
-    one row, on the grid's radii <= cap (all for cap None).  The series are
-    evaluated together, as ``SeriesRows``: one FFT call (``eval_rows_circles``)
+    one candidate, on the grid's radii <= cap (all for cap None).  The series
+    are evaluated together, as ``SeriesRows``: one FFT call (``eval_circles``)
     locates the witness, one Horner pass (``eval_many``) gives every series'
     value there, hence the margin, and ``passes(worst)`` the verdict.  No points
     is inconclusive and a margin that is not finite an OverflowError, as in
@@ -406,16 +410,14 @@ def _grid_check(
     if points.size == 0:
         return _grid_verdict(points, points, passes, note)
     rows = SeriesRows.of(series)
-    p = rows.pole_order
-    floor = None if vanishing is None else vanishing_floor(points, p)
-    vanish, fft, at, recheck = _grid_rows(
-        p, rows.lead[:1], points, eval_rows_circles(*rows, grid, cap)[:, None], margin_of, floor
+    floor = None if vanishing is None else vanishing_floor(points, rows.pole_order)
+    vanish, fft, at, worst, values_at = _grid_rows(
+        rows, points, eval_circles(rows, grid, cap)[:, None], margin_of, floor
     )
     if vanishing is not None and np.any(vanish):
         note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
     _grid_verdict(at, fft, passes, note)  # an FFT margin that is not finite is an OverflowError
-    values_at = eval_many(rows, np.repeat(at, len(series)))[:, None]
-    report = _grid_verdict(at, recheck(values_at), passes, note)
+    report = _grid_verdict(at, worst, passes, note)
     return report if detail_at is None else replace(report, detail=detail_at(report, *values_at))
 
 
@@ -456,15 +458,10 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
             return np.zeros(len(leads), dtype=bool), None, None
         with np.errstate(over="ignore", invalid="ignore"):
             image = tails * phi  # apply_coeff and z_derivative, row by row
-            blocks = ((leads, image), (-p * leads, ks * image))
-        stacked = [np.concatenate(parts) for parts in zip(*blocks)]  # F and zF' in one Horner pass
-        _, fft, at, recheck = _grid_rows(
-            p, leads, points, [eval_rows_circles(p, *b, grid, RADIUS_CAP) for b in blocks], margin_of, floor
-        )
-        # z^-p divides by an underflowed z^p only where the FFT overflowed too: such a
-        # row is re-run, and its check refuses it before any Horner pass
-        with np.errstate(divide="ignore"):
-            worst = recheck(np.split(eval_rows_at(p, *stacked, np.tile(at, 2)), 2))
+            rows = SeriesRows(p, np.concatenate((leads, -p * leads)), np.concatenate((image, ks * image)))
+        halves = (slice(len(leads)), slice(len(leads), None))  # F, then zF': one FFT call each
+        values = [eval_circles(SeriesRows(p, rows.lead[h], rows.coeffs[h]), grid, RADIUS_CAP) for h in halves]
+        _, fft, at, worst, _ = _grid_rows(rows, points, values, margin_of, floor)
         holds = np.all(np.isfinite(image), axis=1) & np.isfinite(fft) & np.isfinite(worst)
         return holds & (worst > grid.margin), worst, at
 

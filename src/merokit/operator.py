@@ -18,7 +18,6 @@ of the other.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,15 +118,10 @@ def _phi_product(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
 
 
 def delta_star(op: OperatorParams) -> float:
-    """The neighborhood inclusion radius carried by the operator parameters."""
+    """The neighborhood inclusion radius carried by the operator parameters;
+    0 at lam = mu = 0, a degenerate radius that its callers report."""
     t = 2.0 * op.lam * op.mu + op.lam - op.mu
-    d = t / (1.0 + t)
-    if d == 0.0:
-        warnings.warn(
-            "delta_star: lam = mu = 0 gives a degenerate (zero) radius",
-            stacklevel=2,
-        )
-    return d
+    return t / (1.0 + t)
 
 
 def require_pole_order(op: OperatorParams, f: LaurentSeries) -> None:

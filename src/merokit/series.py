@@ -363,8 +363,8 @@ def _check_points(zs: np.ndarray) -> None:
 
 class SeriesRows(NamedTuple):
     """Equally long pole-order-p series stacked as rows: their leads (rows,)
-    and tails (rows x K), the block form of ``eval_rows_at`` and
-    ``eval_rows_circles`` (which take these three fields in this order)."""
+    and tails (rows x K), a block that ``eval_many`` and ``eval_circles`` take
+    in place of one series."""
 
     pole_order: int
     lead: np.ndarray
@@ -383,34 +383,21 @@ def eval_many(f: LaurentSeries | SeriesRows, zs: Iterable[complex]) -> np.ndarra
     caller to refuse."""
     zs = np.asarray(zs, dtype=np.complex128)
     _check_points(zs)
-    return eval_rows_at(f.pole_order, f.lead, f.coeffs, zs)
-
-
-def eval_rows_at(p: int, lead, coeffs, zs: np.ndarray) -> np.ndarray:
-    """``eval_many`` of pole-order-p series given by their leads and tails: one
-    series (scalar lead, 1-D tail) at each point of zs, or a block of rows
-    (leads of shape (rows,), tails (rows x K)) at one point zs[i] per row i.
-    The caller checks the points."""
+    p = f.pole_order
     with np.errstate(over="ignore", invalid="ignore"):
-        tail = polyval(coeffs, zs)
-        return lead * zs ** (-p) + zs ** (1 - p) * tail
+        tail = polyval(f.coeffs, zs)
+        return f.lead * zs ** (-p) + zs ** (1 - p) * tail
 
 
 def eval_at(f: LaurentSeries, z: complex) -> complex:
     return complex(eval_many(f, np.array([z]))[0])
 
 
-def eval_circles(f: LaurentSeries, grid: SampleGrid, radius_cap: float | None = None) -> np.ndarray:
-    """Evaluate at ``grid.points(radius_cap)``, in that radii-major order: the
-    one-row case of ``eval_rows_circles``."""
-    return eval_rows_circles(f.pole_order, np.array([f.lead]), f.coeffs[None, :], grid, radius_cap)[0]
-
-
-def eval_rows_circles(
-    p: int, leads: np.ndarray, coeffs: np.ndarray, grid: SampleGrid, radius_cap: float | None = None
+def eval_circles(
+    f: LaurentSeries | SeriesRows, grid: SampleGrid, radius_cap: float | None = None
 ) -> np.ndarray:
-    """Values of pole-order-p series, one per row of (leads (rows,), tails
-    (rows x K)), at ``grid.points(radius_cap)``: a (rows x points) array.
+    """Values at ``grid.points(radius_cap)``, in that radii-major order: of a
+    series (a points array), or of each row of ``SeriesRows`` (rows x points).
 
     With M = angles_count and w = exp(2 pi i / M), f(r w^j) = sum_k a_k r^k w^(jk)
     is the unscaled inverse DFT of the terms a_k r^k placed at bin k mod M
@@ -421,19 +408,20 @@ def eval_rows_circles(
     """
     radii = np.array([r for r in grid.radii if radius_cap is None or r <= radius_cap])
     m = grid.angles_count
-    c = np.concatenate((np.asarray(leads)[:, None], coeffs), axis=1)  # a_k for k = -p .. K
-    rows, n = c.shape
+    p = f.pole_order
+    c = np.concatenate((np.asarray(f.lead)[..., None], f.coeffs), axis=-1)  # a_k for k = -p .. K
+    *rows, n = c.shape
     # column j of ``bins`` holds k = j - start - p, and start + p = 0 mod m
     start = -p % m
     width = fold_width(p, n, m)
-    bins = np.zeros((rows, radii.size, width), dtype=np.complex128)
+    bins = np.zeros((*rows, radii.size, width), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        bins[:, :, start : start + n] = c[:, None, :] * radii[:, None] ** np.arange(-p, n - p)
-        bins = bins.reshape(rows * radii.size, width // m, m).sum(axis=1)  # folded; frees the zero fill
-        return np.fft.ifft(bins, axis=1, norm="forward").reshape(rows, radii.size * m)
+        bins[..., start : start + n] = c[..., None, :] * radii[:, None] ** np.arange(-p, n - p)
+        bins = bins.reshape(*rows, radii.size, width // m, m).sum(axis=-2)  # folded; frees the zero fill
+        return np.fft.ifft(bins, axis=-1, norm="forward").reshape(*rows, radii.size * m)
 
 
 def fold_width(p: int, n: int, m: int) -> int:
-    """Columns per circle of the zero-filled bins ``eval_rows_circles`` folds:
+    """Columns per circle of the zero-filled bins ``eval_circles`` folds:
     n terms from k = -p, the pole at bin m - p, in whole blocks of m bins."""
     return -(-(-p % m + n) // m) * m

@@ -2,6 +2,7 @@
 partial-sum ratio bounds."""
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,36 @@ def test_distortion_report_vacuous_is_inconclusive():
     assert "vacuous" in rep.detail
 
 
+def test_distortion_radius_whose_bounds_overflow_is_refused():
+    """A radius so small that 1/r^p, or the interval, overflows a float is a
+    ValueError that names r, not a bare OverflowError or an infinite bound."""
+    op2 = OperatorParams(1.0, 0.5, 1, 1)  # mu > 0: the f' sum converges
+    for op, which, tail in ((OP1, "f_plus", "exact_support"), (OP1, "f_general", "tail_estimate"),
+                            (op2, "fprime_general", "tail_estimate")):
+        with pytest.raises(ValueError, match=r"^r: r\*\*-\d overflows a float at r=1e-310$"):
+            distortion(op, HALF, 1e-310, which, TailPolicy(tail))
+    assert distortion(OP1, HALF, 1e-300, "f_plus", TailPolicy("exact_support")) == (1e-300 ** -1,) * 2
+    # finite powers, but the tail majorant 1/(lam x0) of a tiny lam times r^(1-p)
+    # overflows the spread: refused, not reported as a vacuous (divergent) interval
+    with pytest.raises(ValueError, match=r"^r: the distortion bounds at r=1e-13 overflow a float$"):
+        distortion(OperatorParams(1e-300, 0.0, 1, 2), HALF, 1e-13, "f_general", TailPolicy("tail_estimate"))
+
+
+@pytest.mark.parametrize("r", [1e-200, 1e-20])
+def test_distortion_report_on_a_collapsed_interval_is_inconclusive(r):
+    """Where the spread is lost to rounding against 1/r^p, lower == upper, and
+    a float spacing above SUM_TOL leaves no sampled modulus to be judged
+    against that one float.  (A collapse finer than SUM_TOL, as in
+    ``test_distortion_tail_majorant_with_huge_power``, is judged.)"""
+    f = extremal_fn(OP1, HALF, 0)
+    lower, upper = distortion(OP1, HALF, r, "f_plus", TailPolicy("exact_support"))
+    assert lower == upper == r ** -1
+    rep = distortion_report(OP1, HALF, f, r, "f_plus", TailPolicy("exact_support"))
+    assert rep.verdict == "inconclusive" and rep.witness is None
+    assert rep.detail.startswith(f"bounds collapse to one float, lower = upper = {lower:.12g}")
+    assert distortion_report(OP1, HALF, f, 0.5, "f_plus", TailPolicy("exact_support")).verdict == "holds"
+
+
 def test_distortion_report_fprime_route():
     """|f'| of the bare pole is p/r^(p+1), strictly inside the interval.
     Needs multiplier growth degree >= 2, so mu must be positive here."""
@@ -332,6 +363,9 @@ def test_nearest_phase_matches_one_matrix():
         gap = 2.0 * np.pi / (T + 1)
         u[8], v[8] = np.exp(1j * gap / 3), 1.0
         u[9], v[9] = np.exp(-1j * gap / 3), 1.0
+        # theta* = -2 pi and +2 pi, from the signed zeros of -1 +- 0j
+        u[10], v[10] = complex(-1.0, -0.0), complex(-1.0, 0.0)
+        u[12], v[12] = complex(-1.0, 0.0), complex(-1.0, -0.0)
         best, phase = _nearest_phase(u, v, beta, T)
         for i in range(u.size):
             want, s = _one_matrix_min(u[i : i + 1], v[i : i + 1], beta, sigmas)
@@ -339,6 +373,8 @@ def test_nearest_phase_matches_one_matrix():
         assert best[1] == best[2] == best[3] == best[5] == 0.0
         assert (phase[1], phase[2], phase[3]) == (1, T, T // 2 + 1)
         assert phase[4] == phase[5] == 1 and phase[8] == 1 and phase[9] == T
+        assert np.angle(u[10]) - np.angle(v[10]) == -2.0 * np.pi
+        assert np.angle(u[12]) - np.angle(v[12]) == 2.0 * np.pi
         # u = 0: every phase ties in exact arithmetic, and the rounding of
         # sigma decides the scan's pick; theta* = 0 weighs s = 1 against T
         u0, v0 = np.zeros(1, dtype=complex), np.array([0.3 - 0.4j])
@@ -505,6 +541,19 @@ def test_partial_sum_premises_keep_values_off_zero(
             assert np.all(np.abs(zs ** p * values) >= floor - 1e-13)
 
 
+def test_partial_sum_bounds_memory_does_not_grow_with_the_cut():
+    """The monotone-weight window ends past the bracket's sign change, not at
+    m_cut, so a cut far beyond the stored terms allocates nothing per index."""
+    f = L(1, 1, [0.0, 0.05])
+    tracemalloc.start()
+    try:
+        rep = partial_sum_bounds(OP1, HALF, f, 2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "holds" and peak < 2**20
+
+
 def test_partial_sum_bounds_validation():
     with pytest.raises(ValueError, match="m_cut"):
         partial_sum_bounds(OP1, HALF, LaurentSeries.pole_only(1, 2), -1)
@@ -601,11 +650,11 @@ def test_worst_margin_exactly_on_threshold(case, monkeypatch):
 
 # ------------------------------------------------------------- grid checkers
 #
-# Every sampled checker evaluates its series together, as stacked rows: one
-# FFT call (``series.eval_rows_circles``) locates its worst point, and one
-# Horner pass (``series.eval_many`` of the stacked rows, one
-# ``series.eval_rows_at`` call) gives every series' value there, from which
-# the report's margin (and the convolution's phase) is taken.
+# Every sampled checker evaluates its series together, as stacked rows
+# (``series.SeriesRows``): one FFT call (``series.eval_circles``) locates its
+# worst point, and one Horner pass (``series.eval_many``) gives every series'
+# value there, from which the report's margin (and the convolution's phase) is
+# taken.
 
 GRID_CHECKERS = {
     "numeric": lambda grid: numeric_membership(OP1, TH_CP, _th_member(), grid),
@@ -629,7 +678,7 @@ RECHECK_GRIDS = (SampleGrid((0.5,), 8), _th_grid(None), SampleGrid((0.2, 0.9), 7
 @pytest.mark.parametrize("case", list(GRID_CHECKERS))
 def test_grid_checker_rechecks_by_horner(case, monkeypatch):
     calls = []
-    for fn in ("eval_rows_circles", "eval_rows_at"):
+    for fn in ("eval_circles", "eval_many"):
         orig = getattr(merokit.series, fn)
 
         def counted(*args, fn=fn, orig=orig):
@@ -644,9 +693,9 @@ def test_grid_checker_rechecks_by_horner(case, monkeypatch):
         del calls[:]
         rep = GRID_CHECKERS[case](grid)
         assert rep.verdict != "inconclusive" and rep.witness is not None
-        assert [fn for fn, _ in calls] == ["eval_rows_circles", "eval_rows_at"]
-        (_, leads, tails, _, _), (_, at_leads, at_tails, zs) = (args for _, args in calls)
-        assert len(leads) == len(tails) == len(at_leads) == len(at_tails) == rows
+        assert [fn for fn, _ in calls] == ["eval_circles", "eval_many"]
+        (on_grid, _, _), (at_rows, zs) = (args for _, args in calls)
+        assert len(on_grid.lead) == len(on_grid.coeffs) == len(at_rows.lead) == len(at_rows.coeffs) == rows
         assert zs.tolist() == [rep.witness] * rows  # one witness point per series row
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,15 @@ def test_unknown_verb_is_usage_error(capsys):
 def test_nbhd_delta_prints_plain_value(capsys, params_file):
     code, out, _ = run(capsys, "nbhd", "delta", "--params", params_file)
     assert code == 0 and out == "0.5\n"
+
+
+def test_nbhd_degenerate_delta_prints_zero_without_a_warning(capsys, tmp_path):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({**PARAMS, "lambda": 0.0, "m": 0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "nbhd", "delta", "--params", path)
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_nbhd_requires_series_except_delta(capsys, params_file):
@@ -617,6 +627,11 @@ MALFORMED_CASES = {
     "negative-threshold-flag": (
         ["verify", "conv-nonvanish", *_PS, "--threshold", "-1"],
         "threshold: need >= 0, got -1.0",
+    ),
+    "distortion-radius-overflow": (
+        ["verify", "distortion", "--params", "@params.json", "--series", "@pole.json",
+         "--r", "1e-310", "--which", "f_plus"],
+        "r: r**-1 overflows a float at r=1e-310",
     ),
     "distortion-tail-overflow": (
         ["verify", "distortion", "--params", "@params-tiny-m2000.json", "--series", "@pole.json",

@@ -17,8 +17,6 @@ from merokit.series import (
     eval_at,
     eval_circles,
     eval_many,
-    eval_rows_at,
-    eval_rows_circles,
     hadamard,
     polyval,
     scale,
@@ -342,11 +340,12 @@ def test_row_blocks_evaluate_bitwise_as_single_rows(block):
     circles (FFT), and by Horner at one point per row."""
     p, k, leads, tails, grid = block
     cap = grid.radii[-1] if len(grid.radii) == 1 else grid.radii[-2]  # drops the outer circle, if two or more
-    on_circles = eval_rows_circles(p, leads, tails, grid, cap)
+    block = SeriesRows(p, leads, tails)
+    on_circles = eval_circles(block, grid, cap)
     points = grid.points(radius_cap=cap)
     at = points[np.arange(len(leads)) * 7 % points.size]
     horner = polyval(tails, at)
-    by_rows = eval_rows_at(p, leads, tails, at)
+    by_rows = eval_many(block, at)
     for i, (lead, tail) in enumerate(zip(leads, tails)):
         f = L(p, k, tail, lead)
         assert on_circles[i].tobytes() == eval_circles(f, grid, cap).tobytes()

@@ -3,6 +3,7 @@ file handling and the suite runner."""
 import copy
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -1000,3 +1001,35 @@ def test_cli_import_starts_no_thread_pool():
     )
     assert proc.returncode == 0 and proc.stdout == "False\n"
     assert merokit.backend_name() == "numpy"
+
+
+# eight full-grid arrays (20x4096, complex) at a time, allocated and freed six
+# times: the page faults of the last five rounds
+_FREED_ARRAY_PROBE = """
+import resource, numpy as np, merokit
+def blocks():
+    return [np.ones(81920, complex) for _ in range(8)]
+blocks()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    blocks()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+def test_import_keeps_freed_grid_arrays_in_the_heap():
+    """After ``import merokit`` a grid check's freed arrays stay in the heap,
+    so the next check reuses them without page faults, unless the environment
+    sets the malloc thresholds itself (here it makes every such array a fresh
+    mapping: 2560 pages a round)."""
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if not k.startswith(("MALLOC_", "GLIBC_"))}
+    faults = {}
+    for name, extra in (("pinned", {}), ("environment", {"MALLOC_TRIM_THRESHOLD_": "131072"})):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FREED_ARRAY_PROBE],
+            capture_output=True, text=True, timeout=120, env={**env, **extra},
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults[name] = int(proc.stdout)
+    assert faults["pinned"] < 100 and faults["environment"] > 5000, faults

@@ -26,11 +26,12 @@ always contains the asserted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .membership import (
+    FAILS,
     INCONCLUSIVE,
     RADIUS_CAP,
     SUM_TOL,
@@ -284,14 +285,30 @@ def distortion_report(
             f"its spacing {math.ulp(lower):.3g} exceeds the tolerance {SUM_TOL:g}",
         )
     g = z_derivative(f) if which == "fprime_general" else f
+    scale = r if which == "fprime_general" else 1.0
 
     def margin_of(points, values):
-        vals = np.abs(values) / (r if which == "fprime_general" else 1.0)
+        vals = np.abs(values) / scale
         return np.minimum(vals - lower, upper - vals)
 
     detail = f"which={which} r={r} lower={lower:.12g} upper={upper:.12g} angles={angles_count}"
-    return _grid_check(
+    report = _grid_check(
         SampleGrid((r,), angles_count), None, (g,), margin_of, lambda worst: worst >= -SUM_TOL, detail
+    )
+    if report.verdict != FAILS:
+        return report
+    # Horner over the n terms of g rounds |g| by at most (4 n + 16) units of 2**-53 of the
+    # terms' moduli summed at |z| = r, and the interval's ends by as many of their size
+    ks = np.arange(-g.pole_order, g.trunc_order + 1)
+    with np.errstate(over="ignore"):
+        majorant = float(np.sum(np.abs(np.concatenate(([g.lead], g.coeffs))) * r ** ks))
+    slack = (4 * ks.size + 16) * 2.0**-53 * (majorant / scale + max(abs(lower), abs(upper)))
+    if report.worst_margin < -slack:
+        return report
+    return replace(
+        report, verdict=INCONCLUSIVE,
+        detail=f"shortfall {-report.worst_margin:.3g} is within the rounding bound {slack:.3g} "
+        f"of the sampled modulus; {detail}",
     )
 
 
@@ -310,14 +327,17 @@ def conv_derivative_kernel(p: int, trunc_order: int) -> LaurentSeries:
     return LaurentSeries(p, trunc_order, ks, -float(p), False)
 
 
-def _nearest_phase(u, v, beta: float, theta_count: int):
-    """Per point, min over s = 1..T of |u - beta e^(2 pi i s/(T+1)) v| and the s attaining it.
+def _phase_candidates(u, v, beta: float, theta_count: int):
+    """Per point, the phases lo <= hi either side of arg(u conj(v)) and |u - beta e^(2 pi i s/(T+1)) v|
+    at each: (lo, at lo, hi, at hi).
 
     |u - beta sigma v|^2 = |u|^2 + beta^2 |v|^2 - 2 beta |u||v| cos(theta - arg(u conj(v))), so
-    only the phases either side of arg(u conj(v)) (0 where u or v is 0) compete, going round
-    the excluded theta = 0; the lower s wins a tie.  Each candidate repeats the operations of
-    a scan over all T phases, so the minimum has that scan's bits unless rounding reorders
-    phases that tie in exact arithmetic.  A non-finite u or v gives a non-finite minimum.
+    only these two of s = 1..T compete (0 stands for arg(u conj(v)) where u or v is 0), going
+    round the excluded theta = 0.  Each candidate repeats the operations of a scan over all T
+    phases, so the minimum has that scan's bits unless rounding reorders phases that tie in
+    exact arithmetic.  The factors beta sigma come from one table of the T + 1 phases when it is
+    no longer than the candidates it serves, else point by point: the same operations either
+    way.  A non-finite u or v gives a non-finite value.
     """
     n = theta_count + 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,7 +345,19 @@ def _nearest_phase(u, v, beta: float, theta_count: int):
         j = np.floor(np.where(star < 0, star + 2.0 * np.pi, star) * n / (2.0 * np.pi)).astype(np.int64)
         wrap = (j < 1) | (j >= theta_count)  # theta* lies between theta_T and theta_1, or is NaN
         lo, hi = np.where(wrap, 1, j), np.where(wrap, theta_count, j + 1)
-        at_lo, at_hi = (np.abs(u - beta * np.exp(1j * (2.0 * np.pi * s / n)) * v) for s in (lo, hi))
+
+        def beta_sigma(s):
+            return beta * np.exp(1j * (2.0 * np.pi * s / n))
+
+        table = beta_sigma(np.arange(n)) if n <= 2 * j.size else None
+        at_lo, at_hi = (np.abs(u - (beta_sigma(s) if table is None else table[s]) * v) for s in (lo, hi))
+    return lo, at_lo, hi, at_hi
+
+
+def _nearest_phase(u, v, beta: float, theta_count: int):
+    """Per point, min over s = 1..T of |u - beta e^(2 pi i s/(T+1)) v| and the s attaining it;
+    the lower s wins a tie.  See _phase_candidates."""
+    lo, at_lo, hi, at_hi = _phase_candidates(u, v, beta, theta_count)
     return np.minimum(at_lo, at_hi), np.where(at_hi < at_lo, hi, lo)
 
 
@@ -358,23 +390,24 @@ def convolution_nonvanishing(
     F = apply_coeff(op, f)
     dF = z_derivative(F)
 
-    def nearest(points, a, b):
+    def uv(points, a, b):
         zp = points ** op.p
         with np.errstate(over="ignore", invalid="ignore"):  # the driver refuses non-finite margins
-            u = zp * (a + op.p * b)
-            v = zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
-        return _nearest_phase(u, v, cp.beta, theta_count)
+            return zp * (a + op.p * b), zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
+
+    def margin_of(points, a, b):
+        _, at_lo, _, at_hi = _phase_candidates(*uv(points, a, b), cp.beta, theta_count)
+        return np.minimum(at_lo, at_hi)
 
     note = _grid_note(grid) + f" theta_count={theta_count}"
 
     def detail_at(report, a, b):  # the phase at the witness, from the Horner values there
-        s = int(nearest(np.array([report.witness]), a, b)[1][0])
+        s = int(_nearest_phase(*uv(np.array([report.witness]), a, b), cp.beta, theta_count)[1][0])
         theta = 2.0 * np.pi * s / (theta_count + 1)
         return f"min |value| = {report.worst_margin:.6g} at theta={theta:.6g}; {note}"
 
     return _grid_check(
-        grid, RADIUS_CAP, (dF, F), lambda *pv: nearest(*pv)[0], lambda best: best > threshold, note,
-        detail_at=detail_at,
+        grid, RADIUS_CAP, (dF, F), margin_of, lambda best: best > threshold, note, detail_at=detail_at
     )
 
 

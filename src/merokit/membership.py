@@ -478,6 +478,26 @@ def disk_characterization(
 
 # ------------------------------------------------- power-target containment
 
+def _containment_margin(v, c: float):
+    """min(1 - |w|, cos(min(|theta|, pi))) per point, for w = 1 - v^{1/c} and
+    theta = arg(v)/c on the principal branch.
+
+    |w|^2 = (|v|^{1/c} - cos theta)^2 + sin^2 theta, so 1 - |w| <= 1 - sin|theta|,
+    which lies below cos theta by cos t + sin t - 1 >= 0.045 t at t = |theta| < 1.5
+    (the left side is concave on [0, pi/2] and 0.068 at 1.5).  That is more than
+    the few units of 2**-53 by which either side is rounded, down to t about 1e-13,
+    below which cos theta rounds to 1 >= 1 - |w|.  So the cosine is taken only where
+    |theta| >= 1.5, with the bits of taking it at every point: where theta is NaN,
+    1 - |w| is NaN already.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        theta = np.angle(v) / c
+        m = 1.0 - np.abs(1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta))
+        far = np.abs(theta) >= 1.5
+        m[far] = np.minimum(m[far], np.cos(np.minimum(np.abs(theta[far]), np.pi)))
+    return m
+
+
 def subordination_power_target(
     op: OperatorParams, alpha: float, f: LaurentSeries, grid: SampleGrid | None = None
 ) -> Report:
@@ -506,11 +526,8 @@ def subordination_power_target(
     def margin_of(points, vanish, Fz):
         # a vanishing v has w = 1 to rounding: margin <= 0, not |v|^{1/c} noise.
         # An overflowing F or exp leaves a non-finite margin for _grid_verdict
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v = points ** op.p * Fz
-            theta = np.angle(v) / c
-            w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
-            m = np.minimum(1.0 - np.abs(w), np.cos(np.minimum(np.abs(theta), np.pi)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = _containment_margin(points ** op.p * Fz, c)
             return np.where(vanish, np.minimum(m, 0.0), m)
 
     return _grid_check(

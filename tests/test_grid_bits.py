@@ -82,6 +82,7 @@ def observed():
             out[f"{key} disk"] = _bits(disk_characterization(op, cp_disk, f, grid))
             out[f"{key} subordination"] = _bits(subordination_power_target(op, cp.alpha, f, grid))
             out[f"{key} convolution"] = _bits(convolution_nonvanishing(op, cp, f, grid, 90))
+            out[f"{key} convolution T=10**6"] = _bits(convolution_nonvanishing(op, cp, f, grid, 10**6))
             for which, r in (("f_general", grid.radii[-1]), ("fprime_general", grid.radii[0])):
                 rep = distortion_report(op, cp, f, r, which, TailPolicy("tail_estimate"), grid.angles_count)
                 out[f"{key} distortion {which}"] = _bits(rep)
@@ -91,12 +92,19 @@ def observed():
     return out
 
 
-#: taken before the checkers evaluated their series as stacked rows
+#: taken before the checkers evaluated their series as stacked rows; the
+#: T=10**6 entries, whose 10**6 + 1 phases outnumber twice the grid points, before
+#: the convolution scan took its phases from a table
 EXPECTED = {'herglotz 20x512 convolution': ('holds',
                                             '0x1.79b28098161cfp-3',
                                             ('0x1.41cfd088b9f67p-1', '-0x1.49cf0b2d3316dp-1'),
                                             'min |value| = 0.184422 at theta=5.38559; grid=3393b8c7f592 '
                                             'theta_count=90'),
+            'herglotz 20x512 convolution T=10**6': ('holds',
+                                                    '0x1.7962c66871862p-3',
+                                                    ('0x1.3574515b20829p-1', '-0x1.556e26bc66aeap-1'),
+                                                    'min |value| = 0.18427 at theta=5.32645; '
+                                                    'grid=3393b8c7f592 theta_count=1000000'),
             'herglotz 20x512 disk': ('fails',
                                      '-0x1.898a6472ee462p+0',
                                      ('0x1.c054aab8401c4p-1', '-0x1.a9e2e4e57ef8cp-3'),
@@ -130,6 +138,11 @@ EXPECTED = {'herglotz 20x512 convolution': ('holds',
                                             ('0x1.45d5b5c3f4f6ap-1', '-0x1.45d5b5c3f4f6dp-1'),
                                             'min |value| = 0.185132 at theta=5.38559; grid=2485623efeee '
                                             'theta_count=90'),
+            'herglotz fold16 convolution T=10**6': ('holds',
+                                                    '0x1.79b1782f87798p-3',
+                                                    ('0x1.45d5b5c3f4f6ap-1', '-0x1.45d5b5c3f4f6dp-1'),
+                                                    'min |value| = 0.184421 at theta=5.39938; '
+                                                    'grid=2485623efeee theta_count=1000000'),
             'herglotz fold16 disk': ('fails',
                                      '-0x1.4f0df0ffde894p-1',
                                      ('0x1.a9b943a7a4bf1p-1', '-0x1.60ae59603987dp-2'),
@@ -163,6 +176,11 @@ EXPECTED = {'herglotz 20x512 convolution': ('holds',
                                            ('-0x1.6096cdaf45d46p-1', '0x1.28ad758d85519p-1'),
                                            'min |value| = 1.03165 at theta=0.483322; grid=3393b8c7f592 '
                                            'theta_count=90'),
+            'schwarz 20x512 convolution T=10**6': ('holds',
+                                                   '0x1.081220a946106p+0',
+                                                   ('-0x1.64340605fc821p-1', '0x1.245413aee9adap-1'),
+                                                   'min |value| = 1.03153 at theta=0.516741; '
+                                                   'grid=3393b8c7f592 theta_count=1000000'),
             'schwarz 20x512 disk': ('holds',
                                     '0x1.04d769d8722c0p-2',
                                     ('-0x1.884df1f100191p-1', '-0x1.e3763be752acbp-2'),
@@ -196,6 +214,11 @@ EXPECTED = {'herglotz 20x512 convolution': ('holds',
                                            ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
                                            'min |value| = 1.03477 at theta=0.34523; grid=2485623efeee '
                                            'theta_count=90'),
+            'schwarz fold16 convolution T=10**6': ('holds',
+                                                   '0x1.08e6e0f65553bp+0',
+                                                   ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
+                                                   'min |value| = 1.03477 at theta=0.34364; '
+                                                   'grid=2485623efeee theta_count=1000000'),
             'schwarz fold16 disk': ('holds',
                                     '0x1.0b03234f24654p-2',
                                     ('-0x1.a9b943a7a4bf3p-1', '-0x1.60ae596039871p-2'),

@@ -21,6 +21,7 @@ from merokit.membership import (
     subordination_power_target,
     sufficient_condition,
     vanishes,
+    _containment_margin,
 )
 from merokit.operator import OperatorParams, apply_coeff
 from merokit.series import (
@@ -413,6 +414,45 @@ def test_subordination_branch_cut_collision():
     assert rep.worst_margin == -3.4749684543781276 and rep.witness == 0.9
     assert rep.worst_margin == pytest.approx(2.0 - 1.405 ** 5, abs=1e-12)
     assert rep.detail == "grid=291f11565520"
+
+
+def _ungated_containment_margin(v, c):
+    """The containment margin with the cosine taken at every point."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        theta = np.angle(v) / c
+        w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
+        return np.minimum(1.0 - np.abs(w), np.cos(np.minimum(np.abs(theta), np.pi)))
+
+
+def test_containment_margin_gates_its_cosine_bit_for_bit():
+    """The cosine is taken only where |theta| >= 1.5.  Where the gate matters
+    (theta near 0, 1.5, pi/2 and pi, |v|^(1/c) near 1 where w is nearest 0,
+    vanishing, huge and non-finite v) every bit stays."""
+    def near(x, steps=3):  # x and its neighbours within `steps` ulps
+        out = [x]
+        for _ in range(steps):
+            out = [float(np.nextafter(out[0], -np.inf))] + out + [float(np.nextafter(out[-1], np.inf))]
+        return out
+
+    tiny = [0.0, 5e-324, 1e-300, 1e-17, 1e-16, 1e-13, 1e-10, 1.49e-8, 1.5e-8, 1e-4, 0.1]
+    thetas = np.array(tiny + near(1.5) + near(np.pi / 2) + near(np.pi) + [1.0, 1.4, 1.6, 3.0, 10.0])
+    thetas = np.concatenate([thetas, -thetas])
+    specials = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), np.nan,
+                complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.nan), np.inf, -np.inf,
+                complex(np.inf, np.nan), complex(np.nan, -np.inf), complex(np.inf, np.inf),
+                complex(-np.inf, -0.0), complex(1e308, 1e308), -1.0, complex(-1.0, -0.0), 1.0]
+    rng = np.random.default_rng(9)
+    for c in (0.05, 0.2, 1.0, 1.9, 2.0, 4.0):
+        for rho in (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.0 + 1e-12, 2.0, 1e300):
+            with np.errstate(all="ignore"):  # rho ** c may overflow, and inf * 0 is NaN
+                v = np.float64(rho) ** c * np.exp(1j * np.clip(c * thetas, -np.pi, np.pi))
+            v = np.concatenate([v, specials, rng.normal(size=64) + 1j * rng.normal(size=64)])
+            got, want = _containment_margin(v, c), _ungated_containment_margin(v, c)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (c, rho)
+    # the gate is hit on both sides, and a NaN or infinite v stays non-finite
+    v = np.array([1.0, complex(-1.0, 0.0), np.nan, complex(np.inf, np.nan), np.inf])
+    m = _containment_margin(v, 1.0)
+    assert m[0] == 1.0 and m[1] == -1.0 and np.isnan(m[2]) and np.isnan(m[3]) and m[4] == -np.inf
 
 
 def _all_branches(v, c):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -55,6 +56,9 @@ SUM_TOL = 1e-12
 
 #: numeric checks ignore grid radii beyond this
 RADIUS_CAP = 0.95
+
+#: the complex entries one block of screened rows may allocate, in bytes
+_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -353,23 +357,23 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _grid_rows(rows: SeriesRows, points, values, margin_of, floor=None):
+def _grid_rows(rows: SeriesRows, count: int, points, values, margin_of, floor=None):
     """Each candidate's grid margins, reduced to its witness: the grid checks'
     one reduction, for one candidate (a single check) or a block of trials.
 
-    ``rows`` stacks every candidate's series, series-major (the first series of
-    each candidate, then the second, ...), and ``values`` are their values at
-    the (nonempty) ``points``, by FFT: one (candidates x points) array per
-    series.  ``margin_of(points, *values)`` is elementwise; given ``floor``, the
-    ``vanishing_floor`` at the points, it is ``margin_of(points, vanish,
-    *values)``, given also the mask where the first series vanishes.  The FFT
-    margins locate each candidate's witness ``at``, and one Horner pass gives
-    every series' value there, hence the margin.  Returns the mask on the
-    points (None without ``floor``), and per candidate the FFT margin at the
-    witness, ``at``, the Horner margin there and the Horner values (one row
-    per series).
+    ``rows`` stacks every candidate's ``count`` series, series-major (the first
+    series of each candidate, then the second, ...), and ``values`` are their
+    values at the (nonempty) ``points``, by FFT: ``eval_circles`` of ``rows``.
+    ``margin_of(points, *values)`` takes one (candidates x points) array per
+    series and is elementwise; given ``floor``, the ``vanishing_floor`` at the
+    points, it is ``margin_of(points, vanish, *values)``, given also the mask
+    where the first series vanishes.  The FFT margins locate each candidate's
+    witness ``at``, and one Horner pass gives every series' value there, hence
+    the margin.  Returns the mask on the points (None without ``floor``), and
+    per candidate the FFT margin at the witness, ``at``, the Horner margin there
+    and the Horner values (one row per series).
     """
-    count = len(values)
+    values = values.reshape(count, -1, values.shape[-1])
     p = rows.pole_order
     leads = rows.lead[: len(rows.lead) // count, None]
 
@@ -412,7 +416,7 @@ def _grid_check(
     rows = SeriesRows.of(series)
     floor = None if vanishing is None else vanishing_floor(points, rows.pole_order)
     vanish, fft, at, worst, values_at = _grid_rows(
-        rows, points, eval_circles(rows, grid, cap)[:, None], margin_of, floor
+        rows, len(series), points, eval_circles(rows, grid, cap), margin_of, floor
     )
     if vanishing is not None and np.any(vanish):
         note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
@@ -437,35 +441,54 @@ def numeric_membership(
     return _quotient_check(op, f, grid, _numeric_form(cp))
 
 
-def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.ndarray):
-    """``numeric_membership`` on the grid, for blocks of pole-order-p series with
-    tail indices ``ks``: rows_of(leads, tails), for leads (rows,) and tails (rows x
-    K), gives per row whether the single check holds without raising, and its
-    margin and witness, by that check's reduction ``_grid_rows``.
+def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.ndarray, candidates):
+    """Screen a stream of pole-order-p series with tail indices ``ks``, given as
+    (lead, tail) pairs, by ``numeric_membership`` on the grid.  Returns (miss,
+    worst, witness): miss is (index, lead, tail) of the first candidate that does
+    not hold (it fails, its image or a margin is not finite, or no point is
+    capped), for the caller to re-run by ``numeric_membership``, which gives its
+    report or error; else miss is None and worst is the least margin, inf for no
+    candidates, at the first candidate to reach it, witnessed at witness.
 
-    A row that does not hold (it fails, its image or a margin is not finite, or no
-    point is capped) is for the caller to re-run by ``numeric_membership``, which
-    gives its report or error.  An operator multiplier that overflows raises here,
-    as it does there."""
+    The stream is cut into blocks, each evaluated by one ``eval_circles`` call of
+    its F and zF' rows and reduced by the single check's ``_grid_rows``.  A block
+    takes as many candidates as keep the complex arrays it allocates within
+    _BLOCK_BYTES, and at least one: per candidate, the F and zF' rows' tails
+    (2n entries, for n stored terms), their terms a_k r^k on the R capped
+    circles (2Rn) and their bins there (2RM, M = angles_count).  An operator
+    multiplier that overflows raises here, as it does in the single check."""
     p = op.p
     phi = phi_array(op, ks)
     points = grid.points(radius_cap=RADIUS_CAP)
     floor = vanishing_floor(points, p)
     margin_of = _quotient_margin(p, *_numeric_form(cp))
+    circles = points.size // grid.angles_count
+    size = max(1, _BLOCK_BYTES // (32 * (len(ks) + circles * (len(ks) + grid.angles_count))))
 
-    def rows_of(leads, tails):
+    def screen(block):
+        """Per candidate of the block: whether it holds, its margin and witness."""
         if points.size == 0:
-            return np.zeros(len(leads), dtype=bool), None, None
+            return np.zeros(len(block), dtype=bool), None, None
+        leads, tails = (np.array(x, dtype=np.complex128) for x in zip(*block))
         with np.errstate(over="ignore", invalid="ignore"):
             image = tails * phi  # apply_coeff and z_derivative, row by row
             rows = SeriesRows(p, np.concatenate((leads, -p * leads)), np.concatenate((image, ks * image)))
-        halves = (slice(len(leads)), slice(len(leads), None))  # F, then zF': one FFT call each
-        values = [eval_circles(SeriesRows(p, rows.lead[h], rows.coeffs[h]), grid, RADIUS_CAP) for h in halves]
-        _, fft, at, worst, _ = _grid_rows(rows, points, values, margin_of, floor)
+        _, fft, at, worst, _ = _grid_rows(rows, 2, points, eval_circles(rows, grid, RADIUS_CAP), margin_of, floor)
         holds = np.all(np.isfinite(image), axis=1) & np.isfinite(fft) & np.isfinite(worst)
         return holds & (worst > grid.margin), worst, at
 
-    return rows_of
+    stream = iter(candidates)
+    first, worst, witness = 0, math.inf, None
+    while block := list(islice(stream, size)):
+        holds, margins, at = screen(block)
+        if not holds.all():
+            i = int(np.argmin(holds))
+            return (first + i, *block[i]), worst, witness
+        i = int(np.argmin(margins))  # the first of equal margins, as later blocks' must be less
+        if margins[i] < worst:
+            worst, witness = float(margins[i]), at[i].item()
+        first += len(block)
+    return None, worst, witness
 
 
 def disk_characterization(

@@ -39,7 +39,6 @@ from .membership import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    RADIUS_CAP,
     SUM_TOL,
     ClassParams,
     Report,
@@ -51,12 +50,9 @@ from .membership import (
     ratio_weights,
 )
 from .operator import OperatorParams, delta_star, phi_array, phi_base, require_pole_order
-from .series import LaurentSeries, SampleGrid, _common_range, default_grid, fold_width, scale
+from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale
 
 _KINDS = ("plus", "general")
-
-#: the largest complex array one block of sampled trials may hold
-_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -130,20 +126,6 @@ def _require_counts(**counts: int) -> None:
     for name, n in counts.items():
         if n < 0:
             raise ValueError(f"{name}: must be >= 0, got {n}")
-
-
-def _block_rows(width: int) -> int:
-    """Trials evaluated together: as many rows of ``width`` complex entries as
-    fit in _BLOCK_BYTES, at least one."""
-    return max(1, _BLOCK_BYTES // (16 * max(width, 1)))
-
-
-def _grid_block_rows(grid: SampleGrid, p: int, tail: int) -> int:
-    """``_block_rows`` for numeric checks of series with ``tail`` coefficients
-    on the grid: the widest array a row takes is its zero-filled FFT bins on
-    the capped circles, or its tails of F and zF' stacked for the Horner pass."""
-    circles = sum(r <= RADIUS_CAP for r in grid.radii)
-    return _block_rows(max(2 * tail, circles * fold_width(p, 1 + tail, grid.angles_count)))
 
 
 def verify_inclusion_plus(
@@ -264,50 +246,42 @@ def verify_inclusion_general(
         e = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
         if abs(e) < 1.0:
             eps_list.append(delta * e)
-    block = _grid_block_rows(grid, op.p, len(f.coeffs))
-    rows_of = _numeric_rows(op, cp, grid, f.k_values())
-    for first in range(0, len(eps_list), block):
-        members = [
-            scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps))
-            for eps in eps_list[first : first + block]
-        ]
-        holds, _, _ = rows_of(np.array([g.lead for g in members]), np.array([g.coeffs for g in members]))
-        if not holds.all():  # the first miss is re-run for its report or error
-            i = first + int(np.argmin(holds))
-            rep = numeric_membership(op, cp, members[i - first], grid)
-            return Report(
-                INCONCLUSIVE, rep.worst_margin, None,
-                f"hypothesis not established: eps sample #{i} (eps={eps_list[i]:.6g}, seed {seed}) "
-                f"gives {rep.verdict} at witness {rep.witness}",
-            )
-    seq = WeightSeq("general", op, cp)
     ks = f.k_values()
-    s = weight_array(seq, ks)
+
+    def rerun(_, lead, tail):  # a screen's miss, re-run by the single check for its report or error
+        return numeric_membership(op, cp, LaurentSeries(op.p, f.trunc_order, tail, lead, f.exact_support), grid)
+
+    shifted = (scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps)) for eps in eps_list)
+    miss, _, _ = _numeric_rows(op, cp, grid, ks, ((g.lead, g.coeffs) for g in shifted))
+    if miss is not None:
+        i, rep = miss[0], rerun(*miss)
+        return Report(
+            INCONCLUSIVE, rep.worst_margin, None,
+            f"hypothesis not established: eps sample #{i} (eps={eps_list[i]:.6g}, seed {seed}) "
+            f"gives {rep.verdict} at witness {rep.witness}",
+        )
+    s = weight_array(WeightSeq("general", op, cp), ks)
     nidx = min(16, len(ks))
     moved = s[:nidx] > SUM_TOL
     s_moved = s[:nidx][moved]
-    worst = np.inf
-    worst_witness: complex | None = None
-    for first in range(0, trials, block):
-        rows = np.tile(f.coeffs, (min(block, trials - first), 1))
-        for row in rows:
+
+    def neighbors():
+        for _ in range(trials):
+            row = np.array(f.coeffs)
             u = rng.uniform(0.0, delta)
             mass = rng.dirichlet(np.ones(nidx))
             phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=nidx))
             with np.errstate(over="ignore", invalid="ignore"):  # an infinite step fails the image check
                 row[:nidx][moved] += u * mass[moved] * phases[moved] / s_moved
-        holds, margins, witnesses = rows_of(np.ones(len(rows), complex), rows)
-        if not holds.all():
-            r = int(np.argmin(holds))
-            g = LaurentSeries(op.p, f.trunc_order, rows[r], 1.0, f.exact_support)
-            rep = numeric_membership(op, cp, g, grid)
-            return Report(
-                FAILS, rep.worst_margin, rep.witness,
-                f"sampled neighbor #{first + r} (seed {seed}) leaves the class: {rep.detail}",
-            )
-        for margin, witness in zip(margins.tolist(), witnesses.tolist()):
-            if margin < worst:
-                worst, worst_witness = margin, witness
+            yield 1.0, row
+
+    miss, worst, worst_witness = _numeric_rows(op, cp, grid, ks, neighbors())
+    if miss is not None:
+        rep = rerun(*miss)
+        return Report(
+            FAILS, rep.worst_margin, rep.witness,
+            f"sampled neighbor #{miss[0]} (seed {seed}) leaves the class: {rep.detail}",
+        )
     detail = (
         f"eps_trials={len(eps_list)} trials={trials} seed={seed} delta={delta:.17g} "
         f"grid={grid.digest()}"

@@ -20,7 +20,8 @@ the stored range known to be exactly zero).
 Evaluation is only meaningful inside the punctured disk; ``eval_at`` and
 ``eval_many`` reject |z| >= 1 and z == 0.  They evaluate by Horner at
 arbitrary points; ``eval_circles`` evaluates on the circles of a
-``SampleGrid`` by one inverse FFT per circle.
+``SampleGrid`` by one inverse FFT of M bins per circle, M = angles_count,
+each term a_k r^k added into bin k mod M.
 """
 from __future__ import annotations
 
@@ -400,28 +401,26 @@ def eval_circles(
     series (a points array), or of each row of ``SeriesRows`` (rows x points).
 
     With M = angles_count and w = exp(2 pi i / M), f(r w^j) = sum_k a_k r^k w^(jk)
-    is the unscaled inverse DFT of the terms a_k r^k placed at bin k mod M
-    (the pole at bin M - p).  Terms beyond M bins are folded onto their bin,
-    which is exact since w^M = 1.  Each row is its own transform, so a row's
-    values do not depend on the rows beside it.  A value that overflows is
-    left infinite or NaN, without a warning, for the caller to refuse.
+    is the unscaled inverse DFT of M bins per circle, bin b holding the sum of
+    the terms a_k r^k with k = b mod M (the pole at bin M - p), which is exact
+    since w^M = 1.  The terms are added into their bins in increasing k, M
+    consecutive k (each bin once) at a time.  Each row is its own transform, so
+    a row's values do not depend on the rows beside it.  A value that
+    overflows is left infinite or NaN, without a warning, for the caller to
+    refuse.
     """
     radii = np.array([r for r in grid.radii if radius_cap is None or r <= radius_cap])
     m = grid.angles_count
     p = f.pole_order
     c = np.concatenate((np.asarray(f.lead)[..., None], f.coeffs), axis=-1)  # a_k for k = -p .. K
     *rows, n = c.shape
-    # column j of ``bins`` holds k = j - start - p, and start + p = 0 mod m
-    start = -p % m
-    width = fold_width(p, n, m)
-    bins = np.zeros((*rows, radii.size, width), dtype=np.complex128)
+    bins = np.zeros((*rows, radii.size, m), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        bins[..., start : start + n] = c[..., None, :] * radii[:, None] ** np.arange(-p, n - p)
-        bins = bins.reshape(*rows, radii.size, width // m, m).sum(axis=-2)  # folded; frees the zero fill
+        terms = c[..., None, :] * radii[:, None] ** np.arange(-p, n - p)
+        for first in range(0, n, m):  # k = first - p .., from bin (first - p) mod M
+            start = (first - p) % m
+            block = terms[..., first : first + m]
+            fit = min(block.shape[-1], m - start)  # the rest wraps to bins 0 ..
+            bins[..., start : start + fit] += block[..., :fit]
+            bins[..., : block.shape[-1] - fit] += block[..., fit:]
         return np.fft.ifft(bins, axis=-1, norm="forward").reshape(*rows, radii.size * m)
-
-
-def fold_width(p: int, n: int, m: int) -> int:
-    """Columns per circle of the zero-filled bins ``eval_circles`` folds:
-    n terms from k = -p, the pole at bin m - p, in whole blocks of m bins."""
-    return -(-(-p % m + n) // m) * m

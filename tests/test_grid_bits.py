@@ -6,6 +6,11 @@ K = 255 Herglotz member (p = 1) and one K = 255 Schwarz member (p = 2), on a
 20x512 grid and on a 3x16 grid where 256 terms fold onto 16 bins.  A change
 to how the checkers evaluate their series (FFT batching, the Horner recheck,
 the margin forms) must leave every one of these bits in place.
+
+The sampled neighborhood trials of ``verify_inclusion_general`` are pinned
+the same way, for three outcomes per member and grid.  The serial loop in
+``neighborhood_reference`` evaluates through the same ``eval_circles``, so it
+cannot catch an evaluator that moves bits on both sides; these pins can.
 """
 import hashlib
 
@@ -23,6 +28,7 @@ from merokit.membership import (
     ratio_weights,
     subordination_power_target,
 )
+from merokit.neighborhoods import verify_inclusion_general
 from merokit.operator import OperatorParams
 from merokit.series import LaurentSeries, SampleGrid
 
@@ -249,6 +255,89 @@ EXPECTED = {'herglotz 20x512 convolution': ('holds',
                                              'grid=2485623efeee')}
 
 
+#: (delta, eps_trials, seed) of 32 trials per member: a ``holds``, a ``fails``
+#: at a sampled neighbor past #20 (a later block whatever the block size), and
+#: an eps sample that leaves the class, phase (a)'s ``inconclusive``
+TRIAL_CASES = {
+    "herglotz": {"holds": (0.002, 8, 3), "fails": (0.8, 0, 11), "inconclusive": (0.2, 8, 3)},
+    "schwarz": {"holds": (0.002, 8, 3), "fails": (3.0, 0, 5), "inconclusive": (0.2, 8, 3)},
+}
+
+
+def observed_trials():
+    """Every pinned trial report, keyed by member, grid and outcome."""
+    out = {}
+    for name, op, cp, _, f in _members():
+        for gname, grid in GRIDS.items():
+            for outcome, (delta, eps_trials, seed) in TRIAL_CASES[name].items():
+                rep = verify_inclusion_general(op, cp, f, delta, eps_trials, 32, grid, seed)
+                out[f"{name} {gname} trials {outcome}"] = _bits(rep)
+    return out
+
+
+#: taken while the trial blocks were sized from the zero-filled FFT bins
+TRIALS_EXPECTED = {'herglotz 20x512 trials fails': ('fails',
+                                                    '-0x1.f3f5fad464180p-8',
+                                                    ('-0x1.7d3805e8eaf70p-53', '-0x1.ccccccccccccdp-1'),
+                                                    'sampled neighbor #29 (seed 11) leaves the class: '
+                                                    'grid=3393b8c7f592'),
+                   'herglotz 20x512 trials holds': ('holds',
+                                                    '0x1.aea3c3079d638p-4',
+                                                    ('-0x1.5933b9967fb7ep-1', '0x1.313dbea5fcd09p-1'),
+                                                    'eps_trials=8 trials=32 seed=3 delta=0.002 grid=3393b8c7f592'),
+                   'herglotz 20x512 trials inconclusive': ('inconclusive',
+                                                           '-0x1.666304b3a0bb8p+0',
+                                                           None,
+                                                           'hypothesis not established: eps sample #1 '
+                                                           '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
+                                                           '(0.8847949386880947-0.16473589915962691j)'),
+                   'herglotz fold16 trials fails': ('fails',
+                                                    '-0x1.f3f5fad464180p-8',
+                                                    ('-0x1.7d3805e8eaf70p-53', '-0x1.ccccccccccccdp-1'),
+                                                    'sampled neighbor #29 (seed 11) leaves the class: '
+                                                    'grid=2485623efeee'),
+                   'herglotz fold16 trials holds': ('holds',
+                                                    '0x1.af960a29a6998p-4',
+                                                    ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
+                                                    'eps_trials=8 trials=32 seed=3 delta=0.002 grid=2485623efeee'),
+                   'herglotz fold16 trials inconclusive': ('inconclusive',
+                                                           '-0x1.1baacfafccd36p+0',
+                                                           None,
+                                                           'hypothesis not established: eps sample #1 '
+                                                           '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
+                                                           '(0.9+0j)'),
+                   'schwarz 20x512 trials fails': ('fails',
+                                                   '-0x1.1d519c97e7f74p-1',
+                                                   ('-0x1.8241027eb3fc3p-1', '0x1.f6924e6f78ab5p-2'),
+                                                   'sampled neighbor #28 (seed 5) leaves the class: '
+                                                   'grid=3393b8c7f592'),
+                   'schwarz 20x512 trials holds': ('holds',
+                                                   '0x1.971e9ad3e48c5p-2',
+                                                   ('-0x1.a2f1d1bd196e1p-1', '-0x1.7fc80f3e252fep-2'),
+                                                   'eps_trials=8 trials=32 seed=3 delta=0.002 grid=3393b8c7f592'),
+                   'schwarz 20x512 trials inconclusive': ('inconclusive',
+                                                          '-0x1.0d1bec7edf5c7p+3',
+                                                          None,
+                                                          'hypothesis not established: eps sample #1 '
+                                                          '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
+                                                          '(0.12112263765641361+0.8918123718850021j)'),
+                   'schwarz fold16 trials fails': ('fails',
+                                                   '-0x1.12199668be3b0p-2',
+                                                   ('-0x1.a9b943a7a4bf2p-1', '0x1.60ae596039875p-2'),
+                                                   'sampled neighbor #28 (seed 5) leaves the class: '
+                                                   'grid=2485623efeee'),
+                   'schwarz fold16 trials holds': ('holds',
+                                                   '0x1.977d3f9da36f9p-2',
+                                                   ('-0x1.a9b943a7a4bf3p-1', '-0x1.60ae596039871p-2'),
+                                                   'eps_trials=8 trials=32 seed=3 delta=0.002 grid=2485623efeee'),
+                   'schwarz fold16 trials inconclusive': ('inconclusive',
+                                                          '-0x1.548abfd35704ap+0',
+                                                          None,
+                                                          'hypothesis not established: eps sample #1 '
+                                                          '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
+                                                          '(5.5109105961630896e-17+0.9j)')}
+
+
 @pytest.fixture(scope="module")
 def observed_bits():
     return observed()
@@ -259,5 +348,16 @@ def test_grid_bits_are_frozen(observed_bits, key):
     assert observed_bits[key] == EXPECTED[key]
 
 
-def test_every_value_is_pinned(observed_bits):
+def test_every_value_is_pinned(observed_bits, observed_trial_bits):
     assert sorted(observed_bits) == sorted(EXPECTED)
+    assert sorted(observed_trial_bits) == sorted(TRIALS_EXPECTED)
+
+
+@pytest.fixture(scope="module")
+def observed_trial_bits():
+    return observed_trials()
+
+
+@pytest.mark.parametrize("key", sorted(TRIALS_EXPECTED))
+def test_trial_bits_are_frozen(observed_trial_bits, key):
+    assert observed_trial_bits[key] == TRIALS_EXPECTED[key]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merokit import neighborhoods
+from merokit import membership, neighborhoods
 from merokit.generators import MeasureAtoms, SchwarzPoly, extremal_fn, from_herglotz, from_schwarz
 from merokit.membership import RADIUS_CAP, ClassParams
 from merokit.neighborhoods import (
@@ -21,7 +21,7 @@ from merokit.neighborhoods import (
     weight_array,
 )
 from merokit.operator import OperatorParams, phi
-from merokit.series import LaurentSeries, SampleGrid, fold_width
+from merokit.series import LaurentSeries, SampleGrid
 import neighborhood_reference as serial
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)
@@ -437,27 +437,54 @@ def test_verify_plus_refusals_as_serially():
 
 # ---------------------------------------------------------------- block sizes
 
+def _screened_blocks(monkeypatch, grid, tail, count):
+    """Screen ``count`` copies of z^-1 with ``tail`` zero coefficients (each
+    holds): the screen's outcome, and per ``eval_circles`` call the rows it
+    got and how many candidates had been drawn from the stream by then."""
+    drawn, calls = [], []
+    evaluate = membership.eval_circles
+
+    def spy(rows, *args):
+        calls.append((len(rows.lead), len(drawn)))
+        return evaluate(rows, *args)
+
+    def stream():
+        for i in range(count):
+            drawn.append(i)
+            yield 1.0, np.zeros(tail, dtype=complex)
+
+    monkeypatch.setattr(membership, "eval_circles", spy)
+    got = membership._numeric_rows(OP1, ClassParams(0.3, 0.8), grid, np.arange(tail), stream())
+    return got, calls, len(drawn)
+
+
 @pytest.mark.parametrize(
     "radii,angles,tail,rows",
     [
         (np.linspace(0.1, 0.9, 5), 720, 65, 2),  # the default grid at K = 64
         (np.linspace(0.1, 0.9, 20), 4096, 1024, 1),
-        ((0.5,), 8, 4096, 2),  # a long series on a small grid: its stacked tails
-        ((0.97, 0.99), 16, 4096, 2),  # no capped circle
+        ((0.5,), 8, 4096, 1),  # a long series on a small grid: its tails and terms
+        ((0.97, 0.99), 16, 4096, 2),  # no capped circle: the tails alone
+        (np.linspace(0.1, 0.9, 20), 8, 4096, 1),  # the terms on 20 circles outweigh the bins
     ],
 )
-def test_trial_blocks_stay_within_their_byte_cap(radii, angles, tail, rows):
-    """A block's widest complex array, the rows' zero-filled FFT bins on the
-    capped circles or their tails of F and zF' stacked for one Horner pass,
-    holds at most 256 KiB, unless it is a single row, the least a block can hold."""
+def test_trial_blocks_stay_within_their_byte_cap(monkeypatch, radii, angles, tail, rows):
+    """A block's complex arrays, per candidate its F and zF' rows' tails (2n
+    entries), their terms a_k r^k on the R capped circles (2Rn) and their bins
+    there (2RM), hold at most 256 KiB, unless it is a single row, the least a
+    block can hold.  Each block is one eval_circles call of its F and zF' rows,
+    made once the block, and no more, has been drawn from the stream."""
     grid = SampleGrid(tuple(float(r) for r in radii), angles)
     circles = sum(r <= RADIUS_CAP for r in grid.radii)
-    widest = max(2 * tail, circles * fold_width(1, 1 + tail, angles))
-    assert neighborhoods._grid_block_rows(grid, 1, tail) == rows
-    assert rows == 1 or rows * widest * 16 <= 256 * 1024
-    assert (rows + 1) * widest * 16 > 256 * 1024
-    assert neighborhoods._block_rows(0) == neighborhoods._block_rows(1) == 16384
-    assert neighborhoods._block_rows(10**9) == 1
+    entries = 2 * (tail + circles * (tail + angles))
+    assert rows == 1 or rows * entries * 16 <= 256 * 1024
+    assert (rows + 1) * entries * 16 > 256 * 1024
+    (miss, worst, witness), calls, drawn = _screened_blocks(monkeypatch, grid, tail, 3 * rows)
+    if circles:
+        assert miss is None and np.isfinite(worst) and witness is not None
+        assert calls == [(2 * rows, rows), (2 * rows, 2 * rows), (2 * rows, 3 * rows)]
+    else:  # nothing to evaluate: the first candidate is the caller's to re-run
+        assert miss[0] == 0 and calls == [] and drawn == rows
 
 
 def test_trial_memory_does_not_grow_with_the_trial_count():
@@ -493,21 +520,55 @@ def test_default_scale_trial_memory_peak():
 
 
 def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
+    """On a 20x4096 grid each eps sample and each trial is its own block: one
+    eval_circles call of its F and zF' rows."""
     sizes = []
-    screen = neighborhoods._numeric_rows
+    evaluate = membership.eval_circles
 
-    def spy(*args):
-        rows_of = screen(*args)
+    def spy(rows, *args):
+        sizes.append(len(rows.lead))
+        return evaluate(rows, *args)
 
-        def counted(leads, tails):
-            sizes.append(len(leads))
-            return rows_of(leads, tails)
-
-        return counted
-
-    monkeypatch.setattr(neighborhoods, "_numeric_rows", spy)
+    monkeypatch.setattr(membership, "eval_circles", spy)
     op, cp, f = _member(1, 0)
     grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 4096)
     rep = neighborhoods.verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 2, 3, grid, 0)
     assert rep.verdict == "holds"
-    assert sizes == [1] * 5
+    assert sizes == [2] * 5
+
+
+@pytest.mark.parametrize(
+    "case,outcome",
+    [
+        ("holds", "holds"),
+        ("holds default grid", "holds"),
+        ("fails", "fails"),
+        ("fails at a later block", "fails"),
+        ("inconclusive", "inconclusive"),
+        ("image overflow", "OverflowError"),
+        ("margin overflow", "OverflowError"),
+        ("no capped circle", "inconclusive"),
+    ],
+)
+def test_block_size_leaves_every_report_bit(monkeypatch, case, outcome):
+    """One row per block, and all rows in one block, give each report or error
+    the bits the sized blocks give, and the serial loop gives."""
+    op, cp, f = _member(1, 4)
+    args = {
+        "holds": (op, cp, f, 0.002 / phi(op, 1), 8, 32, TRIAL_GRID, 3),
+        "holds default grid": (op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 3),
+        "fails": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 40.0, 1, 32, GRID, 0),
+        "fails at a later block": (op, cp, f, 0.8 / phi(op, 1), 0, 32, None, 11),
+        "inconclusive": (op, cp, f, 0.05 / phi(op, 1), 8, 32, None, 4),
+        "image overflow": (op, cp, f.with_coeff(3, 1e308), 0.002, 8, 32, TRIAL_GRID, 0),
+        "margin overflow": (
+            OperatorParams(1.0, 0.0, 1, 2), ClassParams(0.5, 0.5), LaurentSeries.pole_only(2, 8),
+            1.7e308, 0, 32, TRIAL_GRID, 5,
+        ),
+        "no capped circle": (op, cp, f, 0.002, 8, 32, SampleGrid((0.97, 0.99), 16), 0),
+    }[case]
+    want = _general(*args)
+    assert want[0] == outcome
+    for cap in (1, 2**40):
+        monkeypatch.setattr(membership, "_BLOCK_BYTES", cap)
+        assert _outcome(neighborhoods.verify_inclusion_general, *args) == want

@@ -22,6 +22,7 @@ from merokit.series import (
     scale,
     z_derivative,
 )
+import fold_reference
 from taylor_reference import log_one_minus, series_exp
 
 
@@ -311,6 +312,61 @@ def test_eval_circles_frozen_values():
     # the cap drops whole circles, as grid.points(radius_cap) does
     assert eval_circles(f, SampleGrid((0.25, 0.5), 1), radius_cap=0.3).tolist() == [4.25]
     assert eval_circles(f, SampleGrid((0.5,), 4), radius_cap=0.3).size == 0
+
+
+def _fold_case(rng, p, m, n):
+    """Seeded SeriesRows of 1..4 rows with n stored terms, signed zeros in some
+    parts and, in some draws, infinite and NaN terms, on 1..3 circles of m angles."""
+    rows = int(rng.integers(1, 5))
+    tails = (rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))) * rng.uniform(0.1, 10.0)
+    u = rng.uniform(size=tails.shape)
+    tails.real[u < 0.2] = -0.0
+    tails.imag[(u > 0.1) & (u < 0.25)] = -0.0
+    if rng.uniform() < 0.25:
+        tails.real[u > 0.999] = np.inf
+        tails.imag[(u > 0.998) & (u <= 0.999)] = -np.inf
+        tails.real[(u > 0.997) & (u <= 0.998)] = np.nan
+    leads = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    if rng.uniform() < 0.3:
+        leads.real[:] = -0.0
+    radii = np.sort(rng.uniform(0.01, 0.999, size=int(rng.integers(1, 4))))
+    return SeriesRows(p, leads, tails), SampleGrid(tuple(float(r) for r in radii), m)
+
+
+def test_eval_circles_bitwise_as_the_zero_filled_fold():
+    """M bins per circle, filled in increasing k, give the bits of the zero-filled
+    fold (the terms placed in whole blocks of M bins from the pole at bin M - p,
+    the blocks summed) for every p in 1..8 and M in 2..40: series shorter than
+    M, and folds of hundreds of blocks.  NaN values are compared as NaN, since
+    their sign and payload bits carry nothing."""
+    rng = np.random.default_rng(20261019)
+    for p in range(1, 9):
+        for m in range(2, 41):
+            for n in (int(rng.integers(1, 2 * m)), int(rng.integers(100 * m, 300 * m))):
+                rows, grid = _fold_case(rng, p, m, n)
+                got = eval_circles(rows, grid).view(np.float64)
+                want = fold_reference.eval_circles(rows, grid).view(np.float64)
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                real = ~np.isnan(got)
+                assert got[real].tobytes() == want[real].tobytes()
+
+
+def test_eval_circles_at_one_angle_within_the_sum_rounding():
+    """At M = 1 the one bin is the sum of all n terms: added in k order here,
+    pairwise in the fold.  Both lie within n units of rounding of the sum of
+    the terms' moduli."""
+    rng = np.random.default_rng(20261019)
+    for p in range(1, 9):
+        for n in (1, 7, 300, 3000):
+            rows, grid = _fold_case(rng, p, 1, n)
+            moduli = np.abs(np.concatenate((rows.lead[:, None], rows.coeffs), axis=1))[:, None, :]
+            with np.errstate(invalid="ignore"):  # an infinite term at an underflowed r^k
+                scale = (moduli * np.asarray(grid.radii)[:, None] ** np.arange(-p, n + 1 - p)).sum(axis=-1)
+            got = eval_circles(rows, grid)
+            want = fold_reference.eval_circles(rows, grid)
+            finite = np.isfinite(scale.ravel())
+            bound = 2.0 * (n + 1) * 2.0**-53 * scale.ravel()[finite]
+            assert np.all(np.abs(got.ravel() - want.ravel())[finite] <= bound)
 
 
 @st.composite

@@ -45,6 +45,7 @@ from .membership import (
     _grid_check,
     _grid_note,
     _grid_verdict,
+    _weighted_sum,
 )
 from .operator import OperatorParams, _phi_product, apply_coeff, phi_array, require_pole_order
 from .series import (
@@ -429,26 +430,6 @@ def partial_sum(f: LaurentSeries, m_cut: int) -> LaurentSeries:
     return LaurentSeries(f.pole_order, f.trunc_order, arr, f.lead, True)
 
 
-def _monotone_window_check(op, cp, hi: int):
-    """Verify the ratio weights are > 1 and strictly increasing on
-    [1-p, max(hi, k_pos) + 2], past the index k_pos where the bracket turns
-    positive: beyond it both factors increase, so the property persists at
-    every larger index, and no cut needs a wider window."""
-    p = op.p
-    # bracket k(beta+1) + p(1+beta(2 alpha - 1)) is increasing; find its sign flip
-    k_pos = int(np.ceil((-p * (1.0 + cp.beta * (2.0 * cp.alpha - 1.0))) / (cp.beta + 1.0))) + 1
-    hi = max(hi, k_pos) + 2
-    ks = np.arange(1 - p, hi + 1)
-    th = ratio_weights(op, cp, ks)
-    if np.any(th <= 1.0 + SUM_TOL):
-        k_bad = int(ks[int(np.argmax(th <= 1.0 + SUM_TOL))])
-        return f"weight at k={k_bad} is {th[ks == k_bad][0]:.6g} <= 1"
-    if np.any(np.diff(th) <= 0.0):
-        k_bad = int(ks[int(np.argmax(np.diff(th) <= 0.0))])
-        return f"weights not increasing at k={k_bad}"
-    return None
-
-
 def partial_sum_bounds(
     op: OperatorParams,
     cp: ClassParams,
@@ -473,28 +454,27 @@ def partial_sum_bounds(
     if m_cut < 1 - op.p:
         raise ValueError(f"m_cut: the ratio bounds need m_cut >= {1 - op.p}, got {m_cut}")
     grid = grid or default_grid()
-    ks = f.k_values()
-    th = ratio_weights(op, cp, ks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hyp = float(np.dot(th, np.abs(f.coeffs)))
-    if not math.isfinite(hyp):
-        raise OverflowError("coeffs: the weighted hypothesis sum overflows a float")
+    th = ratio_weights(op, cp, f.k_values())
+    hyp, within, slack = _weighted_sum(th, np.abs(f.coeffs), 1.0, "hypothesis sum")
     if not f.exact_support:
         return Report(
-            INCONCLUSIVE, 1.0 - hyp, None,
+            INCONCLUSIVE, slack, None,
             "truncation tail uncertified (exact_support is false); "
             "the weighted-sum hypothesis cannot be established",
         )
-    if hyp > 1.0 + SUM_TOL:
+    if not within:
         return Report(
-            INCONCLUSIVE, 1.0 - hyp, None,
+            INCONCLUSIVE, slack, None,
             f"hypothesis fails: weighted coefficient sum {hyp:.17g} > 1",
         )
-    mono_bad = _monotone_window_check(op, cp, f.trunc_order)
-    if mono_bad is not None:
+    # The bracket k(beta + 1) + p(1 + beta(2 alpha - 1)) rises by beta + 1 per step and
+    # phi_k >= 1 never falls (lam >= mu >= 0), so a positive weight at k = 1 - p makes the
+    # weights strictly increase from there on; rounding is monotone, so no computed weight
+    # falls below the first.  The first weight alone decides the monotone-weight premise.
+    if th[0] <= 1.0 + SUM_TOL:
         return Report(
-            INCONCLUSIVE, 1.0 - hyp, None,
-            f"monotone-weight premise fails: {mono_bad}; "
+            INCONCLUSIVE, slack, None,
+            f"monotone-weight premise fails: weight at k={1 - op.p} is {th[0]:.6g} <= 1; "
             "the bounds' derivation does not apply",
         )
     theta_m = float(ratio_weights(op, cp, np.array([m_cut]))[0])

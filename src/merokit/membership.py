@@ -136,9 +136,19 @@ def criterion_weight(op: OperatorParams, cp: ClassParams, k: int) -> float:
 
 
 def criterion_weight_array(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.ndarray:
+    """``criterion_weight`` over ``ks``; a weight that overflows a float is an OverflowError."""
     ks = np.asarray(ks)
     bracket = ks * (cp.beta + 1.0) + op.p * (1.0 + cp.beta * (2.0 * cp.alpha - 1.0))
-    return bracket * phi_array(op, ks)
+    with np.errstate(over="ignore"):
+        return _finite_weights(bracket * phi_array(op, ks), ks, "criterion weight")
+
+
+def _finite_weights(w: np.ndarray, ks: np.ndarray, what: str) -> np.ndarray:
+    """``w``, the weights ``what`` over ``ks``, if every one is finite; else an
+    OverflowError naming the first k whose weight is not."""
+    if not np.all(np.isfinite(w)):
+        raise OverflowError(f"weight: the {what} at k={int(ks[~np.isfinite(w)][0])} overflows a float")
+    return w
 
 
 def budget(op: OperatorParams, cp: ClassParams) -> float:
@@ -148,8 +158,10 @@ def budget(op: OperatorParams, cp: ClassParams) -> float:
 
 def ratio_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.ndarray:
     """Criterion weight over budget: the partial-sum hypothesis weights and
-    the ``plus`` neighborhood weights."""
-    return criterion_weight_array(op, cp, np.asarray(ks)) / budget(op, cp)
+    the ``plus`` neighborhood weights.  One that overflows a float is an OverflowError."""
+    ks = np.asarray(ks)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _finite_weights(criterion_weight_array(op, cp, ks) / budget(op, cp), ks, "ratio weight")
 
 
 # ----------------------------------------------------- coefficient routes
@@ -168,31 +180,24 @@ def require_nonnegative_real(f: LaurentSeries) -> None:
         raise ValueError(f"coeffs: nonnegative real coefficients required, violated at k={ks}")
 
 
-def _criterion(op: OperatorParams, cp: ClassParams, ks: np.ndarray):
-    """The coefficient criteria's weights over ``ks``, and sum_of(a): the weighted
-    sum of ``a`` (inf or NaN where it overflows), whether it is within the budget
-    (sum <= 2 p beta (1 - alpha) + SUM_TOL), and the margin budget - sum."""
+def _weighted_sum(w: np.ndarray, a: np.ndarray, rhs: float, what: str):
+    """The weighted coefficient sum of ``a`` against the bound ``rhs``: the sum, whether it
+    is within the bound (sum <= rhs + SUM_TOL) and the margin rhs - sum.  Every coefficient
+    premise is decided here.  A sum that is not finite is an OverflowError naming ``what``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        w = criterion_weight_array(op, cp, ks)
-    rhs = budget(op, cp)
-
-    def sum_of(a):
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.dot(w, a))
-        return total, total <= rhs + SUM_TOL, rhs - total
-
-    return w, sum_of
+        total = float(np.dot(w, a))
+    if not math.isfinite(total):
+        raise OverflowError(f"coeffs: the weighted {what} overflows a float")
+    return total, total <= rhs + SUM_TOL, rhs - total
 
 
 def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str):
     """Weights, whether the weighted sum of ``a`` is within the budget, the
     margin and the report detail shared by the coefficient criteria; an
-    overflowing sum is an OverflowError."""
+    overflowing weight or sum is an OverflowError."""
     ks = f.k_values()
-    w, sum_of = _criterion(op, cp, ks)
-    total, within, margin = sum_of(a)
-    if not math.isfinite(total):
-        raise OverflowError("coeffs: the weighted coefficient sum overflows a float")
+    w = criterion_weight_array(op, cp, ks)
+    total, within, margin = _weighted_sum(w, a, budget(op, cp), "coefficient sum")
     notes = []
     degen = ks[w <= SUM_TOL]
     if degen.size:

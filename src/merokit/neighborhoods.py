@@ -39,12 +39,15 @@ from .membership import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    RADIUS_CAP,
     SUM_TOL,
     ClassParams,
     Report,
-    _criterion,
+    _finite_weights,
     _numeric_rows,
+    _weighted_sum,
     budget,
+    criterion_weight_array,
     exact_membership_plus,
     numeric_membership,
     ratio_weights,
@@ -73,19 +76,14 @@ def weight(seq: WeightSeq, k: int) -> float:
 
 
 def weight_array(seq: WeightSeq, ks: np.ndarray) -> np.ndarray:
+    """The weights over ``ks``; one that overflows a float is an OverflowError."""
     ks = np.asarray(ks)
     op, cp = seq.op, seq.cp
     if seq.kind == "plus":
-        out = ratio_weights(op, cp, ks)
-    else:
-        bracket = cp.beta * (ks + abs(2.0 * cp.alpha - 1.0) * op.p) + ks + op.p
-        out = bracket * phi_array(op, ks) / budget(op, cp)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(
-            f"weight: not finite at k={ks[~np.isfinite(out)].tolist()} "
-            f"(alpha={cp.alpha} too close to 1?)"
-        )
-    return out
+        return ratio_weights(op, cp, ks)
+    bracket = cp.beta * (ks + abs(2.0 * cp.alpha - 1.0) * op.p) + ks + op.p
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _finite_weights(bracket * phi_array(op, ks) / budget(op, cp), ks, "general weight")
 
 
 def _aligned(f: LaurentSeries, g: LaurentSeries):
@@ -99,22 +97,25 @@ def _aligned(f: LaurentSeries, g: LaurentSeries):
     return a, b, np.arange(1 - f.pole_order, k + 1)
 
 
-def distance(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries) -> float:
-    """Weighted-l1 coefficient distance sum s_k |b_k - a_k|; a distance
-    that overflows a float is an OverflowError."""
+def _distance_to(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries, delta: float):
+    """The distance of f and g against delta, as ``_weighted_sum`` gives it."""
     a, b, ks = _aligned(f, g)
     s = weight_array(seq, ks)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.dot(s, np.abs(b - a)))
-    if not np.isfinite(total):
-        raise OverflowError("coeffs: the weighted distance overflows a float")
-    return total
+        diff = np.abs(b - a)
+    return _weighted_sum(s, diff, delta, "distance")
+
+
+def distance(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries) -> float:
+    """Weighted-l1 coefficient distance sum s_k |b_k - a_k|; a distance
+    that overflows a float is an OverflowError."""
+    return _distance_to(seq, f, g, 0.0)[0]
 
 
 def in_neighborhood(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries, delta: float) -> bool:
     if not delta > 0:
         raise ValueError(f"delta: must be > 0, got {delta}")
-    return distance(seq, f, g) <= delta + SUM_TOL
+    return _distance_to(seq, f, g, delta)[1]
 
 
 def _premise_bound(op: OperatorParams) -> float:
@@ -158,11 +159,11 @@ def verify_inclusion_plus(
             f"negative neighborhood weights at k={ks[s < 0].tolist()}; "
             "the metric hypothesis fails",
         )
-    premise = float(np.dot(s, f.coeffs.real))
     bound = _premise_bound(op)
-    if premise > bound + SUM_TOL:
+    premise, within, slack = _weighted_sum(s, f.coeffs.real, bound, "premise sum")
+    if not within:
         return Report(
-            INCONCLUSIVE, bound - premise, None,
+            INCONCLUSIVE, slack, None,
             f"premise violated: sum s_k a_k = {premise:.17g} > {bound:.17g}; "
             "inclusion is not implied for this function",
         )
@@ -170,7 +171,7 @@ def verify_inclusion_plus(
     nidx = min(16, len(ks))
     moved = s[:nidx] > SUM_TOL  # a degenerate weight leaves its coefficient alone
     s_moved = s[:nidx][moved]
-    _, criterion = _criterion(op, cp, ks)  # exact_membership_plus's sum, once per sampled g
+    w, rhs = criterion_weight_array(op, cp, ks), budget(op, cp)  # exact_membership_plus's sum
     worst = np.inf
     base_row = f.coeffs.real.astype(complex)
     for t in range(trials):
@@ -182,8 +183,8 @@ def verify_inclusion_plus(
         g_coeffs.real[:nidx][moved] = np.where(head > 0.0, head, 0.0)  # max(0.0, head)
         # the criterion reads the strided .real view of the complex row: np.dot sums a
         # contiguous copy in another order, which moves some margins by 1 ulp
-        _, within, margin = criterion(g_coeffs.real)
-        if not within:  # fails or overflows: the single check reports it
+        _, within, margin = _weighted_sum(w, g_coeffs.real, rhs, "coefficient sum")
+        if not within:  # the single check reports it
             g = LaurentSeries(op.p, f.trunc_order, g_coeffs, 1.0, True)
             rep = exact_membership_plus(op, cp, g)
             return Report(
@@ -198,12 +199,19 @@ def verify_inclusion_plus(
     wd = distance(seq, fw, gw)
     wrep = exact_membership_plus(op, cp, gw)
     if wrep.verdict != FAILS:
+        if wrep.worst_margin < 0.0:  # g* exceeds the budget by budget * delta*, here < SUM_TOL
+            return Report(
+                INCONCLUSIVE, wrep.worst_margin, None,
+                f"sharpness witness at distance {wd:.17g} passes the criterion only within its "
+                f"tolerance {SUM_TOL:g}, exceeding the budget by {-wrep.worst_margin:.3g}; "
+                "sharpness not established",
+            )
         return Report(
             FAILS, wrep.worst_margin, -1,
             f"sharpness witness at distance {wd:.17g} unexpectedly passes the criterion",
         )
     detail = (
-        f"trials={trials} seed={seed} delta={d:.17g} premise_slack={bound - premise:.3g}; "
+        f"trials={trials} seed={seed} delta={d:.17g} premise_slack={slack:.3g}; "
         f"witness at delta*={ds:.17g} fails by {-wrep.worst_margin:.3g}"
     )
     if trials == 0:
@@ -240,6 +248,8 @@ def verify_inclusion_general(
         )
     require_pole_order(op, f)
     grid = grid or default_grid()
+    if grid.points(radius_cap=RADIUS_CAP).size == 0:
+        return numeric_membership(op, cp, f, grid)  # no usable grid points: nothing is sampled
     rng = np.random.default_rng(seed)
     eps_list = [0.0 + 0.0j]
     while len(eps_list) < max(1, eps_trials):

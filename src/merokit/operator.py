@@ -177,16 +177,12 @@ def apply_differential(op: OperatorParams, f: LaurentSeries) -> LaurentSeries:
 def invert(op: OperatorParams, g: LaurentSeries) -> LaurentSeries:
     """Divide each a_k by phi_k, undoing ``apply_coeff`` exactly.
 
-    Rejects parameter sets where some multiplier vanishes (lam = mu = 0
-    never does: phi is then identically 1)."""
+    No multiplier vanishes: lam >= mu >= 0 makes every base
+    1 + (k+p)(lam - mu + (k+p+1) lam mu) at least 1 for k >= -p, so
+    phi_k >= 1 (or it overflows, an OverflowError of ``phi_array``)."""
     require_pole_order(op, g)
-    mult = phi_array(op, g.k_values())
-    if np.any(mult == 0):
-        bad = g.k_values()[mult == 0]
-        raise ValueError(f"phi: zero multiplier at k={bad.tolist()}, not invertible")
-    return LaurentSeries(
-        g.pole_order, g.trunc_order, g.coeffs / mult, g.lead, g.exact_support
-    )
+    coeffs = g.coeffs / phi_array(op, g.k_values())
+    return LaurentSeries(g.pole_order, g.trunc_order, coeffs, g.lead, g.exact_support)
 
 
 def kernel_h(op: OperatorParams, trunc_order: int) -> LaurentSeries:

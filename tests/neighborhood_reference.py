@@ -13,6 +13,7 @@ from merokit.membership import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    RADIUS_CAP,
     SUM_TOL,
     Report,
     exact_membership_plus,
@@ -77,6 +78,13 @@ def verify_inclusion_plus(op, cp, f, trials=100, seed=0):
     fw, gw = neighborhood_witnesses(op, cp, ds)
     wd = distance(seq, fw, gw)
     wrep = exact_membership_plus(op, cp, gw)
+    if wrep.verdict != FAILS and wrep.worst_margin < 0.0:
+        return Report(
+            INCONCLUSIVE, wrep.worst_margin, None,
+            f"sharpness witness at distance {wd:.17g} passes the criterion only within its "
+            f"tolerance {SUM_TOL:g}, exceeding the budget by {-wrep.worst_margin:.3g}; "
+            "sharpness not established",
+        )
     if wrep.verdict != FAILS:
         return Report(
             FAILS, wrep.worst_margin, -1,
@@ -101,6 +109,8 @@ def verify_inclusion_general(op, cp, f, delta, eps_trials=8, trials=32, grid=Non
             f"trunc_order: need at least p={op.p} to represent the eps-shift, got {f.trunc_order}"
         )
     grid = grid or default_grid()
+    if grid.points(radius_cap=RADIUS_CAP).size == 0:
+        return numeric_membership(op, cp, f, grid)
     rng = np.random.default_rng(seed)
     eps_list = [0.0 + 0.0j]
     while len(eps_list) < max(1, eps_trials):

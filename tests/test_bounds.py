@@ -30,6 +30,7 @@ from merokit.bounds import (
 from merokit.generators import SchwarzPoly, extremal_fn, from_schwarz, ratio_extremal
 from merokit.membership import (
     RADIUS_CAP,
+    SUM_TOL,
     ClassParams,
     _grid_verdict,
     disk_characterization,
@@ -524,6 +525,57 @@ def test_partial_sum_bounds_monotone_premise_gate():
     assert "monotone" in rep.detail
 
 
+def _window_premise(op, cp, hi):
+    """The monotone-weight premise as partial_sum_bounds once checked it, kept as a
+    reference: the ratio weights must be > 1 + SUM_TOL and strictly increasing on
+    [1-p, max(hi, k_pos) + 2], past the index k_pos where the bracket turns
+    positive.  None where the premise holds, else the reason."""
+    p = op.p
+    k_pos = int(np.ceil((-p * (1.0 + cp.beta * (2.0 * cp.alpha - 1.0))) / (cp.beta + 1.0))) + 1
+    ks = np.arange(1 - p, max(hi, k_pos) + 3)
+    th = ratio_weights(op, cp, ks)
+    low = th <= 1.0 + SUM_TOL
+    if np.any(low):
+        k_bad = int(ks[int(np.argmax(low))])
+        return f"weight at k={k_bad} is {th[ks == k_bad][0]:.6g} <= 1"
+    if np.any(np.diff(th) <= 0.0):
+        return f"weights not increasing at k={int(ks[int(np.argmax(np.diff(th) <= 0.0))])}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_first_weight_decides_the_monotone_premise_as_the_window(seed):
+    """partial_sum_bounds decides the monotone-weight premise by its weight at
+    k = 1 - p alone.  Over a seeded sweep (lam 1e-12..100, m <= 300, p <= 7,
+    K <= 4095) it agrees with the window it replaced in verdict and message.
+    Sets where the window overflows are skipped: it also evaluated phi at K + 1
+    and K + 2, where the stored series does not reach."""
+    rng = np.random.default_rng([seed, 20261019])
+    grid = SampleGrid((0.5,), 1)
+    compared = fired = 0
+    for _ in range(200):
+        p = int(rng.integers(1, 8))
+        lam = float(10.0 ** rng.uniform(-12.0, 2.0))
+        mu = lam * float(rng.uniform(0.0, 1.0)) if rng.random() < 0.5 else 0.0
+        m = int(rng.integers(0, 301)) if rng.random() < 0.3 else int(rng.integers(0, 4))
+        op = OperatorParams(lam, mu, m, p)
+        cp = ClassParams(float(rng.uniform(0.0, 1.0)), float(10.0 ** rng.uniform(-3.0, 0.0)))
+        K = int(rng.integers(1 - p, 64 if rng.random() < 0.8 else 4096))
+        try:
+            want = _window_premise(op, cp, K)
+        except OverflowError:
+            continue
+        rep = partial_sum_bounds(op, cp, LaurentSeries.pole_only(p, K), 1 - p, grid)
+        if want is None:
+            assert "monotone" not in rep.detail
+        else:
+            assert rep.verdict == "inconclusive"
+            assert rep.detail == f"monotone-weight premise fails: {want}; the bounds' derivation does not apply"
+            fired += 1
+        compared += 1
+    assert compared >= 100 and 20 <= fired < compared
+
+
 @given(
     p=st.integers(1, 2),
     op_index=st.integers(0, 2),
@@ -565,8 +617,8 @@ def test_partial_sum_premises_keep_values_off_zero(
 
 
 def test_partial_sum_bounds_memory_does_not_grow_with_the_cut():
-    """The monotone-weight window ends past the bracket's sign change, not at
-    m_cut, so a cut far beyond the stored terms allocates nothing per index."""
+    """The premises read the stored weights, not a window up to m_cut, so a cut
+    far beyond the stored terms allocates nothing per index."""
     f = L(1, 1, [0.0, 0.05])
     tracemalloc.start()
     try:

@@ -548,6 +548,14 @@ def _inputs(tmp_path):
         # every difference 1e308 - (-1e308) overflows
         "big3.json": {"pole_order": 1, "trunc_order": 2, "coeffs": [[1e308, 0.0]] * 3},
         "negbig3.json": {"pole_order": 1, "trunc_order": 2, "coeffs": [[-1e308, 0.0]] * 3},
+        # phi_k = (k + 2)^308: phi_8 = 1e308 is finite, the criterion weight 17 phi_8 is not
+        "params-m308.json": {"lambda": 1, "mu": 0, "m": 308, "p": 1, "alpha": 0.5, "beta": 1},
+        "zero8.json": {"pole_order": 1, "trunc_order": 8, "coeffs": [[0.0, 0.0]] * 9,
+                       "exact_support": True},
+        # budget 1e-306: the ratio weight (k + 1)(k + 2) / 1e-306 overflows from k = 12 on
+        "params-tiny-beta.json": {"lambda": 1, "mu": 0, "m": 1, "p": 1, "alpha": 0.5, "beta": 1e-306},
+        "zero300.json": {"pole_order": 1, "trunc_order": 300, "coeffs": [[0.0, 0.0]] * 301,
+                         "exact_support": True},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -730,6 +738,25 @@ MALFORMED_CASES = {
             "coeffs: the weighted distance overflows a float",
         )
         for kind in ("plus", "general")
+    },
+    "criterion-weight-overflow-extremal": (
+        ["gen", "extremal", "--params", "@params-m308.json", "--n", "8"],
+        "weight: the criterion weight at k=8 overflows a float",
+    ),
+    "criterion-weight-overflow-coeff-plus": (
+        ["verify", "coeff-plus", "--params", "@params-m308.json", "--series", "@zero8.json"],
+        "weight: the criterion weight at k=8 overflows a float",
+    ),
+    **{
+        f"ratio-weight-overflow-{verb[1]}": (
+            [*verb, "--params", "@params-tiny-beta.json", "--series", "@zero300.json"],
+            "weight: the ratio weight at k=12 overflows a float",
+        )
+        for verb in (
+            ["verify", "partial-sums", "--m-cut", "1"],
+            ["nbhd", "distance", "--other", "@zero300.json"],
+            ["nbhd", "verify-plus"],
+        )
     },
     "phi-array-overflow-coeff-general": (
         ["verify", "coeff-general", "--params", "@params-m2000.json", "--series", "@zero.json"],

@@ -1,0 +1,374 @@
+"""Frozen bits of the coefficient routes, the weighted sums against a bound.
+
+``exact_membership_plus``, ``sufficient_condition``, ``partial_sum_bounds``,
+``verify_inclusion_plus`` and ``distance`` with ``in_neighborhood`` each
+compare a weighted coefficient sum with a bound.  Their reports (float.hex
+margin, witness and detail) or errors are pinned on seeded inputs: operator
+and class parameters with p <= 3 and beta down to 1e-13, and nonnegative
+coefficients placed just below, on and above the criterion budget or the
+neighborhood premise, some of them near the float range.  The first
+``PINNED`` cases of each route are pinned one by one; every case of the sweep
+is pinned through one sha256 per route.  A change to how the sums are formed,
+guarded or compared must leave all of them in place.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from merokit.bounds import partial_sum_bounds
+from merokit.membership import ClassParams, exact_membership_plus, ratio_weights, sufficient_condition
+from merokit.neighborhoods import WeightSeq, distance, in_neighborhood, verify_inclusion_plus
+from merokit.operator import OperatorParams, delta_star
+from merokit.series import LaurentSeries, SampleGrid
+
+#: cases per route in the sweep, and how many of them are pinned one by one
+CASES = 400
+PINNED = 10
+
+GRID = SampleGrid((0.5, 0.9, 0.99), 16)
+
+
+def _params(rng):
+    p = int(rng.integers(1, 4))
+    lam = float(10.0 ** rng.uniform(-3.0, 0.5)) if rng.random() < 0.95 else 0.0
+    mu = lam * float(rng.uniform(0.0, 1.0)) if rng.random() < 0.7 else 0.0
+    op = OperatorParams(lam, mu, int(rng.integers(0, 4)), p)
+    beta = 10.0 ** rng.uniform(-13.0, 0.0) if rng.random() < 0.1 else rng.uniform(1e-3, 1.0)
+    return op, ClassParams(float(rng.uniform(0.0, 1.0)), float(beta))
+
+
+def _coeffs(rng, op, cp):
+    """Nonnegative coefficients whose ratio-weighted sum is a seeded fraction of
+    1 (the criterion budget) or of 1 - delta (the neighborhood premise); now
+    and then one of them is near the float range."""
+    ks = np.arange(1 - op.p, op.p + int(rng.integers(0, 10)))
+    s = ratio_weights(op, cp, ks)
+    target = 1.0 if rng.random() < 0.5 else 1.0 - delta_star(op)
+    frac = float(rng.choice([0.3, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-13, 1.0 + 1e-9, 1.5]))
+    mass = rng.dirichlet(np.ones(ks.size)) * (rng.random(ks.size) < 0.7)
+    usable = s > 1e-6
+    a = np.where(usable, frac * target * mass / np.where(usable, s, 1.0), 0.0)
+    if rng.random() < 0.05:
+        a[int(rng.integers(0, ks.size))] = 10.0 ** rng.uniform(300.0, 305.0)
+    return a
+
+
+def _series(op, a, exact=True):
+    return LaurentSeries(op.p, len(a) - op.p, a.astype(complex), 1.0, exact)
+
+
+def _bits(rep):
+    w = rep.witness
+    if isinstance(w, complex):
+        w = (float.hex(w.real), float.hex(w.imag))
+    return rep.verdict, float.hex(float(rep.worst_margin)), w, rep.detail
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _exact(rng):
+    op, cp = _params(rng)
+    f = _series(op, _coeffs(rng, op, cp), bool(rng.random() < 0.85))
+    return _outcome(lambda: _bits(exact_membership_plus(op, cp, f)))
+
+
+def _sufficient(rng):
+    op, cp = _params(rng)
+    a = _coeffs(rng, op, cp)
+    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=a.size))
+    f = LaurentSeries(op.p, a.size - op.p, a * phases, 1.0, bool(rng.random() < 0.85))
+    return _outcome(lambda: _bits(sufficient_condition(op, cp, f)))
+
+
+def _partial_sums(rng):
+    op, cp = _params(rng)
+    a = _coeffs(rng, op, cp)
+    a *= rng.choice((-1.0, 1.0), size=a.size)
+    f = _series(op, a, bool(rng.random() < 0.9))
+    m_cut = 1 - op.p + int(rng.integers(0, a.size + 2))
+    return _outcome(lambda: _bits(partial_sum_bounds(op, cp, f, m_cut, GRID)))
+
+
+def _plus(rng):
+    op, cp = _params(rng)
+    f = _series(op, _coeffs(rng, op, cp), bool(rng.random() < 0.95))
+    trials, seed = int(rng.choice([0, 5, 20])), int(rng.integers(0, 100))
+    return _outcome(lambda: _bits(verify_inclusion_plus(op, cp, f, trials, seed)))
+
+
+def _distance(rng):
+    op, cp = _params(rng)
+    seq = WeightSeq(str(rng.choice(["plus", "general"])), op, cp)
+    f = _series(op, _coeffs(rng, op, cp))
+    g = _series(op, _coeffs(rng, op, cp))
+
+    def both():
+        d = distance(seq, f, g)
+        delta = max(d * float(rng.choice([1.0, 1.0 - 1e-12, 1.0 + 1e-12])), 1e-300)
+        return float.hex(d), float.hex(delta), in_neighborhood(seq, f, g, delta)
+
+    return _outcome(both)
+
+
+ROUTES = {
+    "exact": _exact,
+    "sufficient": _sufficient,
+    "partial-sums": _partial_sums,
+    "plus": _plus,
+    "distance": _distance,
+}
+
+
+def observed():
+    """Per route, the outcome of every case of its seeded sweep."""
+    out = {}
+    for i, (name, draw) in enumerate(ROUTES.items()):
+        rng = np.random.default_rng([20261019, i])
+        out[name] = [draw(rng) for _ in range(CASES)]
+    return out
+
+
+def _sha(outcomes):
+    return hashlib.sha256(repr(outcomes).encode()).hexdigest()
+
+
+#: taken before the weighted sums moved into one function; since then only the
+#: sharpness reports of "plus" cases 4, 152, 204, 268, 302, 311 and 377 moved: a
+#: witness over the budget by less than SUM_TOL went from fails (witness -1) to
+#: inconclusive (no witness), with the same margin
+EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True),
+ 'distance 1': ('0x1.bec8628c6cfc6p-1', '0x1.bec8628c6cfc6p-1', True),
+ 'distance 2': ('0x1.9e6ca24e7ba9ep-3', '0x1.9e6ca24e7ba9ep-3', True),
+ 'distance 3': ('0x1.44112ce3d0e09p+0', '0x1.44112ce3d244fp+0', True),
+ 'distance 4': ('0x1.a1e3a37a574f1p-2', '0x1.a1e3a37a574f1p-2', True),
+ 'distance 5': ('0x1.297f03144100cp+0', '0x1.297f03144247ep+0', True),
+ 'distance 6': ('0x1.08d3307aaa1dcp+1014', '0x1.08d3307aab40fp+1014', True),
+ 'distance 7': ('0x1.dced29c52c526p-1', '0x1.dced29c52e5edp-1', True),
+ 'distance 8': ('0x1.491abad22d031p+0', '0x1.491abad22b993p+0', False),
+ 'distance 9': ('0x1.862468974e889p-2', '0x1.8624689750359p-2', True),
+ 'exact 0': ('holds',
+             '0x1.2117d57ec73d8p+1',
+             None,
+             'degenerate criterion weight (<= 0) at k=[-1]; the sum does not constrain those '
+             'coefficients; sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum '
+             'criterion is not equivalent to the pointwise condition there'),
+ 'exact 1': ('inconclusive',
+             '0x1.116e012cab422p-1',
+             None,
+             'sub-modulus weight at k=[-1] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+             'equivalent to the pointwise condition there; truncation tail uncertified '
+             '(exact_support is false)'),
+ 'exact 2': ('inconclusive',
+             '-0x1.aa58d85051a2fp+1004',
+             None,
+             'sub-modulus weight at k=[-1, 0] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+             'equivalent to the pointwise condition there; truncation tail uncertified '
+             '(exact_support is false)'),
+ 'exact 3': ('holds',
+             '0x1.d3dcc8dec28b0p-3',
+             None,
+             'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+             'equivalent to the pointwise condition there'),
+ 'exact 4': ('holds',
+             '0x1.a329261194530p-7',
+             None,
+             'sum=0.026435444740365847 rhs=0.039227215282718074'),
+ 'exact 5': ('holds',
+             '0x1.31b4581b3d314p-1',
+             None,
+             'degenerate criterion weight (<= 0) at k=[-1]; the sum does not constrain those '
+             'coefficients; sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum '
+             'criterion is not equivalent to the pointwise condition there'),
+ 'exact 6': ('holds',
+             '0x1.0bb2053d760cep-1',
+             None,
+             'sub-modulus weight at k=[-2] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+             'equivalent to the pointwise condition there'),
+ 'exact 7': ('holds',
+             '0x1.45ae033eb8b70p-4',
+             None,
+             'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+             'equivalent to the pointwise condition there'),
+ 'exact 8': ('inconclusive',
+             '0x1.43862e8890e2cp-40',
+             None,
+             'sub-modulus weight at k=[0, 1] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+             'equivalent to the pointwise condition there; truncation tail uncertified '
+             '(exact_support is false)'),
+ 'exact 9': ('inconclusive',
+             '0x1.e448540ee6b2cp-4',
+             None,
+             'truncation tail uncertified (exact_support is false)'),
+ 'partial-sums 0': ('inconclusive',
+                    '-0x1.0f27f12bcc380p-3',
+                    None,
+                    'truncation tail uncertified (exact_support is false); the weighted-sum '
+                    'hypothesis cannot be established'),
+ 'partial-sums 1': ('holds',
+                    '0x1.7d3da9003fa00p-8',
+                    ('0x1.6a09e667f3bcdp-2', '0x1.6a09e667f3bccp-2'),
+                    'grid=3b6464caa392 m_cut=6 theta=170.901826053'),
+ 'partial-sums 2': ('holds',
+                    '0x1.35324e8e0bc80p-8',
+                    ('-0x1.fae147ae147aep-1', '0x1.178f7bccf0930p-53'),
+                    'grid=3b6464caa392 m_cut=2 theta=200.300743087'),
+ 'partial-sums 3': ('inconclusive',
+                    '0x1.e760faa311980p-7',
+                    None,
+                    "monotone-weight premise fails: weight at k=0 is 0.367963 <= 1; the bounds' "
+                    'derivation does not apply'),
+ 'partial-sums 4': ('holds',
+                    '0x1.8cd9d51a92c70p-5',
+                    ('-0x1.83f2fbe9d8e17p-2', '0x1.d44bca6b9b9f1p-1'),
+                    'grid=3b6464caa392 m_cut=2 theta=14.0265331538'),
+ 'partial-sums 5': ('inconclusive',
+                    '0x1.46d73e4058958p-3',
+                    None,
+                    "monotone-weight premise fails: weight at k=0 is 0.556302 <= 1; the bounds' "
+                    'derivation does not apply'),
+ 'partial-sums 6': ('inconclusive',
+                    '0x1.c4b747ba78c04p-1',
+                    None,
+                    "monotone-weight premise fails: weight at k=-2 is 0.196961 <= 1; the bounds' "
+                    'derivation does not apply'),
+ 'partial-sums 7': ('inconclusive',
+                    '-0x1.f3236e3804bb4p+1003',
+                    None,
+                    'hypothesis fails: weighted coefficient sum 1.6713471636646316e+302 > 1'),
+ 'partial-sums 8': ('holds',
+                    '0x1.3547b3dc0b5c0p-5',
+                    ('0x1.83f2fbe9d8e19p-2', '0x1.d44bca6b9b9f1p-1'),
+                    'grid=3b6464caa392 m_cut=1 theta=20.4223906452'),
+ 'partial-sums 9': ('holds',
+                    '0x1.91d908f338f3cp-3',
+                    ('0x1.fae147ae147aep-1', '0x0.0p+0'),
+                    'grid=3b6464caa392 m_cut=0 theta=3.96260987076'),
+ 'plus 0': ('holds',
+            '0x1.6897fc7455604p-2',
+            None,
+            'trials=5 seed=85 delta=0.075554960605882418 premise_slack=0.293; witness at '
+            'delta*=0.075554960681437383 fails by 0.0832'),
+ 'plus 1': ('inconclusive',
+            '-0x1.156ac18b01d3bp+1007',
+            None,
+            'base function does not certify the exact criterion (fails); inclusion hypothesis not '
+            'established'),
+ 'plus 2': ('holds',
+            '0x0.0p+0',
+            None,
+            'vacuous sampling (trials = 0); trials=0 seed=81 delta=0.0083161724314435737 '
+            'premise_slack=0.762; witness at delta*=0.0083161724397597461 fails by 0.0101'),
+ 'plus 3': ('inconclusive', '0x0.0p+0', None, 'degenerate radius delta = 0; nothing to verify'),
+ 'plus 4': ('inconclusive',
+            '-0x1.ea18ea70f8000p-47',
+            None,
+            'sharpness witness at distance 0.00088157080387400461 passes the criterion only within '
+            'its tolerance 1e-12, exceeding the budget by 1.36e-14; sharpness not established'),
+ 'plus 5': ('inconclusive',
+            '-0x1.12860e0000000p-30',
+            None,
+            'premise violated: sum s_k a_k = 0.99871125307551656 > 0.99871125207680533; inclusion '
+            'is not implied for this function'),
+ 'plus 6': ('holds',
+            '0x1.66817dec9ca48p-2',
+            None,
+            'trials=5 seed=89 delta=0.094797092631722188 premise_slack=0.671; witness at '
+            'delta*=0.094797092726519289 fails by 0.0453'),
+ 'plus 7': ('holds',
+            '0x1.3edf91a21029dp-4',
+            None,
+            'trials=20 seed=64 delta=0.11587403497574753 premise_slack=0.458; witness at '
+            'delta*=0.11587403509162157 fails by 0.0186'),
+ 'plus 8': ('inconclusive',
+            '-0x1.22576726a7ff1p-2',
+            None,
+            'negative neighborhood weights at k=[-2]; the metric hypothesis fails'),
+ 'plus 9': ('holds',
+            '0x1.0cf3ae2fcc078p-4',
+            None,
+            'trials=5 seed=45 delta=0.079470586791311873 premise_slack=0.0314; witness at '
+            'delta*=0.07947058687078247 fails by 0.0772'),
+ 'sufficient 0': ('holds',
+                  '0x1.fa6f2aada82d8p-4',
+                  None,
+                  'sum=0.018303985566240015 rhs=0.14194515865459478'),
+ 'sufficient 1': ('holds',
+                  '0x1.f8049f0e37f00p-8',
+                  None,
+                  'sub-modulus weight at k=[-2, -1] (k + p(2 alpha - 1) < 0); the sum criterion is '
+                  'not equivalent to the pointwise condition there'),
+ 'sufficient 2': ('holds',
+                  '0x1.e042344b2d8dbp-1',
+                  None,
+                  'degenerate criterion weight (<= 0) at k=[-2]; the sum does not constrain those '
+                  'coefficients; sub-modulus weight at k=[2] (k + p(2 alpha - 1) < 0); the sum '
+                  'criterion is not equivalent to the pointwise condition there'),
+ 'sufficient 3': ('holds',
+                  '0x1.04badf5977a38p+0',
+                  None,
+                  'degenerate criterion weight (<= 0) at k=[-2]; the sum does not constrain those '
+                  'coefficients; sub-modulus weight at k=[0, 1] (k + p(2 alpha - 1) < 0); the sum '
+                  'criterion is not equivalent to the pointwise condition there'),
+ 'sufficient 4': ('inconclusive',
+                  '-0x1.5ccc9b490f9cap+998',
+                  None,
+                  'sub-modulus weight at k=[-1] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+                  'equivalent to the pointwise condition there'),
+ 'sufficient 5': ('holds',
+                  '0x1.79fd151bc8800p-12',
+                  None,
+                  'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+                  'equivalent to the pointwise condition there'),
+ 'sufficient 6': ('holds',
+                  '0x1.4642a01959d5ep-2',
+                  None,
+                  'sub-modulus weight at k=[-1] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+                  'equivalent to the pointwise condition there'),
+ 'sufficient 7': ('holds',
+                  '0x1.5f82cbbf9482cp-3',
+                  None,
+                  'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum criterion is not '
+                  'equivalent to the pointwise condition there'),
+ 'sufficient 8': ('holds',
+                  '0x1.ee9816a0786d4p-2',
+                  None,
+                  'tail not certified; verdict applies to the truncation'),
+ 'sufficient 9': ('holds',
+                  '0x1.c38776125c4e8p-2',
+                  None,
+                  'degenerate criterion weight (<= 0) at k=[-2]; the sum does not constrain those '
+                  'coefficients; sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum '
+                  'criterion is not equivalent to the pointwise condition there; tail not '
+                  'certified; verdict applies to the truncation')}
+
+DIGESTS = {'distance': '2966b901d559ef0715a0ecd15267a14991b3ed033e2953441b9091c69d0cda64',
+ 'exact': '8575fc0aa3fe8270bdc3eb949d7d6422315e8fecea61320402e953e1b27680ed',
+ 'partial-sums': 'b6edc88209191605e262ac6aeb3e5252c5531a41f4025706468913300f1eaac7',
+ 'plus': '2b9771b9ac41266d806d03b0cbde6d43ad51aae7f51675a7e65b1980b6d85ee2',
+ 'sufficient': 'abfe1ff105a18893b21b0f1a7aca34040c7d79522ac260ef11431b58b4a97b76'}
+
+
+@pytest.fixture(scope="module")
+def observed_bits():
+    return observed()
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED))
+def test_coefficient_bits_are_frozen(observed_bits, key):
+    route, i = key.rsplit(" ", 1)
+    assert observed_bits[route][int(i)] == EXPECTED[key]
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_coefficient_sweep_is_frozen(observed_bits, route):
+    assert _sha(observed_bits[route]) == DIGESTS[route]
+
+
+def test_every_route_is_pinned():
+    assert sorted(EXPECTED) == sorted(f"{r} {i}" for r in ROUTES for i in range(PINNED))

@@ -323,10 +323,13 @@ def test_verify_general_trial_counts_as_serially(counts):
 
 
 def test_verify_general_empty_capped_grid_as_serially():
+    """A grid with no radius <= RADIUS_CAP is refused before any eps sample,
+    with numeric_membership's own cause."""
     op, cp, f = _member(1, 0)
     grid = SampleGrid(radii=(0.97, 0.99), angles_count=16)
     got = _general(op, cp, f, 0.002, 8, 32, grid, 0)
     assert got[:2] == ("inconclusive", "nan")
+    assert got[3].startswith(f"no usable grid points; grid={grid.digest()}")
 
 
 def test_verify_general_overflowing_rows_as_serially():
@@ -427,6 +430,16 @@ def test_verify_plus_failing_neighbor_as_serially(monkeypatch):
     assert got[0] == "fails" and got[2] > 0
 
 
+def test_verify_plus_sharpness_within_tolerance_as_serially():
+    """At beta = 1e-13 the sharpness witness g* exceeds the budget by budget * delta*,
+    less than SUM_TOL, so it passes the criterion: the radius is not shown sharp,
+    and k = -1 witnesses no failure."""
+    op, cp = OperatorParams(1.0, 0.0, 1, 1), ClassParams(0.5, 1e-13)
+    got = _plus(op, cp, LaurentSeries.pole_only(1, 8), 10, 0)
+    assert got[:3] == ("inconclusive", "-0x1.c25c268c25b04p-45", None)
+    assert "passes the criterion only within its tolerance 1e-12" in got[3]
+
+
 def test_verify_plus_refusals_as_serially():
     cp = ClassParams(0.5, 1.0)
     assert _plus(OP1, cp, extremal_fn(OP1, cp, 0), 10, 0)[0] == "inconclusive"
@@ -506,8 +519,8 @@ def test_trial_memory_does_not_grow_with_the_trial_count():
 def test_default_scale_trial_memory_peak():
     """tracemalloc's peak of a default-scale call (K = 63 on the 5x720 grid, 8 + 32
     trials in 2-row blocks) was 652 KiB while the numeric form allocated five
-    full-size temporaries and the FFT kept its zero-filled bins; it is about
-    623 KiB with reused buffers, and must stay below 640 KiB."""
+    full-size temporaries; with reused buffers and the FFT's M bins per circle
+    it is about 619.5 KiB, and must stay below 640 KiB."""
     op, cp, f = _member(1, 0)
     args = (op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
     verify_inclusion_general(*args)  # first-call allocations are not the trials' own

@@ -69,6 +69,11 @@ class WeightSeq:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind: expected one of {_KINDS}, got {self.kind!r}")
+        # both brackets rise by beta + 1 per step and phi_k >= 1 never falls (lam >= mu >= 0), so
+        # each weight has its bracket's sign, and the weight at k = 1 - p decides the metric
+        if (w := weight(self, 1 - self.op.p)) < 0:
+            raise ValueError(f"kind: the {self.kind} weight at k={1 - self.op.p} is {w:g} < 0; "
+                             "the weighted distance is not a metric")
 
 
 def weight(seq: WeightSeq, k: int) -> float:
@@ -153,12 +158,6 @@ def verify_inclusion_plus(
     seq = WeightSeq("plus", op, cp)
     ks = f.k_values()
     s = weight_array(seq, ks)
-    if np.any(s < 0):
-        return Report(
-            INCONCLUSIVE, float(np.min(s)), None,
-            f"negative neighborhood weights at k={ks[s < 0].tolist()}; "
-            "the metric hypothesis fails",
-        )
     bound = _premise_bound(op)
     premise, within, slack = _weighted_sum(s, f.coeffs.real, bound, "premise sum")
     if not within:
@@ -247,6 +246,7 @@ def verify_inclusion_general(
             f"trunc_order: need at least p={op.p} to represent the eps-shift, got {f.trunc_order}"
         )
     require_pole_order(op, f)
+    seq = WeightSeq("general", op, cp)
     grid = grid or default_grid()
     if grid.points(radius_cap=RADIUS_CAP).size == 0:
         return numeric_membership(op, cp, f, grid)  # no usable grid points: nothing is sampled
@@ -270,7 +270,7 @@ def verify_inclusion_general(
             f"hypothesis not established: eps sample #{i} (eps={eps_list[i]:.6g}, seed {seed}) "
             f"gives {rep.verdict} at witness {rep.witness}",
         )
-    s = weight_array(WeightSeq("general", op, cp), ks)
+    s = weight_array(seq, ks)
     nidx = min(16, len(ks))
     moved = s[:nidx] > SUM_TOL
     s_moved = s[:nidx][moved]
@@ -297,5 +297,5 @@ def verify_inclusion_general(
         f"grid={grid.digest()}"
     )
     if trials == 0:
-        return Report(HOLDS, 0.0, None, "vacuous sampling (trials = 0); " + detail)
+        return Report(INCONCLUSIVE, float("nan"), None, "no neighbor sampled (trials = 0); " + detail)
     return Report(HOLDS, float(worst), worst_witness, detail)

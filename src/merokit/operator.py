@@ -67,8 +67,8 @@ class OperatorParams:
 
 def phi_base(op: OperatorParams, k: int | np.ndarray) -> float | np.ndarray:
     """The m = 1 multiplier 1 + (k+p)(lam - mu + (k+p+1) lam mu)."""
-    j = np.asarray(k) + op.p
-    return 1.0 + j * (op.lam - op.mu + (j + 1) * op.lam * op.mu)
+    j = (np.asarray(k).astype(np.uint64) + np.uint64(op.p)).astype(float)  # k + p >= 0 is exact in uint64
+    return 1.0 + j * (op.lam - op.mu + (j + 1.0) * op.lam * op.mu)
 
 
 def phi(op: OperatorParams, k: int) -> float:

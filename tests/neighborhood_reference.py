@@ -39,12 +39,6 @@ def verify_inclusion_plus(op, cp, f, trials=100, seed=0):
     seq = WeightSeq("plus", op, cp)
     ks = f.k_values()
     s = weight_array(seq, ks)
-    if np.any(s < 0):
-        return Report(
-            INCONCLUSIVE, float(np.min(s)), None,
-            f"negative neighborhood weights at k={ks[s < 0].tolist()}; "
-            "the metric hypothesis fails",
-        )
     premise = float(np.dot(s, f.coeffs.real))
     bound = _premise_bound(op)
     if premise > bound + SUM_TOL:
@@ -108,6 +102,7 @@ def verify_inclusion_general(op, cp, f, delta, eps_trials=8, trials=32, grid=Non
         raise ValueError(
             f"trunc_order: need at least p={op.p} to represent the eps-shift, got {f.trunc_order}"
         )
+    seq = WeightSeq("general", op, cp)
     grid = grid or default_grid()
     if grid.points(radius_cap=RADIUS_CAP).size == 0:
         return numeric_membership(op, cp, f, grid)
@@ -127,7 +122,6 @@ def verify_inclusion_general(op, cp, f, delta, eps_trials=8, trials=32, grid=Non
                 f"hypothesis not established: eps sample #{i} (eps={eps:.6g}, seed {seed}) "
                 f"gives {rep.verdict} at witness {rep.witness}",
             )
-    seq = WeightSeq("general", op, cp)
     ks = f.k_values()
     s = weight_array(seq, ks)
     nidx = min(16, len(ks))
@@ -157,5 +151,5 @@ def verify_inclusion_general(op, cp, f, delta, eps_trials=8, trials=32, grid=Non
         f"grid={grid.digest()}"
     )
     if trials == 0:
-        return Report(HOLDS, 0.0, None, "vacuous sampling (trials = 0); " + detail)
+        return Report(INCONCLUSIVE, float("nan"), None, "no neighbor sampled (trials = 0); " + detail)
     return Report(HOLDS, float(worst), worst_witness, detail)

@@ -21,6 +21,7 @@ PARAMS = {"lambda": 1.0, "mu": 0.0, "m": 1, "p": 1, "alpha": 0.5, "beta": 1.0}
 
 # subprocesses import merokit from this checkout's sources
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+SUITE_INPUTS = Path(__file__).resolve().parents[1] / "suites" / "inputs"
 SUBPROCESS_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
@@ -450,6 +451,34 @@ def test_report_rejects_nested_report(capsys, tmp_path):
     assert item["exit_code"] == 64 and "nested" in item["error"]
 
 
+def test_report_item_that_is_not_an_object(capsys, tmp_path):
+    suite = write_suite(tmp_path, [5])
+    code, out, _ = run(capsys, "report", "--suite", suite)
+    assert code == 1
+    item = json.loads(out)["items"][0]
+    assert item["exit_code"] == 64 and item["error"] == "suite item: expected an object"
+
+
+def test_verify_general_without_trials_is_inconclusive(capsys, tmp_path):
+    """No sampled neighbor shows nothing about the neighborhood: exit 2."""
+    _inputs(tmp_path)
+    argv = ["nbhd", "verify-general", *_PS, "--delta", "0.001", "--trials", "0"]
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    rep = json.loads(out)
+    assert code == 2 and err == ""
+    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] is None
+    assert rep["witness"] is None and rep["detail"].startswith("no neighbor sampled (trials = 0); ")
+
+
+def test_phi_at_the_int64_edge(capsys):
+    """k + p beyond int64 must not wrap to a negative multiplier, and k + p = 1
+    with p near 2**63 must not round to 0."""
+    flags = ("phi", "--lambda", "1", "--mu", "0", "--m", "1")
+    assert run(capsys, *flags, "--p", "2", "--k", str(2**63 - 1)) == (0, "9.22337203685e+18\n", "")
+    p = 2**63 - 2
+    assert run(capsys, *flags, "--p", str(p), "--k", str(1 - p)) == (0, "2\n", "")
+
+
 def test_report_empty_suite(capsys, tmp_path):
     suite = write_suite(tmp_path, [])
     code, out, _ = run(capsys, "report", "--suite", suite)
@@ -556,6 +585,18 @@ def _inputs(tmp_path):
         "params-tiny-beta.json": {"lambda": 1, "mu": 0, "m": 1, "p": 1, "alpha": 0.5, "beta": 1e-306},
         "zero300.json": {"pole_order": 1, "trunc_order": 300, "coeffs": [[0.0, 0.0]] * 301,
                          "exact_support": True},
+        "params-no-alpha.json": {"lambda": 1, "mu": 0, "m": 1, "p": 1},
+        # the general weight at k = 1 - p = -2 is [beta(-2) + 1] phi_{-2} / budget = -0.5
+        "params-general-negative.json": {"lambda": 0.5, "mu": 0.1, "m": 1, "p": 3,
+                                         "alpha": 0.5, "beta": 1},
+        # the plus weight at k = 1 - p = -1 is 1 + beta(1 - 2p(1 - alpha)) = -2 before scaling
+        "params-plus-negative.json": {"lambda": 1, "mu": 0, "m": 1, "p": 2, "alpha": 0, "beta": 1},
+        "pole2.json": {"pole_order": 2, "trunc_order": 2, "coeffs": [[0.0, 0.0]] * 4,
+                       "exact_support": True},
+        "pole3.json": {"pole_order": 3, "trunc_order": 3, "coeffs": [[0.0, 0.0]] * 6,
+                       "exact_support": True},
+        "pole3-far.json": {"pole_order": 3, "trunc_order": 3,
+                           "coeffs": [[100.0, 0.0]] + [[0.0, 0.0]] * 5, "exact_support": True},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -573,6 +614,7 @@ VERB_CASES = {
     "phi-bad-k": ["phi", "--lambda", "1", "--mu", "0", "--m", "1", "--p", "1", "--k", "-4"],
     "apply": ["apply", *_PS, "--route", "coeff"],
     "apply-no-c": ["apply", *_PS, "--route", "integral"],
+    "apply-integral": ["apply", *_PS, "--route", "integral", "--c", "2"],
     "gen-extremal": ["gen", "extremal", "--params", "@params.json", "--n", "1"],
     "gen-extremal-domain": ["gen", "extremal", "--params", "@identity.json", "--n", "-5"],
     "gen-herglotz": ["gen", "herglotz", "--params", "@params.json", "--atoms", "@atoms.json",
@@ -761,6 +803,33 @@ MALFORMED_CASES = {
     "phi-array-overflow-coeff-general": (
         ["verify", "coeff-general", "--params", "@params-m2000.json", "--series", "@zero.json"],
         "phi: the multiplier at k=2 overflows a float (m=2000)",
+    ),
+    "verify-general-degenerate-radius": (
+        ["nbhd", "verify-general", "--params", str(SUITE_INPUTS / "params-degenerate.json"),
+         "--series", "@member.json"],
+        "delta: the operator radius is degenerate (0); pass --delta explicitly",
+    ),
+    "herglotz-params-without-alpha": (
+        ["gen", "herglotz", "--params", "@params-no-alpha.json", "--atoms", "@atoms.json"],
+        "params.alpha: missing",
+    ),
+    "fractional-int-flag": (
+        ["phi", "--lambda", "1", "--mu", "0", "--m", "1.5", "--p", "1", "--k", "1"],
+        "argument --m: invalid int value: '1.5'",
+    ),
+    "distance-negative-general-weight": (
+        ["nbhd", "distance", "--params", "@params-general-negative.json", "--series", "@pole3.json",
+         "--other", "@pole3-far.json", "--kind", "general"],
+        "kind: the general weight at k=-2 is -0.5 < 0; the weighted distance is not a metric",
+    ),
+    "verify-general-negative-weight": (
+        ["nbhd", "verify-general", "--params", "@params-general-negative.json",
+         "--series", "@pole3.json", "--delta", "0.01"],
+        "kind: the general weight at k=-2 is -0.5 < 0; the weighted distance is not a metric",
+    ),
+    "verify-plus-negative-weight": (
+        ["nbhd", "verify-plus", "--params", "@params-plus-negative.json", "--series", "@pole2.json"],
+        "kind: the plus weight at k=-1 is -1 < 0; the weighted distance is not a metric",
     ),
     "phi-array-overflow-invert": (
         ["apply", "--route", "invert", "--params", "@params-m2000.json",

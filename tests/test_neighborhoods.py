@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from merokit import membership, neighborhoods
 from merokit.generators import MeasureAtoms, SchwarzPoly, extremal_fn, from_herglotz, from_schwarz
-from merokit.membership import RADIUS_CAP, ClassParams
+from merokit.membership import RADIUS_CAP, ClassParams, ratio_weights
 from merokit.neighborhoods import (
     WeightSeq,
     delta_star,
@@ -53,10 +53,47 @@ def test_weight_overflow_reported():
 
 
 def test_plus_weights_can_go_negative_at_small_k():
+    """The plus weight can be negative at k = 1 - p (p >= 2); such a
+    sequence is no metric, and WeightSeq refuses to build it."""
     # p = 2, alpha = 0, beta = 1: bracket at k = -1 is -2 + 2(1 - 1) = -2
-    op = OperatorParams(0.0, 0.0, 0, 2)
-    seq = WeightSeq("plus", op, ClassParams(0.0, 1.0))
-    assert weight(seq, -1) < 0
+    op, cp = OperatorParams(0.0, 0.0, 0, 2), ClassParams(0.0, 1.0)
+    assert ratio_weights(op, cp, np.array([-1]))[0] < 0
+    with pytest.raises(ValueError, match=r"^kind: the plus weight at k=-1 is -0\.5 < 0; "
+                       "the weighted distance is not a metric$"):
+        WeightSeq("plus", op, cp)
+
+
+#: operator and class parameters whose general weight at k = 1 - p = -2 is
+#: [beta(-2 + 0) - 2 + 3] phi_{-2} / budget = -1 * 1.5 / 3 = -0.5
+GENERAL_NEGATIVE = (OperatorParams(0.5, 0.1, 1, 3), ClassParams(0.5, 1.0))
+GENERAL_NEGATIVE_MSG = (
+    r"^kind: the general weight at k=-2 is -0\.5 < 0; the weighted distance is not a metric$"
+)
+
+
+@pytest.mark.parametrize("kind,op,cp", [
+    ("plus", OperatorParams(0.0, 0.0, 0, 2), ClassParams(0.0, 1.0)),
+    ("general", *GENERAL_NEGATIVE),
+])
+def test_negative_weight_is_no_distance(kind, op, cp):
+    """With a negative weight, g = f + 100 z^(1-p) would be at "distance" -50
+    and a neighbor at any radius: the weight sequence itself is refused."""
+    f = LaurentSeries.pole_only(op.p, op.p)
+    g = f.with_coeff(1 - op.p, 100.0)
+    with pytest.raises(ValueError, match=f"kind: the {kind} weight at k={1 - op.p} is -"):
+        distance(WeightSeq(kind, op, cp), f, g)
+    with pytest.raises(ValueError, match=f"kind: the {kind} weight at k={1 - op.p} is -"):
+        in_neighborhood(WeightSeq(kind, op, cp), f, g, 1e-9)
+
+
+def test_verify_general_refuses_a_negative_weight():
+    """The verifier never perturbs a coefficient whose weight is negative, so
+    its samples say nothing about such a neighborhood: refused before phase (a)."""
+    op, cp = GENERAL_NEGATIVE
+    f = LaurentSeries.pole_only(op.p, op.p)
+    with pytest.raises(ValueError, match=GENERAL_NEGATIVE_MSG):
+        verify_inclusion_general(op, cp, f, 0.01, 2, 4, None, 0)
+    assert _general(op, cp, f, 0.01, 2, 4, None, 0)[0] == "ValueError"
 
 
 # ------------------------------------------------------------------ distances
@@ -316,10 +353,15 @@ def test_verify_general_fails_at_a_later_block_as_serially():
 
 @pytest.mark.parametrize("counts", [(8, 0), (0, 32), (0, 0), (3, 5)])
 def test_verify_general_trial_counts_as_serially(counts):
+    """With no neighbor drawn (trials = 0) nothing is shown about the
+    neighborhood: inconclusive, whatever phase (a) found."""
     op, cp, f = _member(1, 0)
     got = _general(op, cp, f, 0.002, *counts, TRIAL_GRID, 3)
-    assert got[0] == "holds"
-    assert ("vacuous" in got[3]) == (counts[1] == 0)
+    if counts[1] == 0:
+        assert got[:3] == ("inconclusive", "nan", None)
+        assert got[3].startswith("no neighbor sampled (trials = 0); ")
+    else:
+        assert got[0] == "holds" and "no neighbor" not in got[3]
 
 
 def test_verify_general_empty_capped_grid_as_serially():

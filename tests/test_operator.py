@@ -34,6 +34,16 @@ def test_phi_frozen_values():
     assert phi(OperatorParams(0.9, 0.4, 3, 2), -2) == 1.0  # pole index always 1
 
 
+def test_phi_at_the_int64_edge():
+    """k + p is formed without an int64 wrap, and exactly even where p is near 2**63."""
+    big = 2**63 - 1
+    assert phi(OperatorParams(1.0, 0.0, 1, 2), big) == 1.0 + float(2**63 + 1)
+    assert phi(OperatorParams(1.0, 1.0, 1, 1), big) == 1.0 + 2.0**63 * (2.0**63 + 1.0)
+    p = 2**63 - 2
+    op = OperatorParams(1.0, 0.0, 1, p)
+    assert phi_array(op, np.array([-p, 1 - p, 2 - p])).tolist() == [1.0, 2.0, 3.0]
+
+
 def test_phi_rejects_indices_below_range():
     op = OperatorParams(1.0, 0.0, 1, 1)
     with pytest.raises(ValueError, match="k"):

@@ -271,14 +271,15 @@ def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0, fl
 
 
 def _quotient_margin(p: int, form, at_pole: float):
-    """margin_of(points, vanish, F, zF'): form(Q), Q = z F'/(p F), or ``at_pole``, the
-    limit of form(Q)/|Q| as Q -> inf, where F vanishes (the mask ``vanish``).  Q is
-    one buffer that ``form`` may overwrite, and the margins are written into form's result."""
+    """margin_of(points, vanish, F, zF'): form(Q, zF'), Q = z F'/(p F), or ``at_pole``, the
+    limit of form(Q)/|Q| as Q -> inf, where F vanishes (the mask ``vanish``).  The values
+    are consumed, so no complex temporary is made: Q is computed into F's buffer, ``form``
+    may overwrite Q and zF', and the margins are written into form's (real) result."""
 
     def margin_of(points, vanish, b, a):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q = np.multiply(p, b)
-            margins = form(np.divide(a, q, out=q))
+            q = np.multiply(p, b, out=b)
+            margins = form(np.divide(a, q, out=q), a)
         np.copyto(margins, at_pole, where=vanish)
         return margins
 
@@ -293,11 +294,12 @@ def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, fo
 
 
 def _numeric_form(cp: ClassParams):
-    """Q -> beta*|Q + 2 alpha - 1| - |Q + 1|, the defining inequality's margin, and at_pole beta - 1."""
+    """Q -> beta*|Q + 2 alpha - 1| - |Q + 1|, the defining inequality's margin (Q + 1 formed in
+    ``spare``), and at_pole beta - 1."""
     shift = 2.0 * cp.alpha - 1.0
 
-    def form(q):
-        off = np.abs(q + 1.0)
+    def form(q, spare):
+        off = np.abs(np.add(q, 1.0, out=spare))
         margins = np.abs(np.add(q, shift, out=q))
         np.multiply(cp.beta, margins, out=margins)
         return np.subtract(margins, off, out=margins)
@@ -309,7 +311,7 @@ def _disk_form(cp: ClassParams):
     """Q -> radius - |(-Q) - center|, the disk form's margin (beta < 1), and at_pole -1."""
     center, radius = disk_parameters(cp)
 
-    def form(q):
+    def form(q, _):
         margins = np.abs(np.subtract(np.negative(q, out=q), center, out=q))
         return np.subtract(radius, margins, out=margins)
 
@@ -362,54 +364,57 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _grid_rows(rows: SeriesRows, count: int, points, values, margin_of, floor=None):
-    """Each candidate's grid margins, reduced to its witness: the grid checks'
-    one reduction, for one candidate (a single check) or a block of trials.
+def _margins(rows: SeriesRows, count: int, zs, values, margin_of, floor):
+    """The vanish mask (None without ``floor``) and ``margin_of`` of ``values``."""
+    if floor is None:
+        return None, margin_of(zs, *values)
+    leads = rows.lead[: len(rows.lead) // count, None]
+    vanish = vanishes(values[0], zs, rows.pole_order, leads, floor)
+    return vanish, margin_of(zs, vanish, *values)
+
+
+def _grid_witness(rows: SeriesRows, count: int, points, values, margin_of, floor=None):
+    """The FFT half of the grid checks' one reduction: each candidate's grid
+    margins, reduced to its witness, for a single check or a block of trials.
 
     ``rows`` stacks every candidate's ``count`` series, series-major (the first
     series of each candidate, then the second, ...), and ``values`` are their
-    values at the (nonempty) ``points``, by FFT: ``eval_circles`` of ``rows``.
-    ``margin_of(points, *values)`` takes one (candidates x points) array per
-    series and is elementwise; given ``floor``, the ``vanishing_floor`` at the
-    points, it is ``margin_of(points, vanish, *values)``, given also the mask
-    where the first series vanishes.  The FFT margins locate each candidate's
-    witness ``at``, and one Horner pass gives every series' value there, hence
-    the margin.  Returns the mask on the points (None without ``floor``), and
-    per candidate the FFT margin at the witness, ``at``, the Horner margin there
-    and the Horner values (one row per series).
+    values at the (nonempty) ``points``, by FFT: ``eval_circles`` of ``rows``,
+    which ``margin_of`` may consume.  ``margin_of(points, *values)`` takes one
+    (candidates x points) array per series and is elementwise; given ``floor``,
+    the ``vanishing_floor`` at the points, it is ``margin_of(points, vanish,
+    *values)``, given also the mask where the first series vanishes.  Returns
+    the mask on the points (None without ``floor``), and per candidate the
+    index of its witness, its first point of least FFT margin, and that margin.
     """
-    values = values.reshape(count, -1, values.shape[-1])
-    p = rows.pole_order
-    leads = rows.lead[: len(rows.lead) // count, None]
-
-    def margins(zs, vals, fl):
-        if fl is None:
-            return None, margin_of(zs, *vals)
-        vanish = vanishes(vals[0], zs, p, leads, fl)
-        return vanish, margin_of(zs, vanish, *vals)
-
-    vanish, fft = margins(points, values, floor)
+    vanish, fft = _margins(rows, count, points, values.reshape(count, -1, values.shape[-1]), margin_of, floor)
     i = np.argmin(fft, axis=1)
-    at = points[i]
+    return vanish, i, fft[np.arange(i.size), i]
+
+
+def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, floor_at=None):
+    """The Horner half: one pass (``eval_many`` of ``rows``, stacked as in
+    ``_grid_witness``) gives every series' value at each candidate's witness
+    ``at``, hence its margin there (``floor_at``: the vanishing floor at ``at``).
+    Returns the margins and the Horner values, one row per series, unconsumed."""
     # z^-p divides by an underflowed z^p only where the FFT overflowed too,
     # a margin that the caller refuses
     with np.errstate(divide="ignore"):
-        values_at = eval_many(rows, np.tile(at, count)).reshape(count, i.size)
-    at_floor = None if floor is None else floor[i][:, None]
-    worst = margins(at[:, None], values_at[:, :, None], at_floor)[1][:, 0]
-    return vanish, fft[np.arange(i.size), i], at, worst, values_at
+        values_at = eval_many(rows, np.tile(at, count)).reshape(count, at.size)
+    fl = None if floor_at is None else floor_at[:, None]
+    return _margins(rows, count, at[:, None], values_at[:, :, None].copy(), margin_of, fl)[1][:, 0], values_at
 
 
 def _grid_check(
     grid: SampleGrid, cap, series, margin_of, passes, note: str, vanishing=None, detail_at=None
 ) -> Report:
-    """Reduce the margins from the values of ``series`` by ``_grid_rows``, as
-    one candidate, on the grid's radii <= cap (all for cap None).  The series
-    are evaluated together, as ``SeriesRows``: one FFT call (``eval_circles``)
-    locates the witness, one Horner pass (``eval_many``) gives every series'
-    value there, hence the margin, and ``passes(worst)`` the verdict.  No points
-    is inconclusive and a margin that is not finite an OverflowError, as in
-    ``_grid_verdict``.
+    """Reduce the margins from the values of ``series`` by ``_grid_witness`` and
+    ``_grid_margin_at``, as one candidate, on the grid's radii <= cap (all for
+    cap None).  The series are evaluated together, as ``SeriesRows``: one FFT
+    call (``eval_circles``) locates the witness, one Horner pass (``eval_many``)
+    gives every series' value there, hence the margin, and ``passes(worst)`` the
+    verdict.  No points is inconclusive and a margin that is not finite an
+    OverflowError, as in ``_grid_verdict``.
 
     ``vanishing`` names the first series, when ``margin_of`` takes the mask
     where it vanishes (``vanishes`` at its pole order and lead); the note is
@@ -418,11 +423,11 @@ def _grid_check(
     points = grid.points(radius_cap=cap)
     if points.size == 0:
         return _grid_verdict(points, points, passes, note)
-    rows = SeriesRows.of(series)
+    rows, count = SeriesRows.of(series), len(series)
     floor = None if vanishing is None else vanishing_floor(points, rows.pole_order)
-    vanish, fft, at, worst, values_at = _grid_rows(
-        rows, len(series), points, eval_circles(rows, grid, cap), margin_of, floor
-    )
+    vanish, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), margin_of, floor)
+    at = points[i]
+    worst, values_at = _grid_margin_at(rows, count, at, margin_of, None if floor is None else floor[i])
     if vanishing is not None and np.any(vanish):
         note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
     _grid_verdict(at, fft, passes, note)  # an FFT margin that is not finite is an OverflowError
@@ -455,44 +460,68 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
     report or error; else miss is None and worst is the least margin, inf for no
     candidates, at the first candidate to reach it, witnessed at witness.
 
-    The stream is cut into blocks, each evaluated by one ``eval_circles`` call of
-    its F and zF' rows and reduced by the single check's ``_grid_rows``.  A block
-    takes as many candidates as keep the complex arrays it allocates within
-    _BLOCK_BYTES, and at least one: per candidate, the F and zF' rows' tails
-    (2n entries, for n stored terms), their terms a_k r^k on the R capped
-    circles (2Rn) and their bins there (2RM, M = angles_count).  An operator
-    multiplier that overflows raises here, as it does in the single check."""
-    p = op.p
+    The stream is cut into blocks, each one ``eval_circles`` call of its F and zF'
+    rows, reduced to each candidate's witness by ``_grid_witness``.  A block takes
+    as many candidates as keep the complex arrays it allocates within _BLOCK_BYTES,
+    and at least one: per candidate, the F and zF' rows' tails (2n entries, for n
+    stored terms), their terms a_k r^k on the R capped circles (2Rn) and their bins
+    there (2RM, M = angles_count).  One Horner pass (``_grid_margin_at``) per batch
+    of whole blocks gives the margins at the witnesses.  A batch takes as many
+    blocks as keep the pass's complex arrays within _BLOCK_BYTES (per candidate,
+    the F and zF' tails and Horner's transposed copy of them: 4n), and ends early
+    after a block with an image or FFT margin that is not finite or not above the
+    grid margin, so a failing stream is drawn no further than to that block.  Rows
+    do not share values, so no outcome depends on block or batch sizes.  An
+    operator multiplier that overflows raises here, as in the single check."""
+    p, n = op.p, len(ks)
     phi = phi_array(op, ks)
     points = grid.points(radius_cap=RADIUS_CAP)
     floor = vanishing_floor(points, p)
     margin_of = _quotient_margin(p, *_numeric_form(cp))
     circles = points.size // grid.angles_count
-    size = max(1, _BLOCK_BYTES // (32 * (len(ks) + circles * (len(ks) + grid.angles_count))))
+    size = max(1, _BLOCK_BYTES // (32 * (n + circles * (n + grid.angles_count))))
+    if points.size == 0:  # nothing to evaluate: the first candidate is the caller's to re-run
+        block = list(islice(candidates, size))
+        return ((0, *block[0]) if block else None), math.inf, None
+    per_batch = max(1, _BLOCK_BYTES // (64 * n) // size)  # blocks per Horner pass
 
-    def screen(block):
-        """Per candidate of the block: whether it holds, its margin and witness."""
-        if points.size == 0:
-            return np.zeros(len(block), dtype=bool), None, None
-        leads, tails = (np.array(x, dtype=np.complex128) for x in zip(*block))
+    def rows_of(block):
+        """The F and zF' rows (apply_coeff, z_derivative) of a block, and which images are finite."""
+        leads = np.array([lead for lead, _ in block], dtype=np.complex128)
+        coeffs = np.empty((2, len(block), n), dtype=np.complex128)
+        image = np.stack([tail for _, tail in block], out=coeffs[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            image = tails * phi  # apply_coeff and z_derivative, row by row
-            rows = SeriesRows(p, np.concatenate((leads, -p * leads)), np.concatenate((image, ks * image)))
-        _, fft, at, worst, _ = _grid_rows(rows, 2, points, eval_circles(rows, grid, RADIUS_CAP), margin_of, floor)
-        holds = np.all(np.isfinite(image), axis=1) & np.isfinite(fft) & np.isfinite(worst)
-        return holds & (worst > grid.margin), worst, at
+            np.multiply(image, phi, out=image)
+            np.multiply(ks, image, out=coeffs[1])
+        rows = SeriesRows(p, np.concatenate((leads, -p * leads)), coeffs.reshape(-1, n))
+        return rows, np.all(np.isfinite(image), axis=1)
 
-    stream = iter(candidates)
+    def batches():
+        """The stream in batches: candidates, their witness indices, whether image and FFT margin are finite."""
+        stream, batch, picks, finite = iter(candidates), [], [], []
+        while block := list(islice(stream, size)):
+            rows, image_finite = rows_of(block)
+            _, i, fft = _grid_witness(rows, 2, points, eval_circles(rows, grid, RADIUS_CAP), margin_of, floor)
+            batch += block
+            picks.append(i)
+            finite.append(image_finite & np.isfinite(fft))
+            if not np.all(finite[-1] & (fft > grid.margin)) or len(picks) == per_batch:
+                yield batch, np.concatenate(picks), np.concatenate(finite)
+                batch, picks, finite = [], [], []
+        if batch:
+            yield batch, np.concatenate(picks), np.concatenate(finite)
+
     first, worst, witness = 0, math.inf, None
-    while block := list(islice(stream, size)):
-        holds, margins, at = screen(block)
+    for batch, picks, finite in batches():
+        margins, _ = _grid_margin_at(rows_of(batch)[0], 2, points[picks], margin_of, floor[picks])
+        holds = finite & np.isfinite(margins) & (margins > grid.margin)
         if not holds.all():
             i = int(np.argmin(holds))
-            return (first + i, *block[i]), worst, witness
-        i = int(np.argmin(margins))  # the first of equal margins, as later blocks' must be less
+            return (first + i, *batch[i]), worst, witness
+        i = int(np.argmin(margins))  # the first of equal margins, as later batches' must be less
         if margins[i] < worst:
-            worst, witness = float(margins[i]), at[i].item()
-        first += len(block)
+            worst, witness = float(margins[i]), points[picks[i]].item()
+        first += len(batch)
     return None, worst, witness
 
 

@@ -143,7 +143,8 @@ def verify_inclusion_plus(
 ) -> Report:
     """Sampled check of the nonnegative-subclass inclusion: every g in the
     delta-neighborhood of a premise-satisfying member passes the exact
-    criterion, and the sharpness witness just beyond delta fails it."""
+    criterion, and the sharpness witness just beyond delta fails it.  With
+    no trial, nothing is measured: inconclusive, with a NaN margin."""
     _require_counts(trials=trials)
     d = delta_star(op)
     if d == 0.0:
@@ -214,8 +215,7 @@ def verify_inclusion_plus(
         f"witness at delta*={ds:.17g} fails by {-wrep.worst_margin:.3g}"
     )
     if trials == 0:
-        detail = "vacuous sampling (trials = 0); " + detail
-        return Report(HOLDS, 0.0, None, detail)
+        return Report(INCONCLUSIVE, float("nan"), None, "no neighbor sampled (trials = 0); " + detail)
     return Report(HOLDS, float(worst), None, detail)
 
 

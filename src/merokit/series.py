@@ -404,10 +404,11 @@ def eval_circles(
     is the unscaled inverse DFT of M bins per circle, bin b holding the sum of
     the terms a_k r^k with k = b mod M (the pole at bin M - p), which is exact
     since w^M = 1.  The terms are added into their bins in increasing k, M
-    consecutive k (each bin once) at a time.  Each row is its own transform, so
-    a row's values do not depend on the rows beside it.  A value that
-    overflows is left infinite or NaN, without a warning, for the caller to
-    refuse.
+    consecutive k (each bin once) at a time, and the bins are transformed in
+    place (``ifft``'s ``out``, numpy >= 2.0), so the values are the bins' buffer.
+    Each row is its own transform, so a row's values do not depend on the rows
+    beside it.  A value that overflows is left infinite or NaN, without a
+    warning, for the caller to refuse.
     """
     radii = np.array([r for r in grid.radii if radius_cap is None or r <= radius_cap])
     m = grid.angles_count
@@ -423,4 +424,4 @@ def eval_circles(
             fit = min(block.shape[-1], m - start)  # the rest wraps to bins 0 ..
             bins[..., start : start + fit] += block[..., :fit]
             bins[..., : block.shape[-1] - fit] += block[..., fit:]
-        return np.fft.ifft(bins, axis=-1, norm="forward").reshape(*rows, radii.size * m)
+        return np.fft.ifft(bins, axis=-1, norm="forward", out=bins).reshape(*rows, radii.size * m)

@@ -89,8 +89,7 @@ def verify_inclusion_plus(op, cp, f, trials=100, seed=0):
         f"witness at delta*={ds:.17g} fails by {-wrep.worst_margin:.3g}"
     )
     if trials == 0:
-        detail = "vacuous sampling (trials = 0); " + detail
-        return Report(HOLDS, 0.0, None, detail)
+        return Report(INCONCLUSIVE, float("nan"), None, "no neighbor sampled (trials = 0); " + detail)
     return Report(HOLDS, float(worst), None, detail)
 
 

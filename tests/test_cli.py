@@ -470,6 +470,20 @@ def test_verify_general_without_trials_is_inconclusive(capsys, tmp_path):
     assert rep["witness"] is None and rep["detail"].startswith("no neighbor sampled (trials = 0); ")
 
 
+def test_verify_plus_without_trials_is_inconclusive(capsys, tmp_path):
+    """verify-plus with no sampled neighbor measures no margin either: exit 2,
+    after the premise and the sharpness witness were checked."""
+    _inputs(tmp_path)
+    argv = ["nbhd", "verify-plus", *_PS, "--trials", "0"]
+    code, out, err = run(capsys, *_located(tmp_path, argv))
+    rep = json.loads(out)
+    assert code == 2 and err == ""
+    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] is None and rep["witness"] is None
+    assert rep["detail"].startswith("no neighbor sampled (trials = 0); ") and "witness at delta*=" in rep["detail"]
+    argv[-1] = "5"
+    assert run(capsys, *_located(tmp_path, argv))[0] == 0
+
+
 def test_phi_at_the_int64_edge(capsys):
     """k + p beyond int64 must not wrap to a negative multiplier, and k + p = 1
     with p near 2**63 must not round to 0."""

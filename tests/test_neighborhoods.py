@@ -1,4 +1,5 @@
 """Weighted coefficient neighborhoods and the two inclusion verifiers."""
+import math
 import tracemalloc
 import warnings
 
@@ -210,11 +211,14 @@ def test_verify_plus_degenerate_radius():
 
 
 def test_verify_plus_vacuous_trials():
+    """No neighbor sampled measures no margin: inconclusive with a NaN margin,
+    after the premise and the sharpness witness have been checked."""
     cp = ClassParams(0.5, 1.0)
     f = LaurentSeries.pole_only(1, 4)
     rep = verify_inclusion_plus(OP1, cp, f, trials=0, seed=0)
-    assert rep.verdict == "holds"
-    assert "vacuous" in rep.detail
+    assert rep.verdict == "inconclusive" and math.isnan(rep.worst_margin) and rep.witness is None
+    assert rep.detail.startswith("no neighbor sampled (trials = 0); ")
+    assert "premise_slack=" in rep.detail and "witness at delta*=" in rep.detail
 
 
 def test_verify_plus_is_deterministic():
@@ -439,7 +443,7 @@ def test_verify_plus_as_serially(p, seed):
         f = _plus_member(op, cp, frac, seed)
         for trials in (0, 1, 100, 700):
             got = _plus(op, cp, f, trials, seed)
-            assert got[0] == "holds" and "witness at delta*" in got[3]
+            assert got[0] == ("inconclusive" if trials == 0 else "holds") and "witness at delta*" in got[3]
     over = _plus_member(op, cp, 1.5, seed)
     assert "premise violated" in _plus(op, cp, over, 100, seed)[3]
 
@@ -562,7 +566,9 @@ def test_default_scale_trial_memory_peak():
     """tracemalloc's peak of a default-scale call (K = 63 on the 5x720 grid, 8 + 32
     trials in 2-row blocks) was 652 KiB while the numeric form allocated five
     full-size temporaries; with reused buffers and the FFT's M bins per circle
-    it is about 619.5 KiB, and must stay below 640 KiB."""
+    it was about 619.5 KiB.  With the bins transformed in place, the quotient
+    margins computed into the consumed values and one Horner pass per phase it
+    is about 498 KiB, and must stay below 640 KiB."""
     op, cp, f = _member(1, 0)
     args = (op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
     verify_inclusion_general(*args)  # first-call allocations are not the trials' own
@@ -590,6 +596,84 @@ def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
     rep = neighborhoods.verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 2, 3, grid, 0)
     assert rep.verdict == "holds"
     assert sizes == [2] * 5
+
+
+def _spied(monkeypatch, *names):
+    """Per named evaluator of ``membership``, the row count of each call."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def spy(rows, *args, _evaluate=getattr(membership, name), _calls=calls[name]):
+            _calls.append(len(rows.lead))
+            return _evaluate(rows, *args)
+
+        monkeypatch.setattr(membership, name, spy)
+    return calls
+
+
+def test_default_scale_run_makes_one_horner_pass_per_phase(monkeypatch):
+    """A default-scale call (8 eps samples and 32 trials, K = 63 on the 5x720
+    grid) is 20 FFT blocks of 2 candidates, each one eval_circles call of its F
+    and zF' rows, and one Horner pass (eval_many) per phase, not per block."""
+    calls = _spied(monkeypatch, "eval_circles", "eval_many")
+    op, cp, f = _member(1, 0)
+    rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
+    assert rep.verdict == "holds"
+    assert calls["eval_circles"] == [4] * 20
+    assert calls["eval_many"] == [16, 64]
+
+
+def test_long_series_horner_batches_stay_within_the_byte_cap(monkeypatch):
+    """A Horner batch holds as many candidates as keep its F and zF' tails and
+    Horner's transposed copy of them (4n entries each) within 256 KiB.  At
+    K = 4095 on a one-circle grid that is one candidate, a block of its own."""
+    calls = _spied(monkeypatch, "eval_circles", "eval_many")
+    op, cp, f = _member(1, 0, 4095)
+    rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 3, 5, SampleGrid((0.5,), 8), 0)
+    assert rep.verdict == "holds"
+    assert calls["eval_circles"] == calls["eval_many"] == [2] * 8
+    assert all(2 * rows * len(f.coeffs) * 16 <= membership._BLOCK_BYTES for rows in calls["eval_many"])
+
+
+def test_many_trials_keep_the_default_scale_memory_peak(monkeypatch):
+    """At the default scale a Horner batch is 64 candidates (128 rows), so 256
+    trials make four passes, and the traced peak stays below the 640 KiB of
+    the 8 + 32 call (about 613 KiB; 803 KiB with batches of 128)."""
+    op, cp, f = _member(1, 0)
+    args = (op, cp, f, 0.002 / phi(op, 1), 8, 256, None, 0)
+    verify_inclusion_general(*args)  # first-call allocations are not the trials' own
+    tracemalloc.start()
+    rep = verify_inclusion_general(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rep.verdict == "holds" and peak < 640 * 1024
+    calls = _spied(monkeypatch, "eval_many")
+    assert verify_inclusion_general(*args) == rep
+    assert calls["eval_many"] == [16] + [128] * 4
+
+
+def test_failing_run_draws_only_to_the_failing_block(monkeypatch):
+    """A neighbor that leaves the class ends its Horner batch early: the stream
+    is drawn to the end of the FFT block that holds it (neighbor #19, the 10th
+    block of 2), as when every block had its own Horner pass."""
+    drawn = []
+    screen = neighborhoods._numeric_rows
+
+    def counted(*args):
+        *head, candidates = args
+        drawn.append(0)
+
+        def stream():
+            for c in candidates:
+                drawn[-1] += 1
+                yield c
+
+        return screen(*head, stream())
+
+    monkeypatch.setattr(neighborhoods, "_numeric_rows", counted)
+    op, cp, f = _member(1, 4)
+    rep = verify_inclusion_general(op, cp, f, 0.8 / phi(op, 1), 0, 32, None, 11)
+    assert rep.verdict == "fails" and "sampled neighbor #19 " in rep.detail
+    assert drawn == [1, 20]
 
 
 @pytest.mark.parametrize(

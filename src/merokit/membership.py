@@ -454,11 +454,10 @@ def numeric_membership(
 def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.ndarray, candidates):
     """Screen a stream of pole-order-p series with tail indices ``ks``, given as
     (lead, tail) pairs, by ``numeric_membership`` on the grid.  Returns (miss,
-    worst, witness): miss is (index, lead, tail) of the first candidate that does
-    not hold (it fails, its image or a margin is not finite, or no point is
-    capped), for the caller to re-run by ``numeric_membership``, which gives its
-    report or error; else miss is None and worst is the least margin, inf for no
-    candidates, at the first candidate to reach it, witnessed at witness.
+    worst, witness): miss is (index, report) of the first candidate that does not
+    hold (it fails, its image or a margin is not finite, or no point is capped),
+    with the report or error of ``numeric_membership`` itself; else miss is None and
+    worst is the least margin, inf for no candidates, at the first to reach it.
 
     The stream is cut into blocks, each one ``eval_circles`` call of its F and zF'
     rows, reduced to each candidate's witness by ``_grid_witness``.  A block takes
@@ -480,9 +479,13 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
     margin_of = _quotient_margin(p, *_numeric_form(cp))
     circles = points.size // grid.angles_count
     size = max(1, _BLOCK_BYTES // (32 * (n + circles * (n + grid.angles_count))))
-    if points.size == 0:  # nothing to evaluate: the first candidate is the caller's to re-run
+
+    def missed(i, lead, tail):
+        return i, numeric_membership(op, cp, LaurentSeries(p, int(ks[-1]), tail, lead), grid)
+
+    if points.size == 0:  # nothing to evaluate: the first candidate is the single check's
         block = list(islice(candidates, size))
-        return ((0, *block[0]) if block else None), math.inf, None
+        return (missed(0, *block[0]) if block else None), math.inf, None
     per_batch = max(1, _BLOCK_BYTES // (64 * n) // size)  # blocks per Horner pass
 
     def rows_of(block):
@@ -517,7 +520,7 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
         holds = finite & np.isfinite(margins) & (margins > grid.margin)
         if not holds.all():
             i = int(np.argmin(holds))
-            return (first + i, *batch[i]), worst, witness
+            return missed(first + i, *batch[i]), worst, witness
         i = int(np.argmin(margins))  # the first of equal margins, as later batches' must be less
         if margins[i] < worst:
             worst, witness = float(margins[i]), points[picks[i]].item()

@@ -30,6 +30,7 @@ radius).  A violated premise yields "inconclusive", never a guess.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,28 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name}: must be >= 0, got {n}")
 
 
+def _steps(rng, s: np.ndarray, radius: float, trials: int, direction):
+    """Per sampled neighbor, the moved coefficients' mask (the first 16 at most, less any of
+    weight <= SUM_TOL) and steps u mass_k dir_k / s_k, for u ~ U(0, radius), the Dirichlet
+    mass and ``direction(rng, n)`` drawn in turn; an overflowing step is left infinite."""
+    n = min(16, len(s))
+    moved = (np.arange(len(s)) < n) & (s > SUM_TOL)
+    head, s_moved = moved[:n], s[moved]
+    for _ in range(trials):
+        u, mass = rng.uniform(0.0, radius), rng.dirichlet(np.ones(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = u * mass[head] * direction(rng, n)[head] / s_moved
+        yield moved, step
+
+
+def _sampled(trials: int, worst: float, witness, detail: str) -> Report:
+    """The report of a sampled check no trial of which failed: holds at the least
+    margin; with no trial, nothing is measured: inconclusive, with a NaN margin."""
+    if trials == 0:
+        return Report(INCONCLUSIVE, math.nan, None, "no neighbor sampled (trials = 0); " + detail)
+    return Report(HOLDS, float(worst), witness, detail)
+
+
 def verify_inclusion_plus(
     op: OperatorParams,
     cp: ClassParams,
@@ -143,12 +166,13 @@ def verify_inclusion_plus(
 ) -> Report:
     """Sampled check of the nonnegative-subclass inclusion: every g in the
     delta-neighborhood of a premise-satisfying member passes the exact
-    criterion, and the sharpness witness just beyond delta fails it.  With
-    no trial, nothing is measured: inconclusive, with a NaN margin."""
+    criterion, and the sharpness witness just beyond delta fails it.  A
+    failing trial is witnessed by its number.  With no trial or a zero
+    radius, nothing is measured: inconclusive, with a NaN margin."""
     _require_counts(trials=trials)
     d = delta_star(op)
     if d == 0.0:
-        return Report(INCONCLUSIVE, 0.0, None, "degenerate radius delta = 0; nothing to verify")
+        return Report(INCONCLUSIVE, math.nan, None, "degenerate radius delta = 0; nothing to verify")
     base = exact_membership_plus(op, cp, f)
     if base.verdict != HOLDS:
         return Report(
@@ -167,56 +191,39 @@ def verify_inclusion_plus(
             f"premise violated: sum s_k a_k = {premise:.17g} > {bound:.17g}; "
             "inclusion is not implied for this function",
         )
-    rng = np.random.default_rng(seed)
-    nidx = min(16, len(ks))
-    moved = s[:nidx] > SUM_TOL  # a degenerate weight leaves its coefficient alone
-    s_moved = s[:nidx][moved]
     w, rhs = criterion_weight_array(op, cp, ks), budget(op, cp)  # exact_membership_plus's sum
-    worst = np.inf
-    base_row = f.coeffs.real.astype(complex)
-    for t in range(trials):
-        u = d * rng.uniform(0.0, 1.0)
-        mass = rng.dirichlet(np.ones(nidx))
-        signs = rng.choice((-1.0, 1.0), size=nidx)
+    worst, base_row = np.inf, f.coeffs.real.astype(complex)
+    steps = _steps(np.random.default_rng(seed), s, d, trials, lambda rng, n: rng.choice((-1.0, 1.0), size=n))
+    for t, (moved, step) in enumerate(steps):
         g_coeffs = base_row.copy()
-        head = g_coeffs.real[:nidx][moved] + signs[moved] * u * mass[moved] / s_moved
-        g_coeffs.real[:nidx][moved] = np.where(head > 0.0, head, 0.0)  # max(0.0, head)
-        # the criterion reads the strided .real view of the complex row: np.dot sums a
-        # contiguous copy in another order, which moves some margins by 1 ulp
+        head = g_coeffs.real[moved] + step
+        g_coeffs.real[moved] = np.where(head > 0.0, head, 0.0)  # max(0.0, head)
+        # exact_membership_plus's own sum reads the strided .real view of the complex row:
+        # np.dot sums a contiguous copy in another order, which moves some margins by 1 ulp
         _, within, margin = _weighted_sum(w, g_coeffs.real, rhs, "coefficient sum")
-        if not within:  # the single check reports it
-            g = LaurentSeries(op.p, f.trunc_order, g_coeffs, 1.0, True)
-            rep = exact_membership_plus(op, cp, g)
+        if not within:
             return Report(
-                FAILS, rep.worst_margin, t,
-                f"sampled neighbor #{t} (seed {seed}) violates the exact criterion "
-                f"by {-rep.worst_margin:.3g}",
+                FAILS, margin, t,
+                f"sampled neighbor #{t} (seed {seed}) violates the exact criterion by {-margin:.3g}",
             )
         worst = min(worst, margin)
-    # sharpness: the witness just beyond delta must fail
-    ds = d * (1.0 + 1e-9)
+    # sharpness: g* exceeds the budget by budget * delta*; one that passes shows rounding or SUM_TOL
+    ds = max(d * (1.0 + 1e-9), math.nextafter(d, math.inf))
     fw, gw = neighborhood_witnesses(op, cp, ds)
     wd = distance(seq, fw, gw)
     wrep = exact_membership_plus(op, cp, gw)
     if wrep.verdict != FAILS:
-        if wrep.worst_margin < 0.0:  # g* exceeds the budget by budget * delta*, here < SUM_TOL
-            return Report(
-                INCONCLUSIVE, wrep.worst_margin, None,
-                f"sharpness witness at distance {wd:.17g} passes the criterion only within its "
-                f"tolerance {SUM_TOL:g}, exceeding the budget by {-wrep.worst_margin:.3g}; "
-                "sharpness not established",
-            )
         return Report(
-            FAILS, wrep.worst_margin, -1,
-            f"sharpness witness at distance {wd:.17g} unexpectedly passes the criterion",
+            INCONCLUSIVE, wrep.worst_margin, None,
+            f"sharpness witness at distance {wd:.17g} passes the criterion only within its "
+            f"tolerance {SUM_TOL:g}, exceeding the budget by {max(0.0, -wrep.worst_margin):.3g}; "
+            "sharpness not established",
         )
-    detail = (
+    return _sampled(
+        trials, worst, None,
         f"trials={trials} seed={seed} delta={d:.17g} premise_slack={slack:.3g}; "
-        f"witness at delta*={ds:.17g} fails by {-wrep.worst_margin:.3g}"
+        f"witness at delta*={ds:.17g} fails by {-wrep.worst_margin:.3g}",
     )
-    if trials == 0:
-        return Report(INCONCLUSIVE, float("nan"), None, "no neighbor sampled (trials = 0); " + detail)
-    return Report(HOLDS, float(worst), None, detail)
 
 
 def verify_inclusion_general(
@@ -257,45 +264,33 @@ def verify_inclusion_general(
         if abs(e) < 1.0:
             eps_list.append(delta * e)
     ks = f.k_values()
-
-    def rerun(_, lead, tail):  # a screen's miss, re-run by the single check for its report or error
-        return numeric_membership(op, cp, LaurentSeries(op.p, f.trunc_order, tail, lead, f.exact_support), grid)
-
     shifted = (scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps)) for eps in eps_list)
     miss, _, _ = _numeric_rows(op, cp, grid, ks, ((g.lead, g.coeffs) for g in shifted))
     if miss is not None:
-        i, rep = miss[0], rerun(*miss)
+        i, rep = miss
         return Report(
             INCONCLUSIVE, rep.worst_margin, None,
             f"hypothesis not established: eps sample #{i} (eps={eps_list[i]:.6g}, seed {seed}) "
             f"gives {rep.verdict} at witness {rep.witness}",
         )
     s = weight_array(seq, ks)
-    nidx = min(16, len(ks))
-    moved = s[:nidx] > SUM_TOL
-    s_moved = s[:nidx][moved]
+    steps = _steps(rng, s, delta, trials, lambda rng, n: np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=n)))
 
     def neighbors():
-        for _ in range(trials):
+        for moved, step in steps:
             row = np.array(f.coeffs)
-            u = rng.uniform(0.0, delta)
-            mass = rng.dirichlet(np.ones(nidx))
-            phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=nidx))
             with np.errstate(over="ignore", invalid="ignore"):  # an infinite step fails the image check
-                row[:nidx][moved] += u * mass[moved] * phases[moved] / s_moved
+                row[moved] += step
             yield 1.0, row
 
     miss, worst, worst_witness = _numeric_rows(op, cp, grid, ks, neighbors())
     if miss is not None:
-        rep = rerun(*miss)
+        t, rep = miss
         return Report(
             FAILS, rep.worst_margin, rep.witness,
-            f"sampled neighbor #{miss[0]} (seed {seed}) leaves the class: {rep.detail}",
+            f"sampled neighbor #{t} (seed {seed}) leaves the class: {rep.detail}",
         )
-    detail = (
-        f"eps_trials={len(eps_list)} trials={trials} seed={seed} delta={delta:.17g} "
-        f"grid={grid.digest()}"
+    return _sampled(
+        trials, worst, worst_witness,
+        f"eps_trials={len(eps_list)} trials={trials} seed={seed} delta={delta:.17g} grid={grid.digest()}",
     )
-    if trials == 0:
-        return Report(INCONCLUSIVE, float("nan"), None, "no neighbor sampled (trials = 0); " + detail)
-    return Report(HOLDS, float(worst), worst_witness, detail)

@@ -484,6 +484,32 @@ def test_verify_plus_without_trials_is_inconclusive(capsys, tmp_path):
     assert run(capsys, *_located(tmp_path, argv))[0] == 0
 
 
+@pytest.mark.parametrize("lam", [1e-17, 1e-320])
+def test_verify_plus_sharpness_rounded_onto_f_is_inconclusive(capsys, tmp_path, lam):
+    """At a tiny delta* the sharpness witness rounds back onto f and passes: exit 2,
+    not fails with a sentinel witness, and no usage error for a subnormal delta*."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**PARAMS, "lambda": lam}))
+    argv = ["nbhd", "verify-plus", "--params", params, "--series", SUITE_INPUTS / "pole-only.json"]
+    code, out, err = run(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 2 and err == ""
+    assert rep["verdict"] == "inconclusive" and rep["witness"] is None
+    assert rep["detail"].startswith("sharpness witness at distance 0 passes the criterion")
+
+
+def test_verify_plus_degenerate_radius_has_no_margin(capsys, tmp_path):
+    """lambda = mu = 0 gives delta = 0: nothing is sampled, exit 2 with a null margin."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**PARAMS, "lambda": 0.0}))
+    argv = ["nbhd", "verify-plus", "--params", params, "--series", SUITE_INPUTS / "pole-only.json"]
+    code, out, err = run(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 2 and err == ""
+    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] is None
+    assert rep["detail"] == "degenerate radius delta = 0; nothing to verify"
+
+
 def test_phi_at_the_int64_edge(capsys):
     """k + p beyond int64 must not wrap to a negative multiplier, and k + p = 1
     with p near 2**63 must not round to 0."""

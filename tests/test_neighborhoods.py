@@ -486,6 +486,70 @@ def test_verify_plus_sharpness_within_tolerance_as_serially():
     assert "passes the criterion only within its tolerance 1e-12" in got[3]
 
 
+@pytest.mark.parametrize("lam", [1e-16, 1e-17, 1e-320])
+def test_verify_plus_sharpness_rounded_onto_f_as_serially(lam):
+    """At a tiny delta* the inflation of g* rounds away: g* is f, at distance 0,
+    and passes the criterion.  That shows rounding at work, not a neighbor outside
+    the class: inconclusive with no witness, never fails.  A subnormal delta*
+    still gets a sharpness radius beyond it."""
+    op, cp = OperatorParams(lam, 0.0, 1, 1), ClassParams(0.5, 1.0)
+    got = _plus(op, cp, LaurentSeries.pole_only(1, 1), 100, 0)
+    assert got == (
+        "inconclusive", "0x0.0p+0", None,
+        "sharpness witness at distance 0 passes the criterion only within its tolerance 1e-12, "
+        "exceeding the budget by 0; sharpness not established",
+    )
+
+
+def test_verify_plus_degenerate_radius_measures_no_margin_as_serially():
+    """delta = 0 samples nothing, so no inequality measures a margin: NaN."""
+    got = _plus(M0, ClassParams(0.5, 1.0), LaurentSeries.pole_only(1, 2), 5, 0)
+    assert got == ("inconclusive", "nan", None, "degenerate radius delta = 0; nothing to verify")
+
+
+def test_verify_plus_failing_neighbor_is_decided_once(monkeypatch):
+    """A failing trial's own weighted sum is exact_membership_plus's, so the single
+    check runs once, for the base, and the report carries the trial's margin."""
+    op, cp = OperatorParams(0.8, 0.3, 1, 1), ClassParams(0.6, 0.7)
+    f = _plus_member(op, cp, 0.9, 0)
+    for module in (neighborhoods, serial):
+        monkeypatch.setattr(module, "delta_star", lambda _op: 0.95)
+    want = _outcome(serial.verify_inclusion_plus, op, cp, f, 300, 1)
+    checked = []
+    check = neighborhoods.exact_membership_plus
+
+    def spy(op, cp, g):
+        checked.append(g)
+        return check(op, cp, g)
+
+    monkeypatch.setattr(neighborhoods, "exact_membership_plus", spy)
+    assert _outcome(neighborhoods.verify_inclusion_plus, op, cp, f, 300, 1) == want
+    assert want[0] == "fails" and len(checked) == 1 and checked[0] is f
+
+
+def test_each_sampled_run_draws_its_steps_in_one_call(monkeypatch):
+    """Both verifiers draw their neighbors' steps from one _steps call per run,
+    whether the run holds, fails or samples nothing."""
+    calls = []
+    steps = neighborhoods._steps
+
+    def spy(rng, s, radius, trials, direction):
+        calls.append(trials)
+        return steps(rng, s, radius, trials, direction)
+
+    monkeypatch.setattr(neighborhoods, "_steps", spy)
+    cp = ClassParams(0.5, 1.0)
+    f = LaurentSeries.pole_only(1, 8).with_coeff(1, 0.05)
+    assert [verify_inclusion_plus(OP1, cp, f, n, 1).verdict for n in (50, 0)] == ["holds", "inconclusive"]
+    op, cp, f = _member(1, 4)
+    verdicts = [
+        verify_inclusion_general(op, cp, f, r / phi(op, 1), eps, n, None, 11).verdict
+        for r, eps, n in ((0.002, 8, 32), (0.002, 8, 0), (0.8, 0, 32))
+    ]
+    assert verdicts == ["holds", "inconclusive", "fails"]
+    assert calls == [50, 0, 32, 0, 32]
+
+
 def test_verify_plus_refusals_as_serially():
     cp = ClassParams(0.5, 1.0)
     assert _plus(OP1, cp, extremal_fn(OP1, cp, 0), 10, 0)[0] == "inconclusive"

@@ -31,7 +31,7 @@ radius).  A violated premise yields "inconclusive", never a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .membership import (
     ClassParams,
     Report,
     _finite_weights,
+    _grid_check,
     _numeric_rows,
     _weighted_sum,
     budget,
@@ -53,8 +54,8 @@ from .membership import (
     numeric_membership,
     ratio_weights,
 )
-from .operator import OperatorParams, delta_star, phi_array, phi_base, require_pole_order
-from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale
+from .operator import OperatorParams, apply_coeff, delta_star, phi, phi_array, phi_base, require_pole_order
+from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale, z_derivative
 
 _KINDS = ("plus", "general")
 
@@ -215,15 +216,40 @@ def verify_inclusion_plus(
     if wrep.verdict != FAILS:
         return Report(
             INCONCLUSIVE, wrep.worst_margin, None,
-            f"sharpness witness at distance {wd:.17g} passes the criterion only within its "
-            f"tolerance {SUM_TOL:g}, exceeding the budget by {max(0.0, -wrep.worst_margin):.3g}; "
-            "sharpness not established",
+            f"sharpness witness at distance {wd:.17g} passes the criterion "
+            + ("outright (its inflation rounds away)" if wrep.worst_margin >= 0.0 else
+               f"only within its tolerance {SUM_TOL:g}, exceeding the budget by {-wrep.worst_margin:.3g}")
+            + "; sharpness not established",
         )
     return _sampled(
         trials, worst, None,
         f"trials={trials} seed={seed} delta={d:.17g} premise_slack={slack:.3g}; "
         f"witness at delta*={ds:.17g} fails by {-wrep.worst_margin:.3g}",
     )
+
+
+def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, ks, slack, inflate):
+    """Certify one phase for every perturbation of f that moves M = beta |A + (2 alpha - 1) p F|
+    - |A + p F|, the defining inequality times p |F| (A = zF'), by at most max_k slack_k |z|^k
+    and |F| by at most max_k inflate_k |z|^k, over ``ks``.  Where positive,
+
+        c(z) = (M - max_k slack_k |z|^k) / (p (|F| + max_k inflate_k |z|^k))
+
+    bounds every perturbed member's numeric margin at z from below.  One ``_grid_check`` of f's
+    ``image`` (F, zF') gives the least c at its witness: it holds when that is above the grid
+    margin.  A bound or a value that is not finite gives no finite c: inconclusive, NaN margin."""
+    p, shift = op.p, (2.0 * cp.alpha - 1.0) * op.p
+
+    def margin_of(points, b, a):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            powers = np.abs(points)[..., None] ** ks
+            m = cp.beta * np.abs(a + shift * b) - np.abs(a + p * b) - np.max(powers * slack, axis=-1)
+            return m / (p * (np.abs(b) + np.max(powers * inflate, axis=-1)))
+
+    try:
+        return _grid_check(grid, RADIUS_CAP, image, margin_of, lambda c: c > grid.margin, "")
+    except OverflowError:
+        return Report(INCONCLUSIVE, math.nan)
 
 
 def verify_inclusion_general(
@@ -236,14 +262,20 @@ def verify_inclusion_general(
     grid: SampleGrid | None = None,
     seed: int = 0,
 ) -> Report:
-    """Sampled check of the full-class inclusion statement.
+    """Check of the full-class inclusion statement, certified where it can be.
 
-    Phase (a) establishes the hypothesis on sampled eps: each perturbed
-    (f + eps z^p)/(1 + eps), |eps| < delta, passes numeric membership
-    (eps = 0, i.e. f itself, always included).  Phase (b) samples g in
-    the general-weight delta-neighborhood and requires numeric
-    membership of each.  Any phase (a) miss is inconclusive (hypothesis
-    not established); a phase (b) miss is a failing counterexample.
+    Phase (a) establishes the hypothesis: each perturbed (f + eps z^p)/(1 + eps),
+    |eps| < delta, passes numeric membership.  Phase (b) asks the same of every g
+    in the general-weight delta-neighborhood.  Each phase is first certified at
+    every capped grid point by one evaluation of f's image (``_certified``;
+    phase (a) only for delta <= 1).  A phase that does not close is screened:
+    phase (a) on f and eps_trials - 1 sampled eps, phase (b) on ``trials``
+    sampled neighbors.  A phase (a) miss is inconclusive (hypothesis not
+    established) and a phase (b) miss a failing counterexample.  A certified
+    phase (b) holds at its least certified margin; an uncertified one that no
+    sampled neighbor leaves shows nothing: inconclusive at that margin.  The
+    eps samples are drawn whether or not phase (a) is certified, so a screen
+    draws the same neighbors either way.
     """
     if not delta > 0:
         raise ValueError(f"delta: must be > 0, got {delta}")
@@ -263,17 +295,39 @@ def verify_inclusion_general(
         e = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
         if abs(e) < 1.0:
             eps_list.append(delta * e)
+    F = apply_coeff(op, f)
+    image, note = (F, z_derivative(F)), f"delta={delta:.17g} grid={grid.digest()}"
     ks = f.k_values()
-    shifted = (scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps)) for eps in eps_list)
-    miss, _, _ = _numeric_rows(op, cp, grid, ks, ((g.lead, g.coeffs) for g in shifted))
-    if miss is not None:
-        i, rep = miss
-        return Report(
-            INCONCLUSIVE, rep.worst_margin, None,
-            f"hypothesis not established: eps sample #{i} (eps={eps_list[i]:.6g}, seed {seed}) "
-            f"gives {rep.verdict} at witness {rep.witness}",
-        )
-    s = weight_array(seq, ks)
+    # phase (a): (f + eps z^p)/(1 + eps), |eps| < delta <= 1, has the quotient of f + eps z^p,
+    # whose image moves F by eps phi_p z^p and A by p eps phi_p z^p
+    inflate = delta * phi(op, op.p)
+    slack = 2.0 * op.p * (cp.alpha * cp.beta + 1.0) * inflate
+    if delta <= 1.0 and (shifts := _certified(op, cp, grid, image, op.p, slack, inflate)).verdict == HOLDS:
+        hypothesis = f"eps-shifts certified at {shifts.worst_margin:.3g}"
+    else:
+        shifted = (scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps)) for eps in eps_list)
+        miss, _, _ = _numeric_rows(op, cp, grid, ks, ((g.lead, g.coeffs) for g in shifted))
+        if miss is not None:
+            i, rep = miss
+            return Report(
+                INCONCLUSIVE, rep.worst_margin, None,
+                f"hypothesis not established: eps sample #{i} (eps={eps_list[i]:.6g}, seed {seed}) "
+                f"gives {rep.verdict} at witness {rep.witness}",
+            )
+        hypothesis = f"eps-shifts screened: eps_trials={len(eps_list)} seed={seed}"
+    s = weight_array(seq, ks)  # the screen's steps; an overflowing weight is refused here either way
+    # phase (b): g = f + d, sum s_k |d_k| < delta, moves F by at most delta B |z|^k / D_k and M by
+    # at most delta B |z|^k (beta |k + (2 alpha - 1) p| + k + p) / D_k at some k, for the budget B
+    # and the bracket D_k of s_k = D_k phi_k / B.  D_k rises by beta + 1 per step, so for k >= 0
+    # neither exceeds its value at k = 0 (|z| < 1): k = 1 - p .. 0 suffice.  D_{1-p} = 0 or an
+    # overflow leaves them infinite
+    shift, near = (2.0 * cp.alpha - 1.0) * op.p, np.arange(1 - op.p, 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inflate = delta * budget(op, cp) / (cp.beta * (near + abs(shift)) + near + op.p)
+        slack = inflate * (cp.beta * np.abs(near + shift) + near + op.p)
+    cert = _certified(op, cp, grid, image, near, slack, inflate)
+    if cert.verdict == HOLDS:
+        return replace(cert, detail=f"every neighbor certified at every grid point; {hypothesis}; {note}")
     steps = _steps(rng, s, delta, trials, lambda rng, n: np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=n)))
 
     def neighbors():
@@ -283,14 +337,14 @@ def verify_inclusion_general(
                 row[moved] += step
             yield 1.0, row
 
-    miss, worst, worst_witness = _numeric_rows(op, cp, grid, ks, neighbors())
+    miss, _, _ = _numeric_rows(op, cp, grid, ks, neighbors())
     if miss is not None:
         t, rep = miss
         return Report(
             FAILS, rep.worst_margin, rep.witness,
             f"sampled neighbor #{t} (seed {seed}) leaves the class: {rep.detail}",
         )
-    return _sampled(
-        trials, worst, worst_witness,
-        f"eps_trials={len(eps_list)} trials={trials} seed={seed} delta={delta:.17g} grid={grid.digest()}",
+    return Report(
+        INCONCLUSIVE, cert.worst_margin, cert.witness,
+        f"neighborhood not certified; no escape among trials={trials} seed={seed}; {hypothesis}; {note}",
     )

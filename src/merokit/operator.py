@@ -18,6 +18,7 @@ of the other.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,11 @@ class OperatorParams:
 
 
 def phi_base(op: OperatorParams, k: int | np.ndarray) -> float | np.ndarray:
-    """The m = 1 multiplier 1 + (k+p)(lam - mu + (k+p+1) lam mu)."""
+    """The m = 1 multiplier 1 + (k+p)(lam - mu + (k+p+1) lam mu); at mu = 0, 1 + (k+p) lam,
+    the same value without an overflowing (k+p+1) lam times 0."""
     j = (np.asarray(k).astype(np.uint64) + np.uint64(op.p)).astype(float)  # k + p >= 0 is exact in uint64
+    if op.mu == 0.0:
+        return 1.0 + j * op.lam
     return 1.0 + j * (op.lam - op.mu + (j + 1.0) * op.lam * op.mu)
 
 
@@ -104,9 +108,9 @@ def _phi_product(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
     once a step leaves every entry unchanged (each base is 1 or its power has
     overflowed to inf), since every later step would too; the product of any
     remaining ones is ``base ** (m - _PHI_STEPS)``, one power."""
-    base = phi_base(op, ks)
-    out = np.ones_like(base, dtype=float)
     with np.errstate(over="ignore"):
+        base = phi_base(op, ks)
+        out = np.ones_like(base, dtype=float)
         for _ in range(min(op.m, _PHI_STEPS)):
             nxt = out * base
             if np.array_equal(nxt, out):
@@ -118,10 +122,11 @@ def _phi_product(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
 
 
 def delta_star(op: OperatorParams) -> float:
-    """The neighborhood inclusion radius carried by the operator parameters;
-    0 at lam = mu = 0, a degenerate radius that its callers report."""
-    t = 2.0 * op.lam * op.mu + op.lam - op.mu
-    return t / (1.0 + t)
+    """The neighborhood inclusion radius t / (1 + t), t = 2 lam mu + lam - mu, carried by the
+    operator parameters; 0 at lam = mu = 0, a degenerate radius that its callers report.  At
+    mu = 0, t = lam, with no overflowing 2 lam times 0; a t that overflows gives the limit 1."""
+    t = op.lam if op.mu == 0.0 else 2.0 * op.lam * op.mu + op.lam - op.mu
+    return 1.0 if math.isinf(t) else t / (1.0 + t)
 
 
 def require_pole_order(op: OperatorParams, f: LaurentSeries) -> None:

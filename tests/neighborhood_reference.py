@@ -77,9 +77,10 @@ def verify_inclusion_plus(op, cp, f, trials=100, seed=0):
     if wrep.verdict != FAILS:
         return Report(
             INCONCLUSIVE, wrep.worst_margin, None,
-            f"sharpness witness at distance {wd:.17g} passes the criterion only within its "
-            f"tolerance {SUM_TOL:g}, exceeding the budget by {max(0.0, -wrep.worst_margin):.3g}; "
-            "sharpness not established",
+            f"sharpness witness at distance {wd:.17g} passes the criterion "
+            + ("outright (its inflation rounds away)" if wrep.worst_margin >= 0.0 else
+               f"only within its tolerance {SUM_TOL:g}, exceeding the budget by {-wrep.worst_margin:.3g}")
+            + "; sharpness not established",
         )
     detail = (
         f"trials={trials} seed={seed} delta={d:.17g} premise_slack={bound - premise:.3g}; "

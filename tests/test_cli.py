@@ -459,15 +459,33 @@ def test_report_item_that_is_not_an_object(capsys, tmp_path):
     assert item["exit_code"] == 64 and item["error"] == "suite item: expected an object"
 
 
-def test_verify_general_without_trials_is_inconclusive(capsys, tmp_path):
-    """No sampled neighbor shows nothing about the neighborhood: exit 2."""
+def test_verify_general_certified_without_trials_holds(capsys, tmp_path):
+    """A certified neighborhood needs no sampled neighbor: with --trials 0 it
+    holds (exit 0) at its least certified margin, witnessed by a grid point."""
     _inputs(tmp_path)
     argv = ["nbhd", "verify-general", *_PS, "--delta", "0.001", "--trials", "0"]
     code, out, err = run(capsys, *_located(tmp_path, argv))
     rep = json.loads(out)
+    assert code == 0 and err == ""
+    assert rep["verdict"] == "holds" and rep["worst_margin"] > 0 and len(rep["witness"]) == 2
+    assert rep["detail"].startswith("every neighbor certified at every grid point; ")
+
+
+def test_verify_general_without_trials_is_inconclusive(capsys, tmp_path):
+    """Where the certificate does not close (a double-pole member at delta = 0.04),
+    no sampled neighbor shows nothing about the neighborhood: exit 2, at the
+    least certified margin and its witness."""
+    params = tmp_path / "params-p2.json"
+    params.write_text(json.dumps({**PARAMS, "p": 2, "alpha": 0.25}))
+    code, out, _ = run(capsys, "gen", "herglotz", "--params", params, "--atoms", SUITE_INPUTS / "atoms-pair.json")
+    series = tmp_path / "member-p2.json"
+    series.write_text(out)
+    argv = ["nbhd", "verify-general", "--params", params, "--series", series, "--delta", "0.04", "--trials", "0"]
+    code, out, err = run(capsys, *argv)
+    rep = json.loads(out)
     assert code == 2 and err == ""
-    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] is None
-    assert rep["witness"] is None and rep["detail"].startswith("no neighbor sampled (trials = 0); ")
+    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] < 0 and rep["witness"] == [0.9, 0.0]
+    assert rep["detail"].startswith("neighborhood not certified; no escape among trials=0 seed=0; ")
 
 
 def test_verify_plus_without_trials_is_inconclusive(capsys, tmp_path):
@@ -482,6 +500,26 @@ def test_verify_plus_without_trials_is_inconclusive(capsys, tmp_path):
     assert rep["detail"].startswith("no neighbor sampled (trials = 0); ") and "witness at delta*=" in rep["detail"]
     argv[-1] = "5"
     assert run(capsys, *_located(tmp_path, argv))[0] == 0
+
+
+@pytest.mark.parametrize("lam,mu,k", [(1e308, 0.0, 1), (1e200, 1e200, 0)])
+def test_overflowing_radius_parameters_warn_nothing(capsys, tmp_path, lam, mu, k):
+    """t = 2 lam mu + lam - mu beyond the float range, or 2 lam overflowing
+    times mu = 0: the radius is its limit 1, not NaN, and both verifiers refuse
+    the overflowing multiplier (exit 64), as `phi` does, with no numpy warning
+    on stderr."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**PARAMS, "lambda": lam, "mu": mu}))
+    series = SUITE_INPUTS / "pole-only.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning is printed to stderr, not raised
+        assert run(capsys, "nbhd", "delta", "--params", params) == (0, "1\n", "")
+        for verb in ("verify-plus", "verify-general"):
+            code, out, err = run(capsys, "nbhd", verb, "--params", params, "--series", series)
+            assert (code, out) == (64, "")
+            assert err == f"error: phi: the multiplier at k={k} overflows a float (m=1)\n"
+        code, out, err = run(capsys, "phi", "--lambda", lam, "--mu", mu, "--m", 1, "--p", 1, "--k", k)
+        assert (code, out, err) == (64, "", f"error: phi: the multiplier at k={k} overflows a float (m=1)\n")
 
 
 @pytest.mark.parametrize("lam", [1e-17, 1e-320])

@@ -1,16 +1,20 @@
 """Weighted coefficient neighborhoods and the two inclusion verifiers."""
+import importlib.util
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import merokit
 from merokit import membership, neighborhoods
 from merokit.generators import MeasureAtoms, SchwarzPoly, extremal_fn, from_herglotz, from_schwarz
-from merokit.membership import RADIUS_CAP, ClassParams, ratio_weights
+from merokit.membership import RADIUS_CAP, SUM_TOL, ClassParams, budget, numeric_margins, ratio_weights
 from merokit.neighborhoods import (
     WeightSeq,
     delta_star,
@@ -21,9 +25,11 @@ from merokit.neighborhoods import (
     weight,
     weight_array,
 )
-from merokit.operator import OperatorParams, phi
-from merokit.series import LaurentSeries, SampleGrid
+from merokit.operator import OperatorParams, apply_coeff, phi
+from merokit.series import LaurentSeries, SampleGrid, eval_many, scale, z_derivative
 import neighborhood_reference as serial
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)
 OP1 = OperatorParams(1.0, 0.0, 1, 1)
@@ -282,10 +288,22 @@ def _outcome(fn, *args):
     return rep.verdict, float(rep.worst_margin).hex(), w, rep.detail
 
 
+#: the detail of a general run whose neighborhood was not certified and whose sampled neighbors all held
+UNCERTIFIED = "neighborhood not certified; no escape among trials="
+
+
 def _general(*args):
-    """verify_inclusion_general's outcome, asserted equal to the serial loop's."""
+    """verify_inclusion_general's outcome, held to the serial loop's.  A certified
+    neighborhood holds at a margin no sampled neighbor goes below; a screen that
+    finds no escape is the serial loop's run that no neighbor failed; any other
+    outcome, a sampled miss or an error, is the serial loop's, bit for bit."""
     got = _outcome(neighborhoods.verify_inclusion_general, *args)
-    assert got == _outcome(serial.verify_inclusion_general, *args)
+    want = _outcome(serial.verify_inclusion_general, *args)
+    if got[0] == "holds" or got[-1].startswith(UNCERTIFIED):
+        assert want[0] == "holds" or want[3].startswith("no neighbor sampled (trials = 0); ")
+        assert got[0] == "inconclusive" or not float.fromhex(want[1]) < float.fromhex(got[1])
+    else:
+        assert got == want
     return got
 
 
@@ -345,27 +363,32 @@ def test_verify_general_fails_as_serially():
 
 
 def test_verify_general_fails_at_a_later_block_as_serially():
+    """At 0.2 / phi_1 the neighborhood is not certified and no sampled neighbor
+    leaves the class: inconclusive.  At 0.8 and 1.6 one does, in a later block."""
     op, cp, f = _member(1, 4)
     outcomes = [
         _general(op, cp, f, d / phi(op, 1), 0, 32, grid, 11)
         for d in (0.2, 0.8, 1.6)
         for grid in (TRIAL_GRID, None)
     ]
-    assert [o[0] for o in outcomes] == ["holds"] * 2 + ["fails"] * 4
+    assert [o[0] for o in outcomes] == ["inconclusive"] * 2 + ["fails"] * 4
+    assert all(o[3].startswith(UNCERTIFIED) for o in outcomes[:2])
     assert "sampled neighbor #19 " in outcomes[3][3] and "sampled neighbor #10 " in outcomes[5][3]
 
 
 @pytest.mark.parametrize("counts", [(8, 0), (0, 32), (0, 0), (3, 5)])
 def test_verify_general_trial_counts_as_serially(counts):
-    """With no neighbor drawn (trials = 0) nothing is shown about the
-    neighborhood: inconclusive, whatever phase (a) found."""
+    """A certified neighborhood holds whatever the sample counts, trials = 0
+    included: the certificate draws no neighbor.  One that is not certified and
+    that no sampled neighbor leaves shows nothing, trials = 0 or not:
+    inconclusive at its least certified margin, witnessed by its point."""
     op, cp, f = _member(1, 0)
     got = _general(op, cp, f, 0.002, *counts, TRIAL_GRID, 3)
-    if counts[1] == 0:
-        assert got[:3] == ("inconclusive", "nan", None)
-        assert got[3].startswith("no neighbor sampled (trials = 0); ")
-    else:
-        assert got[0] == "holds" and "no neighbor" not in got[3]
+    assert got[0] == "holds" and got[3].startswith("every neighbor certified at every grid point; ")
+    op, cp, f = _member(2, 0)
+    got = _general(op, cp, f, 0.01 / phi(op, 2), *counts, TRIAL_GRID, 0)
+    assert got[0] == "inconclusive" and got[3].startswith(f"{UNCERTIFIED}{counts[1]} seed=0; ")
+    assert float.fromhex(got[1]) <= 0.0 and got[2] is not None
 
 
 def test_verify_general_empty_capped_grid_as_serially():
@@ -490,14 +513,15 @@ def test_verify_plus_sharpness_within_tolerance_as_serially():
 def test_verify_plus_sharpness_rounded_onto_f_as_serially(lam):
     """At a tiny delta* the inflation of g* rounds away: g* is f, at distance 0,
     and passes the criterion.  That shows rounding at work, not a neighbor outside
-    the class: inconclusive with no witness, never fails.  A subnormal delta*
-    still gets a sharpness radius beyond it."""
+    the class: inconclusive with no witness, never fails, and the detail says
+    that g* passes outright.  A subnormal delta* still gets a sharpness radius
+    beyond it."""
     op, cp = OperatorParams(lam, 0.0, 1, 1), ClassParams(0.5, 1.0)
     got = _plus(op, cp, LaurentSeries.pole_only(1, 1), 100, 0)
     assert got == (
         "inconclusive", "0x0.0p+0", None,
-        "sharpness witness at distance 0 passes the criterion only within its tolerance 1e-12, "
-        "exceeding the budget by 0; sharpness not established",
+        "sharpness witness at distance 0 passes the criterion outright (its inflation rounds away); "
+        "sharpness not established",
     )
 
 
@@ -528,8 +552,9 @@ def test_verify_plus_failing_neighbor_is_decided_once(monkeypatch):
 
 
 def test_each_sampled_run_draws_its_steps_in_one_call(monkeypatch):
-    """Both verifiers draw their neighbors' steps from one _steps call per run,
-    whether the run holds, fails or samples nothing."""
+    """Both verifiers draw their neighbors' steps from one _steps call per sampled
+    run, whether the run holds, fails or samples nothing; a general run whose
+    neighborhood is certified draws none."""
     calls = []
     steps = neighborhoods._steps
 
@@ -546,8 +571,129 @@ def test_each_sampled_run_draws_its_steps_in_one_call(monkeypatch):
         verify_inclusion_general(op, cp, f, r / phi(op, 1), eps, n, None, 11).verdict
         for r, eps, n in ((0.002, 8, 32), (0.002, 8, 0), (0.8, 0, 32))
     ]
-    assert verdicts == ["holds", "inconclusive", "fails"]
-    assert calls == [50, 0, 32, 0, 32]
+    assert verdicts == ["holds", "holds", "fails"]
+    assert calls == [50, 0, 32]
+
+
+def test_certified_run_screens_nothing(monkeypatch):
+    """A run whose two phases are certified makes no _numeric_rows screen and no
+    _steps draw: two evaluations of f's image, one FFT call and one Horner pass
+    each, give the report.  The eps samples are still drawn from the seed."""
+    calls = _spied(monkeypatch, "eval_circles", "eval_many")
+    for name in ("_numeric_rows", "_steps"):
+        monkeypatch.setattr(neighborhoods, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+    op, cp, f = _member(1, 0)
+    rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
+    assert rep.verdict == "holds" and rep.detail.startswith("every neighbor certified at every grid point; ")
+    assert "eps-shifts certified at " in rep.detail and "trials" not in rep.detail
+    assert calls == {"eval_circles": [2, 2], "eval_many": [2, 2]}
+
+
+def _schwarz_member(p, seed):
+    """A seeded Schwarz member (beta < 1), its operator and class parameters."""
+    rng = np.random.default_rng([seed, p, 7])
+    op = OperatorParams(float(rng.uniform(0.5, 1.0)), 0.1, int(rng.integers(1, 3)), p)
+    cp = ClassParams(float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.3, 0.9)))
+    w = rng.normal(size=3) + 1j * rng.normal(size=3)
+    w *= 0.6 / float(np.sum(np.abs(w)))
+    return op, cp, from_schwarz(op, cp, SchwarzPoly(tuple(complex(c) for c in w)))
+
+
+def _stated_bounds(op, cp, f, delta, zs):
+    """The certified margins c(z) of phase (a) and phase (b) at zs, computed from the
+    bounds as stated, index by index, and Horner values of f's image."""
+    p, a, b = op.p, cp.alpha, cp.beta
+    F = apply_coeff(op, f)
+    Fz, Az = eval_many(F, zs), eval_many(z_derivative(F), zs)
+    M = b * np.abs(Az + (2 * a - 1) * p * Fz) - np.abs(Az + p * Fz)
+    r, B, phi_p = np.abs(zs), 2 * p * b * (1 - a), phi(op, p)
+    D = {k: b * (k + abs(2 * a - 1) * p) + k + p for k in range(1 - p, 1)}
+    slack_b = np.max([delta * B * r**k * (b * abs(k + (2 * a - 1) * p) + k + p) / D[k] for k in D], axis=0)
+    inflate_b = np.max([delta * B * r**k / D[k] for k in D], axis=0)
+    inflate_a = delta * phi_p * r**p
+    slack_a = 2 * p * (a * b + 1) * inflate_a
+    return (M - slack_a) / (p * (np.abs(Fz) + inflate_a)), (M - slack_b) / (p * (np.abs(Fz) + inflate_b))
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.05])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", ["herglotz", "schwarz"])
+def test_certified_margin_bounds_extreme_neighbors(kind, p, delta):
+    """Wherever a certified margin is positive, no neighbor at the edge of the
+    neighborhood goes below it: one coefficient moved by 0.999999 delta / s_k
+    at a random phase (phase (b)), or the eps-shift at |eps| = 0.999999 delta
+    (phase (a)).  The verifier's reported margin is the least phase (b) bound,
+    and its detail names the least phase (a) bound where that closes."""
+    grid = SampleGrid()
+    zs = grid.points(radius_cap=RADIUS_CAP)
+    certified = 0
+    for seed in range(3):
+        op, cp, f = _member(p, seed) if kind == "herglotz" else _schwarz_member(p, seed)
+        c_a, c_b = _stated_bounds(op, cp, f, delta, zs)
+        rep = verify_inclusion_general(op, cp, f, delta, 0, 0, grid, seed)
+        if rep.verdict == "holds":
+            assert rep.worst_margin == pytest.approx(c_b.min(), rel=1e-9, abs=1e-12)
+        closed = c_a.min() > grid.margin
+        assert (f"eps-shifts certified at {c_a.min():.3g}; " if closed else "eps-shifts screened: ") in rep.detail
+        rng = np.random.default_rng([seed, p, 11])
+        s = weight_array(WeightSeq("general", op, cp), f.k_values())
+        for _ in range(6):
+            k = int(rng.integers(0, 8))
+            step = 0.999999 * delta / s[k] * np.exp(2j * np.pi * rng.uniform())
+            g = f.with_coeff(int(f.k_values()[k]), f.coeffs[k] + step)
+            eps = 0.999999 * delta * np.exp(2j * np.pi * rng.uniform())
+            shifted = scale(f.with_coeff(p, f.coeff(p) + eps), 1.0 / (1.0 + eps))
+            for c, neighbor in ((c_b, g), (c_a, shifted)):
+                _, margins = numeric_margins(op, cp, neighbor, grid)
+                held = c > 0
+                assert np.all(margins[held] >= c[held] - 1e-12)
+                certified += int(held.sum())
+    assert certified > 0
+
+
+@pytest.mark.parametrize("case", ["zero bracket", "radius above 1", "largest radius"])
+def test_uncertifiable_inputs_raise_no_warning(case):
+    """A zero bracket D_{1-p} (p = 2, alpha = 1/2, beta = 1) and a radius near the
+    largest float leave the phase (b) bound infinite: no certified margin (NaN),
+    no witness.  Above 1 phase (a) is not certified but screened, and phase (b)
+    does not close.  No numpy warning on the way."""
+    op, cp, f, delta, hypothesis = {
+        "zero bracket": (OperatorParams(1.0, 0.0, 1, 2), ClassParams(0.5, 1.0), LaurentSeries.pole_only(2, 4),
+                         0.01, "eps-shifts certified at "),
+        "radius above 1": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 1.5, "eps-shifts screened: "),
+        "largest radius": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 1.7e308, "eps-shifts screened: "),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _general(op, cp, f, delta, 0, 0, TRIAL_GRID, 0)
+    assert got[0] == "inconclusive" and got[3].startswith(f"{UNCERTIFIED}0 seed=0; {hypothesis}")
+    assert (got[1] == "nan" and got[2] is None) == (case != "radius above 1")
+
+
+def test_verify_plus_never_samples_below_the_closed_form(monkeypatch):
+    """Every g in the plus neighborhood has sum s_k b_k <= premise + delta* = 1 -
+    premise_slack, so its criterion margin is at least budget * premise_slack, the
+    exact infimum.  On the benchmark's sampling-small plus members (seeds 0-19, its
+    own trial seeds) no sampled neighbor goes below it by more than SUM_TOL."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    seen, check = [], merokit.verify_inclusion_plus
+
+    def spy(op, cp, f, trials, seed):
+        seen.append((op, cp, f, check(op, cp, f, trials, seed)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(merokit, "verify_inclusion_plus", spy)
+    for seed in range(20):
+        next(op for op in workloads.sampling_small(merokit, seed) if op.name == "verify_inclusion_plus.member").call()
+    assert len(seen) == 20
+    for op, cp, f, rep in seen:
+        s = weight_array(WeightSeq("plus", op, cp), f.k_values())
+        slack = neighborhoods._premise_bound(op) - float(np.dot(s, f.coeffs.real))
+        assert rep.verdict == "holds" and slack > 0
+        assert rep.worst_margin >= budget(op, cp) * slack - SUM_TOL
 
 
 def test_verify_plus_refusals_as_serially():
@@ -610,43 +756,52 @@ def test_trial_blocks_stay_within_their_byte_cap(monkeypatch, radii, angles, tai
         assert miss[0] == 0 and calls == [] and drawn == rows
 
 
+def _screened(K=None):
+    """A p = 2 member and radius 0.01 / phi_2 at which, on the grids below,
+    neither phase is certified and no eps sample or neighbor drawn from seed 0
+    leaves the class: every sample is screened."""
+    op, cp, f = _member(2, 0, K)
+    return op, cp, f, 0.01 / phi(op, 2)
+
+
 def test_trial_memory_does_not_grow_with_the_trial_count():
     """A long series on a one-circle grid: eight times the trials leave the
     traced peak of a run where it was, about a block's few arrays."""
-    op, cp, f = _member(1, 0, 4095)
-    grid = SampleGrid((0.5,), 8)
+    op, cp, f, delta = _screened(4094)
+    grid = SampleGrid((0.9,), 8)
     peaks = []
     for trials in (8, 64):
         tracemalloc.start()
-        rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 8, trials, grid, 0)
+        rep = verify_inclusion_general(op, cp, f, delta, 8, trials, grid, 0)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-        assert rep.verdict == "holds"
+        assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
     assert peaks[1] < peaks[0] + 64 * 1024
     assert peaks[1] < 16 * 256 * 1024
 
 
 def test_default_scale_trial_memory_peak():
-    """tracemalloc's peak of a default-scale call (K = 63 on the 5x720 grid, 8 + 32
-    trials in 2-row blocks) was 652 KiB while the numeric form allocated five
-    full-size temporaries; with reused buffers and the FFT's M bins per circle
-    it was about 619.5 KiB.  With the bins transformed in place, the quotient
-    margins computed into the consumed values and one Horner pass per phase it
-    is about 498 KiB, and must stay below 640 KiB."""
-    op, cp, f = _member(1, 0)
-    args = (op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
+    """tracemalloc's peak of a default-scale call (K = 64 - p on the 5x720 grid,
+    8 + 32 trials in 2-row blocks) was 652 KiB while the numeric form allocated
+    five full-size temporaries; with reused buffers and the FFT's M bins per
+    circle it was about 619.5 KiB.  With the bins transformed in place, the
+    quotient margins computed into the consumed values and one Horner pass per
+    phase it is about 498 KiB, and must stay below 640 KiB, the two certificate
+    evaluations that precede the screens included."""
+    op, cp, f, delta = _screened()
+    args = (op, cp, f, delta, 8, 32, None, 0)
     verify_inclusion_general(*args)  # first-call allocations are not the trials' own
     tracemalloc.start()
     rep = verify_inclusion_general(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert rep.verdict == "holds"
+    assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
     assert peak < 640 * 1024
 
 
 def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
-    """On a 20x4096 grid each eps sample and each trial is its own block: one
-    eval_circles call of its F and zF' rows."""
+    """On a 20x4096 grid each certificate, each eps sample and each trial is
+    its own block: one eval_circles call of its F and zF' rows."""
     sizes = []
     evaluate = membership.eval_circles
 
@@ -655,11 +810,11 @@ def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
         return evaluate(rows, *args)
 
     monkeypatch.setattr(membership, "eval_circles", spy)
-    op, cp, f = _member(1, 0)
+    op, cp, f, delta = _screened()
     grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 4096)
-    rep = neighborhoods.verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 2, 3, grid, 0)
-    assert rep.verdict == "holds"
-    assert sizes == [2] * 5
+    rep = neighborhoods.verify_inclusion_general(op, cp, f, delta, 2, 3, grid, 0)
+    assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
+    assert sizes == [2] * 7
 
 
 def _spied(monkeypatch, *names):
@@ -675,26 +830,29 @@ def _spied(monkeypatch, *names):
 
 
 def test_default_scale_run_makes_one_horner_pass_per_phase(monkeypatch):
-    """A default-scale call (8 eps samples and 32 trials, K = 63 on the 5x720
-    grid) is 20 FFT blocks of 2 candidates, each one eval_circles call of its F
-    and zF' rows, and one Horner pass (eval_many) per phase, not per block."""
+    """A default-scale call (8 eps samples and 32 trials, K = 64 - p on the 5x720
+    grid) that certifies neither phase is, per phase, the certificate (one
+    eval_circles call and one eval_many pass of f's F and zF' rows), then the
+    screen: FFT blocks of 2 candidates, each one eval_circles call of its F and
+    zF' rows, and one Horner pass (eval_many) per phase, not per block."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
-    op, cp, f = _member(1, 0)
-    rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
-    assert rep.verdict == "holds"
-    assert calls["eval_circles"] == [4] * 20
-    assert calls["eval_many"] == [16, 64]
+    op, cp, f, delta = _screened()
+    rep = verify_inclusion_general(op, cp, f, delta, 8, 32, None, 0)
+    assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
+    assert calls["eval_circles"] == [2] + [4] * 4 + [2] + [4] * 16
+    assert calls["eval_many"] == [2, 16, 2, 64]
 
 
 def test_long_series_horner_batches_stay_within_the_byte_cap(monkeypatch):
     """A Horner batch holds as many candidates as keep its F and zF' tails and
     Horner's transposed copy of them (4n entries each) within 256 KiB.  At
-    K = 4095 on a one-circle grid that is one candidate, a block of its own."""
+    K = 4096 - p on a one-circle grid that is one candidate, a block of its own,
+    as each certificate's single candidate is."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
-    op, cp, f = _member(1, 0, 4095)
-    rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 3, 5, SampleGrid((0.5,), 8), 0)
-    assert rep.verdict == "holds"
-    assert calls["eval_circles"] == calls["eval_many"] == [2] * 8
+    op, cp, f, delta = _screened(4094)
+    rep = verify_inclusion_general(op, cp, f, delta, 3, 5, SampleGrid((0.9,), 8), 0)
+    assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
+    assert calls["eval_circles"] == calls["eval_many"] == [2] * 10
     assert all(2 * rows * len(f.coeffs) * 16 <= membership._BLOCK_BYTES for rows in calls["eval_many"])
 
 
@@ -702,17 +860,17 @@ def test_many_trials_keep_the_default_scale_memory_peak(monkeypatch):
     """At the default scale a Horner batch is 64 candidates (128 rows), so 256
     trials make four passes, and the traced peak stays below the 640 KiB of
     the 8 + 32 call (about 613 KiB; 803 KiB with batches of 128)."""
-    op, cp, f = _member(1, 0)
-    args = (op, cp, f, 0.002 / phi(op, 1), 8, 256, None, 0)
+    op, cp, f, delta = _screened()
+    args = (op, cp, f, delta, 8, 256, None, 0)
     verify_inclusion_general(*args)  # first-call allocations are not the trials' own
     tracemalloc.start()
     rep = verify_inclusion_general(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert rep.verdict == "holds" and peak < 640 * 1024
+    assert rep.verdict == "inconclusive" and peak < 640 * 1024
     calls = _spied(monkeypatch, "eval_many")
     assert verify_inclusion_general(*args) == rep
-    assert calls["eval_many"] == [16] + [128] * 4
+    assert calls["eval_many"] == [2, 16, 2] + [128] * 4
 
 
 def test_failing_run_draws_only_to_the_failing_block(monkeypatch):

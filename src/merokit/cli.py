@@ -289,9 +289,7 @@ def _nbhd_distance(args) -> tuple[int, str]:
 
 def _nbhd_verify_plus(args) -> tuple[int, str]:
     op, cp, f = _read_inputs(args)
-    rep = verify_inclusion_plus(op, cp, f, trials=args.trials, seed=args.seed)
-    cfg = _config(op=op, cp=cp, seed=args.seed, check=args.what, trials=args.trials)
-    return _report_out(rep, cfg)
+    return _report_out(verify_inclusion_plus(op, cp, f), _config(op=op, cp=cp, check=args.what))
 
 
 def _nbhd_verify_general(args) -> tuple[int, str]:
@@ -498,7 +496,7 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
     kinds("nbhd", "weighted-neighborhood tools", "what", (
         ("distance", _nbhd_distance, ("--series", "--other", "--kind")),
         ("delta", _nbhd_delta, ()),
-        ("verify-plus", _nbhd_verify_plus, ("--series", "--trials", "--seed")),
+        ("verify-plus", _nbhd_verify_plus, ("--series",)),
         ("verify-general", _nbhd_verify_general,
          ("--series", "--delta", "--trials", "--eps-trials", "--seed", "--grid")),
     ))

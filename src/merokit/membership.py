@@ -405,6 +405,27 @@ def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, floor_at=None):
     return _margins(rows, count, at[:, None], values_at[:, :, None].copy(), margin_of, fl)[1][:, 0], values_at
 
 
+def _grid_minima(grid: SampleGrid, cap, series, margin_ofs):
+    """``_grid_check``'s reduction of the same ``series``, once per margin function of
+    ``margin_ofs`` (without a vanish mask), from one FFT call and one Horner pass: the
+    margin functions are the candidates of ``_grid_witness``, and the Horner pass takes
+    the series' rows once per candidate, each at its own witness.  Returns the points at
+    the witnesses, the FFT margins there and the Horner margins, one per candidate.  The
+    grid must have points on the radii <= cap."""
+    points, rows, count, n = grid.points(radius_cap=cap), SeriesRows.of(series), len(series), len(margin_ofs)
+
+    def on_grid(points, *values):
+        return np.concatenate([margin_of(points, *values) for margin_of in margin_ofs])
+
+    def at_witnesses(points, *values):  # row j: candidate j's witness and the values there
+        return np.concatenate([margin_of(points[j : j + 1], *(v[j : j + 1] for v in values))
+                               for j, margin_of in enumerate(margin_ofs)])
+
+    _, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), on_grid)
+    repeated = SeriesRows(rows.pole_order, np.repeat(rows.lead, n), np.repeat(rows.coeffs, n, axis=0))
+    return points[i], fft, _grid_margin_at(repeated, count, points[i], at_witnesses)[0]
+
+
 def _grid_check(
     grid: SampleGrid, cap, series, margin_of, passes, note: str, vanishing=None, detail_at=None
 ) -> Report:
@@ -453,11 +474,10 @@ def numeric_membership(
 
 def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.ndarray, candidates):
     """Screen a stream of pole-order-p series with tail indices ``ks``, given as
-    (lead, tail) pairs, by ``numeric_membership`` on the grid.  Returns (miss,
-    worst, witness): miss is (index, report) of the first candidate that does not
-    hold (it fails, its image or a margin is not finite, or no point is capped),
-    with the report or error of ``numeric_membership`` itself; else miss is None and
-    worst is the least margin, inf for no candidates, at the first to reach it.
+    (lead, tail) pairs, by ``numeric_membership`` on the grid.  Returns the miss:
+    (index, report) of the first candidate that does not hold (it fails, its image
+    or a margin is not finite, or no point is capped), with the report or error of
+    ``numeric_membership`` itself; None when every candidate holds.
 
     The stream is cut into blocks, each one ``eval_circles`` call of its F and zF'
     rows, reduced to each candidate's witness by ``_grid_witness``.  A block takes
@@ -485,7 +505,7 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
 
     if points.size == 0:  # nothing to evaluate: the first candidate is the single check's
         block = list(islice(candidates, size))
-        return (missed(0, *block[0]) if block else None), math.inf, None
+        return missed(0, *block[0]) if block else None
     per_batch = max(1, _BLOCK_BYTES // (64 * n) // size)  # blocks per Horner pass
 
     def rows_of(block):
@@ -514,18 +534,15 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
         if batch:
             yield batch, np.concatenate(picks), np.concatenate(finite)
 
-    first, worst, witness = 0, math.inf, None
+    first = 0
     for batch, picks, finite in batches():
         margins, _ = _grid_margin_at(rows_of(batch)[0], 2, points[picks], margin_of, floor[picks])
         holds = finite & np.isfinite(margins) & (margins > grid.margin)
         if not holds.all():
             i = int(np.argmin(holds))
-            return missed(first + i, *batch[i]), worst, witness
-        i = int(np.argmin(margins))  # the first of equal margins, as later batches' must be less
-        if margins[i] < worst:
-            worst, witness = float(margins[i]), points[picks[i]].item()
+            return missed(first + i, *batch[i])
         first += len(batch)
-    return None, worst, witness
+    return None
 
 
 def disk_characterization(

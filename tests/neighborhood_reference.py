@@ -1,10 +1,11 @@
 """Reference route for the inclusion verifiers: one checker call per trial.
 
-``verify_inclusion_plus`` and ``verify_inclusion_general`` evaluate their
-sampled trials in blocks of rows.  The functions here keep the serial
-loops, one ``exact_membership_plus`` or ``numeric_membership`` call per
-trial, so that tests can hold the batched verifiers to them report for
-report and error for error.
+``verify_inclusion_general`` evaluates its sampled trials in blocks of
+rows, and ``verify_inclusion_plus`` samples nothing: it decides in closed
+form.  The functions here keep the serial sampling loops, one
+``exact_membership_plus`` or ``numeric_membership`` call per trial, as the
+oracle: tests hold the batched screen to them report for report and error
+for error, and the closed form to the least margin they sample.
 """
 import math
 

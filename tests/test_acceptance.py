@@ -280,8 +280,8 @@ def test_06_convolution_nonvanishing(announce, herglotz_batch):
 
 def test_07_neighborhood_inclusion_and_sharpness(announce):
     """At lam = 1, mu = 0, m = 1 the inclusion radius is exactly 1/2:
-    100 sampled neighbors of a premise-satisfying member all pass the
-    exact criterion, the witness just outside the radius fails, and the
+    every neighbor of a premise-satisfying member passes the exact
+    criterion (the closed form), the witness just outside the radius fails, and the
     radius identity delta + 1/multiplier(1-p) = 1 holds to 1e-12."""
     op = OperatorParams(1.0, 0.0, 1, 1)
     cp = ClassParams(0.5, 1.0)

@@ -331,13 +331,11 @@ def test_verify_conv_smoke(capsys, params_file, tmp_path):
 
 def test_nbhd_verify_plus_smoke(capsys, params_file, tmp_path):
     f = series_file(tmp_path, "f.json", 1, 2, [0.2, 0.0, 0.0])
-    code, out, _ = run(
-        capsys, "nbhd", "verify-plus", "--params", params_file, "--series", f,
-        "--trials", "20", "--seed", "3",
-    )
+    code, out, _ = run(capsys, "nbhd", "verify-plus", "--params", params_file, "--series", f)
     assert code == 0
     rep = json.loads(out)
-    assert rep["config"]["seed"] == 3 and rep["config"]["trials"] == 20
+    assert rep["verdict"] == "holds" and rep["detail"].startswith("closed form: ")
+    assert "seed" not in rep["config"] and "trials" not in rep["config"]
 
 
 def test_nbhd_distance_prints_number(capsys, params_file, tmp_path):
@@ -488,17 +486,17 @@ def test_verify_general_without_trials_is_inconclusive(capsys, tmp_path):
     assert rep["detail"].startswith("neighborhood not certified; no escape among trials=0 seed=0; ")
 
 
-def test_verify_plus_without_trials_is_inconclusive(capsys, tmp_path):
-    """verify-plus with no sampled neighbor measures no margin either: exit 2,
-    after the premise and the sharpness witness were checked."""
+@pytest.mark.parametrize(
+    "flag", [["--trials", "5"], ["--trials", "0"], ["--seed", "3"]], ids=["trials", "zero-trials", "seed"]
+)
+def test_verify_plus_takes_no_trials_or_seed(capsys, tmp_path, flag):
+    """verify-plus samples nothing, so it has no --trials or --seed to take: either
+    flag is a usage error (exit 64), and without them the run holds (exit 0)."""
     _inputs(tmp_path)
-    argv = ["nbhd", "verify-plus", *_PS, "--trials", "0"]
-    code, out, err = run(capsys, *_located(tmp_path, argv))
-    rep = json.loads(out)
-    assert code == 2 and err == ""
-    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] is None and rep["witness"] is None
-    assert rep["detail"].startswith("no neighbor sampled (trials = 0); ") and "witness at delta*=" in rep["detail"]
-    argv[-1] = "5"
+    argv = ["nbhd", "verify-plus", *_PS]
+    code, out, err = run(capsys, *_located(tmp_path, [*argv, *flag]))
+    assert (code, out) == (USAGE_EXIT, "")
+    assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
     assert run(capsys, *_located(tmp_path, argv))[0] == 0
 
 
@@ -705,7 +703,7 @@ VERB_CASES = {
                           "--angles", "32"],
     "nbhd-delta": ["nbhd", "delta", "--params", "@params.json"],
     "nbhd-no-series": ["nbhd", "verify-plus", "--params", "@params.json"],
-    "nbhd-verify-plus": ["nbhd", "verify-plus", *_PS, "--trials", "5"],
+    "nbhd-verify-plus": ["nbhd", "verify-plus", *_PS],
 }
 
 
@@ -739,7 +737,7 @@ MALFORMED_CASES = {
         "schwarz: expected an object with a 'coeffs' list",
     ),
     "verify-plus-negative-trials": (
-        ["nbhd", "verify-plus", *_PS, "--trials", "-1"], "trials: must be >= 0, got -1",
+        ["nbhd", "verify-plus", *_PS, "--trials", "-1"], "unrecognized arguments: --trials -1",
     ),
     "verify-general-negative-eps-trials": (
         ["nbhd", "verify-general", *_PS, "--eps-trials", "-1", "--delta", "0.1"],
@@ -973,7 +971,7 @@ FOREIGN_FLAG_CASES = {
     "verify-partial-sums": (["verify", "partial-sums", *_PS, "--m-cut", "1"], ["--r", "0.5"]),
     "nbhd-distance": (["nbhd", "distance", *_PS, "--other", "@member.json"], ["--trials", "5"]),
     "nbhd-delta": (["nbhd", "delta", "--params", "@params.json"], ["--seed", "3"]),
-    "nbhd-verify-plus": (["nbhd", "verify-plus", *_PS, "--trials", "5"],
+    "nbhd-verify-plus": (["nbhd", "verify-plus", *_PS],
                          ["--delta", "0.9", "--kind", "general"]),
     "nbhd-verify-general": (["nbhd", "verify-general", *_PS, "--trials", "2",
                              "--eps-trials", "1"], ["--kind", "general"]),
@@ -1008,7 +1006,7 @@ REFUSED_ARGV_CASES = {
                           "unrecognized arguments: --series "),
     "abbreviated-criterion": (["check", "--crit", "exact", *_PS],
                               "are required: --criterion"),
-    "abbreviated-trials": (["nbhd", "verify-plus", *_PS, "--tri", "5"],
+    "abbreviated-trials": (["nbhd", "verify-general", *_PS, "--tri", "5"],
                            "unrecognized arguments: --tri 5"),
     **{
         f"check-{criterion}-with-grid": (

@@ -155,7 +155,11 @@ def _sha(outcomes):
 #: a NaN margin: no neighbor was sampled, so no inequality measured one.  Then the
 #: 21 "plus" cases with delta = 0 (3, 19, 22, 93, 99, 112, 131, 138, 198, 210, 235,
 #: 236, 238, 261, 303, 310, 328, 344, 376, 381 and 385), inconclusive with margin
-#: 0.0, came to carry a NaN margin, for the same reason.
+#: 0.0, came to carry a NaN margin, for the same reason.  Then the plus inclusion
+#: came to be decided in closed form, reading no trial count or seed: the 150 "plus"
+#: cases that held (0, 6, 7 and 9 among them) hold at budget * premise_slack,
+#: witnessed by k*, and the 70 with trials = 0 (2 among them) hold there too; every
+#: other "plus" case kept its bits.
 EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True),
  'distance 1': ('0x1.bec8628c6cfc6p-1', '0x1.bec8628c6cfc6p-1', True),
  'distance 2': ('0x1.9e6ca24e7ba9ep-3', '0x1.9e6ca24e7ba9ep-3', True),
@@ -268,20 +272,22 @@ EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True)
                     ('0x1.fae147ae147aep-1', '0x0.0p+0'),
                     'grid=3b6464caa392 m_cut=0 theta=3.96260987076'),
  'plus 0': ('holds',
-            '0x1.6897fc7455604p-2',
-            None,
-            'trials=5 seed=85 delta=0.075554960605882418 premise_slack=0.293; witness at '
+            '0x1.4ab774422d9abp-2',
+            -2,
+            'closed form: every neighbor has sum s_k b_k <= premise + delta, attained by g* = f + '
+            '(delta/s_k) z^k at k=-2; delta=0.075554960605882418 premise_slack=0.293; witness at '
             'delta*=0.075554960681437383 fails by 0.0832'),
  'plus 1': ('inconclusive',
             '-0x1.156ac18b01d3bp+1007',
             None,
             'base function does not certify the exact criterion (fails); inclusion hypothesis not '
             'established'),
- 'plus 2': ('inconclusive',
-            'nan',
-            None,
-            'no neighbor sampled (trials = 0); trials=0 seed=81 delta=0.0083161724314435737 '
-            'premise_slack=0.762; witness at delta*=0.0083161724397597461 fails by 0.0101'),
+ 'plus 2': ('holds',
+            '0x1.dc1f3db68a936p-1',
+            -1,
+            'closed form: every neighbor has sum s_k b_k <= premise + delta, attained by g* = f + '
+            '(delta/s_k) z^k at k=-1; delta=0.0083161724314435737 premise_slack=0.762; witness at '
+            'delta*=0.0083161724397597461 fails by 0.0101'),
  'plus 3': ('inconclusive', 'nan', None, 'degenerate radius delta = 0; nothing to verify'),
  'plus 4': ('inconclusive',
             '-0x1.ea18ea70f8000p-47',
@@ -294,22 +300,25 @@ EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True)
             'premise violated: sum s_k a_k = 0.99871125307551656 > 0.99871125207680533; inclusion '
             'is not implied for this function'),
  'plus 6': ('holds',
-            '0x1.66817dec9ca48p-2',
-            None,
-            'trials=5 seed=89 delta=0.094797092631722188 premise_slack=0.671; witness at '
+            '0x1.48b9f1161d03dp-2',
+            -2,
+            'closed form: every neighbor has sum s_k b_k <= premise + delta, attained by g* = f + '
+            '(delta/s_k) z^k at k=-2; delta=0.094797092631722188 premise_slack=0.671; witness at '
             'delta*=0.094797092726519289 fails by 0.0453'),
  'plus 7': ('holds',
-            '0x1.3edf91a21029dp-4',
-            None,
-            'trials=20 seed=64 delta=0.11587403497574753 premise_slack=0.458; witness at '
+            '0x1.2ced525d6e9efp-4',
+            0,
+            'closed form: every neighbor has sum s_k b_k <= premise + delta, attained by g* = f + '
+            '(delta/s_k) z^k at k=0; delta=0.11587403497574753 premise_slack=0.458; witness at '
             'delta*=0.11587403509162157 fails by 0.0186'),
  'plus 8': ('ValueError',
             'kind: the plus weight at k=-2 is -0.283537 < 0; the weighted distance is not a '
             'metric'),
  'plus 9': ('holds',
-            '0x1.0cf3ae2fcc078p-4',
-            None,
-            'trials=5 seed=45 delta=0.079470586791311873 premise_slack=0.0314; witness at '
+            '0x1.f473844708e97p-6',
+            -1,
+            'closed form: every neighbor has sum s_k b_k <= premise + delta, attained by g* = f + '
+            '(delta/s_k) z^k at k=-1; delta=0.079470586791311873 premise_slack=0.0314; witness at '
             'delta*=0.07947058687078247 fails by 0.0772'),
  'sufficient 0': ('holds',
                   '0x1.fa6f2aada82d8p-4',
@@ -367,7 +376,7 @@ EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True)
 DIGESTS = {'distance': '9e5a85f1738985482aec2db44450033f72771f247ba036b34d08b9b365c70fb1',
  'exact': '8575fc0aa3fe8270bdc3eb949d7d6422315e8fecea61320402e953e1b27680ed',
  'partial-sums': 'b6edc88209191605e262ac6aeb3e5252c5531a41f4025706468913300f1eaac7',
- 'plus': '1b3633094123dbc98585f327fb8ad5bc54e836a0f91f565e857bf5aa23f6e9b7',
+ 'plus': 'eaad02cfd47563f113f2e6e360c6fd91de25a0a3430a2d647e37497080343941',
  'sufficient': 'abfe1ff105a18893b21b0f1a7aca34040c7d79522ac260ef11431b58b4a97b76'}
 
 

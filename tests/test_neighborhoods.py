@@ -1,9 +1,9 @@
 """Weighted coefficient neighborhoods and the two inclusion verifiers."""
 import importlib.util
-import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -184,9 +184,9 @@ def test_verify_plus_holds_on_premise_satisfying_member():
     cp = ClassParams(0.5, 1.0)
     f = LaurentSeries.pole_only(1, 8).with_coeff(1, 0.05)  # premise sum 0.45 < 0.5
     rep = verify_inclusion_plus(OP1, cp, f, trials=50, seed=1)
-    assert rep.verdict == "holds"
-    assert "trials=50" in rep.detail and "witness" in rep.detail
-    assert rep.worst_margin >= 0
+    assert rep.verdict == "holds" and rep.witness == 0  # s_0 = 2 > SUM_TOL: k* is the first index
+    assert rep.detail.startswith("closed form: ") and "witness at delta*=" in rep.detail
+    assert rep.worst_margin == pytest.approx(0.05, rel=1e-15)  # budget 1 times premise slack 0.5 - 0.45
 
 
 def test_verify_plus_inconclusive_on_criterion_extremal():
@@ -217,14 +217,12 @@ def test_verify_plus_degenerate_radius():
 
 
 def test_verify_plus_vacuous_trials():
-    """No neighbor sampled measures no margin: inconclusive with a NaN margin,
-    after the premise and the sharpness witness have been checked."""
+    """No neighbor is sampled, so trials = 0, like any other trial count (a
+    negative one too) and any seed, gives the closed form's report."""
     cp = ClassParams(0.5, 1.0)
     f = LaurentSeries.pole_only(1, 4)
-    rep = verify_inclusion_plus(OP1, cp, f, trials=0, seed=0)
-    assert rep.verdict == "inconclusive" and math.isnan(rep.worst_margin) and rep.witness is None
-    assert rep.detail.startswith("no neighbor sampled (trials = 0); ")
-    assert "premise_slack=" in rep.detail and "witness at delta*=" in rep.detail
+    reports = {verify_inclusion_plus(OP1, cp, f, trials, seed) for trials, seed in ((100, 0), (0, 0), (-1, 7))}
+    assert len(reports) == 1 and reports.pop().verdict == "holds"
 
 
 def test_verify_plus_is_deterministic():
@@ -308,9 +306,18 @@ def _general(*args):
 
 
 def _plus(*args):
-    """verify_inclusion_plus's outcome, asserted equal to the serial loop's."""
+    """verify_inclusion_plus's outcome, held to the serial loop's.  A closed-form
+    holds is the serial loop's run that no sampled neighbor failed (or that
+    sampled none), at a margin that no sampled neighbor goes below by more than
+    SUM_TOL; any other outcome, a refusal or an error, is the serial loop's, bit
+    for bit."""
     got = _outcome(neighborhoods.verify_inclusion_plus, *args)
-    assert got == _outcome(serial.verify_inclusion_plus, *args)
+    want = _outcome(serial.verify_inclusion_plus, *args)
+    if got[0] == "holds":
+        assert want[0] == "holds" or want[3].startswith("no neighbor sampled (trials = 0); ")
+        assert want[0] != "holds" or float.fromhex(got[1]) <= float.fromhex(want[1]) + SUM_TOL
+    else:
+        assert got == want
     return got
 
 
@@ -466,7 +473,7 @@ def test_verify_plus_as_serially(p, seed):
         f = _plus_member(op, cp, frac, seed)
         for trials in (0, 1, 100, 700):
             got = _plus(op, cp, f, trials, seed)
-            assert got[0] == ("inconclusive" if trials == 0 else "holds") and "witness at delta*" in got[3]
+            assert got[0] == "holds" and "witness at delta*" in got[3]
     over = _plus_member(op, cp, 1.5, seed)
     assert "premise violated" in _plus(op, cp, over, 100, seed)[3]
 
@@ -488,15 +495,46 @@ def test_verify_plus_degenerate_weight_as_serially():
         assert got == ("ValueError", "n: degenerate criterion weight at n=0; no finite bound")
 
 
-def test_verify_plus_failing_neighbor_as_serially(monkeypatch):
-    """A radius beyond delta* lets sampled neighbors violate the criterion."""
+def test_verify_plus_beyond_the_radius_is_inconclusive_at_g_star(monkeypatch):
+    """A radius beyond delta* lets sampled neighbors violate the criterion, and
+    g* with them: inconclusive at g*'s own margin, witnessed by k*, never fails.
+    The criterion is run three times, on f, on the sharpness witness and on g*."""
     op = OperatorParams(0.8, 0.3, 1, 1)
     cp = ClassParams(0.6, 0.7)
     f = _plus_member(op, cp, 0.9, 0)
     for module in (neighborhoods, serial):
         monkeypatch.setattr(module, "delta_star", lambda _op: 0.95)
-    got = _plus(op, cp, f, 300, 1)
-    assert got[0] == "fails" and got[2] > 0
+    want = _outcome(serial.verify_inclusion_plus, op, cp, f, 300, 1)
+    assert want[0] == "fails"
+    checked, check = [], neighborhoods.exact_membership_plus
+
+    def spy(op, cp, g):
+        checked.append(check(op, cp, g))
+        return checked[-1]
+
+    monkeypatch.setattr(neighborhoods, "exact_membership_plus", spy)
+    rep = neighborhoods.verify_inclusion_plus(op, cp, f, 300, 1)
+    assert [r.verdict for r in checked] == ["holds", "fails", "fails"]
+    assert (rep.verdict, rep.worst_margin, rep.witness) == ("inconclusive", checked[-1].worst_margin, 0)
+    assert rep.detail.startswith("g* = f + (delta/s_k) z^k at k=0 exceeds the budget by ")
+    assert f", beyond the tolerance {SUM_TOL:g} (premise_slack=" in rep.detail
+
+
+def test_verify_plus_premise_within_tolerance_is_inconclusive_at_g_star():
+    """At alpha = 4e-13 (p = 1, beta = 1) the criterion weight at k = 0 is 1.6e-12,
+    so the sharpness witness exists, but s_0 = 8e-13 <= SUM_TOL: k* = 1, beyond
+    the stored range of z^-1, which g* extends.  A premise over its bound by
+    9e-13, within SUM_TOL, puts g* over the budget by twice that, beyond SUM_TOL:
+    inconclusive at g*'s margin, witnessed by k* = 1."""
+    cp = ClassParams(4e-13, 1.0)
+    seq = WeightSeq("plus", OP1, cp)
+    assert 1e-12 < membership.criterion_weight(OP1, cp, 0) and weight(seq, 0) <= SUM_TOL
+    rep = verify_inclusion_plus(OP1, cp, LaurentSeries.pole_only(1, 0))
+    assert (rep.verdict, rep.witness) == ("holds", 1) and rep.worst_margin == budget(OP1, cp) * 0.5
+    f = L(1, 1, [0.0, (0.5 + 9e-13) / weight(seq, 1)])
+    rep = verify_inclusion_plus(OP1, cp, f)
+    assert (rep.verdict, rep.witness) == ("inconclusive", 1)
+    assert -2e-12 < rep.worst_margin < -SUM_TOL and "beyond the tolerance 1e-12" in rep.detail
 
 
 def test_verify_plus_sharpness_within_tolerance_as_serially():
@@ -531,54 +569,35 @@ def test_verify_plus_degenerate_radius_measures_no_margin_as_serially():
     assert got == ("inconclusive", "nan", None, "degenerate radius delta = 0; nothing to verify")
 
 
-def test_verify_plus_failing_neighbor_is_decided_once(monkeypatch):
-    """A failing trial's own weighted sum is exact_membership_plus's, so the single
-    check runs once, for the base, and the report carries the trial's margin."""
-    op, cp = OperatorParams(0.8, 0.3, 1, 1), ClassParams(0.6, 0.7)
-    f = _plus_member(op, cp, 0.9, 0)
-    for module in (neighborhoods, serial):
-        monkeypatch.setattr(module, "delta_star", lambda _op: 0.95)
-    want = _outcome(serial.verify_inclusion_plus, op, cp, f, 300, 1)
-    checked = []
-    check = neighborhoods.exact_membership_plus
-
-    def spy(op, cp, g):
-        checked.append(g)
-        return check(op, cp, g)
-
-    monkeypatch.setattr(neighborhoods, "exact_membership_plus", spy)
-    assert _outcome(neighborhoods.verify_inclusion_plus, op, cp, f, 300, 1) == want
-    assert want[0] == "fails" and len(checked) == 1 and checked[0] is f
-
-
 def test_each_sampled_run_draws_its_steps_in_one_call(monkeypatch):
-    """Both verifiers draw their neighbors' steps from one _steps call per sampled
-    run, whether the run holds, fails or samples nothing; a general run whose
-    neighborhood is certified draws none."""
+    """A general run draws its neighbors' steps from one _steps call, whether it
+    fails or samples nothing; a general run whose neighborhood is certified draws
+    none, and a plus run draws none at all."""
     calls = []
     steps = neighborhoods._steps
 
-    def spy(rng, s, radius, trials, direction):
+    def spy(rng, s, radius, trials):
         calls.append(trials)
-        return steps(rng, s, radius, trials, direction)
+        return steps(rng, s, radius, trials)
 
     monkeypatch.setattr(neighborhoods, "_steps", spy)
     cp = ClassParams(0.5, 1.0)
     f = LaurentSeries.pole_only(1, 8).with_coeff(1, 0.05)
-    assert [verify_inclusion_plus(OP1, cp, f, n, 1).verdict for n in (50, 0)] == ["holds", "inconclusive"]
+    assert verify_inclusion_plus(OP1, cp, f, 50, 1).verdict == "holds"
     op, cp, f = _member(1, 4)
     verdicts = [
         verify_inclusion_general(op, cp, f, r / phi(op, 1), eps, n, None, 11).verdict
         for r, eps, n in ((0.002, 8, 32), (0.002, 8, 0), (0.8, 0, 32))
     ]
     assert verdicts == ["holds", "holds", "fails"]
-    assert calls == [50, 0, 32]
+    assert calls == [32]
 
 
 def test_certified_run_screens_nothing(monkeypatch):
     """A run whose two phases are certified makes no _numeric_rows screen and no
-    _steps draw: two evaluations of f's image, one FFT call and one Horner pass
-    each, give the report.  The eps samples are still drawn from the seed."""
+    _steps draw: one evaluation of f's image gives the report, one FFT call of its
+    F and zF' rows and one Horner pass of them at both phases' witnesses (four
+    rows).  The eps samples are still drawn from the seed."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
     for name in ("_numeric_rows", "_steps"):
         monkeypatch.setattr(neighborhoods, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
@@ -586,7 +605,7 @@ def test_certified_run_screens_nothing(monkeypatch):
     rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
     assert rep.verdict == "holds" and rep.detail.startswith("every neighbor certified at every grid point; ")
     assert "eps-shifts certified at " in rep.detail and "trials" not in rep.detail
-    assert calls == {"eval_circles": [2, 2], "eval_many": [2, 2]}
+    assert calls == {"eval_circles": [2], "eval_many": [4]}
 
 
 def _schwarz_member(p, seed):
@@ -670,30 +689,84 @@ def test_uncertifiable_inputs_raise_no_warning(case):
     assert (got[1] == "nan" and got[2] is None) == (case != "radius above 1")
 
 
+def _closed_form_is_sound(op, cp, f, trials, seed):
+    """A plus report that holds, held to what the closed form claims: no trial count
+    or seed moves it; the serial sampler, the oracle, finds no neighbor below its
+    margin by more than SUM_TOL; g* = f + (delta/s_k*) z^k*, at the least k* with
+    s_k* > SUM_TOL, is in the neighborhood; and the margin is budget * (1/phi_{1-p}
+    - sum s_k a_k), computed exactly from the stored floats, to within its rounding."""
+    rep = verify_inclusion_plus(op, cp, f, trials, seed)
+    assert rep.verdict == "holds"
+    assert all(verify_inclusion_plus(op, cp, f, n, other) == rep for n, other in ((0, 0), (7, seed + 1)))
+    sampled = serial.verify_inclusion_plus(op, cp, f, trials, seed)
+    assert sampled.verdict == "holds" and sampled.worst_margin >= rep.worst_margin - SUM_TOL
+    seq, d, k = WeightSeq("plus", op, cp), delta_star(op), rep.witness
+    assert k == next(j for j in range(1 - op.p, 3 - op.p) if weight(seq, j) > SUM_TOL)
+    tail = np.zeros(max(f.trunc_order, k) + op.p, dtype=complex)
+    tail[: f.coeffs.size] = f.coeffs
+    tail[k - 1 + op.p] += d / weight(seq, k)
+    assert in_neighborhood(seq, f, L(op.p, tail.size - op.p, tail), d)
+    s = weight_array(seq, f.k_values())
+    premise = sum(Fraction(w) * Fraction(a) for w, a in zip(s.tolist(), f.coeffs.real.tolist()))
+    bound, B = neighborhoods._premise_bound(op), budget(op, cp)
+    exact = Fraction(B) * (Fraction(bound) - premise)
+    # the rounding of fl(B fl(bound - fl(sum s_k a_k))), to first order: gamma_n for the sum of
+    # n nonnegative terms, one rounding for the difference and one for the product
+    rounding = (s.size + 2) * 2.0**-53 * B * (bound + float(premise))
+    assert abs(Fraction(rep.worst_margin) - exact) <= Fraction(rounding)
+
+
 def test_verify_plus_never_samples_below_the_closed_form(monkeypatch):
     """Every g in the plus neighborhood has sum s_k b_k <= premise + delta* = 1 -
     premise_slack, so its criterion margin is at least budget * premise_slack, the
-    exact infimum.  On the benchmark's sampling-small plus members (seeds 0-19, its
-    own trial seeds) no sampled neighbor goes below it by more than SUM_TOL."""
+    exact infimum, which g* attains.  So it is on the benchmark's sampling-small
+    plus members (seeds 0-19, with the trial counts and seeds it passes): no
+    sampled neighbor goes below it by more than SUM_TOL."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up here
     spec.loader.exec_module(workloads)
     seen, check = [], merokit.verify_inclusion_plus
 
-    def spy(op, cp, f, trials, seed):
-        seen.append((op, cp, f, check(op, cp, f, trials, seed)))
-        return seen[-1][-1]
+    def spy(*args):
+        seen.append(args)
+        return check(*args)
 
     monkeypatch.setattr(merokit, "verify_inclusion_plus", spy)
     for seed in range(20):
         next(op for op in workloads.sampling_small(merokit, seed) if op.name == "verify_inclusion_plus.member").call()
     assert len(seen) == 20
-    for op, cp, f, rep in seen:
-        s = weight_array(WeightSeq("plus", op, cp), f.k_values())
-        slack = neighborhoods._premise_bound(op) - float(np.dot(s, f.coeffs.real))
-        assert rep.verdict == "holds" and slack > 0
-        assert rep.worst_margin >= budget(op, cp) * slack - SUM_TOL
+    for args in seen:
+        _closed_form_is_sound(*args)
+
+
+def _extremal_combination(rng):
+    """Operator and class parameters with metric plus weights (p <= 3), and z^-p plus
+    a convex combination of the one-term premise extremals (theta / phi_{1-p} s_n) z^n,
+    for n up to 1 - p + 8 with s_n > SUM_TOL and theta in {0.5, 0.9, 1}: its premise
+    sum is theta / phi_{1-p}, on the bound for theta = 1."""
+    while True:
+        p = int(rng.integers(1, 4))
+        lam = float(10.0 ** rng.uniform(-2.0, 0.5))
+        op = OperatorParams(lam, lam * float(rng.uniform(0.0, 1.0)), int(rng.integers(0, 3)), p)
+        cp = ClassParams(float(rng.uniform(0.0, 0.95)), float(rng.uniform(0.05, 1.0)))
+        if delta_star(op) > 0 and ratio_weights(op, cp, np.array([1 - p]))[0] >= 0:
+            break
+    ks = np.arange(1 - p, 10 - p)
+    s = weight_array(WeightSeq("plus", op, cp), ks)
+    usable = s > SUM_TOL
+    t = rng.dirichlet(np.ones(ks.size)) * usable
+    theta = float(rng.choice([0.5, 0.9, 1.0]))
+    a = np.where(usable, theta * neighborhoods._premise_bound(op) * t / t.sum() / np.where(usable, s, 1.0), 0.0)
+    return op, cp, L(p, int(ks[-1]), a)
+
+
+def test_verify_plus_closed_form_on_extremal_combinations():
+    """As on the benchmark's members, on 24 seeded convex combinations of premise
+    extremals, some of them with their premise sum on its bound."""
+    rng = np.random.default_rng(20261019)
+    for seed in range(24):
+        _closed_form_is_sound(*_extremal_combination(rng), 100, seed)
 
 
 def test_verify_plus_refusals_as_serially():
@@ -708,8 +781,8 @@ def test_verify_plus_refusals_as_serially():
 
 def _screened_blocks(monkeypatch, grid, tail, count):
     """Screen ``count`` copies of z^-1 with ``tail`` zero coefficients (each
-    holds): the screen's outcome, and per ``eval_circles`` call the rows it
-    got and how many candidates had been drawn from the stream by then."""
+    holds): the screen's miss, and per ``eval_circles`` call the rows it got
+    and how many candidates had been drawn from the stream by then."""
     drawn, calls = [], []
     evaluate = membership.eval_circles
 
@@ -748,9 +821,9 @@ def test_trial_blocks_stay_within_their_byte_cap(monkeypatch, radii, angles, tai
     entries = 2 * (tail + circles * (tail + angles))
     assert rows == 1 or rows * entries * 16 <= 256 * 1024
     assert (rows + 1) * entries * 16 > 256 * 1024
-    (miss, worst, witness), calls, drawn = _screened_blocks(monkeypatch, grid, tail, 3 * rows)
+    miss, calls, drawn = _screened_blocks(monkeypatch, grid, tail, 3 * rows)
     if circles:
-        assert miss is None and np.isfinite(worst) and witness is not None
+        assert miss is None
         assert calls == [(2 * rows, rows), (2 * rows, 2 * rows), (2 * rows, 3 * rows)]
     else:  # nothing to evaluate: the first candidate is the caller's to re-run
         assert miss[0] == 0 and calls == [] and drawn == rows
@@ -800,8 +873,8 @@ def test_default_scale_trial_memory_peak():
 
 
 def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
-    """On a 20x4096 grid each certificate, each eps sample and each trial is
-    its own block: one eval_circles call of its F and zF' rows."""
+    """On a 20x4096 grid the certificate of both phases, each eps sample and
+    each trial is its own block: one eval_circles call of its F and zF' rows."""
     sizes = []
     evaluate = membership.eval_circles
 
@@ -814,7 +887,7 @@ def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
     grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 4096)
     rep = neighborhoods.verify_inclusion_general(op, cp, f, delta, 2, 3, grid, 0)
     assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
-    assert sizes == [2] * 7
+    assert sizes == [2] * 6
 
 
 def _spied(monkeypatch, *names):
@@ -831,29 +904,31 @@ def _spied(monkeypatch, *names):
 
 def test_default_scale_run_makes_one_horner_pass_per_phase(monkeypatch):
     """A default-scale call (8 eps samples and 32 trials, K = 64 - p on the 5x720
-    grid) that certifies neither phase is, per phase, the certificate (one
-    eval_circles call and one eval_many pass of f's F and zF' rows), then the
-    screen: FFT blocks of 2 candidates, each one eval_circles call of its F and
-    zF' rows, and one Horner pass (eval_many) per phase, not per block."""
+    grid) that certifies neither phase is the certificate of both phases (one
+    eval_circles call of f's F and zF' rows and one eval_many pass of them at
+    both witnesses), then per phase the screen: FFT blocks of 2 candidates, each
+    one eval_circles call of its F and zF' rows, and one Horner pass (eval_many)
+    per phase, not per block."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
     op, cp, f, delta = _screened()
     rep = verify_inclusion_general(op, cp, f, delta, 8, 32, None, 0)
     assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
-    assert calls["eval_circles"] == [2] + [4] * 4 + [2] + [4] * 16
-    assert calls["eval_many"] == [2, 16, 2, 64]
+    assert calls["eval_circles"] == [2] + [4] * 4 + [4] * 16
+    assert calls["eval_many"] == [4, 16, 64]
 
 
 def test_long_series_horner_batches_stay_within_the_byte_cap(monkeypatch):
-    """A Horner batch holds as many candidates as keep its F and zF' tails and
-    Horner's transposed copy of them (4n entries each) within 256 KiB.  At
-    K = 4096 - p on a one-circle grid that is one candidate, a block of its own,
-    as each certificate's single candidate is."""
+    """A screen's Horner batch holds as many candidates as keep its F and zF'
+    tails and Horner's transposed copy of them (4n entries each) within 256 KiB.
+    At K = 4096 - p on a one-circle grid that is one candidate, a block of its
+    own.  The certificate, one Horner pass of f's F and zF' rows at both phases'
+    witnesses, comes first."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
     op, cp, f, delta = _screened(4094)
     rep = verify_inclusion_general(op, cp, f, delta, 3, 5, SampleGrid((0.9,), 8), 0)
     assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
-    assert calls["eval_circles"] == calls["eval_many"] == [2] * 10
-    assert all(2 * rows * len(f.coeffs) * 16 <= membership._BLOCK_BYTES for rows in calls["eval_many"])
+    assert calls["eval_circles"] == [2] * 9 and calls["eval_many"] == [4] + [2] * 8
+    assert all(2 * rows * len(f.coeffs) * 16 <= membership._BLOCK_BYTES for rows in calls["eval_many"][1:])
 
 
 def test_many_trials_keep_the_default_scale_memory_peak(monkeypatch):
@@ -870,7 +945,7 @@ def test_many_trials_keep_the_default_scale_memory_peak(monkeypatch):
     assert rep.verdict == "inconclusive" and peak < 640 * 1024
     calls = _spied(monkeypatch, "eval_many")
     assert verify_inclusion_general(*args) == rep
-    assert calls["eval_many"] == [2, 16, 2] + [128] * 4
+    assert calls["eval_many"] == [4, 16] + [128] * 4
 
 
 def test_failing_run_draws_only_to_the_failing_block(monkeypatch):

@@ -495,29 +495,41 @@ def test_verify_plus_degenerate_weight_as_serially():
         assert got == ("ValueError", "n: degenerate criterion weight at n=0; no finite bound")
 
 
-def test_verify_plus_beyond_the_radius_is_inconclusive_at_g_star(monkeypatch):
-    """A radius beyond delta* lets sampled neighbors violate the criterion, and
-    g* with them: inconclusive at g*'s own margin, witnessed by k*, never fails.
-    The criterion is run three times, on f, on the sharpness witness and on g*."""
+def test_verify_plus_failing_neighbor_as_serially(monkeypatch):
+    """A radius beyond delta* lets sampled neighbors violate the criterion: the
+    serial sampler fails.  g* violates it with them, so the closed form is
+    inconclusive at g*'s own margin, witnessed by k*, and never fails."""
     op = OperatorParams(0.8, 0.3, 1, 1)
     cp = ClassParams(0.6, 0.7)
     f = _plus_member(op, cp, 0.9, 0)
     for module in (neighborhoods, serial):
         monkeypatch.setattr(module, "delta_star", lambda _op: 0.95)
     want = _outcome(serial.verify_inclusion_plus, op, cp, f, 300, 1)
-    assert want[0] == "fails"
+    assert want[0] == "fails" and want[2] > 0
+    rep = neighborhoods.verify_inclusion_plus(op, cp, f, 300, 1)
+    assert (rep.verdict, rep.witness) == ("inconclusive", 0) and rep.worst_margin < -SUM_TOL
+    assert rep.detail.startswith("g* = f + (delta/s_k) z^k at k=0 exceeds the budget by ")
+    assert f", beyond the tolerance {SUM_TOL:g} (premise_slack=" in rep.detail
+
+
+def test_verify_plus_failing_neighbor_is_decided_once(monkeypatch):
+    """Beyond delta* the criterion is run three times, f first and once: on f,
+    on the sharpness witness and on g*; the report carries g*'s margin."""
+    op, cp = OperatorParams(0.8, 0.3, 1, 1), ClassParams(0.6, 0.7)
+    f = _plus_member(op, cp, 0.9, 0)
+    for module in (neighborhoods, serial):
+        monkeypatch.setattr(module, "delta_star", lambda _op: 0.95)
     checked, check = [], neighborhoods.exact_membership_plus
 
     def spy(op, cp, g):
-        checked.append(check(op, cp, g))
-        return checked[-1]
+        checked.append((g, check(op, cp, g)))
+        return checked[-1][1]
 
     monkeypatch.setattr(neighborhoods, "exact_membership_plus", spy)
     rep = neighborhoods.verify_inclusion_plus(op, cp, f, 300, 1)
-    assert [r.verdict for r in checked] == ["holds", "fails", "fails"]
-    assert (rep.verdict, rep.worst_margin, rep.witness) == ("inconclusive", checked[-1].worst_margin, 0)
-    assert rep.detail.startswith("g* = f + (delta/s_k) z^k at k=0 exceeds the budget by ")
-    assert f", beyond the tolerance {SUM_TOL:g} (premise_slack=" in rep.detail
+    assert [r.verdict for _, r in checked] == ["holds", "fails", "fails"]
+    assert checked[0][0] is f and all(g is not f for g, _ in checked[1:])
+    assert (rep.verdict, rep.worst_margin) == ("inconclusive", checked[-1][1].worst_margin)
 
 
 def test_verify_plus_premise_within_tolerance_is_inconclusive_at_g_star():

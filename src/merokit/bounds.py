@@ -328,38 +328,16 @@ def conv_derivative_kernel(p: int, trunc_order: int) -> LaurentSeries:
     return LaurentSeries(p, trunc_order, ks, -float(p), False)
 
 
-def _phase_candidates(u, v, beta: float, theta_count: int):
-    """Per point, the phases lo <= hi either side of arg(u conj(v)) and |u - beta e^(2 pi i s/(T+1)) v|
-    at each: (lo, at lo, hi, at hi).
-
-    |u - beta sigma v|^2 = |u|^2 + beta^2 |v|^2 - 2 beta |u||v| cos(theta - arg(u conj(v))), so
-    only these two of s = 1..T compete (0 stands for arg(u conj(v)) where u or v is 0), going
-    round the excluded theta = 0.  Each candidate repeats the operations of a scan over all T
-    phases, so the minimum has that scan's bits unless rounding reorders phases that tie in
-    exact arithmetic.  The factors beta sigma come from one table of the T + 1 phases when it is
-    no longer than the candidates it serves, else point by point: the same operations either
-    way.  A non-finite u or v gives a non-finite value.
-    """
-    n = theta_count + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        star = np.where((u == 0) | (v == 0), 0.0, np.angle(u) - np.angle(v))
-        j = np.floor(np.where(star < 0, star + 2.0 * np.pi, star) * n / (2.0 * np.pi)).astype(np.int64)
-        wrap = (j < 1) | (j >= theta_count)  # theta* lies between theta_T and theta_1, or is NaN
-        lo, hi = np.where(wrap, 1, j), np.where(wrap, theta_count, j + 1)
-
-        def beta_sigma(s):
-            return beta * np.exp(1j * (2.0 * np.pi * s / n))
-
-        table = beta_sigma(np.arange(n)) if n <= 2 * j.size else None
-        at_lo, at_hi = (np.abs(u - (beta_sigma(s) if table is None else table[s]) * v) for s in (lo, hi))
-    return lo, at_lo, hi, at_hi
-
-
-def _nearest_phase(u, v, beta: float, theta_count: int):
-    """Per point, min over s = 1..T of |u - beta e^(2 pi i s/(T+1)) v| and the s attaining it;
-    the lower s wins a tie.  See _phase_candidates."""
-    lo, at_lo, hi, at_hi = _phase_candidates(u, v, beta, theta_count)
-    return np.minimum(at_lo, at_hi), np.where(at_hi < at_lo, hi, lo)
+def _phase_detail(worst: float, u: complex, v: complex) -> str:
+    """The report's words on theta* = arg(u conj(v)) in [0, 2 pi), where |u - beta e^(i theta) v|
+    is least.  arg u - arg v lies in [-2 pi, 2 pi]; its ends (the signed zeros of -1 +- 0j), and
+    a negative difference that reduces to 2 pi by rounding, are the phase 0."""
+    if u == 0 or v == 0:
+        return f"min |value| = {worst:.6g} at every theta (u = 0 or v = 0 at the witness)"
+    theta = float(np.angle(u) - np.angle(v)) % (2.0 * math.pi)
+    if theta in (0.0, 2.0 * math.pi):
+        return f"min |value| = {worst:.6g} approached as theta -> 0, excluded, and not attained"
+    return f"min |value| = {worst:.6g} at theta={theta:.6g}"
 
 
 def convolution_nonvanishing(
@@ -370,15 +348,19 @@ def convolution_nonvanishing(
     theta_count: int = 360,
     threshold: float | None = None,
 ) -> Report:
-    """Minimize |z^p [ (1-beta sigma) z F' + p (1-(2 alpha-1) beta sigma) F ]|
-    over the grid and sigma = e^(2 pi i s/(T+1)), s = 1..T = theta_count,
-    reporting the smallest modulus and, at the witness, its phase.
+    """Minimize |u - beta sigma v| over the grid and |sigma| = 1, where
+    u - beta sigma v = z^p [ (1-beta sigma) z F' + p (1-(2 alpha-1) beta sigma) F ],
+    reporting the smallest modulus and, at the witness, the phase theta* of
+    the minimizing sigma* = e^(i theta*).
 
-    F = the operator transform of f.  For class members the value never
-    vanishes; f = z^-p gives the constant 2 p beta (1-alpha) e^(i theta)
-    exactly.  Meaningful only when f (is believed to) pass a membership
-    check.  theta = 0 and 2 pi are excluded: the statement is open there.
-    No array of length T is built; T <= 2**53 keeps the phase index exact.
+    F = the operator transform of f.  At each point the infimum over the
+    circle is ||u| - beta |v||, at theta* = arg(u conj(v)); theta = 0 is
+    excluded, since the statement is open there, but the infimum over the open
+    arc is the same, approached and not attained when theta* = 0.  For class
+    members the value never vanishes; f = z^-p gives u = 0 and the constant
+    2 p beta (1-alpha).  Meaningful only when f (is believed to) pass a
+    membership check.  ``theta_count`` is read by nothing; it stays so that
+    calls passing it, or ``threshold``, by position keep working.
     """
     require_pole_order(op, f)
     grid = grid or default_grid()
@@ -386,26 +368,31 @@ def convolution_nonvanishing(
         threshold = grid.margin
     if not threshold >= 0.0:
         raise ValueError(f"threshold: need >= 0, got {threshold}")
-    if not 1 <= theta_count <= 2**53:
-        raise ValueError(f"theta_count: need 1 <= theta_count <= 2**53, got {theta_count}")
     F = apply_coeff(op, f)
     dF = z_derivative(F)
-
-    def uv(points, a, b):
-        zp = points ** op.p
-        with np.errstate(over="ignore", invalid="ignore"):  # the driver refuses non-finite margins
-            return zp * (a + op.p * b), zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
+    shift = 2.0 * cp.alpha - 1.0
 
     def margin_of(points, a, b):
-        _, at_lo, _, at_hi = _phase_candidates(*uv(points, a, b), cp.beta, theta_count)
-        return np.minimum(at_lo, at_hi)
+        # |z|^p | |zF' + pF| - beta |zF' + (2 alpha - 1) pF| |, in the buffers of the values
+        # zF' (a) and F (b), which it consumes; _grid_check refuses non-finite margins
+        with np.errstate(over="ignore", invalid="ignore"):
+            pf = np.multiply(b, op.p, out=b)
+            at_u = np.abs(np.add(a, pf, out=a))
+            np.add(a, np.multiply(pf, shift - 1.0, out=pf), out=a)
+            at_v = np.abs(a, out=b.real)
+            margins = np.subtract(at_u, np.multiply(at_v, cp.beta, out=at_v), out=at_u)
+            np.abs(margins, out=margins)
+            return np.multiply(margins, np.power(np.abs(points, out=b.imag), op.p, out=b.imag), out=margins)
 
-    note = _grid_note(grid) + f" theta_count={theta_count}"
+    note = _grid_note(grid)
 
-    def detail_at(report, a, b):  # the phase at the witness, from the Horner values there
-        s = int(_nearest_phase(*uv(np.array([report.witness]), a, b), cp.beta, theta_count)[1][0])
-        theta = 2.0 * np.pi * s / (theta_count + 1)
-        return f"min |value| = {report.worst_margin:.6g} at theta={theta:.6g}; {note}"
+    def detail_at(report, a, b):
+        # theta* from the Horner values at the witness, by margin_of's operations; z^p cancels
+        with np.errstate(over="ignore", invalid="ignore"):
+            pf = op.p * b[0]
+            u = a[0] + pf
+            v = u + (shift - 1.0) * pf
+        return f"{_phase_detail(report.worst_margin, complex(u), complex(v))}; {note}"
 
     return _grid_check(
         grid, RADIUS_CAP, (dF, F), margin_of, lambda best: best > threshold, note, detail_at=detail_at

@@ -263,11 +263,8 @@ def _verify_distortion(args) -> tuple[int, str]:
 def _verify_conv(args) -> tuple[int, str]:
     op, cp, f = _read_inputs(args)
     grid = _read_grid(args.grid)
-    rep = convolution_nonvanishing(op, cp, f, grid, args.theta_count, args.threshold)
-    return _report_out(rep, _config(
-        op=op, cp=cp, grid=grid, check=args.what, theta_count=args.theta_count,
-        threshold=args.threshold,
-    ))
+    rep = convolution_nonvanishing(op, cp, f, grid, threshold=args.threshold)
+    return _report_out(rep, _config(op=op, cp=cp, grid=grid, check=args.what, threshold=args.threshold))
 
 
 def _verify_partial_sums(args) -> tuple[int, str]:
@@ -445,7 +442,6 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
         "--which": dict(required=True, choices=("f_plus", "f_general", "fprime_general")),
         "--tail-mode": dict(choices=("exact_support", "tail_estimate", "divergent_flag")),
         "--angles": dict(type=_int64, default=720, help="circle samples"),
-        "--theta-count": dict(type=_int64, default=360, help="phase samples"),
         "--threshold": dict(type=_finite_float, help="non-vanishing cutoff"),
         "--m-cut": dict(type=_int64, required=True, help="cut index"),
         "--other": dict(type=path, required=True, help="second series JSON"),
@@ -490,7 +486,7 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
         ("coeff-plus", _verify_coeff, ("--series",)),
         ("distortion", _verify_distortion,
          ("--series", "--r", "--which", "--tail-mode", "--angles")),
-        ("conv-nonvanish", _verify_conv, ("--series", "--theta-count", "--threshold", "--grid")),
+        ("conv-nonvanish", _verify_conv, ("--series", "--threshold", "--grid")),
         ("partial-sums", _verify_partial_sums, ("--series", "--m-cut", "--grid")),
     ))
     kinds("nbhd", "weighted-neighborhood tools", "what", (

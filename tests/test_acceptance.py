@@ -248,9 +248,9 @@ def test_05_generator_certification(announce, herglotz_batch):
 
 
 def test_06_convolution_nonvanishing(announce, herglotz_batch):
-    """The scanned convolution combination stays > 1e-6 in modulus for
-    every generated member (360 phases x default radii), and the bare
-    pole gives the constant 2 p beta (1 - alpha) to 1e-12."""
+    """The convolution combination stays > 1e-6 in modulus for every
+    generated member (every phase x default radii), and the bare pole
+    gives the constant 2 p beta (1 - alpha) to 1e-12."""
     grid = default_grid()
     bad = []
     worst = np.inf

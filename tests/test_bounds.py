@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,7 @@ import merokit.bounds
 import merokit.series
 from merokit.bounds import (
     TailPolicy,
-    _nearest_phase,
+    _phase_detail,
     coeff_bound_general,
     coeff_bound_plus,
     coeff_bounds_report,
@@ -27,12 +28,11 @@ from merokit.bounds import (
     phi_growth_degree,
     ratio_weights,
 )
-from merokit.generators import SchwarzPoly, extremal_fn, from_schwarz, ratio_extremal
+from merokit.generators import MeasureAtoms, SchwarzPoly, extremal_fn, from_herglotz, from_schwarz, ratio_extremal
 from merokit.membership import (
     RADIUS_CAP,
     SUM_TOL,
     ClassParams,
-    _grid_verdict,
     disk_characterization,
     disk_margins,
     numeric_margins,
@@ -44,6 +44,7 @@ from merokit.operator import OperatorParams, apply_coeff
 from merokit.series import (
     LaurentSeries,
     SampleGrid,
+    default_grid,
     eval_at,
     eval_circles,
     eval_many,
@@ -334,16 +335,17 @@ def test_convolution_holds_for_member():
 
 
 def test_convolution_flags_vanishing_point():
-    """With a_1 = 4/9 the scanned combination is sigma + 3 a z^2 (2 - sigma)
-    after the operator triples a_1, and it vanishes exactly at z = 0.5 and
-    z = -0.5, sigma = -1.  All lie on the scan grid (45 thetas puts pi on
-    it), so the minimum modulus collapses to rounding error and the check
-    fails.  Rounding decides which of the two zeros is reported."""
+    """With a_1 = 4/9 the combination is sigma + 3 a z^2 (2 - sigma) after the
+    operator triples a_1, and it vanishes exactly at z = 0.5 and z = -0.5,
+    sigma = -1.  Both lie on the default grid, so the infimum over the phases
+    collapses to rounding error and the check fails.  Rounding decides which
+    of the two zeros is reported."""
     f = L(1, 1, [0.0, 4.0 / 9.0])
     rep = convolution_nonvanishing(OP1, HALF, f, theta_count=45)
     assert rep.verdict == "fails"
     assert rep.worst_margin < 1e-12
     assert min(abs(rep.witness - 0.5), abs(rep.witness + 0.5)) < 1e-12
+    assert "at theta=3.14159;" in rep.detail
 
 
 def _one_matrix_min(u, v, beta, sigmas):
@@ -362,121 +364,201 @@ def test_convolution_refuses_negative_threshold():
     assert rep.verdict == "holds"
 
 
-def test_nearest_phase_matches_one_matrix():
-    """At each point the two phases either side of arg(u conj(v)) give the
-    one-matrix scan's minimum, bit for bit, and its first-on-ties phase."""
-    rng = np.random.default_rng(11)
-    beta = 0.7
-    # T + 1 = 80 = 2 x 40 points is the longest phase table; from 81 on, the
-    # phases are taken point by point
-    for T in (1, 2, 45, 79, 80, 360):
-        sigmas = np.exp(1j * (2.0 * np.pi * np.arange(1, T + 1) / (T + 1)))
-        u = rng.normal(size=40) + 1j * rng.normal(size=40)
-        v = rng.normal(size=40) + 1j * rng.normal(size=40)
-        # exact zeros on the phase grid: the products the scan forms
-        for z, s in ((1, 0), (2, T - 1), (3, T // 2)):
-            u[z] = (beta * sigmas[:, None] * v[None, z : z + 1])[s, 0]
-        # every phase ties: v = 0, and u = v = 0
-        v[4] = 0.0
-        u[5] = v[5] = 0.0
-        # theta* = pi (the two middle phases tie for even T), and theta* = 0
-        # (s = 1 ties s = T across the excluded theta = 0)
-        u[6], v[6] = 1.0, -1.0
-        u[7], v[7] = 1.0, 1.0
-        # theta* inside the first gap and inside the last gap
-        gap = 2.0 * np.pi / (T + 1)
-        u[8], v[8] = np.exp(1j * gap / 3), 1.0
-        u[9], v[9] = np.exp(-1j * gap / 3), 1.0
-        # theta* = -2 pi and +2 pi, from the signed zeros of -1 +- 0j
-        u[10], v[10] = complex(-1.0, -0.0), complex(-1.0, 0.0)
-        u[12], v[12] = complex(-1.0, 0.0), complex(-1.0, -0.0)
-        best, phase = _nearest_phase(u, v, beta, T)
-        for i in range(u.size):
-            want, s = _one_matrix_min(u[i : i + 1], v[i : i + 1], beta, sigmas)
-            assert (best[i].hex(), int(phase[i])) == (want.hex(), s + 1), (T, i)
-        assert best[1] == best[2] == best[3] == best[5] == 0.0
-        assert (phase[1], phase[2], phase[3]) == (1, T, T // 2 + 1)
-        assert phase[4] == phase[5] == 1 and phase[8] == 1 and phase[9] == T
-        assert np.angle(u[10]) - np.angle(v[10]) == -2.0 * np.pi
-        assert np.angle(u[12]) - np.angle(v[12]) == 2.0 * np.pi
-        # u = 0: every phase ties in exact arithmetic, and the rounding of
-        # sigma decides the scan's pick; theta* = 0 weighs s = 1 against T
-        u0, v0 = np.zeros(1, dtype=complex), np.array([0.3 - 0.4j])
-        best, phase = _nearest_phase(u0, v0, beta, T)
-        want, _ = _one_matrix_min(u0, v0, beta, sigmas)
-        assert best[0] == pytest.approx(want, rel=1e-15) and phase[0] in (1, T)
-    # an infinite value that is not the minimum passes; a NaN anywhere is the
-    # driver's overflow error
-    u[11] = np.inf
-    best, _ = _nearest_phase(u, v, beta, T)
-    assert best[11] == np.inf
-    _grid_verdict(np.arange(u.size), best, lambda worst: True, "")
-    u[36] = np.nan
-    best, _ = _nearest_phase(u, v, beta, T)
-    assert math.isnan(best[36])
-    with pytest.raises(OverflowError, match="margin: not finite at 36"):
-        _grid_verdict(np.arange(u.size), best, lambda worst: True, "")
+def _phases(T):
+    """The T interior phases e^(2 pi i s/(T+1)), s = 1..T, of a scan."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(1, T + 1) / (T + 1)))
 
 
-def _scan_report(op, cp, f, grid, theta_count):
-    """The full theta scan: the sigma-major argmin over (phase, point) of the
-    FFT values, and Horner's value at that point and phase."""
-    F = apply_coeff(op, f)
-    dF = z_derivative(F)
-    zs = grid.points(radius_cap=RADIUS_CAP)
-    thetas = 2.0 * np.pi * np.arange(1, theta_count + 1) / (theta_count + 1)
-    sigmas = np.exp(1j * thetas)
+def _scan_minima(u, v, beta, T):
+    """Per point, the T-phase scan's minimum of |u - beta sigma v|, by the one-matrix oracle."""
+    sigmas = _phases(T)
+    return np.array([_one_matrix_min(u[i : i + 1], v[i : i + 1], beta, sigmas)[0] for i in range(u.size)])
 
-    def uv(points, values):
-        a, b = values(dF), values(F)
-        zp = points ** op.p
-        return zp * (a + op.p * b), zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
 
-    _, flat = _one_matrix_min(*uv(zs, lambda g: eval_circles(g, grid, RADIUS_CAP)), cp.beta, sigmas)
-    i, s = flat % zs.size, flat // zs.size
-    at = zs[i : i + 1]
-    best, _ = _one_matrix_min(*uv(at, lambda g: eval_many(g, at)), cp.beta, sigmas[s : s + 1])
-    detail = f"min |value| = {best:.6g} at theta={float(thetas[s]):.6g}; "
-    return best, complex(zs[i]), detail + f"grid={grid.digest()} theta_count={theta_count}"
+def _conv_uv(op, cp, zs, values):
+    """u = z^p (zF' + pF) and v = z^p (zF' + (2 alpha - 1) pF) from the values of zF' and F."""
+    a, b = values
+    zp = zs ** op.p
+    return zp * (a + op.p * b), zp * (a + (2.0 * cp.alpha - 1.0) * op.p * b)
+
+
+def _conv_band(op, cp, F, zs):
+    """The rounding band of ||u| - beta |v||, point by point: (4 n + 16) units of 2**-53
+    of (1 + beta) M, with M = sum (|k| + p) |c_k| |z|^(k+p) over the n stored terms c_k
+    of F, the pole included, the moduli that the Horner sums of u and v add up.  It
+    bounds the FFT's values too, whose rounding grows only with the log of the angle count."""
+    ks = np.concatenate(([-op.p], F.k_values()))
+    c = np.abs(np.concatenate(([F.lead], F.coeffs)))
+    majorant = np.sum((np.abs(ks) + op.p) * c * np.abs(zs)[:, None] ** (ks + op.p), axis=1)
+    return (4 * ks.size + 16) * 2.0**-53 * (1.0 + cp.beta) * majorant
+
+
+def _mp_infimum(op, cp, F, z):
+    """||u| - beta |v|| at z in 40-digit mpmath, from F's stored coefficients."""
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z)
+        terms = [(-op.p, mpmath.mpc(F.lead))] + [(int(k), mpmath.mpc(c)) for k, c in zip(F.k_values(), F.coeffs)]
+        b = mpmath.fsum(c * zm**k for k, c in terms)
+        a = mpmath.fsum(k * c * zm**k for k, c in terms)
+        zp = zm**op.p
+        u = zp * (a + op.p * b)
+        v = zp * (a + (2 * mpmath.mpf(cp.alpha) - 1) * op.p * b)
+        return float(abs(abs(u) - mpmath.mpf(cp.beta) * abs(v)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_convolution_matches_full_scan(seed):
+    """The reported margin is the infimum over every phase, ||u| - beta |v||:
+    at every grid point it is no larger than a T-phase scan's minimum of the
+    FFT values (T = 1, 45, 360), up to the rounding band ``_conv_band``; a
+    65536-phase scan lies above it by at most the farthest its nearest phase
+    can be from theta*, sqrt(2 beta |u||v| (1 - cos(pi/65537))) at the witness;
+    and it agrees, within the band, with ||u| - beta |v|| at the witness in
+    40-digit mpmath from F's stored coefficients."""
     rng = np.random.default_rng(seed)
     op = OperatorParams(1.0, 0.5, 1, seed)
     cp = ClassParams(rng.uniform(0.0, 0.9), rng.uniform(0.3, 1.0))
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
     f = from_schwarz(op, cp, SchwarzPoly(tuple(c / (1.2 * np.sum(np.abs(c))))), 40)
     grid = SampleGrid((0.3, 0.6, 0.9), 64)
+    rep = convolution_nonvanishing(op, cp, f, grid)
+    assert rep.verdict == "holds"
+    F = apply_coeff(op, f)
+    zs = grid.points(radius_cap=RADIUS_CAP)
+    u, v = _conv_uv(op, cp, zs, [eval_circles(g, grid, RADIUS_CAP) for g in (z_derivative(F), F)])
+    band = _conv_band(op, cp, F, zs)
     for T in (1, 45, 360):
-        rep = convolution_nonvanishing(op, cp, f, grid, T)
-        best, witness, detail = _scan_report(op, cp, f, grid, T)
-        assert (rep.worst_margin.hex(), rep.witness, rep.detail) == (best.hex(), witness, detail)
+        assert np.all(rep.worst_margin <= _scan_minima(u, v, cp.beta, T) + band), T
+    i = int(np.flatnonzero(zs == rep.witness)[0])
+    gap = math.sqrt(2.0 * cp.beta * abs(u[i]) * abs(v[i]) * (1.0 - math.cos(math.pi / 65537)))
+    fine = float(np.min(_scan_minima(u, v, cp.beta, 65536)))
+    assert rep.worst_margin - band[i] <= fine <= rep.worst_margin + gap + band[i]
+    assert abs(rep.worst_margin - _mp_infimum(op, cp, F, rep.witness)) <= band[i]
 
 
-def test_convolution_theta_count_bound():
-    """No array of length theta_count is built, so 1e11 phases cost what 360
-    do, and their minimum is all but the infimum ||u| - beta |v|| over the
-    circle.  Beyond 2**53 the phase index is not exact in a double."""
-    f = extremal_fn(OP1, HALF, 1)
-    grid = SampleGrid((0.5,), 16)
-    for T in (10**11, 2**53):
-        rep = convolution_nonvanishing(OP1, HALF, f, grid, T)
-        assert rep.verdict == "holds" and rep.detail.endswith(f" theta_count={T}")
-    zs = grid.points()
-    F = apply_coeff(OP1, f)
-    a, b = eval_many(z_derivative(F), zs), eval_many(F, zs)
-    u, v = zs * (a + b), zs * a
-    assert rep.worst_margin == pytest.approx(np.min(np.abs(np.abs(u) - np.abs(v))), rel=1e-9)
-    for T in (0, 2**53 + 1):
-        with pytest.raises(ValueError, match=r"theta_count: need 1 <= theta_count <= 2\*\*53"):
-            convolution_nonvanishing(OP1, HALF, f, grid, T)
+def test_convolution_reports_the_infimum_the_phases_miss():
+    """One of 20 Herglotz members (K = 40, beta in [0.3, 1], default grid) on
+    which the 360 sampled phases overstated the infimum about 19 times: the
+    reported margin stays within the band of ||u| - beta |v|| in mpmath."""
+    rng = np.random.default_rng(18)
+    op = OperatorParams(1.0, 0.0, 1, 1)
+    alpha, beta = float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.3, 1.0))
+    angles, weights = rng.uniform(0.0, 2.0 * np.pi, 3), rng.dirichlet(np.ones(3))
+    atoms = MeasureAtoms(tuple((complex(np.cos(t), np.sin(t)), float(w)) for t, w in zip(angles, weights)))
+    cp = ClassParams(alpha, beta)
+    f = from_herglotz(op, alpha, atoms, 40)
+    grid = default_grid()
+    rep = convolution_nonvanishing(op, cp, f, grid)
+    assert rep.verdict == "holds"
+    F = apply_coeff(op, f)
+    zs = grid.points(radius_cap=RADIUS_CAP)
+    u, v = _conv_uv(op, cp, zs, [eval_circles(g, grid, RADIUS_CAP) for g in (z_derivative(F), F)])
+    assert float(np.min(_scan_minima(u, v, cp.beta, 360))) >= 5.0 * rep.worst_margin
+    at = np.array([rep.witness])
+    assert abs(rep.worst_margin - _mp_infimum(op, cp, F, rep.witness)) <= _conv_band(op, cp, F, at)[0]
+
+
+def _theta_of(detail):
+    return float(detail.split(" at theta=")[1].split(";")[0])
+
+
+#: u and v built so that theta* = arg(u conj(v)) is pi, just past 0, just short of
+#: 2 pi, and the phase 0 from the signed zeros of -1 +- 0j (arg u - arg v = -+2 pi)
+_GAP = 2.0 * np.pi / 361
+_TURN_UV = {
+    "pi": (1.0, -1.0),
+    "first-gap": (np.exp(1j * _GAP / 3), 1.0),
+    "last-gap": (np.exp(-1j * _GAP / 3), 1.0),
+    "minus-2pi": (complex(-1.0, -0.0), complex(-1.0, 0.0)),
+    "plus-2pi": (complex(-1.0, 0.0), complex(-1.0, -0.0)),
+}
+
+
+def test_convolution_phase_is_reduced_to_one_turn():
+    """theta* lies in [0, 2 pi), beside the phase of least |u - beta sigma v|
+    among the 360 of a scan (the one-matrix oracle), also for random u, v;
+    the signed zeros of -1 +- 0j give the phase 0, not -+2 pi."""
+    rng = np.random.default_rng(11)
+    beta, sigmas = 0.7, _phases(360)
+    pairs = dict(_TURN_UV)
+    for i in range(40):
+        pairs[f"random-{i}"] = tuple(complex(*rng.normal(size=2)) for _ in range(2))
+    for name, (u, v) in pairs.items():
+        u, v = np.array([u], dtype=complex), np.array([v], dtype=complex)
+        detail = _phase_detail(0.0, complex(u[0]), complex(v[0]))
+        if name in ("minus-2pi", "plus-2pi"):
+            assert np.angle(u[0]) - np.angle(v[0]) == (-2.0 if name == "minus-2pi" else 2.0) * np.pi
+            assert "approached as theta -> 0" in detail, name
+            continue
+        theta = _theta_of(detail)
+        assert 0.0 < theta < 2.0 * np.pi, name
+        s = _one_matrix_min(u, v, beta, sigmas)[1] + 1
+        # half a gap from the nearest phase; a whole one next to the excluded 0,
+        # where the scan's nearest is its first or last phase (the detail keeps 6 digits)
+        assert abs(theta - _GAP * s) <= (_GAP if s in (1, 360) else _GAP / 2) + 1e-5, name
+    assert _theta_of(_phase_detail(0.0, *map(complex, _TURN_UV["pi"]))) == pytest.approx(np.pi, abs=1e-5)
 
 
 def test_convolution_theta_grid_is_interior():
-    # theta_count = 1 must still avoid theta = 0 (the open-interval contract)
-    rep = convolution_nonvanishing(OP1, HALF, LaurentSeries.pole_only(1, 2), theta_count=1)
-    assert "theta=3.14159" in rep.detail
+    """theta = 0 is excluded (the statement's arc is open): where theta* = 0
+    the infimum over the arc is approached and not attained, and the detail
+    says so.  f = z^-1 - 1 under the identity operator has u = -z and
+    v = -(1 + z)/2 at alpha = 3/4; on |z| = 0.9 the least ||u| - |v|/2| is
+    at z = 0.9, where u and v are negative reals."""
+    assert _phase_detail(0.25, 1.0, 1.0) == "min |value| = 0.25 approached as theta -> 0, excluded, and not attained"
+    rep = convolution_nonvanishing(M0, ClassParams(0.75, 0.5), L(1, 0, [-1.0]), SampleGrid((0.9,), 16), 1)
+    assert rep.verdict == "holds" and rep.witness == 0.9
+    assert rep.worst_margin == pytest.approx(0.9 - 0.5 * 0.95, abs=1e-15)
+    assert rep.detail.startswith(f"min |value| = {rep.worst_margin:.6g} approached as theta -> 0, excluded, ")
+
+
+def test_convolution_phase_ties_where_u_or_v_vanishes():
+    """Where u or v is 0, |u - beta sigma v| is the same at every phase, and the
+    detail says so: v = 0, u = v = 0 and u = 0, and the bare pole z^-p, whose u
+    is 0 at every point."""
+    sigmas = _phases(360)
+    for u, v in ((0.6 - 0.2j, 0.0), (0.0, 0.0), (0.0, 0.3 - 0.4j)):
+        assert "at every theta (u = 0 or v = 0 at the witness)" in _phase_detail(0.5, u, v)
+        vals = np.abs(u - 0.7 * sigmas * v)
+        assert np.ptp(vals) <= 1e-15
+    rep = convolution_nonvanishing(OP1, HALF, LaurentSeries.pole_only(1, 4))
+    assert rep.detail.startswith(f"min |value| = {rep.worst_margin:.6g} at every theta ")
+
+
+def test_convolution_theta_count_bound():
+    """theta_count is read by nothing: no phase is sampled, so any value, 0 and
+    beyond 2**53 included, gives the one report, and its margin is the least
+    ||u| - beta |v|| over the grid points."""
+    f = extremal_fn(OP1, HALF, 1)
+    grid = SampleGrid((0.5,), 16)
+    rep = convolution_nonvanishing(OP1, HALF, f, grid)
+    assert rep.verdict == "holds" and "theta_count" not in rep.detail
+    for T in (0, 1, 360, 10**11, 2**53, 2**53 + 1, -1):
+        assert convolution_nonvanishing(OP1, HALF, f, grid, T) == rep
+    zs = grid.points()
+    F = apply_coeff(OP1, f)
+    u, v = _conv_uv(OP1, HALF, zs, (eval_many(z_derivative(F), zs), eval_many(F, zs)))
+    assert rep.worst_margin == pytest.approx(np.min(np.abs(np.abs(u) - np.abs(v))), rel=1e-9)
+
+
+def test_convolution_memory_stays_within_the_values():
+    """The margins are formed in the buffers of the FFT values, so the
+    convolution check peaks no higher than the subordination check of the
+    same member, which evaluates one series (K = 255 on a 20x512 grid)."""
+    op = OperatorParams(0.8, 0.2, 1, 1)
+    f = from_herglotz(op, 0.3, MeasureAtoms(((1j, 0.5), (-1.0 + 0j, 0.5))), 255)
+    grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 512)
+    peaks = []
+    for check in (lambda: convolution_nonvanishing(op, ClassParams(0.3, 1.0), f, grid),
+                  lambda: subordination_power_target(op, 0.3, f, grid)):
+        check()
+        tracemalloc.start()
+        try:
+            check()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 # ----------------------------------------------------------------- partial sums
@@ -776,17 +858,21 @@ def test_grid_checker_rechecks_by_horner(case, monkeypatch):
 
 @pytest.mark.parametrize("theta_count", [1, 24, 360])
 def test_convolution_phase_is_horner_phase_at_witness(theta_count):
+    """The detail's theta* is the phase of least |u - beta sigma v| at the
+    witness, from a fresh Horner pass there, to within a 65536-phase scan's
+    gap, and it does not depend on theta_count."""
     f = _th_member()
     F = apply_coeff(OP1, f)
+    sigmas = _phases(65536)
     for grid in RECHECK_GRIDS:
         rep = convolution_nonvanishing(OP1, TH_CP, f, grid, theta_count)
+        assert rep == convolution_nonvanishing(OP1, TH_CP, f, grid)
         at = np.array([rep.witness])
-        a, b = eval_many(z_derivative(F), at), eval_many(F, at)  # a fresh Horner pass
-        u = at * (a + b)  # p = 1
-        v = at * (a + (2.0 * TH_CP.alpha - 1.0) * b)
-        s = int(_nearest_phase(u, v, TH_CP.beta, theta_count)[1][0])
-        theta = 2.0 * np.pi * s / (theta_count + 1)
+        u, v = _conv_uv(OP1, TH_CP, at, (eval_many(z_derivative(F), at), eval_many(F, at)))
+        s = _one_matrix_min(u, v, TH_CP.beta, sigmas)[1] + 1
+        theta = _theta_of(rep.detail)
         assert rep.detail.startswith(f"min |value| = {rep.worst_margin:.6g} at theta={theta:.6g}; ")
+        assert abs(theta - 2.0 * np.pi * s / 65537) <= 1e-4
 
 
 @pytest.mark.parametrize("case", list(GRID_CHECKERS))

@@ -32,6 +32,7 @@ the pair showing the neighborhood radius cannot be enlarged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -51,6 +52,15 @@ from .series import (
 #: boundary sampling used to certify a disk self-map
 _SCHWARZ_SAMPLES = 4096
 _SCHWARZ_RADIUS = 0.999
+
+
+@cache
+def _schwarz_points() -> np.ndarray:
+    """The boundary sample points, read-only, built on first use: at import they
+    would add to every cold process's peak memory."""
+    points = SampleGrid((_SCHWARZ_RADIUS,), _SCHWARZ_SAMPLES).points()
+    points.setflags(write=False)
+    return points
 
 
 @dataclass(frozen=True)
@@ -110,20 +120,20 @@ class SchwarzPoly:
     def __post_init__(self) -> None:
         cs = tuple(complex(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", cs)
-        cauchy = float(np.sum(np.abs(cs)))
-        zs = SampleGrid((_SCHWARZ_RADIUS,), _SCHWARZ_SAMPLES).points()
-        boundary = float(np.max(np.abs(self.eval_many(zs))))  # 0.0 for w = 0
+        with np.errstate(over="ignore"):  # an overflow is inf here, and NaN in w's values
+            cauchy = float(np.sum(np.abs(cs)))
+            boundary = float(np.max(np.abs(self.eval_many(_schwarz_points()))))  # 0.0 for w = 0
         object.__setattr__(self, "boundary_max", boundary)
         object.__setattr__(self, "cauchy_sum", cauchy)
-        if boundary >= 1.0:
+        if not boundary < 1.0:
             raise ValueError(
-                f"coeffs: not a disk self-map, sampled max |w| = {boundary} >= 1"
+                f"coeffs: not a disk self-map, sampled max |w| = {boundary}, not below 1"
             )
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        # operand order matters: ``polyval(...) * zs`` rounds exactly like
-        # the nested form z*(c_1 + z*(c_2 + ...)), ``zs * polyval(...)`` does not
-        return polyval(self.coeffs, zs) * zs
+        # one Horner pass of c_0 = 0, c_1 .. c_d, so every product rounds as
+        # ``polyval``'s do; the last step adds c_0, so a zero part is +0.0
+        return polyval((0j, *self.coeffs), zs)
 
     def certificate(self) -> dict:
         return {

@@ -486,12 +486,15 @@ def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.
     stored terms), their terms a_k r^k on the R capped circles (2Rn) and their bins
     there (2RM, M = angles_count).  One Horner pass (``_grid_margin_at``) per batch
     of whole blocks gives the margins at the witnesses.  A batch takes as many
-    blocks as keep the pass's complex arrays within _BLOCK_BYTES (per candidate,
-    the F and zF' tails and Horner's transposed copy of them: 4n), and ends early
-    after a block with an image or FFT margin that is not finite or not above the
-    grid margin, so a failing stream is drawn no further than to that block.  Rows
-    do not share values, so no outcome depends on block or batch sizes.  An
-    operator multiplier that overflows raises here, as in the single check."""
+    blocks as keep 4n complex entries per candidate within _BLOCK_BYTES: the F and
+    zF' tails (2n), whose columns the pass reads in place, and 2n that once counted
+    a transposed copy the pass no longer makes; past 32 rows it allocates ten
+    float64 entries per row (the accumulator, the point's parts and the two
+    products, two each).  A batch ends early after a block with an image or FFT
+    margin that is not finite or not above the grid margin, so a failing stream is
+    drawn no further than to that block.  Rows do not share values, so no outcome
+    depends on block or batch sizes.  An operator multiplier that overflows raises
+    here, as in the single check."""
     p, n = op.p, len(ks)
     phi = phi_array(op, ks)
     points = grid.points(radius_cap=RADIUS_CAP)

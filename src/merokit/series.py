@@ -19,7 +19,10 @@ the stored range known to be exactly zero).
 
 Evaluation is only meaningful inside the punctured disk; ``eval_at`` and
 ``eval_many`` reject |z| >= 1 and z == 0.  They evaluate by Horner at
-arbitrary points; ``eval_circles`` evaluates on the circles of a
+arbitrary points (``polyval``), in textbook complex arithmetic: each product
+(ar*xr - ai*xi, ar*xi + ai*xr) and each sum is rounded once, with no fused
+multiply-add, the same on every route and whatever CPU features numpy
+dispatches to.  ``eval_circles`` evaluates on the circles of a
 ``SampleGrid`` by one inverse FFT of M bins per circle, M = angles_count,
 each term a_k r^k added into bin k mod M.
 """
@@ -343,15 +346,52 @@ def z_derivative(f: LaurentSeries) -> LaurentSeries:
 
 # --------------------------------------------------------------- evaluation
 
+#: at most this many points (one per row of a block) are evaluated on Python
+#: complex scalars, more on numpy float64 arrays: the measured crossover is
+#: about 30 points, at 65 and at 1025 terms alike
+_SCALAR_POINTS = 32
+
+
 def polyval(c, z) -> np.ndarray:
     """Evaluate sum_j c[..., j] * z**j (ascending c) by Horner: a 1-D c at each
-    point of z, a (rows x K) block at one point z[i] per row i."""
-    c = np.ascontiguousarray(np.transpose(c), dtype=np.complex128)  # c[j]: the j-th column
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    acc = np.zeros_like(z)
-    for j in range(len(c) - 1, -1, -1):
-        acc = acc * z + c[j]
-    return acc
+    point of z, a (rows x K) block at one point z[i] per row i.
+
+    Each step is acc*x + c_j from acc = 0, in textbook complex arithmetic: the
+    product is (ar*xr - ai*xi, ar*xi + ai*xr), and each product and each sum is
+    rounded once, with no fused multiply-add.  Up to _SCALAR_POINTS points run on
+    Python complex scalars, which multiply by that formula; more run on an (n, 2)
+    float64 view of the accumulator, whose products and sums are the same
+    roundings.  So a value's bits do not depend on the route, on the rows beside
+    it, or on the CPU features numpy dispatches to (numpy's own complex product
+    is fused where FMA is available).  An overflow is left infinite or NaN,
+    without a warning, for the caller to refuse."""
+    c = np.asarray(c, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    xs = z.ravel()
+    if xs.size <= _SCALAR_POINTS:
+        rows = [c.tolist()] * xs.size if c.ndim == 1 else c.tolist()
+        out = []
+        for row, x in zip(rows, xs.tolist()):
+            acc = 0j
+            for a in reversed(row):
+                acc = acc * x + a
+            out.append(acc)
+        return np.array(out, dtype=np.complex128).reshape(z.shape)
+    acc = np.zeros(xs.size, dtype=np.complex128)
+    ab = acc.view(np.float64).reshape(-1, 2)  # (ar, ai) per point
+    xr = np.repeat(xs.real[:, None], 2, axis=1)
+    xi = np.repeat(xs.imag[:, None], 2, axis=1)
+    by_xr, by_xi = np.empty_like(ab), np.empty_like(ab)  # (ar*xr, ai*xr), (ar*xi, ai*xi)
+    re, im = ab[:, 0], ab[:, 1]
+    ar_xr, ai_xr, ar_xi, ai_xi = by_xr[:, 0], by_xr[:, 1], by_xi[:, 0], by_xi[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cj in np.moveaxis(c, -1, 0)[::-1]:  # c's columns, in place
+            np.multiply(ab, xr, out=by_xr)
+            np.multiply(ab, xi, out=by_xi)
+            np.subtract(ar_xr, ai_xi, out=re)
+            np.add(ar_xi, ai_xr, out=im)
+            np.add(acc, cj, out=acc)
+    return acc.reshape(z.shape)
 
 
 def _check_points(zs: np.ndarray) -> None:
@@ -379,8 +419,11 @@ class SeriesRows(NamedTuple):
 
 def eval_many(f: LaurentSeries | SeriesRows, zs: Iterable[complex]) -> np.ndarray:
     """Evaluate at points of the punctured unit disk, by Horner: a series at
-    each point of zs, or ``SeriesRows`` at one point zs[i] per row i.  A value
-    that overflows is left infinite or NaN, without a warning, for the
+    each point of zs, or ``SeriesRows`` at one point zs[i] per row i.  The
+    tail sum_k a_k z^(k-1+p) is ``polyval``'s, rounded as textbook complex
+    arithmetic on either of its routes, so a row's bits do not depend on the
+    rows beside it; the pole term and the factor z^(1-p) are numpy's.  A
+    value that overflows is left infinite or NaN, without a warning, for the
     caller to refuse."""
     zs = np.asarray(zs, dtype=np.complex128)
     _check_points(zs)

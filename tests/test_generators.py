@@ -11,6 +11,7 @@ from merokit.generators import (
     from_schwarz,
     neighborhood_witnesses,
     ratio_extremal,
+    _schwarz_points,
 )
 from merokit.membership import (
     ClassParams,
@@ -56,6 +57,20 @@ def test_schwarz_rejects_boundary_violation():
         SchwarzPoly((0.8, 0.4))
 
 
+@pytest.mark.parametrize("coeffs", [(1e308, 1e308), (1e308 + 1e308j,) * 2, (1e308 + 1e308j,) * 5])
+def test_schwarz_refuses_an_overflowing_boundary(coeffs):
+    """Boundary values that overflow, to inf or (textbook inf - inf) to NaN, are
+    not a certificate: refused, with no numpy warning from the Cauchy sum."""
+    with pytest.raises(ValueError, match=r"sampled max \|w\| = (inf|nan), not below 1"):
+        SchwarzPoly(coeffs)
+
+
+def test_schwarz_boundary_points_are_shared_and_read_only():
+    points = _schwarz_points()
+    assert _schwarz_points() is points and not points.flags.writeable
+    assert points.tobytes() == SampleGrid((0.999,), 4096).points().tobytes()
+
+
 def test_schwarz_certificate_fields():
     w = SchwarzPoly((0.5, 0.3))
     cert = w.certificate()
@@ -71,11 +86,18 @@ def test_schwarz_certificate_fields():
     [(0.5,), (0.5, 0.3), (0.2 - 0.1j, 0.3j, -0.25, 0.1 + 0.05j), (0.0, 0.0, 0.9)],
 )
 def test_schwarz_eval_matches_nested_horner_bitwise(coeffs):
+    """w = z*(c_1 + z*(c_2 + ...)) on Python complex scalars, whose product is the
+    textbook (ar*xr - ai*xi, ar*xi + ai*xr) that ``polyval`` rounds as on every
+    route.  ``eval_many`` ends by adding c_0 = 0, so a zero part is +0.0: the
+    reference adds 0j too."""
     def nested(zs):
-        vals = np.zeros_like(zs)
-        for c in reversed(coeffs):
-            vals = (vals + c) * zs
-        return vals
+        vals = []
+        for x in zs.tolist():
+            acc = 0j
+            for c in reversed(coeffs):
+                acc = (acc + c) * x
+            vals.append(acc + 0j)
+        return np.array(vals)
 
     w = SchwarzPoly(coeffs)
     rng = np.random.default_rng(11)

@@ -2,11 +2,14 @@
 power-target containment."""
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from merokit import series
+from merokit.generators import MeasureAtoms, SchwarzPoly, from_herglotz, from_schwarz
 from merokit.membership import (
     ClassParams,
     Report,
@@ -603,3 +606,51 @@ def test_subordination_fails_only_with_finite_margin_and_witness(p, tail, alpha,
     if rep.verdict == "fails":
         assert np.isfinite(rep.worst_margin) and rep.worst_margin <= 1e-9
         assert rep.witness in SampleGrid(radii, n).points()
+
+
+def _horner_bound(n):
+    """The a priori relative bound of n Horner steps in textbook complex arithmetic
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.6 and
+    ch. 5): each product errs by at most sqrt(2) gamma_2 and each sum by u, so
+    |fl(p(x)) - p(x)| <= ((1 + u)^n (1 + sqrt(2) gamma_2)^n - 1) sum |c_j| |x|^j."""
+    u = mpmath.mpf(2) ** -53
+    return (1 + u) ** n * (1 + mpmath.sqrt(2) * 2 * u / (1 - 2 * u)) ** n - 1
+
+
+@pytest.mark.parametrize("member", ["herglotz", "schwarz"])
+def test_recheck_values_lie_within_the_horner_bound(monkeypatch, member):
+    """At K = 1023 - p, the Horner recheck's values of F and zF' at the numeric
+    check's witness lie within the a priori Horner bound of their 40-digit mpmath
+    values, from the same stored coefficients."""
+    rng = np.random.default_rng(1023)
+    if member == "herglotz":
+        op, cp = OperatorParams(0.8, 0.2, 1, 1), ClassParams(0.3, 1.0)
+        atoms = MeasureAtoms(tuple(
+            (complex(np.cos(t), np.sin(t)), float(w))
+            for t, w in zip(rng.uniform(0.0, 2.0 * np.pi, 3), rng.dirichlet(np.ones(3)))
+        ))
+        f = from_herglotz(op, cp.alpha, atoms, 1023 - op.p)
+    else:
+        op, cp = OperatorParams(0.7, 0.15, 1, 2), ClassParams(0.2, 0.6)
+        w = rng.normal(size=3) + 1j * rng.normal(size=3)
+        f = from_schwarz(op, cp, SchwarzPoly(tuple(w * 0.6 / np.sum(np.abs(w)))), 1023 - op.p)
+    calls, polyval = [], series.polyval
+
+    def spy(c, z):
+        calls.append((np.array(c), np.array(z), polyval(c, z)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(series, "polyval", spy)
+    rep = numeric_membership(op, cp, f, default_grid())
+    assert rep.verdict == "holds"
+    [(c, at, got)] = calls
+    F = apply_coeff(op, f)
+    assert c.tobytes() == np.stack([F.coeffs, z_derivative(F).coeffs]).tobytes()
+    assert at.tolist() == [rep.witness] * 2
+    with mpmath.workdps(40):
+        x = mpmath.mpc(rep.witness)
+        bound = _horner_bound(c.shape[1])
+        for row, value in zip(c.tolist(), got.tolist()):
+            exact = mpmath.fsum(mpmath.mpc(a) * x**j for j, a in enumerate(row))
+            scale = mpmath.fsum(abs(mpmath.mpc(a)) * abs(x) ** j for j, a in enumerate(row))
+            assert abs(mpmath.mpc(value) - exact) <= bound * scale

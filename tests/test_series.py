@@ -236,8 +236,49 @@ def test_eval_rejects_outside_disk():
 def test_polyval_is_horner():
     z = np.array([0.5 + 0.25j, -0.3j])
     got = polyval([1.0, 2.0, 3.0], z)
-    assert np.array_equal(got, (3.0 * z + 2.0) * z + 1.0)  # the same rounding, bit for bit
+    assert np.array_equal(got, [(3.0 * x + 2.0) * x + 1.0 for x in z.tolist()])  # the same rounding, bit for bit
     assert np.allclose(got, 1 + 2 * z + 3 * z * z, atol=1e-14)
+
+
+def _horner_reference(c, x):
+    """acc = acc * x + a on Python complex, the rounding ``polyval`` defines."""
+    acc = 0j
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+_SPECIAL = [0.0, -0.0, 0.5, -2.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+_SPECIALS = np.array([complex(a, b) for a in _SPECIAL for b in _SPECIAL])  # 81 values
+
+
+def test_polyval_routes_round_as_python_complex_horner():
+    """Both routes, Python scalars (<= 32 points) and numpy float64 (more), give the
+    reference's bits: a 1-D c at 81 points and alone at each, and 81-row blocks and
+    their 32-row heads, with signed zeros, infinities and NaNs among the inputs and
+    the points, and no RuntimeWarning."""
+    rng = np.random.default_rng(23)
+    order = rng.permutation(_SPECIALS.size)
+    one = np.concatenate((_SPECIALS[order[:7]], [0.25 - 0.5j, -0.0, 3.0j]))
+    block = _SPECIALS[(np.arange(81)[:, None] * 7 + np.arange(5) * 3) % 81]
+    for zs in (_SPECIALS, _SPECIALS[order], 0.9 * np.exp(2j * np.pi * rng.uniform(size=81))):
+        want = np.array([_horner_reference(one.tolist(), x) for x in zs.tolist()])
+        assert polyval(one, zs).tobytes() == want.tobytes()
+        assert all(polyval(one, zs[i : i + 1]).tobytes() == want[i : i + 1].tobytes() for i in range(81))
+        want = np.array([_horner_reference(row, x) for row, x in zip(block.tolist(), zs.tolist())])
+        assert polyval(block, zs).tobytes() == want.tobytes()
+        assert polyval(block[:32], zs[:32]).tobytes() == want[:32].tobytes()
+
+
+def test_polyval_overflow_is_textbook_on_both_routes():
+    """(1e308 + 1e308j)^2 by the textbook product is (inf - inf) + (inf)j = nan + inf j,
+    where a fused multiply-add gives -inf + inf j: the same on both routes, and not
+    finite, so every caller's refusal of a non-finite value applies."""
+    x = complex(1e308, 1e308)
+    for points in (1, 33):
+        got = polyval([0.0, 0.0, 1.0], np.full(points, x))
+        assert np.isnan(got.real).all() and (got.imag == np.inf).all()
+        assert got.tobytes() == np.array([_horner_reference([0.0, 0.0, 1.0], x)] * points).tobytes()
 
 
 finite_c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -371,12 +412,14 @@ def test_eval_circles_at_one_angle_within_the_sum_rounding():
 
 @st.composite
 def row_block(draw):
-    """1..6 series of one pole order p in {1, 2, 3} and K in [1-p, 300], each
-    with its own lead, some coefficients exactly (signed) zero, up to three
-    radii and 1..64 angles, so that the terms often fold (K + p + 1 > M)."""
+    """1..6 or 33..40 series of one pole order p in {1, 2, 3} and K in [1-p, 300],
+    each with its own lead, some coefficients exactly (signed) zero, up to three
+    radii and 1..64 angles, so that the terms often fold (K + p + 1 > M).  A block
+    of more than 32 rows takes ``polyval``'s numpy route, a single row its
+    Python-scalar route."""
     p = draw(st.integers(min_value=1, max_value=3))
     k = draw(st.integers(min_value=1 - p, max_value=300))
-    rows = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=33, max_value=40)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     n = k + p
     tails = (rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))) * rng.uniform(0.1, 10.0)

@@ -102,7 +102,11 @@ def coeff_bound_plus(op: OperatorParams, cp: ClassParams, n: int) -> float:
     subclass, attained by the one-term extremal at n."""
     if n < 1 - op.p:
         raise ValueError(f"n: need n >= {1 - op.p}, got {n}")
-    w = criterion_weight(op, cp, n)
+    return _plus_bound(op, cp, n, criterion_weight(op, cp, n))
+
+
+def _plus_bound(op: OperatorParams, cp: ClassParams, n: int, w: float) -> float:
+    """``coeff_bound_plus`` at n from its criterion weight ``w``."""
     if w <= SUM_TOL:
         raise ValueError(f"n: degenerate criterion weight at n={n}; no finite bound")
     return budget(op, cp) / w

@@ -23,7 +23,8 @@ Two structural representations generate beta = 1 members:
   by residual; with w(z) = x z and beta = 1 this reproduces the
   single-atom product above coefficient for coefficient.  The
   coefficients come from the linear recurrence that identity implies
-  for h = z^p F, one term per coefficient of w.
+  for h = z^p F, one term per coefficient of w, run in blocks
+  (``_recurrence``) when w's degree is small against the order.
 
 ``extremal_fn`` builds the single-term function that meets the exact
 coefficient criterion with equality, and ``neighborhood_witnesses``
@@ -31,6 +32,7 @@ the pair showing the neighborhood radius cannot be enlarged.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -182,13 +184,13 @@ def from_herglotz(
     order = K + op.p
     c = 2.0 * op.p * (1.0 - alpha)
     n = np.arange(1, order + 1)
-    acc = np.zeros(order + 1, dtype=np.complex128)
-    acc[0] = 1.0
-    for x, w in measure.atoms:
-        if w == 0.0:
-            continue
-        # (1 - x z)^a = sum_n binom(a, n) (-x z)^n: ratio x (n - 1 - a) / n
-        factor = np.cumprod(np.concatenate(([1.0], x * (n - 1 - c * w) / n)))
+    # (1 - x z)^a = sum_n binom(a, n) (-x z)^n: ratio x (n - 1 - a) / n
+    factors = (np.cumprod(np.concatenate(([1.0], x * (n - 1 - c * w) / n)))
+               for x, w in measure.atoms if w != 0.0)
+    # the weights sum to 1, so some atom has one, and the product starts from its
+    # factor; + 0.0 turns its negative zeros positive, as a convolution with 1 did
+    acc = next(factors) + 0.0
+    for factor in factors:
         acc = np.convolve(acc, factor)[: order + 1]
     return _pullback(op, acc, K)
 
@@ -199,23 +201,74 @@ def from_schwarz(
     w: SchwarzPoly,
     trunc_order: int | None = None,
 ) -> LaurentSeries:
-    """Member from a polynomial disk self-map (any 0 < beta <= 1)."""
+    """Member from a polynomial disk self-map (any 0 < beta <= 1).
+
+    h = z^p F solves (1 - beta w) z h' = -c beta w h, c = 2 p (1 - alpha), so
+
+        n h_n = sum_{i=1..d} beta w_i (n - i - c) h_{n-i},   d = min(deg w, K + p),
+
+    a linear recurrence of order d from h_0 = 1, which ``_recurrence`` runs
+    in blocks where d is small against K + p, and term by term elsewhere."""
     K = _resolve_trunc(op, trunc_order)
     order = K + op.p
     if not w.coeffs:
         return LaurentSeries.pole_only(op.p, K)
     c = 2.0 * op.p * (1.0 - cp.alpha)
-    # h = z^p F solves (1 - beta w) z h' = -c beta w h, so
-    # n h_n = sum_{i=1..d} beta w_i (n - i - c) h_{n-i}, d = min(deg w, K + p)
     bw = cp.beta * np.asarray(w.coeffs[:order])
     d = bw.size
     n = np.arange(1, order + 1)[:, None]
     rows = (bw * (n - np.arange(1, d + 1) - c) / n)[:, ::-1]  # weights of h_{n-d} .. h_{n-1}
-    h = np.zeros(d + order + 1, dtype=np.complex128)  # h_{-d} .. h_{-1} are 0
+    return _pullback(op, _recurrence(rows), K)
+
+
+#: the blocked recurrence runs only with at least _MIN_BLOCKS blocks, since a batched
+#: step costs about two plain ones, and only for orders up to _MAX_BLOCK_ORDER, since
+#: the d unit windows multiply each step's work by d
+_MIN_BLOCKS = 3
+_MAX_BLOCK_ORDER = 24
+
+
+def _block_count(N: int, d: int) -> int:
+    """Blocks of ``_recurrence`` for N steps of order d: min(isqrt(N), N // d^2),
+    or 1 (term by term) where blocks do not pay."""
+    m = min(math.isqrt(N), N // (d * d))
+    return m if m >= _MIN_BLOCKS and d <= _MAX_BLOCK_ORDER else 1
+
+
+def _recurrence(rows: np.ndarray) -> np.ndarray:
+    """h_0 .. h_N of h_n = rows[n-1] . (h_{n-d} .. h_{n-1}), h_0 = 1 and h_{<0} = 0,
+    for an N x d ``rows``.
+
+    With m = ``_block_count(N, d)`` > 1, the first m L steps, L = N // m, split into m
+    blocks of L.  All blocks advance together, one batched product per step, each from
+    the d unit windows: that gives every block's values as a linear map of the d values
+    before it.  The end windows then chain the blocks with m - 1 products of d x d, one
+    contraction gives every block's values, and the N - m L steps left over run one at
+    a time.  That is about sqrt(N) batched steps in place of N, in O(N d) memory.  With
+    m = 1 the recurrence runs term by term, a dot product a step."""
+    N, d = rows.shape
+    h = np.zeros(d + N + 1, dtype=np.complex128)  # h[d + n] = h_n; h_{-d} .. h_{-1} are 0
     h[d] = 1.0
-    for k in range(order):
+    m = _block_count(N, d)
+    done = 0
+    if m > 1:
+        L = N // m
+        blocks = rows[: m * L].reshape(m, L, 1, d)
+        # basis[b, d + t, j]: t + 1 steps into block b from the unit window e_j
+        basis = np.zeros((m, d + L, d), dtype=np.complex128)
+        basis[:, np.arange(d), np.arange(d)] = 1.0
+        for t in range(L):
+            np.matmul(blocks[:, t], basis[:, t : t + d], out=basis[:, d + t : d + t + 1])
+        starts = np.zeros((m, d), dtype=np.complex128)  # each block's window h_{bL-d+1} .. h_{bL}
+        starts[0, -1] = 1.0
+        for b in range(1, m):
+            np.matmul(basis[b - 1, L:], starts[b - 1], out=starts[b])
+        # one contraction, not a matrix-vector product per block: BLAS may thread those
+        np.einsum("btj,bj->bt", basis[:, d:], starts, out=h[d + 1 : d + 1 + m * L].reshape(m, L))
+        done = m * L
+    for k in range(done, N):
         h[d + k + 1] = rows[k] @ h[k + 1 : k + d + 1]
-    return _pullback(op, h[d:], K)
+    return h[d:]
 
 
 def extremal_fn(op: OperatorParams, cp: ClassParams, n: int) -> LaurentSeries:
@@ -261,7 +314,11 @@ def neighborhood_witnesses(
     d = _delta_star(op)
     if not delta_star > d:
         raise ValueError(f"delta_star: must exceed delta = {d}, got {delta_star}")
+    return _witness_pair(op, coeff_bound_plus(op, cp, 1 - op.p), delta_star)
+
+
+def _witness_pair(op: OperatorParams, coeff: float, delta_star: float) -> tuple[LaurentSeries, LaurentSeries]:
+    """``neighborhood_witnesses`` from the extremal's coefficient at k = 1-p."""
     n = 1 - op.p
-    f = extremal_fn(op, cp, n)
-    g = f.with_coeff(n, f.coeff(n) * (1.0 + delta_star))
-    return f, g
+    f = LaurentSeries.pole_only(op.p, n).with_coeff(n, coeff)
+    return f, f.with_coeff(n, f.coeff(n) * (1.0 + delta_star))

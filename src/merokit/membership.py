@@ -36,7 +36,7 @@ from itertools import islice
 import numpy as np
 
 from . import series as ser
-from .operator import OperatorParams, apply_coeff, phi_array, require_pole_order
+from .operator import OperatorParams, _admitted, _finite_phi, _phi_product, apply_coeff, phi_array, require_pole_order
 from .series import (
     LaurentSeries,
     SampleGrid,
@@ -137,10 +137,38 @@ def criterion_weight(op: OperatorParams, cp: ClassParams, k: int) -> float:
 
 def criterion_weight_array(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.ndarray:
     """``criterion_weight`` over ``ks``; a weight that overflows a float is an OverflowError."""
-    ks = np.asarray(ks)
+    ks = _admitted(op, ks)
+    return _checked_criterion(op, ks, *_criterion_weights(op, cp, ks))
+
+
+def _criterion_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray):
+    """phi_k and the criterion weights over the admitted ``ks``, unchecked: an
+    overflow is inf or NaN, for ``_checked_criterion`` to refuse."""
+    phis = _phi_product(op, ks)
     bracket = ks * (cp.beta + 1.0) + op.p * (1.0 + cp.beta * (2.0 * cp.alpha - 1.0))
-    with np.errstate(over="ignore"):
-        return _finite_weights(bracket * phi_array(op, ks), ks, "criterion weight")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return phis, bracket * phis
+
+
+def _checked_criterion(op: OperatorParams, ks: np.ndarray, phis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w`` if phi and the weight are finite at every k of ``ks``; else the
+    OverflowError that ``criterion_weight_array`` raises."""
+    _finite_phi(op, ks, phis)
+    return _finite_weights(w, ks, "criterion weight")
+
+
+def _criterion_table(op: OperatorParams, cp: ClassParams, k_max: int):
+    """``criterion_weight_array`` over ks within 1 - p .. k_max, from one build of
+    that range: each call checks only its own ks, so it raises, or not, as
+    ``criterion_weight_array`` does, and returns the same bits."""
+    lo = 1 - op.p
+    phis, w = _criterion_weights(op, cp, np.arange(lo, k_max + 1))
+
+    def weights(ks: np.ndarray) -> np.ndarray:
+        ks = np.asarray(ks)
+        return _checked_criterion(op, ks, phis[ks - lo], w[ks - lo])
+
+    return weights
 
 
 def _finite_weights(w: np.ndarray, ks: np.ndarray, what: str) -> np.ndarray:
@@ -160,8 +188,13 @@ def ratio_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.nda
     """Criterion weight over budget: the partial-sum hypothesis weights and
     the ``plus`` neighborhood weights.  One that overflows a float is an OverflowError."""
     ks = np.asarray(ks)
+    return _ratio_of(op, cp, ks, criterion_weight_array(op, cp, ks))
+
+
+def _ratio_of(op: OperatorParams, cp: ClassParams, ks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ratio weights over ``ks`` from their criterion weights ``w``."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _finite_weights(criterion_weight_array(op, cp, ks) / budget(op, cp), ks, "ratio weight")
+        return _finite_weights(w / budget(op, cp), ks, "ratio weight")
 
 
 # ----------------------------------------------------- coefficient routes
@@ -191,12 +224,13 @@ def _weighted_sum(w: np.ndarray, a: np.ndarray, rhs: float, what: str):
     return total, total <= rhs + SUM_TOL, rhs - total
 
 
-def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str):
+def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str, weights=None):
     """Weights, whether the weighted sum of ``a`` is within the budget, the
     margin and the report detail shared by the coefficient criteria; an
-    overflowing weight or sum is an OverflowError."""
+    overflowing weight or sum is an OverflowError.  ``weights`` maps ks to
+    their criterion weights (``criterion_weight_array`` by default)."""
     ks = f.k_values()
-    w = criterion_weight_array(op, cp, ks)
+    w = criterion_weight_array(op, cp, ks) if weights is None else weights(ks)
     total, within, margin = _weighted_sum(w, a, budget(op, cp), "coefficient sum")
     notes = []
     degen = ks[w <= SUM_TOL]
@@ -226,11 +260,17 @@ def exact_membership_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries)
     truncation certifies nothing (the tail could break it), so the
     verdict is then inconclusive.
     """
+    return _exact_plus(op, cp, f, None)
+
+
+def _exact_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries, weights) -> Report:
+    """``exact_membership_plus`` with the criterion weights from ``weights``, a
+    map of ks to their weights (``criterion_weight_array`` if None)."""
     _require_class_form(f, op)
     require_nonnegative_real(f)
     a = f.coeffs.real
     w, within, margin, detail = _coefficient_sum(
-        op, cp, f, a, "truncation tail uncertified (exact_support is false)"
+        op, cp, f, a, "truncation tail uncertified (exact_support is false)", weights
     )
     if not f.exact_support:
         return Report(INCONCLUSIVE, margin, None, detail)

@@ -36,7 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from .generators import neighborhood_witnesses
+from .bounds import _plus_bound
+from .generators import _witness_pair
 from .membership import (
     FAILS,
     HOLDS,
@@ -45,12 +46,14 @@ from .membership import (
     SUM_TOL,
     ClassParams,
     Report,
+    _criterion_table,
+    _exact_plus,
     _finite_weights,
     _grid_minima,
     _numeric_rows,
+    _ratio_of,
     _weighted_sum,
     budget,
-    exact_membership_plus,
     numeric_membership,
     ratio_weights,
 )
@@ -71,11 +74,16 @@ class WeightSeq:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind: expected one of {_KINDS}, got {self.kind!r}")
-        # both brackets rise by beta + 1 per step and phi_k >= 1 never falls (lam >= mu >= 0), so
-        # each weight has its bracket's sign, and the weight at k = 1 - p decides the metric
-        if (w := weight(self, 1 - self.op.p)) < 0:
-            raise ValueError(f"kind: the {self.kind} weight at k={1 - self.op.p} is {w:g} < 0; "
-                             "the weighted distance is not a metric")
+        _require_metric(self.kind, self.op, weight(self, 1 - self.op.p))
+
+
+def _require_metric(kind: str, op: OperatorParams, w: float) -> None:
+    """Refuse a weight sequence whose weight at k = 1 - p, ``w``, is negative.  Both
+    brackets rise by beta + 1 per step and phi_k >= 1 never falls (lam >= mu >= 0), so
+    each weight has its bracket's sign, and the weight at k = 1 - p decides the metric."""
+    if w < 0:
+        raise ValueError(f"kind: the {kind} weight at k={1 - op.p} is {w:g} < 0; "
+                         "the weighted distance is not a metric")
 
 
 def weight(seq: WeightSeq, k: int) -> float:
@@ -104,10 +112,11 @@ def _aligned(f: LaurentSeries, g: LaurentSeries):
     return a, b, np.arange(1 - f.pole_order, k + 1)
 
 
-def _distance_to(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries, delta: float):
-    """The distance of f and g against delta, as ``_weighted_sum`` gives it."""
+def _distance_to(weights, f: LaurentSeries, g: LaurentSeries, delta: float):
+    """The distance of f and g against delta, as ``_weighted_sum`` gives it, for
+    ``weights``, a map of ks to their weights."""
     a, b, ks = _aligned(f, g)
-    s = weight_array(seq, ks)
+    s = weights(ks)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = np.abs(b - a)
     return _weighted_sum(s, diff, delta, "distance")
@@ -116,13 +125,13 @@ def _distance_to(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries, delta: floa
 def distance(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries) -> float:
     """Weighted-l1 coefficient distance sum s_k |b_k - a_k|; a distance
     that overflows a float is an OverflowError."""
-    return _distance_to(seq, f, g, 0.0)[0]
+    return _distance_to(partial(weight_array, seq), f, g, 0.0)[0]
 
 
 def in_neighborhood(seq: WeightSeq, f: LaurentSeries, g: LaurentSeries, delta: float) -> bool:
     if not delta > 0:
         raise ValueError(f"delta: must be > 0, got {delta}")
-    return _distance_to(seq, f, g, delta)[1]
+    return _distance_to(partial(weight_array, seq), f, g, delta)[1]
 
 
 def _premise_bound(op: OperatorParams) -> float:
@@ -170,21 +179,30 @@ def verify_inclusion_plus(
     SUM_TOL) is inconclusive at its own margin.  A zero radius measures
     nothing: inconclusive, with a NaN margin.
 
+    Every weight the call reads, at f's k, g*'s and the witness's, comes from
+    one build of the criterion weights over 1 - p .. max(K, 2 - p).
+
     ``trials`` and ``seed`` are read by nothing.  They stay only because
     perfbench's workloads pass them by position and its span counters pin
     this signature's parameter count."""
     d = delta_star(op)
     if d == 0.0:
         return Report(INCONCLUSIVE, math.nan, None, "degenerate radius delta = 0; nothing to verify")
-    base = exact_membership_plus(op, cp, f)
+    criterion = _criterion_table(op, cp, max(f.trunc_order, 2 - op.p))
+
+    def s_of(ks):  # the plus weights
+        return _ratio_of(op, cp, ks, criterion(ks))
+
+    base = _exact_plus(op, cp, f, criterion)
     if base.verdict != HOLDS:
         return Report(
             INCONCLUSIVE, base.worst_margin, None,
             f"base function does not certify the exact criterion ({base.verdict}); "
             "inclusion hypothesis not established",
         )
-    seq = WeightSeq("plus", op, cp)
-    s = weight_array(seq, f.k_values())
+    n = np.array([1 - op.p])
+    _require_metric("plus", op, float(s_of(n)[0]))
+    s = s_of(f.k_values())
     bound = _premise_bound(op)
     premise, within, slack = _weighted_sum(s, f.coeffs.real, bound, "premise sum")
     if not within:
@@ -195,9 +213,9 @@ def verify_inclusion_plus(
         )
     # sharpness: the witness exceeds the budget by budget * delta*; one that passes shows rounding or SUM_TOL
     ds = max(d * (1.0 + 1e-9), math.nextafter(d, math.inf))
-    fw, gw = neighborhood_witnesses(op, cp, ds)
-    wd = distance(seq, fw, gw)
-    wrep = exact_membership_plus(op, cp, gw)
+    fw, gw = _witness_pair(op, _plus_bound(op, cp, 1 - op.p, float(criterion(n)[0])), ds)
+    wd = _distance_to(s_of, fw, gw, 0.0)[0]
+    wrep = _exact_plus(op, cp, gw, criterion)
     if wrep.verdict != FAILS:
         return Report(
             INCONCLUSIVE, wrep.worst_margin, None,
@@ -211,8 +229,8 @@ def verify_inclusion_plus(
     k = 1 - op.p if s[0] > SUM_TOL else 2 - op.p
     tail = np.zeros(max(f.trunc_order, k) + op.p, dtype=complex)
     tail[: f.coeffs.size] = f.coeffs
-    tail[k - 1 + op.p] += d / weight(seq, k)
-    g = exact_membership_plus(op, cp, LaurentSeries(op.p, tail.size - op.p, tail, 1.0, True))
+    tail[k - 1 + op.p] += d / float(s_of(np.array([k]))[0])
+    g = _exact_plus(op, cp, LaurentSeries(op.p, tail.size - op.p, tail, 1.0, True), criterion)
     sharp = f"witness at delta*={ds:.17g} fails by {-wrep.worst_margin:.3g}"
     if g.verdict != HOLDS:
         return Report(

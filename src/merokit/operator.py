@@ -84,6 +84,12 @@ def phi(op: OperatorParams, k: int) -> float:
 def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
     """Vectorized ``phi`` over an index array, by repeated multiplication.
     A multiplier that overflows a float is an OverflowError."""
+    ks = _admitted(op, ks)
+    return _finite_phi(op, ks, _phi_product(op, ks))
+
+
+def _admitted(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
+    """``ks`` as an array, if phi is defined at each index; else a ValueError."""
     ks = np.asarray(ks)
     bad = ks[(ks < 1 - op.p) & (ks != -op.p)]
     if bad.size:
@@ -91,7 +97,12 @@ def phi_array(op: OperatorParams, ks: np.ndarray) -> np.ndarray:
             f"k: indices below {1 - op.p} (other than the pole index {-op.p}) "
             f"not admitted: {bad.tolist()}"
         )
-    out = _phi_product(op, ks)
+    return ks
+
+
+def _finite_phi(op: OperatorParams, ks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, the multipliers over ``ks``, if every one is finite; else
+    ``phi_array``'s OverflowError, naming the first k whose multiplier is not."""
     if not np.all(np.isfinite(out)):
         k = int(ks[~np.isfinite(out)][0])
         raise OverflowError(f"phi: the multiplier at k={k} overflows a float (m={op.m})")

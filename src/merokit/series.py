@@ -18,8 +18,9 @@ unless both operands carry ``exact_support`` (all coefficients beyond
 the stored range known to be exactly zero).
 
 Evaluation is only meaningful inside the punctured disk; ``eval_at`` and
-``eval_many`` reject |z| >= 1 and z == 0.  They evaluate by Horner at
-arbitrary points (``polyval``), in textbook complex arithmetic: each product
+``eval_many`` reject z == 0 and any z that is not a finite point with
+|z| < 1, NaN included.  They evaluate by Horner at arbitrary points
+(``polyval``), in textbook complex arithmetic: each product
 (ar*xr - ai*xi, ar*xi + ai*xr) and each sum is rounded once, with no fused
 multiply-add, the same on every route and whatever CPU features numpy
 dispatches to.  ``eval_circles`` evaluates on the circles of a
@@ -398,8 +399,8 @@ def _check_points(zs: np.ndarray) -> None:
     r = np.abs(zs)
     if np.any(r == 0):
         raise ValueError("z: evaluation at z = 0 is undefined (pole)")
-    if np.any(r >= 1):
-        raise ValueError("z: evaluation requires |z| < 1")
+    if not np.all(r < 1):  # |z| of a NaN point is NaN, not below 1 either
+        raise ValueError(f"z: evaluation requires |z| < 1, got {complex(zs.ravel()[~(r.ravel() < 1)][0])}")
 
 
 class SeriesRows(NamedTuple):

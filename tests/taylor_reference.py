@@ -1,10 +1,16 @@
-"""Reference route for the generators: the log/exp series construction.
+"""Reference routes for the generators.
 
 ``from_herglotz`` and ``from_schwarz`` build z^p F by closed-form
 recurrences.  The functions here build the same Taylor coefficients the
 long way, through log(z^p F) and one exp recurrence, so that tests can
-hold the two routes against each other.
+hold the two routes against each other.  ``herglotz_convolved`` keeps the
+binomial product as it was formed before it started from its first
+factor.  For ``from_schwarz``'s linear
+recurrence, which ``generators._recurrence`` runs in blocks, they also
+give its rows, the term-by-term loop it replaced, and the same
+recurrence in 40-digit mpmath arithmetic.
 """
+import mpmath
 import numpy as np
 
 
@@ -43,6 +49,21 @@ def herglotz_taylor(p: int, alpha: float, atoms, order: int) -> np.ndarray:
     return series_exp(acc)
 
 
+def herglotz_convolved(p: int, alpha: float, atoms, order: int) -> np.ndarray:
+    """h_0 .. h_order of prod_j (1 - x_j z)^{c w_j} as ``from_herglotz`` formed it
+    before its product started from the first factor: every factor of nonzero
+    weight convolved into [1, 0, 0, ...]."""
+    c = 2.0 * p * (1.0 - alpha)
+    n = np.arange(1, order + 1)
+    acc = np.zeros(order + 1, dtype=np.complex128)
+    acc[0] = 1.0
+    for x, w in atoms:
+        if w != 0.0:
+            factor = np.cumprod(np.concatenate(([1.0], x * (n - 1 - c * w) / n)))
+            acc = np.convolve(acc, factor)[: order + 1]
+    return acc
+
+
 def schwarz_taylor(p: int, alpha: float, beta: float, coeffs, order: int) -> np.ndarray:
     """h_0 .. h_order of exp(-c beta int_0^z w(t) / (t (1 - beta w(t))) dt),
     c = 2 p (1 - alpha), with w = sum_i coeffs[i-1] z^i used in full."""
@@ -60,3 +81,35 @@ def schwarz_taylor(p: int, alpha: float, beta: float, coeffs, order: int) -> np.
     t = np.zeros(order + 1, dtype=np.complex128)
     t[1:] = np.convolve(wq, g)[:order] / np.arange(1, order + 1)
     return series_exp(-2.0 * p * (1.0 - alpha) * beta * t)
+
+
+def schwarz_rows(p: int, alpha: float, beta: float, coeffs, order: int) -> np.ndarray:
+    """``from_schwarz``'s rows: row n - 1 holds the weights of h_{n-d} .. h_{n-1} in
+    n h_n = sum_{i=1..d} beta w_i (n - i - c) h_{n-i}, d = min(deg w, order)."""
+    c = 2.0 * p * (1.0 - alpha)
+    bw = beta * np.asarray(coeffs[:order], dtype=np.complex128)
+    n = np.arange(1, order + 1)[:, None]
+    return (bw * (n - np.arange(1, bw.size + 1) - c) / n)[:, ::-1]
+
+
+def recurrence_loop(rows: np.ndarray) -> np.ndarray:
+    """h_0 .. h_N of h_n = rows[n-1] . (h_{n-d} .. h_{n-1}), one dot product a
+    step: the loop ``from_schwarz`` ran before the blocked recurrence."""
+    N, d = rows.shape
+    h = np.zeros(d + N + 1, dtype=np.complex128)  # h_{-d} .. h_{-1} are 0
+    h[d] = 1.0
+    for k in range(N):
+        h[d + k + 1] = rows[k] @ h[k + 1 : k + d + 1]
+    return h[d:]
+
+
+def recurrence_mp(rows: np.ndarray, dps: int = 40) -> list:
+    """The same recurrence on the same (exactly converted) rows in ``dps``-digit
+    mpmath arithmetic, as a list of mpc h_0 .. h_N."""
+    N, d = rows.shape
+    with mpmath.workdps(dps):
+        mp_rows = [[mpmath.mpc(complex(x)) for x in row] for row in rows]
+        h = [mpmath.mpc(0)] * d + [mpmath.mpc(1)]
+        for k in range(N):
+            h.append(mpmath.fsum(r * x for r, x in zip(mp_rows[k], h[k + 1 : k + d + 1])))
+        return h[d:]

@@ -1,5 +1,7 @@
 """Constructive members: boundary-measure and disk-self-map generators,
 one-term extremal functions, neighborhood sharpness witnesses."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from merokit.generators import (
     from_schwarz,
     neighborhood_witnesses,
     ratio_extremal,
+    _block_count,
+    _recurrence,
     _schwarz_points,
 )
 from merokit.membership import (
@@ -23,7 +27,14 @@ from merokit.membership import (
 from merokit.neighborhoods import WeightSeq, distance
 from merokit.operator import OperatorParams, apply_coeff, phi
 from merokit.series import LaurentSeries, SampleGrid, eval_many, z_derivative
-from taylor_reference import herglotz_taylor, schwarz_taylor
+from taylor_reference import (
+    herglotz_convolved,
+    herglotz_taylor,
+    recurrence_loop,
+    recurrence_mp,
+    schwarz_rows,
+    schwarz_taylor,
+)
 
 M0 = OperatorParams(0.0, 0.0, 0, 1)
 OP1 = OperatorParams(1.0, 0.0, 1, 1)
@@ -250,6 +261,103 @@ def test_generators_match_log_exp_reference(p, K):
         want = schwarz_taylor(p, cp.alpha, cp.beta, w.coeffs, K + p)[1:]
         got = from_schwarz(op, cp, w, K).coeffs
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_exact_polynomial_targets_stay_exact_in_blocks():
+    """At K = 1023 the recurrence of w = z/2 runs in 32 blocks; z F = (1 - z/2)^2
+    still comes out exactly: every block past n = 3 starts from a zero window."""
+    assert _block_count(1024, 1) == 32
+    g = from_schwarz(M0, ClassParams(0.0, 1.0), SchwarzPoly((0.5,)), trunc_order=1023)
+    assert g.coeffs[:2].tolist() == [-1.0, 0.25] and not np.any(g.coeffs[2:])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_herglotz_product_keeps_the_bits_of_its_convolution_with_one(seed):
+    """Starting the product from the first factor of nonzero weight, not from a
+    convolution of it with [1, 0, ...], leaves every bit, negative zeros too:
+    atoms at +-1 and +-i with weights that make c w an integer give exact zeros."""
+    rng = np.random.default_rng([7, seed])
+    p, K = int(rng.integers(1, 4)), int(rng.choice([0, 5, 63, 1023]))
+    alpha = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.99)]))
+    zero_first = seed % 3 == 0  # an atom of zero weight first: the product starts from the next
+    xs = [complex(rng.choice([1, -1, 1j, -1j])) if rng.random() < 0.5 else complex(np.exp(2j * np.pi * rng.random()))
+          for _ in range(int(rng.integers(1 + zero_first, 4)))]
+    w = np.full(len(xs), 1.0 / len(xs)) if seed % 2 else rng.dirichlet(np.ones(len(xs)))
+    if zero_first:
+        w[0] = 0.0
+        w /= w.sum()
+    w[-1] = 1.0 - float(np.sum(w[:-1]))
+    atoms = MeasureAtoms(tuple(zip(xs, map(float, w))))
+    op = OperatorParams(0.0, 0.0, 0, p)
+    want = herglotz_convolved(p, alpha, atoms.atoms, K + p)[1:]
+    assert from_herglotz(op, alpha, atoms, K).coeffs.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------- blocked recurrence
+
+#: deg w and the order N = K + p of the recurrence, with N = 1000 not a multiple
+#: of its block count, and deg w beyond N where w is cut to N terms
+DEGREES = [1, 2, 3, 5, 8, 16, 64, 300]
+ORDERS = [1, 2, 64, 1000, 1024, 1025]
+
+
+def _rows(deg, N, seed):
+    """Seeded ``from_schwarz`` rows: w of degree ``deg`` with sum |c_i| < 1."""
+    rng = np.random.default_rng([deg, N, seed])
+    c = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+    c *= float(rng.uniform(0.05, 0.9999)) / float(np.sum(np.abs(c)))
+    p, alpha, beta = int(rng.integers(1, 4)), float(rng.uniform(0.0, 0.99)), float(rng.uniform(0.05, 1.0))
+    return (p, alpha, beta, c), schwarz_rows(p, alpha, beta, c, N)
+
+
+def test_block_count():
+    """min(isqrt(N), N // d^2), where it is at least 3 and d <= 24; else 1."""
+    assert [_block_count(1024, d) for d in (1, 3, 5, 8, 16, 18, 19, 24, 64, 300)] == [
+        32, 32, 32, 16, 4, 3, 1, 1, 1, 1]
+    assert [_block_count(N, 1) for N in (1, 2, 8, 9, 1000, 1025)] == [1, 1, 1, 3, 31, 32]
+    assert _block_count(4096 * 12, 24) == 85 and _block_count(4096 * 12, 25) == 1
+
+
+@pytest.mark.parametrize("N", ORDERS)
+@pytest.mark.parametrize("deg", DEGREES)
+def test_recurrence_against_the_loop_and_the_log_exp_route(deg, N):
+    """Where blocks do not run, the recurrence is the term-by-term loop bit for
+    bit.  Everywhere it agrees with the log/exp route within 1e-12 of the
+    largest coefficient."""
+    (p, alpha, beta, c), rows = _rows(deg, N, 0)
+    assert rows.shape == (N, min(deg, N))
+    got = _recurrence(rows)
+    if _block_count(*rows.shape) == 1:
+        assert got.tobytes() == recurrence_loop(rows).tobytes()
+    want = schwarz_taylor(p, alpha, beta, c, N)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "deg, N", [(deg, N) for deg in DEGREES for N in ORDERS if _block_count(N, min(deg, N)) > 1]
+)
+def test_blocked_recurrence_against_mpmath(deg, N):
+    """Where blocks run, every h_n is within 1e-13 |h_n| of the same recurrence
+    in 40-digit arithmetic on the same rows (1e-300 absolute, below which h_n
+    underflows), as the loop's are."""
+    _, rows = _rows(deg, N, 1)
+    want = np.array([complex(x) for x in recurrence_mp(rows)])
+    for got in (_recurrence(rows), recurrence_loop(rows)):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-300)
+
+
+def test_from_schwarz_memory_is_a_small_multiple_of_its_rows():
+    """deg w = 300 at K = 1023: the 1024 x 300 rows are 4.9 MB, and the peak of
+    the whole construction stays within three times that (about twice, measured)."""
+    (_, _, _, c), rows = _rows(300, 1024, 2)
+    w = SchwarzPoly(tuple(complex(x) for x in c))
+    tracemalloc.start()
+    try:
+        from_schwarz(M0, ClassParams(0.3, 0.7), w, 1023)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows.nbytes
 
 
 # ------------------------------------------------------------------ extremals

@@ -519,17 +519,42 @@ def test_verify_plus_failing_neighbor_is_decided_once(monkeypatch):
     f = _plus_member(op, cp, 0.9, 0)
     for module in (neighborhoods, serial):
         monkeypatch.setattr(module, "delta_star", lambda _op: 0.95)
-    checked, check = [], neighborhoods.exact_membership_plus
+    checked, check = [], neighborhoods._exact_plus
 
-    def spy(op, cp, g):
-        checked.append((g, check(op, cp, g)))
+    def spy(op, cp, g, weights):
+        checked.append((g, check(op, cp, g, weights)))
         return checked[-1][1]
 
-    monkeypatch.setattr(neighborhoods, "exact_membership_plus", spy)
+    monkeypatch.setattr(neighborhoods, "_exact_plus", spy)
     rep = neighborhoods.verify_inclusion_plus(op, cp, f, 300, 1)
     assert [r.verdict for _, r in checked] == ["holds", "fails", "fails"]
     assert checked[0][0] is f and all(g is not f for g, _ in checked[1:])
     assert (rep.verdict, rep.worst_margin) == ("inconclusive", checked[-1][1].worst_margin)
+
+
+def test_verify_plus_builds_its_weights_once(monkeypatch):
+    """Each call builds the criterion weights once, over k = 1 - p .. max(K, 2 - p),
+    for f, the premise, the sharpness witness and g*, down every path: a
+    closed-form holds, g* over the budget beyond delta*, a violated premise and
+    a base that fails the criterion."""
+    op, cp = OperatorParams(0.8, 0.3, 1, 1), ClassParams(0.6, 0.7)
+    inside, over = _plus_member(op, cp, 0.9, 0), _plus_member(op, cp, 1.5, 0)
+    outside = inside.with_coeff(1, 10.0)
+    builds, build = [], membership._criterion_weights
+
+    def counted(op, cp, ks):
+        builds.append(ks.tolist())
+        return build(op, cp, ks)
+
+    monkeypatch.setattr(membership, "_criterion_weights", counted)
+    reports = [verify_inclusion_plus(op, cp, g) for g in (inside, over, outside)]
+    monkeypatch.setattr(neighborhoods, "delta_star", lambda _op: 0.95)
+    reports.append(verify_inclusion_plus(op, cp, inside))
+    assert [r.verdict for r in reports] == ["holds", "inconclusive", "inconclusive", "inconclusive"]
+    assert reports[1].detail.startswith("premise violated")
+    assert reports[2].detail.startswith("base function does not certify")
+    assert reports[3].detail.startswith("g* = f + (delta/s_k) z^k")
+    assert builds == [list(range(0, inside.trunc_order + 1))] * 4
 
 
 def test_verify_plus_premise_within_tolerance_is_inconclusive_at_g_star():

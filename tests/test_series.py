@@ -1,5 +1,6 @@
 """Series arithmetic: construction, truncation discipline, evaluation."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ def test_eval_rejects_outside_disk():
         eval_at(f, 0.0)
     with pytest.raises(ValueError, match="z"):
         eval_at(f, 1.0)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("nan+0.5j"), complex(0.5, float("nan")), complex("inf"),
+                               complex(0.0, float("-inf"))])
+def test_eval_refuses_non_finite_points(z):
+    """|z| of a NaN point is NaN, which is no more below 1 than |inf| is."""
+    f = LaurentSeries.pole_only(1, 3)
+    message = re.escape(f"z: evaluation requires |z| < 1, got {z}")
+    with pytest.raises(ValueError, match=message):
+        eval_at(f, z)
+    with pytest.raises(ValueError, match=message):
+        eval_many(f, [0.5, z])
 
 
 def test_polyval_is_horner():

@@ -299,14 +299,8 @@ def _nbhd_verify_general(args) -> tuple[int, str]:
                 "delta: the operator radius is degenerate (0); pass --delta explicitly"
             )
     grid = _read_grid(args.grid)
-    rep = verify_inclusion_general(
-        op, cp, f, delta,
-        eps_trials=args.eps_trials, trials=args.trials, grid=grid, seed=args.seed,
-    )
-    return _report_out(rep, _config(
-        op=op, cp=cp, grid=grid, seed=args.seed, check=args.what,
-        delta=delta, trials=args.trials, eps_trials=args.eps_trials,
-    ))
+    rep = verify_inclusion_general(op, cp, f, delta, grid=grid)
+    return _report_out(rep, _config(op=op, cp=cp, grid=grid, check=args.what, delta=delta))
 
 
 # --------------------------------------------------------------- suite runner
@@ -447,9 +441,6 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
         "--other": dict(type=path, required=True, help="second series JSON"),
         "--kind": dict(choices=("plus", "general"), default="plus"),
         "--delta": dict(type=_finite_float, help="neighborhood radius"),
-        "--trials": dict(type=_int64, default=100, help="random perturbation count"),
-        "--eps-trials": dict(type=_int64, default=8, help="hypothesis samples"),
-        "--seed": dict(type=_int64, default=0),
         "--grid": dict(type=path, help="sample grid JSON"),
         "--suite": dict(required=True, help="suite JSON file"),
         "--out": dict(type=path),
@@ -493,8 +484,7 @@ def _build_parser(base: Path | None = None) -> argparse.ArgumentParser:
         ("distance", _nbhd_distance, ("--series", "--other", "--kind")),
         ("delta", _nbhd_delta, ()),
         ("verify-plus", _nbhd_verify_plus, ("--series",)),
-        ("verify-general", _nbhd_verify_general,
-         ("--series", "--delta", "--trials", "--eps-trials", "--seed", "--grid")),
+        ("verify-general", _nbhd_verify_general, ("--series", "--delta", "--grid")),
     ))
     command(sub, "report", _cmd_report, ("--suite",), help="run a JSON suite and aggregate")
     return parser

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
 from . import series as ser
-from .operator import OperatorParams, _admitted, _finite_phi, _phi_product, apply_coeff, phi_array, require_pole_order
+from .operator import OperatorParams, _admitted, _finite_phi, _phi_product, apply_coeff, require_pole_order
 from .series import (
     LaurentSeries,
     SampleGrid,
@@ -56,9 +55,6 @@ SUM_TOL = 1e-12
 
 #: numeric checks ignore grid radii beyond this
 RADIUS_CAP = 0.95
-
-#: the complex entries one block of screened rows may allocate, in bytes
-_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -292,22 +288,12 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
 
 # --------------------------------------------------------- numeric routes
 
-def vanishing_floor(zs: np.ndarray, p: int) -> np.ndarray:
-    """The lead-free floor 1e-14 |z|^-p of ``vanishes`` at zs (inf where |z|^-p overflows)."""
-    with np.errstate(over="ignore"):
-        return 1e-14 * np.abs(zs) ** (-p)
-
-
-def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0, floor=None) -> np.ndarray:
+def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
     """Where pole-order-p ``values`` at zs vanish: |value| <= 1e-14 |z|^-p max(1, |lead|), the
     rounding scale of a function like lead * z^-p near 0.  A non-finite value never vanishes;
-    where |z|^-p overflows, every finite one does.  ``lead`` may be an array of one lead per
-    row of ``values``, shaped to broadcast against them.  ``floor`` is ``vanishing_floor(zs,
-    p)``, for a caller that tests several sets of values at the same points."""
-    if floor is None:
-        floor = vanishing_floor(zs, p)
+    where |z|^-p overflows, every finite one does."""
     with np.errstate(over="ignore"):
-        return np.isfinite(values) & (np.abs(values) <= floor * np.maximum(1.0, np.abs(lead)))
+        return np.isfinite(values) & (np.abs(values) <= 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead)))
 
 
 def _quotient_margin(p: int, form, at_pole: float):
@@ -404,45 +390,44 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _margins(rows: SeriesRows, count: int, zs, values, margin_of, floor):
-    """The vanish mask (None without ``floor``) and ``margin_of`` of ``values``."""
-    if floor is None:
+def _margins(rows: SeriesRows, zs, values, margin_of, masked: bool):
+    """The mask where the first series vanishes (None unless ``masked``) and ``margin_of`` of ``values``."""
+    if not masked:
         return None, margin_of(zs, *values)
-    leads = rows.lead[: len(rows.lead) // count, None]
-    vanish = vanishes(values[0], zs, rows.pole_order, leads, floor)
+    vanish = vanishes(values[0], zs, rows.pole_order, rows.lead[0])
     return vanish, margin_of(zs, vanish, *values)
 
 
-def _grid_witness(rows: SeriesRows, count: int, points, values, margin_of, floor=None):
+def _grid_witness(rows: SeriesRows, count: int, points, values, margin_of, masked: bool = False):
     """The FFT half of the grid checks' one reduction: each candidate's grid
-    margins, reduced to its witness, for a single check or a block of trials.
+    margins, reduced to its witness, for a single check or the candidates of
+    ``_grid_minima``.
 
     ``rows`` stacks every candidate's ``count`` series, series-major (the first
     series of each candidate, then the second, ...), and ``values`` are their
     values at the (nonempty) ``points``, by FFT: ``eval_circles`` of ``rows``,
     which ``margin_of`` may consume.  ``margin_of(points, *values)`` takes one
-    (candidates x points) array per series and is elementwise; given ``floor``,
-    the ``vanishing_floor`` at the points, it is ``margin_of(points, vanish,
-    *values)``, given also the mask where the first series vanishes.  Returns
-    the mask on the points (None without ``floor``), and per candidate the
-    index of its witness, its first point of least FFT margin, and that margin.
+    (candidates x points) array per series and is elementwise; if ``masked``,
+    it is ``margin_of(points, vanish, *values)``, given also the mask where the
+    first series (of a single check) vanishes.  Returns the mask on the points
+    (None unless ``masked``), and per candidate the index of its witness, its
+    first point of least FFT margin, and that margin.
     """
-    vanish, fft = _margins(rows, count, points, values.reshape(count, -1, values.shape[-1]), margin_of, floor)
+    vanish, fft = _margins(rows, points, values.reshape(count, -1, values.shape[-1]), margin_of, masked)
     i = np.argmin(fft, axis=1)
     return vanish, i, fft[np.arange(i.size), i]
 
 
-def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, floor_at=None):
+def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, masked: bool = False):
     """The Horner half: one pass (``eval_many`` of ``rows``, stacked as in
     ``_grid_witness``) gives every series' value at each candidate's witness
-    ``at``, hence its margin there (``floor_at``: the vanishing floor at ``at``).
-    Returns the margins and the Horner values, one row per series, unconsumed."""
+    ``at``, hence its margin there.  Returns the margins and the Horner values,
+    one row per series, unconsumed."""
     # z^-p divides by an underflowed z^p only where the FFT overflowed too,
     # a margin that the caller refuses
     with np.errstate(divide="ignore"):
         values_at = eval_many(rows, np.tile(at, count)).reshape(count, at.size)
-    fl = None if floor_at is None else floor_at[:, None]
-    return _margins(rows, count, at[:, None], values_at[:, :, None].copy(), margin_of, fl)[1][:, 0], values_at
+    return _margins(rows, at[:, None], values_at[:, :, None].copy(), margin_of, masked)[1][:, 0], values_at
 
 
 def _grid_minima(grid: SampleGrid, cap, series, margin_ofs):
@@ -485,11 +470,11 @@ def _grid_check(
     if points.size == 0:
         return _grid_verdict(points, points, passes, note)
     rows, count = SeriesRows.of(series), len(series)
-    floor = None if vanishing is None else vanishing_floor(points, rows.pole_order)
-    vanish, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), margin_of, floor)
+    masked = vanishing is not None
+    vanish, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), margin_of, masked)
     at = points[i]
-    worst, values_at = _grid_margin_at(rows, count, at, margin_of, None if floor is None else floor[i])
-    if vanishing is not None and np.any(vanish):
+    worst, values_at = _grid_margin_at(rows, count, at, margin_of, masked)
+    if masked and np.any(vanish):
         note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
     _grid_verdict(at, fft, passes, note)  # an FFT margin that is not finite is an OverflowError
     report = _grid_verdict(at, worst, passes, note)
@@ -510,82 +495,6 @@ def numeric_membership(
 ) -> Report:
     """Sample the defining inequality itself on the grid."""
     return _quotient_check(op, f, grid, _numeric_form(cp))
-
-
-def _numeric_rows(op: OperatorParams, cp: ClassParams, grid: SampleGrid, ks: np.ndarray, candidates):
-    """Screen a stream of pole-order-p series with tail indices ``ks``, given as
-    (lead, tail) pairs, by ``numeric_membership`` on the grid.  Returns the miss:
-    (index, report) of the first candidate that does not hold (it fails, its image
-    or a margin is not finite, or no point is capped), with the report or error of
-    ``numeric_membership`` itself; None when every candidate holds.
-
-    The stream is cut into blocks, each one ``eval_circles`` call of its F and zF'
-    rows, reduced to each candidate's witness by ``_grid_witness``.  A block takes
-    as many candidates as keep the complex arrays it allocates within _BLOCK_BYTES,
-    and at least one: per candidate, the F and zF' rows' tails (2n entries, for n
-    stored terms), their terms a_k r^k on the R capped circles (2Rn) and their bins
-    there (2RM, M = angles_count).  One Horner pass (``_grid_margin_at``) per batch
-    of whole blocks gives the margins at the witnesses.  A batch takes as many
-    blocks as keep 4n complex entries per candidate within _BLOCK_BYTES: the F and
-    zF' tails (2n), whose columns the pass reads in place, and 2n that once counted
-    a transposed copy the pass no longer makes; past 32 rows it allocates ten
-    float64 entries per row (the accumulator, the point's parts and the two
-    products, two each).  A batch ends early after a block with an image or FFT
-    margin that is not finite or not above the grid margin, so a failing stream is
-    drawn no further than to that block.  Rows do not share values, so no outcome
-    depends on block or batch sizes.  An operator multiplier that overflows raises
-    here, as in the single check."""
-    p, n = op.p, len(ks)
-    phi = phi_array(op, ks)
-    points = grid.points(radius_cap=RADIUS_CAP)
-    floor = vanishing_floor(points, p)
-    margin_of = _quotient_margin(p, *_numeric_form(cp))
-    circles = points.size // grid.angles_count
-    size = max(1, _BLOCK_BYTES // (32 * (n + circles * (n + grid.angles_count))))
-
-    def missed(i, lead, tail):
-        return i, numeric_membership(op, cp, LaurentSeries(p, int(ks[-1]), tail, lead), grid)
-
-    if points.size == 0:  # nothing to evaluate: the first candidate is the single check's
-        block = list(islice(candidates, size))
-        return missed(0, *block[0]) if block else None
-    per_batch = max(1, _BLOCK_BYTES // (64 * n) // size)  # blocks per Horner pass
-
-    def rows_of(block):
-        """The F and zF' rows (apply_coeff, z_derivative) of a block, and which images are finite."""
-        leads = np.array([lead for lead, _ in block], dtype=np.complex128)
-        coeffs = np.empty((2, len(block), n), dtype=np.complex128)
-        image = np.stack([tail for _, tail in block], out=coeffs[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(image, phi, out=image)
-            np.multiply(ks, image, out=coeffs[1])
-        rows = SeriesRows(p, np.concatenate((leads, -p * leads)), coeffs.reshape(-1, n))
-        return rows, np.all(np.isfinite(image), axis=1)
-
-    def batches():
-        """The stream in batches: candidates, their witness indices, whether image and FFT margin are finite."""
-        stream, batch, picks, finite = iter(candidates), [], [], []
-        while block := list(islice(stream, size)):
-            rows, image_finite = rows_of(block)
-            _, i, fft = _grid_witness(rows, 2, points, eval_circles(rows, grid, RADIUS_CAP), margin_of, floor)
-            batch += block
-            picks.append(i)
-            finite.append(image_finite & np.isfinite(fft))
-            if not np.all(finite[-1] & (fft > grid.margin)) or len(picks) == per_batch:
-                yield batch, np.concatenate(picks), np.concatenate(finite)
-                batch, picks, finite = [], [], []
-        if batch:
-            yield batch, np.concatenate(picks), np.concatenate(finite)
-
-    first = 0
-    for batch, picks, finite in batches():
-        margins, _ = _grid_margin_at(rows_of(batch)[0], 2, points[picks], margin_of, floor[picks])
-        holds = finite & np.isfinite(margins) & (margins > grid.margin)
-        if not holds.all():
-            i = int(np.argmin(holds))
-            return missed(first + i, *batch[i])
-        first += len(batch)
-    return None
 
 
 def disk_characterization(

@@ -1,11 +1,11 @@
-"""Reference route for the inclusion verifiers: one checker call per trial.
+"""Reference route for the inclusion verifiers: one checker call per sampled trial.
 
-``verify_inclusion_general`` evaluates its sampled trials in blocks of
-rows, and ``verify_inclusion_plus`` samples nothing: it decides in closed
-form.  The functions here keep the serial sampling loops, one
-``exact_membership_plus`` or ``numeric_membership`` call per trial, as the
-oracle: tests hold the batched screen to them report for report and error
-for error, and the closed form to the least margin they sample.
+Neither verifier samples: ``verify_inclusion_plus`` decides in closed form,
+and ``verify_inclusion_general`` certifies or checks constructed
+perturbations.  The functions here keep the seeded sampling loops, one
+``exact_membership_plus`` or ``numeric_membership`` call per random trial,
+as the oracle: no sampled neighbor may contradict a ``holds``, or go below
+a closed-form margin.
 """
 import math
 
@@ -22,9 +22,15 @@ from merokit.membership import (
     exact_membership_plus,
     numeric_membership,
 )
-from merokit.neighborhoods import WeightSeq, _premise_bound, _require_counts, distance, weight_array
+from merokit.neighborhoods import WeightSeq, _premise_bound, distance, weight_array
 from merokit.operator import delta_star
 from merokit.series import LaurentSeries, default_grid, scale
+
+
+def _require_counts(**counts):
+    for name, n in counts.items():
+        if n < 0:
+            raise ValueError(f"{name}: must be >= 0, got {n}")
 
 
 def verify_inclusion_plus(op, cp, f, trials=100, seed=0):

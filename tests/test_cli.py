@@ -455,10 +455,10 @@ def test_report_item_that_is_not_an_object(capsys, tmp_path):
 
 
 def test_verify_general_certified_without_trials_holds(capsys, tmp_path):
-    """A certified neighborhood needs no sampled neighbor: with --trials 0 it
-    holds (exit 0) at its least certified margin, witnessed by a grid point."""
+    """A certified neighborhood needs no neighbor checked: it holds (exit 0) at
+    its least certified margin, witnessed by a grid point."""
     _inputs(tmp_path)
-    argv = ["nbhd", "verify-general", *_PS, "--delta", "0.001", "--trials", "0"]
+    argv = ["nbhd", "verify-general", *_PS, "--delta", "0.001"]
     code, out, err = run(capsys, *_located(tmp_path, argv))
     rep = json.loads(out)
     assert code == 0 and err == ""
@@ -467,20 +467,23 @@ def test_verify_general_certified_without_trials_holds(capsys, tmp_path):
 
 
 def test_verify_general_without_trials_is_inconclusive(capsys, tmp_path):
-    """Where the certificate does not close (a double-pole member at delta = 0.04),
-    no sampled neighbor shows nothing about the neighborhood: exit 2, at the
-    least certified margin and its witness."""
+    """Where the certificate does not close and no constructed neighbor leaves the
+    class, nothing is shown about the neighborhood: exit 2.  For a double-pole member
+    at alpha = 1/2, beta = 1 the general weight at k = 1 - p is zero, so the phase
+    (b) bound is infinite (no certified margin, no witness) and no neighbor is
+    constructed at k = 1 - p: 3 k's of 16 phases each."""
     params = tmp_path / "params-p2.json"
-    params.write_text(json.dumps({**PARAMS, "p": 2, "alpha": 0.25}))
+    params.write_text(json.dumps({**PARAMS, "p": 2, "alpha": 0.5}))
     code, out, _ = run(capsys, "gen", "herglotz", "--params", params, "--atoms", SUITE_INPUTS / "atoms-pair.json")
     series = tmp_path / "member-p2.json"
     series.write_text(out)
-    argv = ["nbhd", "verify-general", "--params", params, "--series", series, "--delta", "0.04", "--trials", "0"]
+    argv = ["nbhd", "verify-general", "--params", params, "--series", series, "--delta", "0.01"]
     code, out, err = run(capsys, *argv)
     rep = json.loads(out)
     assert code == 2 and err == ""
-    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] < 0 and rep["witness"] == [0.9, 0.0]
-    assert rep["detail"].startswith("neighborhood not certified; no escape among trials=0 seed=0; ")
+    assert rep["verdict"] == "inconclusive" and rep["worst_margin"] is None and rep["witness"] is None
+    assert rep["detail"].startswith("neighborhood not certified; no escape among 48 constructed neighbors; ")
+    assert "seed" not in rep["config"] and "trials" not in rep["config"]
 
 
 @pytest.mark.parametrize(
@@ -585,7 +588,7 @@ def test_shipped_default_suite_passes(capsys):
     # strict JSON: the inconclusive item's NaN margin is written as null
     agg = json.loads(out, parse_constant=_refuse_constant)
     assert agg["all_expected"] is True
-    assert len(agg["items"]) == 18
+    assert len(agg["items"]) == 19
     vacuous = next(it for it in agg["items"] if it["id"] == "divergent-distortion-flagged")
     assert vacuous["output"]["worst_margin"] is None
 
@@ -738,7 +741,7 @@ MALFORMED_CASES = {
     ),
     "verify-general-negative-eps-trials": (
         ["nbhd", "verify-general", *_PS, "--eps-trials", "-1", "--delta", "0.1"],
-        "eps_trials: must be >= 0, got -1",
+        "unrecognized arguments: --eps-trials -1",
     ),
     "distortion-no-angles": (
         ["verify", "distortion", *_PS, "--r", "0.5", "--which", "f_plus", "--angles", "0"],
@@ -970,8 +973,7 @@ FOREIGN_FLAG_CASES = {
     "nbhd-delta": (["nbhd", "delta", "--params", "@params.json"], ["--seed", "3"]),
     "nbhd-verify-plus": (["nbhd", "verify-plus", *_PS],
                          ["--delta", "0.9", "--kind", "general"]),
-    "nbhd-verify-general": (["nbhd", "verify-general", *_PS, "--trials", "2",
-                             "--eps-trials", "1"], ["--kind", "general"]),
+    "nbhd-verify-general": (["nbhd", "verify-general", *_PS], ["--kind", "general"]),
 }
 
 
@@ -1005,6 +1007,8 @@ REFUSED_ARGV_CASES = {
                               "are required: --criterion"),
     "abbreviated-trials": (["nbhd", "verify-general", *_PS, "--tri", "5"],
                            "unrecognized arguments: --tri 5"),
+    "abbreviated-delta": (["nbhd", "verify-general", *_PS, "--del", "0.1"],
+                          "unrecognized arguments: --del 0.1"),
     **{
         f"check-{criterion}-with-grid": (
             ["check", "--criterion", criterion, *_PS, "--grid", "@grid.json"],

@@ -15,11 +15,10 @@ each within 1e-15 of its 40-digit mpmath value, and no verdict, witness or
 detail.
 
 The reports of ``verify_inclusion_general`` are pinned the same way, for
-three outcomes per member and grid: a certified ``holds``, and a sampled
-``fails`` and ``inconclusive`` where the certificate does not close.  The
-serial loop in ``neighborhood_reference`` evaluates through the same
-``eval_circles``, so it cannot catch an evaluator that moves bits on both
-sides; these pins can.
+three radii per member and grid: a certified ``holds``, and two where a
+constructed eps-shift leaves the class.  The checks that the tests rebuild
+evaluate through the same ``eval_circles``, so they cannot catch an evaluator
+that moves bits on both sides; these pins can.
 """
 import hashlib
 
@@ -258,12 +257,16 @@ EXPECTED = {'herglotz 20x512 convolution': ('holds',
                                              'grid=2485623efeee')}
 
 
-#: (delta, eps_trials, seed) of 32 trials per member: a certified ``holds``, a ``fails``
-#: at a sampled neighbor past #20 (a later block whatever the block size), and
-#: an eps sample that leaves the class, phase (a)'s ``inconclusive``
+#: delta per member and outcome: a certified ``holds``, and two radii past the one
+#: at which a constructed eps-shift first leaves the class, phase (a)'s
+#: ``inconclusive``.  The larger one is the ``fails`` key: it pinned a sampled
+#: neighbor that left the class, but no delta makes either member fail now.  On
+#: each grid, phase (b) is certified at every delta at which all 16 constructed
+#: eps-shifts stay in the class (scanned from 0.001 to 5), and past that delta the
+#: phase (a) miss comes first
 TRIAL_CASES = {
-    "herglotz": {"holds": (0.002, 8, 3), "fails": (0.8, 0, 11), "inconclusive": (0.2, 8, 3)},
-    "schwarz": {"holds": (0.002, 8, 3), "fails": (3.0, 0, 5), "inconclusive": (0.2, 8, 3)},
+    "herglotz": {"holds": 0.002, "fails": 0.8, "inconclusive": 0.2},
+    "schwarz": {"holds": 0.002, "fails": 3.0, "inconclusive": 0.2},
 }
 
 
@@ -272,80 +275,83 @@ def observed_trials():
     out = {}
     for name, op, cp, _, f in _members():
         for gname, grid in GRIDS.items():
-            for outcome, (delta, eps_trials, seed) in TRIAL_CASES[name].items():
-                rep = verify_inclusion_general(op, cp, f, delta, eps_trials, 32, grid, seed)
+            for outcome, delta in TRIAL_CASES[name].items():
+                rep = verify_inclusion_general(op, cp, f, delta, grid=grid)
                 out[f"{name} {gname} trials {outcome}"] = _bits(rep)
     return out
 
 
-#: taken while the trial blocks were sized from the zero-filled FFT bins; the
-#: ``holds`` reports since the neighborhood is certified before it is sampled;
-#: the 20x512 ``herglotz holds`` and ``schwarz fails`` margins since the Horner
-#: recheck rounds as textbook complex arithmetic
-TRIALS_EXPECTED = {'herglotz 20x512 trials fails': ('fails',
-                                                    '-0x1.f3f5fad464180p-8',
-                                                    ('-0x1.7d3805e8eaf70p-53', '-0x1.ccccccccccccdp-1'),
-                                                    'sampled neighbor #29 (seed 11) leaves the class: '
-                                                    'grid=3393b8c7f592'),
+#: the ``holds`` reports taken since the neighborhood is certified before it is
+#: checked, and the 20x512 ``herglotz holds`` margin since the Horner recheck rounds
+#: as textbook complex arithmetic; the ``fails`` and ``inconclusive`` reports since
+#: phase (a) checks constructed eps-shifts at |eps| = (1 - 1e-6) delta
+TRIALS_EXPECTED = {'herglotz 20x512 trials fails': ('inconclusive',
+                                                    '-0x1.66666037470d6p+0',
+                                                    None,
+                                                    'hypothesis not established: eps-shift j=0 (eps=(0.7999992+0j)) '
+                                                    'gives fails at witness '
+                                                    '(0.8526675584757054+0.09455905152054178j)'),
                    'herglotz 20x512 trials holds': ('holds',
                                                     '0x1.a9bf0f5f33dd0p-4',
                                                     ('-0x1.5cebfd7993b7dp-1', '0x1.2cfb675e6b551p-1'),
-                                                    'every neighbor certified at every grid point; eps-shifts certified at 0.0982; '
-                                                    'delta=0.002 grid=3393b8c7f592'),
+                                                    'every neighbor certified at every grid point; eps-shifts '
+                                                    'certified at 0.0982; delta=0.002 grid=3393b8c7f592'),
                    'herglotz 20x512 trials inconclusive': ('inconclusive',
-                                                           '-0x1.666304b3a0bb8p+0',
+                                                           '-0x1.c7312e88fbaa4p-2',
                                                            None,
-                                                           'hypothesis not established: eps sample #1 '
-                                                           '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
-                                                           '(0.8847949386880947-0.16473589915962691j)'),
-                   'herglotz fold16 trials fails': ('fails',
-                                                    '-0x1.f3f5fad464180p-8',
-                                                    ('-0x1.7d3805e8eaf70p-53', '-0x1.ccccccccccccdp-1'),
-                                                    'sampled neighbor #29 (seed 11) leaves the class: '
-                                                    'grid=2485623efeee'),
+                                                           'hypothesis not established: eps-shift j=0 '
+                                                           '(eps=(0.1999998+0j)) gives fails at witness '
+                                                           '(0.8088070191245584+0.3947546146846749j)'),
+                   'herglotz fold16 trials fails': ('inconclusive',
+                                                    '-0x1.62bd1092abdb6p+0',
+                                                    None,
+                                                    'hypothesis not established: eps-shift j=0 (eps=(0.7999992+0j)) '
+                                                    'gives fails at witness (0.3444150891285809+0.831491579260158j)'),
                    'herglotz fold16 trials holds': ('holds',
                                                     '0x1.aaab4cafc0f06p-4',
                                                     ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
-                                                    'every neighbor certified at every grid point; eps-shifts certified at 0.0984; '
-                                                    'delta=0.002 grid=2485623efeee'),
+                                                    'every neighbor certified at every grid point; eps-shifts '
+                                                    'certified at 0.0984; delta=0.002 grid=2485623efeee'),
                    'herglotz fold16 trials inconclusive': ('inconclusive',
-                                                           '-0x1.1baacfafccd36p+0',
+                                                           '-0x1.bf1daf82f6aa6p-2',
                                                            None,
-                                                           'hypothesis not established: eps sample #1 '
-                                                           '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
-                                                           '(0.9+0j)'),
-                   'schwarz 20x512 trials fails': ('fails',
-                                                   '-0x1.1d519c97e7f68p-1',
-                                                   ('-0x1.8241027eb3fc3p-1', '0x1.f6924e6f78ab5p-2'),
-                                                   'sampled neighbor #28 (seed 5) leaves the class: '
-                                                   'grid=3393b8c7f592'),
+                                                           'hypothesis not established: eps-shift j=0 '
+                                                           '(eps=(0.1999998+0j)) gives fails at witness '
+                                                           '(0.831491579260158+0.3444150891285808j)'),
+                   'schwarz 20x512 trials fails': ('inconclusive',
+                                                   '-0x1.304178ccd942ap+5',
+                                                   None,
+                                                   'hypothesis not established: eps-shift j=0 (eps=(2.999997+0j)) '
+                                                   'gives fails at witness '
+                                                   '(0.33025362932143737+0.3468762344662289j)'),
                    'schwarz 20x512 trials holds': ('holds',
                                                    '0x1.943bb286ca661p-2',
                                                    ('-0x1.a2f1d1bd196e1p-1', '-0x1.7fc80f3e252fep-2'),
-                                                   'every neighbor certified at every grid point; eps-shifts certified at 0.386; '
-                                                   'delta=0.002 grid=3393b8c7f592'),
+                                                   'every neighbor certified at every grid point; eps-shifts '
+                                                   'certified at 0.386; delta=0.002 grid=3393b8c7f592'),
                    'schwarz 20x512 trials inconclusive': ('inconclusive',
-                                                          '-0x1.0d1bec7edf5c7p+3',
+                                                          '-0x1.139fe45d77b99p+4',
                                                           None,
-                                                          'hypothesis not established: eps sample #1 '
-                                                          '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
-                                                          '(0.12112263765641361+0.8918123718850021j)'),
-                   'schwarz fold16 trials fails': ('fails',
-                                                   '-0x1.12199668be3b0p-2',
-                                                   ('-0x1.a9b943a7a4bf2p-1', '0x1.60ae596039875p-2'),
-                                                   'sampled neighbor #28 (seed 5) leaves the class: '
-                                                   'grid=2485623efeee'),
+                                                          'hypothesis not established: eps-shift j=0 '
+                                                          '(eps=(0.1999998+0j)) gives fails at witness '
+                                                          '(-0.5878555586583989+0.6814879618558363j)'),
+                   'schwarz fold16 trials fails': ('inconclusive',
+                                                   '-0x1.9099f888d975fp+1',
+                                                   None,
+                                                   'hypothesis not established: eps-shift j=0 (eps=(2.999997+0j)) '
+                                                   'gives fails at witness '
+                                                   '(-0.4242640687119286-0.42426406871192845j)'),
                    'schwarz fold16 trials holds': ('holds',
                                                    '0x1.9495183dc04d1p-2',
                                                    ('-0x1.a9b943a7a4bf3p-1', '-0x1.60ae596039871p-2'),
-                                                   'every neighbor certified at every grid point; eps-shifts certified at 0.387; '
-                                                   'delta=0.002 grid=2485623efeee'),
+                                                   'every neighbor certified at every grid point; eps-shifts '
+                                                   'certified at 0.387; delta=0.002 grid=2485623efeee'),
                    'schwarz fold16 trials inconclusive': ('inconclusive',
-                                                          '-0x1.548abfd35704ap+0',
+                                                          '-0x1.2d88e0c8c32b4p+2',
                                                           None,
-                                                          'hypothesis not established: eps sample #1 '
-                                                          '(eps=-0.16574-0.105276j, seed 3) gives fails at witness '
-                                                          '(5.5109105961630896e-17+0.9j)')}
+                                                          'hypothesis not established: eps-shift j=0 '
+                                                          '(eps=(0.1999998+0j)) gives fails at witness '
+                                                          '(0.6363961030678928+0.6363961030678927j)')}
 
 
 @pytest.fixture(scope="module")

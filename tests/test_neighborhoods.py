@@ -1,5 +1,6 @@
 """Weighted coefficient neighborhoods and the two inclusion verifiers."""
 import importlib.util
+import re
 import sys
 import tracemalloc
 import warnings
@@ -14,7 +15,15 @@ from hypothesis import strategies as st
 import merokit
 from merokit import membership, neighborhoods
 from merokit.generators import MeasureAtoms, SchwarzPoly, extremal_fn, from_herglotz, from_schwarz
-from merokit.membership import RADIUS_CAP, SUM_TOL, ClassParams, budget, numeric_margins, ratio_weights
+from merokit.membership import (
+    RADIUS_CAP,
+    SUM_TOL,
+    ClassParams,
+    budget,
+    numeric_margins,
+    numeric_membership,
+    ratio_weights,
+)
 from merokit.neighborhoods import (
     WeightSeq,
     delta_star,
@@ -253,11 +262,12 @@ def test_verify_general_hypothesis_gate():
 
 
 def test_verify_general_finds_escape_for_oversized_radius():
-    cp = ClassParams(0.3, 0.8)
-    f = LaurentSeries.pole_only(1, 8)
-    rep = verify_inclusion_general(OP1, cp, f, 40.0, eps_trials=1, trials=32, grid=GRID, seed=0)
+    """Under the identity operator, z^-1 + (1 - 1e-6) 1.4 leaves the alpha = 0, beta = 1
+    class (Re Q < 0 fails near z = -0.8): the first constructed neighbor, at k = 0, is a
+    counterexample at distance (1 - 1e-6) 1.4 of z^-1."""
+    rep = verify_inclusion_general(M0, ClassParams(0.0, 1.0), LaurentSeries.pole_only(1, 8), 1.4, grid=GRID)
     assert rep.verdict == "fails"
-    assert rep.witness is not None
+    assert rep.witness is not None and " at k=0 theta=2pi*0/16 leaves the class: " in rep.detail
 
 
 def test_verify_general_validation():
@@ -267,13 +277,11 @@ def test_verify_general_validation():
         verify_inclusion_general(OP1, cp, f, 0.0)
     with pytest.raises(ValueError, match="trunc_order"):
         verify_inclusion_general(OP1, cp, LaurentSeries.pole_only(1, 0), 0.1)
-    with pytest.raises(ValueError, match="trials: must be >= 0, got -1"):
-        verify_inclusion_general(OP1, cp, f, 0.1, trials=-1)
-    with pytest.raises(ValueError, match="eps_trials: must be >= 0, got -2"):
-        verify_inclusion_general(OP1, cp, f, 0.1, eps_trials=-2)
+    # nothing reads the sample counts, so negative ones are no error either
+    assert verify_inclusion_general(OP1, cp, f, 0.1, -2, -1) == verify_inclusion_general(OP1, cp, f, 0.1)
 
 
-# ------------------------------------------- batched trials against the serial loops
+# ----------------------------------- constructed perturbations against the serial sampler
 
 def _outcome(fn, *args):
     """A report as comparable bits (float.hex margin, witness, detail), or the raised error."""
@@ -286,22 +294,44 @@ def _outcome(fn, *args):
     return rep.verdict, float(rep.worst_margin).hex(), w, rep.detail
 
 
-#: the detail of a general run whose neighborhood was not certified and whose sampled neighbors all held
-UNCERTIFIED = "neighborhood not certified; no escape among trials="
+#: the detail of a general run whose neighborhood was not certified and whose constructed neighbors all held
+UNCERTIFIED = "neighborhood not certified; no escape among "
+
+#: the phases e^(i theta_j), theta_j = 2 pi j / 16, of the constructed perturbations
+TURNS = np.exp(2j * np.pi * np.arange(16) / 16)
 
 
-def _general(*args):
-    """verify_inclusion_general's outcome, held to the serial loop's.  A certified
-    neighborhood holds at a margin no sampled neighbor goes below; a screen that
-    finds no escape is the serial loop's run that no neighbor failed; any other
-    outcome, a sampled miss or an error, is the serial loop's, bit for bit."""
-    got = _outcome(neighborhoods.verify_inclusion_general, *args)
-    want = _outcome(serial.verify_inclusion_general, *args)
-    if got[0] == "holds" or got[-1].startswith(UNCERTIFIED):
-        assert want[0] == "holds" or want[3].startswith("no neighbor sampled (trials = 0); ")
-        assert got[0] == "inconclusive" or not float.fromhex(want[1]) < float.fromhex(got[1])
-    else:
-        assert got == want
+def _neighbor(op, cp, f, delta, k, j):
+    """The phase (b) neighbor f + (1 - 1e-6)(delta / s_k) e^(i theta_j) z^k, as the verifier builds it."""
+    s = weight_array(WeightSeq("general", op, cp), f.k_values())[k - 1 + op.p]
+    return f.with_coeff(k, f.coeff(k) + (1.0 - 1e-6) * delta / s * TURNS[j])
+
+
+def _general(op, cp, f, delta, eps_trials, trials, grid, seed):
+    """verify_inclusion_general's outcome, held to what it claims.  A holds is contradicted
+    by no neighbor that the serial sampler, the oracle, draws from f (one eps sample, f
+    itself, so that no sampled eps-shift ends its run first): that run holds at no lower
+    margin.  A fails is numeric_membership of the neighbor rebuilt from the k and theta
+    that its detail names, bit for bit, and that neighbor is within delta of f.  A phase
+    (a) inconclusive is numeric_membership of the eps-shift that its detail names, at
+    |eps| < delta."""
+    got = _outcome(neighborhoods.verify_inclusion_general, op, cp, f, delta, eps_trials, trials, grid, seed)
+    if got[0] == "holds":
+        want = _outcome(serial.verify_inclusion_general, op, cp, f, delta, 1, 32, grid, seed)
+        assert want[0] == "holds" and not float.fromhex(want[1]) < float.fromhex(got[1])
+    elif got[0] == "fails":
+        k, j = map(int, re.search(r" at k=(-?\d+) theta=2pi\*(\d+)/16 leaves the class: ", got[3]).groups())
+        g = _neighbor(op, cp, f, delta, k, j)
+        want = _outcome(numeric_membership, op, cp, g, grid)
+        assert got[:3] == want[:3] and got[3].endswith(f" leaves the class: {want[3]}")
+        assert distance(WeightSeq("general", op, cp), f, g) < delta
+    elif got[0] == "inconclusive" and got[3].startswith("hypothesis not established: "):
+        eps = np.complex128(complex(re.search(r"\(eps=(.*?)\) gives ", got[3]).group(1)))
+        assert abs(eps) < delta
+        with np.errstate(over="ignore", invalid="ignore"):  # an eps near the largest float
+            g = f if eps == 0 else scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps))
+        want = _outcome(numeric_membership, op, cp, g, grid)
+        assert got[1] == want[1] and f") gives {want[0]} at witness " in got[3]
     return got
 
 
@@ -352,54 +382,64 @@ def test_verify_general_schwarz_member_as_serially():
         _general(op, cp, f, 0.01, 8, 32, TRIAL_GRID, seed)
 
 
-@pytest.mark.parametrize("p,d,first_miss", [(1, 0.05, 7), (2, 0.1, 6), (1, 2.0, 1)])
+@pytest.mark.parametrize("p,d,first_miss", [(1, 0.05, 6), (2, 0.1, 1), (1, 2.0, 0)])
 def test_verify_general_inconclusive_as_serially(p, d, first_miss):
-    """Phase (a): an eps-shift leaves the class, in the first block of the
-    default grid or a later one."""
+    """Phase (a): a constructed eps-shift, the first_miss-th, leaves the class."""
     op, cp, f = _member(p, 4)
     got = _general(op, cp, f, d / phi(op, p), 8, 32, None, 4)
-    assert got[0] == "inconclusive" and f"eps sample #{first_miss} " in got[3]
+    assert got[0] == "inconclusive" and f"eps-shift j={first_miss} " in got[3]
 
 
 def test_verify_general_fails_as_serially():
-    cp = ClassParams(0.3, 0.8)
-    f = LaurentSeries.pole_only(1, 8)
-    for seed in range(3):
-        got = _general(OP1, cp, f, 40.0, 1, 32, GRID, seed)
-        assert got[0] == "fails" and "sampled neighbor #" in got[3]
+    """Where the serial sampler's 32 neighbors find no escape, a constructed one does:
+    the double-pole members 7 and 10 at 0.03 / phi_2, and 10 at 0.1 / phi_2, on the
+    default grid, each moved at k = 1 - p."""
+    for seed, d, j in ((7, 0.03, 1), (10, 0.03, 0), (10, 0.1, 0)):
+        op, cp, f = _member(2, seed)
+        got = _general(op, cp, f, d / phi(op, 2), 8, 32, None, seed)
+        assert got[0] == "fails" and f" at k=-1 theta=2pi*{j}/16 leaves the class: " in got[3]
+        assert serial.verify_inclusion_general(op, cp, f, d / phi(op, 2), 1, 32, None, seed).verdict == "holds"
 
 
-def test_verify_general_fails_at_a_later_block_as_serially():
-    """At 0.2 / phi_1 the neighborhood is not certified and no sampled neighbor
-    leaves the class: inconclusive.  At 0.8 and 1.6 one does, in a later block."""
-    op, cp, f = _member(1, 4)
-    outcomes = [
-        _general(op, cp, f, d / phi(op, 1), 0, 32, grid, 11)
-        for d in (0.2, 0.8, 1.6)
-        for grid in (TRIAL_GRID, None)
-    ]
-    assert [o[0] for o in outcomes] == ["inconclusive"] * 2 + ["fails"] * 4
-    assert all(o[3].startswith(UNCERTIFIED) for o in outcomes[:2])
-    assert "sampled neighbor #19 " in outcomes[3][3] and "sampled neighbor #10 " in outcomes[5][3]
+def test_verify_general_constructed_eps_shift_leaves_the_class():
+    """Seven eps sampled from seed 1 stay in the class, and so does every sampled
+    neighbor; the constructed eps-shift j = 6, at |eps| = (1 - 1e-6) delta, does
+    not: the hypothesis is not established."""
+    op, cp, f = _member(1, 1)
+    got = _general(op, cp, f, 0.1 / phi(op, 1), 8, 32, None, 1)
+    assert got[0] == "inconclusive" and "eps-shift j=6 " in got[3]
+    assert serial.verify_inclusion_general(op, cp, f, 0.1 / phi(op, 1), 8, 32, None, 1).verdict == "holds"
+
+
+def test_verify_general_fails_at_a_later_neighbor_as_serially():
+    """Member 0 (p = 2) on the default grid: at 0.0071 / phi_2 every neighbor is
+    certified; at 0.00716 / phi_2 the certificate does not close and no constructed
+    neighbor leaves the class: inconclusive.  From 0.0072 / phi_2 on, one does, at
+    k = -1 and a later phase."""
+    op, cp, f = _member(2, 0)
+    outcomes = [_general(op, cp, f, d / phi(op, 2), 8, 32, None, 0) for d in (0.0071, 0.00716, 0.0072, 0.008)]
+    assert [o[0] for o in outcomes] == ["holds", "inconclusive", "fails", "fails"]
+    assert outcomes[1][3].startswith(f"{UNCERTIFIED}64 constructed neighbors; ")
+    assert " at k=-1 theta=2pi*9/16 " in outcomes[2][3] and " at k=-1 theta=2pi*7/16 " in outcomes[3][3]
 
 
 @pytest.mark.parametrize("counts", [(8, 0), (0, 32), (0, 0), (3, 5)])
 def test_verify_general_trial_counts_as_serially(counts):
-    """A certified neighborhood holds whatever the sample counts, trials = 0
-    included: the certificate draws no neighbor.  One that is not certified and
-    that no sampled neighbor leaves shows nothing, trials = 0 or not:
-    inconclusive at its least certified margin, witnessed by its point."""
+    """A certified neighborhood holds whatever the sample counts: nothing is
+    sampled.  One that is not certified and that no constructed neighbor leaves
+    shows nothing, whatever the counts: inconclusive at its least certified
+    margin, witnessed by its point."""
     op, cp, f = _member(1, 0)
     got = _general(op, cp, f, 0.002, *counts, TRIAL_GRID, 3)
     assert got[0] == "holds" and got[3].startswith("every neighbor certified at every grid point; ")
     op, cp, f = _member(2, 0)
-    got = _general(op, cp, f, 0.01 / phi(op, 2), *counts, TRIAL_GRID, 0)
-    assert got[0] == "inconclusive" and got[3].startswith(f"{UNCERTIFIED}{counts[1]} seed=0; ")
+    got = _general(op, cp, f, 0.00716 / phi(op, 2), *counts, None, 0)
+    assert got[0] == "inconclusive" and got[3].startswith(f"{UNCERTIFIED}64 constructed neighbors; ")
     assert float.fromhex(got[1]) <= 0.0 and got[2] is not None
 
 
 def test_verify_general_empty_capped_grid_as_serially():
-    """A grid with no radius <= RADIUS_CAP is refused before any eps sample,
+    """A grid with no radius <= RADIUS_CAP is refused before any perturbation,
     with numeric_membership's own cause."""
     op, cp, f = _member(1, 0)
     grid = SampleGrid(radii=(0.97, 0.99), angles_count=16)
@@ -409,17 +449,12 @@ def test_verify_general_empty_capped_grid_as_serially():
 
 
 def test_verify_general_overflowing_rows_as_serially():
-    """A trial whose operator image or margin overflows raises the single check's error."""
+    """An f whose operator image overflows is refused with the single check's error."""
     op, cp, f = _member(1, 0)
-    got = _general(op, cp, f.with_coeff(3, 1e308), 0.002, 8, 32, TRIAL_GRID, 0)
+    f = f.with_coeff(3, 1e308)
+    got = _general(op, cp, f, 0.002, 8, 32, TRIAL_GRID, 0)
+    assert got == _outcome(numeric_membership, op, cp, f, TRIAL_GRID)
     assert got[0] == "OverflowError" and "image overflows" in got[1]
-    op = OperatorParams(1.0, 0.0, 1, 2)
-    cp = ClassParams(0.5, 0.5)
-    f = LaurentSeries.pole_only(2, 8)
-    got = _general(op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 98)
-    assert got == ("OverflowError", "apply: the operator image overflows a float at k=-1 (m=1)")
-    got = _general(op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 5)
-    assert got[0] == "OverflowError" and got[1].startswith("margin: not finite")
 
 
 def test_verify_general_tiny_radius_as_serially():
@@ -432,19 +467,6 @@ def test_verify_general_tiny_radius_as_serially():
             got = _general(op, ClassParams(0.3, 0.8), f, 0.01, *counts, grid, 0)
             assert (got[0] == "OverflowError") == (op.p == 2)
             assert op.p == 1 or got[1] == "margin: not finite at (1e-200+0j); the evaluation overflows a float"
-
-
-def test_verify_general_overflowing_step_is_the_image_error():
-    """A step u mass e^(i t) / s_k beyond the float range (s_k just above SUM_TOL,
-    delta near the largest float) is the overflowing image's usage error, with
-    no numpy warning; the serial loop, its warning silenced, agrees."""
-    op = OperatorParams(1.0, 0.0, 1, 2)
-    cp = ClassParams(0.5, 1.0 - 1e-10)
-    f = LaurentSeries.pole_only(2, 8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _outcome(serial.verify_inclusion_general, op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 1)
-    got = _outcome(neighborhoods.verify_inclusion_general, op, cp, f, 1.7e308, 0, 32, TRIAL_GRID, 1)
-    assert got == want == ("OverflowError", "apply: the operator image overflows a float at k=-1 (m=1)")
 
 
 def test_verify_general_errors_as_serially():
@@ -606,42 +628,16 @@ def test_verify_plus_degenerate_radius_measures_no_margin_as_serially():
     assert got == ("inconclusive", "nan", None, "degenerate radius delta = 0; nothing to verify")
 
 
-def test_each_sampled_run_draws_its_steps_in_one_call(monkeypatch):
-    """A general run draws its neighbors' steps from one _steps call, whether it
-    fails or samples nothing; a general run whose neighborhood is certified draws
-    none, and a plus run draws none at all."""
-    calls = []
-    steps = neighborhoods._steps
-
-    def spy(rng, s, radius, trials):
-        calls.append(trials)
-        return steps(rng, s, radius, trials)
-
-    monkeypatch.setattr(neighborhoods, "_steps", spy)
-    cp = ClassParams(0.5, 1.0)
-    f = LaurentSeries.pole_only(1, 8).with_coeff(1, 0.05)
-    assert verify_inclusion_plus(OP1, cp, f, 50, 1).verdict == "holds"
-    op, cp, f = _member(1, 4)
-    verdicts = [
-        verify_inclusion_general(op, cp, f, r / phi(op, 1), eps, n, None, 11).verdict
-        for r, eps, n in ((0.002, 8, 32), (0.002, 8, 0), (0.8, 0, 32))
-    ]
-    assert verdicts == ["holds", "holds", "fails"]
-    assert calls == [32]
-
-
 def test_certified_run_screens_nothing(monkeypatch):
-    """A run whose two phases are certified makes no _numeric_rows screen and no
-    _steps draw: one evaluation of f's image gives the report, one FFT call of its
-    F and zF' rows and one Horner pass of them at both phases' witnesses (four
-    rows).  The eps samples are still drawn from the seed."""
+    """A run whose two phases are certified checks no constructed perturbation: one
+    evaluation of f's image gives the report, one FFT call of its F and zF' rows and
+    one Horner pass of them at both phases' witnesses (four rows)."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
-    for name in ("_numeric_rows", "_steps"):
-        monkeypatch.setattr(neighborhoods, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+    monkeypatch.setattr(neighborhoods, "numeric_membership", lambda *args: pytest.fail("numeric_membership called"))
     op, cp, f = _member(1, 0)
     rep = verify_inclusion_general(op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 0)
     assert rep.verdict == "holds" and rep.detail.startswith("every neighbor certified at every grid point; ")
-    assert "eps-shifts certified at " in rep.detail and "trials" not in rep.detail
+    assert "eps-shifts certified at " in rep.detail and "constructed" not in rep.detail
     assert calls == {"eval_circles": [2], "eval_many": [4]}
 
 
@@ -690,7 +686,7 @@ def test_certified_margin_bounds_extreme_neighbors(kind, p, delta):
         if rep.verdict == "holds":
             assert rep.worst_margin == pytest.approx(c_b.min(), rel=1e-9, abs=1e-12)
         closed = c_a.min() > grid.margin
-        assert (f"eps-shifts certified at {c_a.min():.3g}; " if closed else "eps-shifts screened: ") in rep.detail
+        assert (f"eps-shifts certified at {c_a.min():.3g}; " in rep.detail) == closed
         rng = np.random.default_rng([seed, p, 11])
         s = weight_array(WeightSeq("general", op, cp), f.k_values())
         for _ in range(6):
@@ -709,21 +705,24 @@ def test_certified_margin_bounds_extreme_neighbors(kind, p, delta):
 
 @pytest.mark.parametrize("case", ["zero bracket", "radius above 1", "largest radius"])
 def test_uncertifiable_inputs_raise_no_warning(case):
-    """A zero bracket D_{1-p} (p = 2, alpha = 1/2, beta = 1) and a radius near the
-    largest float leave the phase (b) bound infinite: no certified margin (NaN),
-    no witness.  Above 1 phase (a) is not certified but screened, and phase (b)
-    does not close.  No numpy warning on the way."""
-    op, cp, f, delta, hypothesis = {
+    """A zero bracket D_{1-p} (p = 2, alpha = 1/2, beta = 1) leaves the phase (b) bound
+    infinite: no certified margin (NaN), no witness, and s_{1-p} = 0 moves no neighbor
+    at k = 1 - p.  Above 1 phase (a) is not certified but checked, and its first
+    constructed eps-shift leaves the class, at a radius near the largest float too.
+    No numpy warning on the way."""
+    op, cp, f, delta, detail = {
         "zero bracket": (OperatorParams(1.0, 0.0, 1, 2), ClassParams(0.5, 1.0), LaurentSeries.pole_only(2, 4),
-                         0.01, "eps-shifts certified at "),
-        "radius above 1": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 1.5, "eps-shifts screened: "),
-        "largest radius": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 1.7e308, "eps-shifts screened: "),
+                         0.01, f"{UNCERTIFIED}48 constructed neighbors; eps-shifts certified at "),
+        "radius above 1": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 1.5,
+                           "hypothesis not established: eps-shift j=0 (eps=(1.4999985+0j)) gives fails "),
+        "largest radius": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 1.7e308,
+                           "hypothesis not established: eps-shift j=0 (eps=(1.6999983e+308+0j)) gives fails "),
     }[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _general(op, cp, f, delta, 0, 0, TRIAL_GRID, 0)
-    assert got[0] == "inconclusive" and got[3].startswith(f"{UNCERTIFIED}0 seed=0; {hypothesis}")
-    assert (got[1] == "nan" and got[2] is None) == (case != "radius above 1")
+    assert got[0] == "inconclusive" and got[3].startswith(detail) and got[2] is None
+    assert (got[1] == "nan") == (case == "zero bracket")
 
 
 def _closed_form_is_sound(op, cp, f, trials, seed):
@@ -814,117 +813,29 @@ def test_verify_plus_refusals_as_serially():
     assert _plus(wrong_p, cp, LaurentSeries.pole_only(1, 4), 10, 0)[0] == "ValueError"
 
 
-# ---------------------------------------------------------------- block sizes
+# ------------------------------------------------------------ constructed checks
 
-def _screened_blocks(monkeypatch, grid, tail, count):
-    """Screen ``count`` copies of z^-1 with ``tail`` zero coefficients (each
-    holds): the screen's miss, and per ``eval_circles`` call the rows it got
-    and how many candidates had been drawn from the stream by then."""
-    drawn, calls = [], []
-    evaluate = membership.eval_circles
-
-    def spy(rows, *args):
-        calls.append((len(rows.lead), len(drawn)))
-        return evaluate(rows, *args)
-
-    def stream():
-        for i in range(count):
-            drawn.append(i)
-            yield 1.0, np.zeros(tail, dtype=complex)
-
-    monkeypatch.setattr(membership, "eval_circles", spy)
-    got = membership._numeric_rows(OP1, ClassParams(0.3, 0.8), grid, np.arange(tail), stream())
-    return got, calls, len(drawn)
-
-
-@pytest.mark.parametrize(
-    "radii,angles,tail,rows",
-    [
-        (np.linspace(0.1, 0.9, 5), 720, 65, 2),  # the default grid at K = 64
-        (np.linspace(0.1, 0.9, 20), 4096, 1024, 1),
-        ((0.5,), 8, 4096, 1),  # a long series on a small grid: its tails and terms
-        ((0.97, 0.99), 16, 4096, 2),  # no capped circle: the tails alone
-        (np.linspace(0.1, 0.9, 20), 8, 4096, 1),  # the terms on 20 circles outweigh the bins
-    ],
-)
-def test_trial_blocks_stay_within_their_byte_cap(monkeypatch, radii, angles, tail, rows):
-    """A block's complex arrays, per candidate its F and zF' rows' tails (2n
-    entries), their terms a_k r^k on the R capped circles (2Rn) and their bins
-    there (2RM), hold at most 256 KiB, unless it is a single row, the least a
-    block can hold.  Each block is one eval_circles call of its F and zF' rows,
-    made once the block, and no more, has been drawn from the stream."""
-    grid = SampleGrid(tuple(float(r) for r in radii), angles)
-    circles = sum(r <= RADIUS_CAP for r in grid.radii)
-    entries = 2 * (tail + circles * (tail + angles))
-    assert rows == 1 or rows * entries * 16 <= 256 * 1024
-    assert (rows + 1) * entries * 16 > 256 * 1024
-    miss, calls, drawn = _screened_blocks(monkeypatch, grid, tail, 3 * rows)
-    if circles:
-        assert miss is None
-        assert calls == [(2 * rows, rows), (2 * rows, 2 * rows), (2 * rows, 3 * rows)]
-    else:  # nothing to evaluate: the first candidate is the caller's to re-run
-        assert miss[0] == 0 and calls == [] and drawn == rows
-
-
-def _screened(K=None):
-    """A p = 2 member and radius 0.01 / phi_2 at which, on the grids below,
-    neither phase is certified and no eps sample or neighbor drawn from seed 0
-    leaves the class: every sample is screened."""
-    op, cp, f = _member(2, 0, K)
-    return op, cp, f, 0.01 / phi(op, 2)
-
-
-def test_trial_memory_does_not_grow_with_the_trial_count():
-    """A long series on a one-circle grid: eight times the trials leave the
-    traced peak of a run where it was, about a block's few arrays."""
-    op, cp, f, delta = _screened(4094)
-    grid = SampleGrid((0.9,), 8)
-    peaks = []
-    for trials in (8, 64):
-        tracemalloc.start()
-        rep = verify_inclusion_general(op, cp, f, delta, 8, trials, grid, 0)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
-    assert peaks[1] < peaks[0] + 64 * 1024
-    assert peaks[1] < 16 * 256 * 1024
+def _screened():
+    """A p = 2 member and radius 0.00716 / phi_2 at which, on the default grid,
+    neither phase is certified and no constructed perturbation leaves the class:
+    all 17 of phase (a) and all 64 of phase (b) are checked."""
+    op, cp, f = _member(2, 0)
+    return op, cp, f, 0.00716 / phi(op, 2)
 
 
 def test_default_scale_trial_memory_peak():
-    """tracemalloc's peak of a default-scale call (K = 64 - p on the 5x720 grid,
-    8 + 32 trials in 2-row blocks) was 652 KiB while the numeric form allocated
-    five full-size temporaries; with reused buffers and the FFT's M bins per
-    circle it was about 619.5 KiB.  With the bins transformed in place, the
-    quotient margins computed into the consumed values and one Horner pass per
-    phase it is about 498 KiB, and must stay below 640 KiB, the two certificate
-    evaluations that precede the screens included."""
-    op, cp, f, delta = _screened()
-    args = (op, cp, f, delta, 8, 32, None, 0)
-    verify_inclusion_general(*args)  # first-call allocations are not the trials' own
+    """tracemalloc's peak of a default-scale call (K = 64 - p on the 5x720 grid) that
+    checks every constructed perturbation, one numeric_membership call after another,
+    the certificate's evaluation first, is about 433 KiB, and must stay below the
+    640 KiB that the batched screen it replaced was held to."""
+    args = (*_screened(), 8, 32, None, 0)
+    verify_inclusion_general(*args)  # first-call allocations are not the checks' own
     tracemalloc.start()
     rep = verify_inclusion_general(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
     assert peak < 640 * 1024
-
-
-def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
-    """On a 20x4096 grid the certificate of both phases, each eps sample and
-    each trial is its own block: one eval_circles call of its F and zF' rows."""
-    sizes = []
-    evaluate = membership.eval_circles
-
-    def spy(rows, *args):
-        sizes.append(len(rows.lead))
-        return evaluate(rows, *args)
-
-    monkeypatch.setattr(membership, "eval_circles", spy)
-    op, cp, f, delta = _screened()
-    grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 4096)
-    rep = neighborhoods.verify_inclusion_general(op, cp, f, delta, 2, 3, grid, 0)
-    assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
-    assert sizes == [2] * 6
 
 
 def _spied(monkeypatch, *names):
@@ -939,75 +850,67 @@ def _spied(monkeypatch, *names):
     return calls
 
 
-def test_default_scale_run_makes_one_horner_pass_per_phase(monkeypatch):
-    """A default-scale call (8 eps samples and 32 trials, K = 64 - p on the 5x720
-    grid) that certifies neither phase is the certificate of both phases (one
-    eval_circles call of f's F and zF' rows and one eval_many pass of them at
-    both witnesses), then per phase the screen: FFT blocks of 2 candidates, each
-    one eval_circles call of its F and zF' rows, and one Horner pass (eval_many)
-    per phase, not per block."""
+def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
+    """The certificate of both phases and each constructed check is its own FFT call of
+    its F and zF' rows and its own Horner pass of them, at its witnesses."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
     op, cp, f, delta = _screened()
     rep = verify_inclusion_general(op, cp, f, delta, 8, 32, None, 0)
     assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
-    assert calls["eval_circles"] == [2] + [4] * 4 + [4] * 16
-    assert calls["eval_many"] == [4, 16, 64]
-
-
-def test_long_series_horner_batches_stay_within_the_byte_cap(monkeypatch):
-    """A screen's Horner batch holds as many candidates as keep its F and zF'
-    tails and Horner's transposed copy of them (4n entries each) within 256 KiB.
-    At K = 4096 - p on a one-circle grid that is one candidate, a block of its
-    own.  The certificate, one Horner pass of f's F and zF' rows at both phases'
-    witnesses, comes first."""
-    calls = _spied(monkeypatch, "eval_circles", "eval_many")
-    op, cp, f, delta = _screened(4094)
-    rep = verify_inclusion_general(op, cp, f, delta, 3, 5, SampleGrid((0.9,), 8), 0)
-    assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
-    assert calls["eval_circles"] == [2] * 9 and calls["eval_many"] == [4] + [2] * 8
-    assert all(2 * rows * len(f.coeffs) * 16 <= membership._BLOCK_BYTES for rows in calls["eval_many"][1:])
+    assert calls == {"eval_circles": [2] * (1 + 17 + 64), "eval_many": [4] + [2] * (17 + 64)}
 
 
 def test_many_trials_keep_the_default_scale_memory_peak(monkeypatch):
-    """At the default scale a Horner batch is 64 candidates (128 rows), so 256
-    trials make four passes, and the traced peak stays below the 640 KiB of
-    the 8 + 32 call (about 613 KiB; 803 KiB with batches of 128)."""
+    """Nothing reads the trial count: 256 trials check what 32 do, with the same
+    report and below the same 640 KiB peak."""
     op, cp, f, delta = _screened()
     args = (op, cp, f, delta, 8, 256, None, 0)
-    verify_inclusion_general(*args)  # first-call allocations are not the trials' own
+    verify_inclusion_general(*args)  # first-call allocations are not the checks' own
     tracemalloc.start()
     rep = verify_inclusion_general(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert rep.verdict == "inconclusive" and peak < 640 * 1024
-    calls = _spied(monkeypatch, "eval_many")
-    assert verify_inclusion_general(*args) == rep
-    assert calls["eval_many"] == [4, 16] + [128] * 4
+    assert rep == verify_inclusion_general(op, cp, f, delta, 8, 32, None, 0) and peak < 640 * 1024
 
 
-def test_failing_run_draws_only_to_the_failing_block(monkeypatch):
-    """A neighbor that leaves the class ends its Horner batch early: the stream
-    is drawn to the end of the FFT block that holds it (neighbor #19, the 10th
-    block of 2), as when every block had its own Horner pass."""
-    drawn = []
-    screen = neighborhoods._numeric_rows
+def test_failing_run_checks_no_neighbor_past_its_miss(monkeypatch):
+    """A run stops at its first miss: member 7 (p = 2) at 0.03 / phi_2 certifies its
+    eps-shifts, then checks the constructed neighbors at k = -1 up to the failing
+    one, the second."""
+    checked = []
+    check = neighborhoods.numeric_membership
 
     def counted(*args):
-        *head, candidates = args
-        drawn.append(0)
+        checked.append(args[2])
+        return check(*args)
 
-        def stream():
-            for c in candidates:
-                drawn[-1] += 1
-                yield c
+    monkeypatch.setattr(neighborhoods, "numeric_membership", counted)
+    op, cp, f = _member(2, 7)
+    rep = verify_inclusion_general(op, cp, f, 0.03 / phi(op, 2), 8, 32, None, 7)
+    assert rep.verdict == "fails" and " at k=-1 theta=2pi*1/16 " in rep.detail
+    assert len(checked) == 2
+    assert all(np.array_equal(g.coeffs, _neighbor(op, cp, f, 0.03 / phi(op, 2), -1, j).coeffs)
+               for j, g in enumerate(checked))
 
-        return screen(*head, stream())
 
-    monkeypatch.setattr(neighborhoods, "_numeric_rows", counted)
-    op, cp, f = _member(1, 4)
-    rep = verify_inclusion_general(op, cp, f, 0.8 / phi(op, 1), 0, 32, None, 11)
-    assert rep.verdict == "fails" and "sampled neighbor #19 " in rep.detail
-    assert drawn == [1, 20]
+def _counts_case(case):
+    """verify_inclusion_general's arguments but the sample counts and seed, per case."""
+    if case == "margin overflow":  # a double pole's term at |z| = 1e-200
+        op = OperatorParams(1.0, 0.0, 1, 2)
+        return op, ClassParams(0.3, 0.8), LaurentSeries.pole_only(2, 6), 0.01, SampleGrid((1e-200, 0.5), 8)
+    p = 2 if case in ("fails", "fails at a later neighbor", "uncertified") else 1
+    op, cp, f = _member(p, 0 if p == 2 else 4)
+    delta, grid = {
+        "holds": (0.002 / phi(op, 1), TRIAL_GRID),
+        "holds default grid": (0.002 / phi(op, 1), None),
+        "fails": (0.0072 / phi(op, 2), None),
+        "fails at a later neighbor": (0.008 / phi(op, 2), None),
+        "inconclusive": (0.05 / phi(op, 1), None),
+        "uncertified": (0.00716 / phi(op, 2), None),
+        "image overflow": (0.002, TRIAL_GRID),
+        "no capped circle": (0.002, SampleGrid((0.97, 0.99), 16)),
+    }[case]
+    return op, cp, f.with_coeff(3, 1e308) if case == "image overflow" else f, delta, grid
 
 
 @pytest.mark.parametrize(
@@ -1016,32 +919,19 @@ def test_failing_run_draws_only_to_the_failing_block(monkeypatch):
         ("holds", "holds"),
         ("holds default grid", "holds"),
         ("fails", "fails"),
-        ("fails at a later block", "fails"),
+        ("fails at a later neighbor", "fails"),
         ("inconclusive", "inconclusive"),
+        ("uncertified", "inconclusive"),
         ("image overflow", "OverflowError"),
         ("margin overflow", "OverflowError"),
         ("no capped circle", "inconclusive"),
     ],
 )
-def test_block_size_leaves_every_report_bit(monkeypatch, case, outcome):
-    """One row per block, and all rows in one block, give each report or error
-    the bits the sized blocks give, and the serial loop gives."""
-    op, cp, f = _member(1, 4)
-    args = {
-        "holds": (op, cp, f, 0.002 / phi(op, 1), 8, 32, TRIAL_GRID, 3),
-        "holds default grid": (op, cp, f, 0.002 / phi(op, 1), 8, 32, None, 3),
-        "fails": (OP1, ClassParams(0.3, 0.8), LaurentSeries.pole_only(1, 8), 40.0, 1, 32, GRID, 0),
-        "fails at a later block": (op, cp, f, 0.8 / phi(op, 1), 0, 32, None, 11),
-        "inconclusive": (op, cp, f, 0.05 / phi(op, 1), 8, 32, None, 4),
-        "image overflow": (op, cp, f.with_coeff(3, 1e308), 0.002, 8, 32, TRIAL_GRID, 0),
-        "margin overflow": (
-            OperatorParams(1.0, 0.0, 1, 2), ClassParams(0.5, 0.5), LaurentSeries.pole_only(2, 8),
-            1.7e308, 0, 32, TRIAL_GRID, 5,
-        ),
-        "no capped circle": (op, cp, f, 0.002, 8, 32, SampleGrid((0.97, 0.99), 16), 0),
-    }[case]
-    want = _general(*args)
+def test_counts_and_seed_leave_every_report_bit(case, outcome):
+    """Nothing is sampled, so every sample count and seed, negative ones too, gives
+    each report or error the same bits."""
+    op, cp, f, delta, grid = _counts_case(case)
+    want = _general(op, cp, f, delta, 8, 32, grid, 0)
     assert want[0] == outcome
-    for cap in (1, 2**40):
-        monkeypatch.setattr(membership, "_BLOCK_BYTES", cap)
-        assert _outcome(neighborhoods.verify_inclusion_general, *args) == want
+    for eps_trials, trials, seed in ((0, 0, 0), (3, 5, 7), (-1, -1, 2**40)):
+        assert _outcome(neighborhoods.verify_inclusion_general, op, cp, f, delta, eps_trials, trials, grid, seed) == want

@@ -851,11 +851,13 @@ def _spied(monkeypatch, *names):
 
 
 def test_dense_grid_run_evaluates_one_row_at_a_time(monkeypatch):
-    """The certificate of both phases and each constructed check is its own FFT call of
-    its F and zF' rows and its own Horner pass of them, at its witnesses."""
+    """On a 20x4096 grid, where the radius of ``_screened`` takes the same path, the
+    certificate of both phases and each constructed check is its own FFT call of its
+    F and zF' rows and its own Horner pass of them, at its witnesses."""
     calls = _spied(monkeypatch, "eval_circles", "eval_many")
     op, cp, f, delta = _screened()
-    rep = verify_inclusion_general(op, cp, f, delta, 8, 32, None, 0)
+    grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 4096)
+    rep = verify_inclusion_general(op, cp, f, delta, 8, 32, grid, 0)
     assert rep.verdict == "inconclusive" and rep.detail.startswith(UNCERTIFIED)
     assert calls == {"eval_circles": [2] * (1 + 17 + 64), "eval_many": [4] + [2] * (17 + 64)}
 

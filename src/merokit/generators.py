@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -56,13 +55,13 @@ _SCHWARZ_SAMPLES = 4096
 _SCHWARZ_RADIUS = 0.999
 
 
-@cache
+_SCHWARZ_GRID = SampleGrid((_SCHWARZ_RADIUS,), _SCHWARZ_SAMPLES)
+
+
 def _schwarz_points() -> np.ndarray:
-    """The boundary sample points, read-only, built on first use: at import they
-    would add to every cold process's peak memory."""
-    points = SampleGrid((_SCHWARZ_RADIUS,), _SCHWARZ_SAMPLES).points()
-    points.setflags(write=False)
-    return points
+    """The boundary sample points, read-only, built on first use (as every grid's
+    points are): at import they would add to every cold process's peak memory."""
+    return _SCHWARZ_GRID.points()
 
 
 @dataclass(frozen=True)

@@ -288,12 +288,23 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
 
 # --------------------------------------------------------- numeric routes
 
-def vanishes(values: np.ndarray, zs: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
+def vanishes(values: np.ndarray, zs: np.ndarray | SampleGrid, p: int, lead: complex = 1.0) -> np.ndarray:
     """Where pole-order-p ``values`` at zs vanish: |value| <= 1e-14 |z|^-p max(1, |lead|), the
     rounding scale of a function like lead * z^-p near 0.  A non-finite value never vanishes;
-    where |z|^-p overflows, every finite one does."""
+    where |z|^-p overflows, every finite one does.
+
+    zs are the points, or the ``SampleGrid`` whose capped points the last axis of ``values``
+    runs over, radii-major: there |z| is each circle's radius, one threshold per radius
+    broadcast over the (radii x angles) view of the values."""
+    if isinstance(zs, SampleGrid):
+        m = zs.angles_count
+        moduli = np.array(zs.radii[: values.shape[-1] // m])[:, None]
+        circles = values.reshape(*values.shape[:-1], -1, m)
+    else:
+        moduli, circles = np.abs(zs), values
     with np.errstate(over="ignore"):
-        return np.isfinite(values) & (np.abs(values) <= 1e-14 * np.abs(zs) ** (-p) * max(1.0, abs(lead)))
+        vanish = np.isfinite(circles) & (np.abs(circles) <= 1e-14 * moduli ** (-p) * max(1.0, abs(lead)))
+    return vanish.reshape(np.shape(values))
 
 
 def _quotient_margin(p: int, form, at_pole: float):
@@ -316,7 +327,7 @@ def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, fo
     F = apply_coeff(op, f)
     zs = grid.points(radius_cap=RADIUS_CAP)
     b, a = eval_circles(SeriesRows.of((F, z_derivative(F))), grid, RADIUS_CAP)
-    return zs, _quotient_margin(op.p, *form)(zs, vanishes(b, zs, op.p, f.lead), b, a)
+    return zs, _quotient_margin(op.p, *form)(zs, vanishes(b, grid, op.p, f.lead), b, a)
 
 
 def _numeric_form(cp: ClassParams):
@@ -345,7 +356,8 @@ def _disk_form(cp: ClassParams):
 
 
 def numeric_margins(op: OperatorParams, cp: ClassParams, f: LaurentSeries, grid: SampleGrid):
-    """Capped grid points, FFT margins beta*|Q + 2 alpha - 1| - |Q + 1|, beta - 1 where F vanishes."""
+    """Capped grid points (the grid's read-only array, or a view of it), FFT margins
+    beta*|Q + 2 alpha - 1| - |Q + 1|, beta - 1 where F vanishes."""
     return _quotient_margins(op, f, grid, _numeric_form(cp))
 
 
@@ -390,15 +402,17 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _margins(rows: SeriesRows, zs, values, margin_of, masked: bool):
-    """The mask where the first series vanishes (None unless ``masked``) and ``margin_of`` of ``values``."""
-    if not masked:
+def _margins(rows: SeriesRows, zs, values, margin_of, vanish_at):
+    """The mask where the first series vanishes (None if ``vanish_at`` is) and ``margin_of`` of
+    ``values``.  ``vanish_at`` is what ``vanishes`` takes for the points zs: the grid they are
+    on, or zs themselves."""
+    if vanish_at is None:
         return None, margin_of(zs, *values)
-    vanish = vanishes(values[0], zs, rows.pole_order, rows.lead[0])
+    vanish = vanishes(values[0], vanish_at, rows.pole_order, rows.lead[0])
     return vanish, margin_of(zs, vanish, *values)
 
 
-def _grid_witness(rows: SeriesRows, count: int, points, values, margin_of, masked: bool = False):
+def _grid_witness(rows: SeriesRows, count: int, points, values, margin_of, grid: SampleGrid | None = None):
     """The FFT half of the grid checks' one reduction: each candidate's grid
     margins, reduced to its witness, for a single check or the candidates of
     ``_grid_minima``.
@@ -407,13 +421,14 @@ def _grid_witness(rows: SeriesRows, count: int, points, values, margin_of, maske
     series of each candidate, then the second, ...), and ``values`` are their
     values at the (nonempty) ``points``, by FFT: ``eval_circles`` of ``rows``,
     which ``margin_of`` may consume.  ``margin_of(points, *values)`` takes one
-    (candidates x points) array per series and is elementwise; if ``masked``,
-    it is ``margin_of(points, vanish, *values)``, given also the mask where the
-    first series (of a single check) vanishes.  Returns the mask on the points
-    (None unless ``masked``), and per candidate the index of its witness, its
-    first point of least FFT margin, and that margin.
+    (candidates x points) array per series and is elementwise; given the
+    ``grid`` that the points are on, it is ``margin_of(points, vanish, *values)``,
+    given also the mask where the first series (of a single check) vanishes, by
+    ``vanishes`` on the grid.  Returns the mask on the points (None without a
+    grid), and per candidate the index of its witness, its first point of least
+    FFT margin, and that margin.
     """
-    vanish, fft = _margins(rows, points, values.reshape(count, -1, values.shape[-1]), margin_of, masked)
+    vanish, fft = _margins(rows, points, values.reshape(count, -1, values.shape[-1]), margin_of, grid)
     i = np.argmin(fft, axis=1)
     return vanish, i, fft[np.arange(i.size), i]
 
@@ -427,7 +442,8 @@ def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, masked: bool = 
     # a margin that the caller refuses
     with np.errstate(divide="ignore"):
         values_at = eval_many(rows, np.tile(at, count)).reshape(count, at.size)
-    return _margins(rows, at[:, None], values_at[:, :, None].copy(), margin_of, masked)[1][:, 0], values_at
+    zs = at[:, None]
+    return _margins(rows, zs, values_at[:, :, None].copy(), margin_of, zs if masked else None)[1][:, 0], values_at
 
 
 def _grid_minima(grid: SampleGrid, cap, series, margin_ofs):
@@ -463,15 +479,16 @@ def _grid_check(
     OverflowError, as in ``_grid_verdict``.
 
     ``vanishing`` names the first series, when ``margin_of`` takes the mask
-    where it vanishes (``vanishes`` at its pole order and lead); the note is
-    then led by the first such point, if any.  ``detail_at(report, *values)``,
+    where it vanishes (``vanishes`` at its pole order and lead: on the grid at
+    one threshold per circle, at the witness at its |z|); the note is then led
+    by the first such point, if any.  ``detail_at(report, *values)``,
     if given, is the report's detail, from the Horner values at its witness."""
     points = grid.points(radius_cap=cap)
     if points.size == 0:
         return _grid_verdict(points, points, passes, note)
     rows, count = SeriesRows.of(series), len(series)
     masked = vanishing is not None
-    vanish, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), margin_of, masked)
+    vanish, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), margin_of, grid if masked else None)
     at = points[i]
     worst, values_at = _grid_margin_at(rows, count, at, margin_of, masked)
     if masked and np.any(vanish):

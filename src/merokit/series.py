@@ -25,7 +25,9 @@ Evaluation is only meaningful inside the punctured disk; ``eval_at`` and
 multiply-add, the same on every route and whatever CPU features numpy
 dispatches to.  ``eval_circles`` evaluates on the circles of a
 ``SampleGrid`` by one inverse FFT of M bins per circle, M = angles_count,
-each term a_k r^k added into bin k mod M.
+each term a_k r^k added into bin k mod M; its powers r^k are running
+products, so its bits do not depend on those CPU features either.  A
+``SampleGrid`` builds its points once, on first use.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -198,8 +201,9 @@ class SampleGrid:
     """Deterministic polar sampling grid inside the unit disk.
 
     Points are r * exp(2*pi*i*j/angles_count) for each radius r and
-    j = 0..angles_count-1, radii-major.  ``margin`` is the strictness
-    slack used when testing strict inequalities on the grid.
+    j = 0..angles_count-1, radii-major, built once per grid on first use
+    as a read-only array outside the fields.  ``margin`` is the
+    strictness slack used when testing strict inequalities on the grid.
     """
 
     radii: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -223,15 +227,25 @@ class SampleGrid:
         object.__setattr__(self, "margin", float(self.margin))
 
     def points(self, radius_cap: float | None = None) -> np.ndarray:
-        radii = self.radii
-        if radius_cap is not None:
-            radii = tuple(r for r in radii if r <= radius_cap)
+        """The points on the radii <= radius_cap (all for None), radii-major: a
+        read-only view of the grid's points, built once per grid on first use.
+        The radii increase, so the capped points are a prefix of the array."""
+        count = sum(1 for r in self.radii if radius_cap is None or r <= radius_cap)
+        return self._points if count == len(self.radii) else self._points[: count * self.angles_count]
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        # held in the instance's __dict__, outside the fields: no part of ==, hash or the digest
         ang = np.exp(2j * np.pi * np.arange(self.angles_count) / self.angles_count)
-        if not radii:
-            return np.zeros(0, dtype=np.complex128)
-        return (np.asarray(radii)[:, None] * ang[None, :]).ravel()
+        points = (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
+        points.setflags(write=False)
+        return points
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         blob = json.dumps(
             {"radii": self.radii, "angles_count": self.angles_count, "margin": self.margin},
             sort_keys=True,
@@ -438,6 +452,24 @@ def eval_at(f: LaurentSeries, z: complex) -> complex:
     return complex(eval_many(f, np.array([z]))[0])
 
 
+def _radius_powers(radii: np.ndarray, p: int, n: int) -> np.ndarray:
+    """r^k for k = -p .. n - 1 - p, a row per radius r, as running products: of r from
+    r^0 = 1 up, and of 1/r (one division per radius) from r^-1 down.  No power function
+    is called, so the bits do not depend on the CPU features numpy dispatches to.  With
+    u = 2^-53, r^k for k >= 1 is within (k - 1) u / (1 - (k - 1) u) of its value,
+    relative, and r^-j, the j-th power of the rounded 1/r, within (2j - 1) u / (1 - (2j - 1) u).
+    An overflow stays infinite and an underflow goes to 0 (or stays within 2^-1075 / (1 - r)
+    of r^k, a few of the least subnormals), without a warning."""
+    powers = np.empty((radii.size, p + max(n - p, 1)))
+    powers[:, p:] = radii[:, None]
+    powers[:, p] = 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        np.divide(1.0, radii[:, None], out=powers[:, :p])
+        np.multiply.accumulate(powers[:, p:], axis=1, out=powers[:, p:])
+        np.multiply.accumulate(powers[:, p - 1 :: -1], axis=1, out=powers[:, p - 1 :: -1])
+    return powers[:, :n]
+
+
 def eval_circles(
     f: LaurentSeries | SeriesRows, grid: SampleGrid, radius_cap: float | None = None
 ) -> np.ndarray:
@@ -447,12 +479,14 @@ def eval_circles(
     With M = angles_count and w = exp(2 pi i / M), f(r w^j) = sum_k a_k r^k w^(jk)
     is the unscaled inverse DFT of M bins per circle, bin b holding the sum of
     the terms a_k r^k with k = b mod M (the pole at bin M - p), which is exact
-    since w^M = 1.  The terms are added into their bins in increasing k, M
-    consecutive k (each bin once) at a time, and the bins are transformed in
-    place (``ifft``'s ``out``, numpy >= 2.0), so the values are the bins' buffer.
-    Each row is its own transform, so a row's values do not depend on the rows
-    beside it.  A value that overflows is left infinite or NaN, without a
-    warning, for the caller to refuse.
+    since w^M = 1.  The powers r^k are running products (``_radius_powers``), so
+    the values' bits do not depend on the CPU features numpy dispatches to.  The
+    terms are added into their bins in increasing k, M consecutive k (each bin
+    once) at a time, and the bins are transformed in place (``ifft``'s ``out``,
+    numpy >= 2.0), so the values are the bins' buffer.  Each row is its own
+    transform, so a row's values do not depend on the rows beside it.  A value
+    that overflows is left infinite or NaN, without a warning, for the caller to
+    refuse.
     """
     radii = np.array([r for r in grid.radii if radius_cap is None or r <= radius_cap])
     m = grid.angles_count
@@ -461,7 +495,7 @@ def eval_circles(
     *rows, n = c.shape
     bins = np.zeros((*rows, radii.size, m), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = c[..., None, :] * radii[:, None] ** np.arange(-p, n - p)
+        terms = c[..., None, :] * _radius_powers(radii, p, n)
         for first in range(0, n, m):  # k = first - p .., from bin (first - p) mod M
             start = (first - p) % m
             block = terms[..., first : first + m]

@@ -4,9 +4,14 @@
 per circle.  The function here places the terms in a zero-filled buffer of
 whole blocks of M bins instead (the pole at bin M - p), sums the blocks, and
 takes the same inverse FFT, so that tests can hold the two bin layouts
-against each other.
+against each other.  It takes its powers r^k from ``eval_circles``' own
+running products (``series._radius_powers``): what it checks is the layout of
+the bins, not how the powers are formed, which ``test_series`` checks against
+mpmath.
 """
 import numpy as np
+
+from merokit.series import _radius_powers
 
 
 def eval_circles(f, grid, radius_cap=None):
@@ -22,6 +27,6 @@ def eval_circles(f, grid, radius_cap=None):
     width = -(-(start + n) // m) * m  # whole blocks of m bins
     bins = np.zeros((*rows, radii.size, width), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        bins[..., start : start + n] = c[..., None, :] * radii[:, None] ** np.arange(-p, n - p)
+        bins[..., start : start + n] = c[..., None, :] * _radius_powers(radii, p, n)
         bins = bins.reshape(*rows, radii.size, width // m, m).sum(axis=-2)
         return np.fft.ifft(bins, axis=-1, norm="forward").reshape(*rows, radii.size * m)

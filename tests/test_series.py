@@ -1,7 +1,17 @@
 """Series arithmetic: construction, truncation discipline, evaluation."""
+import dataclasses
+import gc
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +29,7 @@ from merokit.series import (
     eval_circles,
     eval_many,
     hadamard,
+    _radius_powers,
     polyval,
     scale,
     z_derivative,
@@ -423,6 +434,133 @@ def test_eval_circles_at_one_angle_within_the_sum_rounding():
             assert np.all(np.abs(got.ravel() - want.ravel())[finite] <= bound)
 
 
+#: the radii of the grids in these tests, the benchmark's dense grid and the ratio
+#: cap, and two tiny ones: at 1e-200, r^-2 overflows and r^2 underflows; at the least
+#: subnormal, 1/r overflows
+POWER_RADII = sorted({
+    *np.linspace(0.1, 0.9, 20).tolist(), 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999,
+    1e-200, 5e-324,
+})
+
+
+def _exact_powers(r: float, p: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """r^k for k = -p .. top in 40-digit mpmath, as the nearest float and the float nearest
+    the rest, each in the float range (inf or 0 beyond it)."""
+    with mpmath.workdps(40):
+        x, inv = mpmath.mpf(r), 1 / mpmath.mpf(r)
+        powers = [mpmath.mpf(1)]
+        for _ in range(p):
+            powers.insert(0, powers[0] * inv)
+        for _ in range(top):
+            powers.append(powers[-1] * x)
+        hi = [float(v) for v in powers]
+        return np.array(hi), np.array([float(v - h) if math.isfinite(h) else 0.0 for v, h in zip(powers, hi)])
+
+
+def test_radius_powers_within_their_roundings_of_mpmath():
+    """``eval_circles``' r^k, k = -p..K, are running products: r^k for k >= 1 takes k - 1
+    correctly rounded products of r, and r^-j is the j-th power of the rounded 1/r, by
+    j - 1 products.  So in the float range each lies within gamma_n = n u / (1 - n u) of
+    r^k, relative, u = 2^-53 (Higham, 2nd ed., Lemma 3.1), with n = k - 1 for k >= 1 and
+    n = 2j - 1 for k = -j: checked against 40-digit mpmath at p = 8, K = 4096 (the error
+    taken as (r^k - hi) - lo from the nearest floats hi + lo to the exact power, which
+    rounds it by at most 2^-52 of itself).  Past the float range an overflow is infinite;
+    below the normal range each step adds at most half the least subnormal, so r^k stays
+    within gamma_n r^k + 2^-1075 / (1 - r), and r^2 at r = 1e-200 is 0.  No step warns.
+    Every other p in 1..8 and K up to 4096 gives the same columns, bit for bit."""
+    radii, p, top = np.array(POWER_RADII), 8, 4096
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _radius_powers(radii, p, p + top + 1)
+        for q in range(1, p + 1):
+            for k in (1 - q, 0, 1, 63, 1023, top):
+                n = k + q + 1
+                assert _radius_powers(radii, q, n).tobytes() == table[:, p - q : p - q + n].tobytes()
+    u, tiny = 2.0**-53, np.finfo(float).tiny
+    ks = np.arange(-p, top + 1)
+    n = np.where(ks < 0, -2 * ks - 1, np.maximum(ks - 1, 0))
+    gamma = n * u / (1.0 - n * u) * (1.0 + 2.0**-52)
+    worst = 0.0
+    for r, got in zip(POWER_RADII, table):
+        hi, lo = _exact_powers(r, p, top)
+        over = np.isinf(hi)
+        assert np.all(np.isinf(got[over]))
+        normal = ~over & (hi >= tiny)
+        err = np.abs((got[normal] - hi[normal]) - lo[normal]) / hi[normal]
+        assert np.all(err <= gamma[normal]), r
+        worst = max(worst, float(np.max(err, initial=0.0)))
+        sub = ~over & ~normal
+        # 2^-1075 / (1 - r) rounded up to whole subnormals, and one more for the underflow of
+        # gamma_n r^k and of lo
+        slack = (math.ceil(0.5 / (1.0 - r)) + 1) * 2.0**-1074
+        assert np.all(got[sub] >= 0.0)
+        assert np.all(np.abs((got[sub] - hi[sub]) - lo[sub]) <= gamma[sub] * hi[sub] + slack)
+    assert worst > 0.0  # some power did round
+    assert _radius_powers(np.array([1e-200]), 2, 5).tolist() == [[np.inf, 1e200, 1.0, 1e-200, 0.0]]
+
+
+def test_eval_circles_at_tiny_radius_overflows_without_warning():
+    """At r = 1e-200 a double pole overflows to infinity and the tail's powers go to 0, as
+    values for the caller to refuse, with no RuntimeWarning."""
+    f = L(2, 3, [1.0, 2.0, 0.0, -1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_circles(f, SampleGrid((1e-200, 0.5), 8))
+    assert not np.any(np.isfinite(got[:8])) and np.all(np.isfinite(got[8:]))
+
+
+#: ``eval_circles`` of the Herglotz and the Schwarz member's (F, zF') rows at p = 1 and 2,
+#: K = 1023 on a 20x512 grid, as bytes; run in-process and in a subprocess
+_GRID_VALUES = """
+import numpy as np
+from merokit.generators import MeasureAtoms, SchwarzPoly, from_herglotz, from_schwarz
+from merokit.membership import ClassParams
+from merokit.operator import OperatorParams, apply_coeff
+from merokit.series import SampleGrid, SeriesRows, eval_circles, z_derivative
+
+
+def grid_values():
+    grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 512)
+    atoms = MeasureAtoms(((complex(0.6, 0.8), 0.25), (-1j, 0.35), (complex(-0.8, 0.6), 0.4)))
+    w = SchwarzPoly((0.2 - 0.1j, -0.15j, 0.1 + 0.05j))
+    out = []
+    for p in (1, 2):
+        op = OperatorParams(0.8, 0.2, 1, p)
+        for f in (from_herglotz(op, 0.3, atoms, 1023), from_schwarz(op, ClassParams(0.2, 0.6), w, 1023)):
+            F = apply_coeff(op, f)
+            out.append(eval_circles(SeriesRows.of((F, z_derivative(F))), grid).tobytes())
+    return b"".join(out)
+"""
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_grid_values_do_not_depend_on_cpu_dispatch():
+    """Grid values are the same bytes with every CPU feature above numpy's baseline
+    switched off (numpy's ``NPY_DISABLE_CPU_FEATURES``, read at import) as with them on."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    on = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    if not on:
+        pytest.skip("no CPU feature above numpy's baseline is on here, so none can be switched off")
+    scope = {}
+    exec(_GRID_VALUES, scope)
+    probe = _GRID_VALUES + (
+        "\nimport sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        f"assert not any(__cpu_features__[name] for name in {on!r})\n"
+        "sys.stdout.buffer.write(grid_values())\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(on),
+    }
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == scope["grid_values"]()
+
+
 @st.composite
 def row_block(draw):
     """1..6 or 33..40 series of one pole order p in {1, 2, 3} and K in [1-p, 300],
@@ -505,6 +643,63 @@ def test_grid_radius_cap_filters():
     g = SampleGrid(radii=(0.2, 0.8), angles_count=4)
     assert g.points(radius_cap=0.5).size == 4
     assert g.points(radius_cap=0.1).size == 0
+
+
+def test_grid_points_are_built_once_as_the_direct_formula():
+    """``points(cap)`` is a read-only view of points built once per grid, the bytes of
+    r exp(2 pi i j / M) radii-major on the radii <= cap."""
+    g = SampleGrid(radii=(0.2, 0.5, 0.8, 0.97), angles_count=12)
+    ang = np.exp(2j * np.pi * np.arange(12) / 12)
+    for cap, radii in ((None, g.radii), (0.95, g.radii[:3]), (0.6, g.radii[:2]), (0.1, ())):
+        want = (np.asarray(radii)[:, None] * ang[None, :]).ravel()
+        got = g.points(radius_cap=cap)
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+    full = g.points()
+    assert g.points() is full
+    assert np.shares_memory(g.points(radius_cap=0.6), full)
+    dense = SampleGrid(radii=(0.2, 0.5), angles_count=12)
+    assert dense.points(radius_cap=0.95) is dense.points()
+
+
+def test_grid_tables_stay_out_of_equality_hash_digest_and_json():
+    fresh = SampleGrid(radii=(0.1, 0.5), angles_count=12, margin=1e-8)
+    used = SampleGrid(radii=(0.1, 0.5), angles_count=12, margin=1e-8)
+    used.points()
+    used.digest()
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used.digest() == fresh.digest()
+    assert used.to_json_dict() == fresh.to_json_dict() == {"radii": [0.1, 0.5], "angles_count": 12, "margin": 1e-8}
+    assert [field.name for field in dataclasses.fields(used)] == ["radii", "angles_count", "margin"]
+    assert dataclasses.replace(used, margin=1e-9) == SampleGrid(radii=(0.1, 0.5), angles_count=12)
+
+
+def test_a_dense_check_retains_no_per_point_table_but_the_points():
+    """After a first check on a 20x4096 grid, the memory still allocated is the grid's
+    points (1.25 MiB) and no other per-point array: one of floats would be 0.625 MiB."""
+    from merokit.membership import ClassParams, numeric_membership
+    from merokit.operator import OperatorParams
+
+    op, cp = OperatorParams(0.0, 0.0, 0, 1), ClassParams(0.3, 0.8)
+    f = LaurentSeries.pole_only(1, 1024).with_coeff(1, 0.01)
+    radii = tuple(float(r) for r in np.linspace(0.1, 0.9, 20))
+    numeric_membership(op, cp, f, SampleGrid(radii, 4096, 1e-8))  # lazy module state, if any
+    grid = SampleGrid(radii, 4096)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert numeric_membership(op, cp, f, grid).verdict == "holds"
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    points = grid.points()
+    assert points.nbytes == 20 * 4096 * 16
+    assert points.nbytes <= retained < points.nbytes + 64 * 1024
 
 
 def test_grid_validation():

@@ -1,4 +1,5 @@
 """Rules on the package source that no behavioural test would notice being broken."""
+import inspect
 import re
 from pathlib import Path
 
@@ -14,3 +15,17 @@ def test_no_random_numbers_in_the_package():
     files = sorted(SRC.glob("*.py"))
     assert files
     assert [path.name for path in files if SAMPLER.search(path.read_text())] == []
+
+
+#: a power function: Python's operator or numpy's ufunc
+POWER = re.compile(r"\*\*|np\.power|numpy\.power")
+
+
+def test_grid_powers_are_running_products():
+    """``eval_circles`` forms its r^k as running products (``_radius_powers``), whose bits do
+    not depend on the CPU features numpy dispatches to, as its float ``power`` does: neither
+    function calls a power function."""
+    from merokit import series
+
+    for function in (series.eval_circles, series._radius_powers):
+        assert POWER.findall(inspect.getsource(function)) == [], function.__name__

@@ -288,23 +288,20 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
 
 # --------------------------------------------------------- numeric routes
 
-def vanishes(values: np.ndarray, zs: np.ndarray | SampleGrid, p: int, lead: complex = 1.0) -> np.ndarray:
-    """Where pole-order-p ``values`` at zs vanish: |value| <= 1e-14 |z|^-p max(1, |lead|), the
-    rounding scale of a function like lead * z^-p near 0.  A non-finite value never vanishes;
-    where |z|^-p overflows, every finite one does.
-
-    zs are the points, or the ``SampleGrid`` whose capped points the last axis of ``values``
-    runs over, radii-major: there |z| is each circle's radius, one threshold per radius
-    broadcast over the (radii x angles) view of the values."""
-    if isinstance(zs, SampleGrid):
-        m = zs.angles_count
-        moduli = np.array(zs.radii[: values.shape[-1] // m])[:, None]
-        circles = values.reshape(*values.shape[:-1], -1, m)
-    else:
-        moduli, circles = np.abs(zs), values
+def vanishes(values: np.ndarray, moduli: np.ndarray, p: int, lead: complex = 1.0) -> np.ndarray:
+    """Where pole-order-p ``values`` vanish: |value| <= 1e-14 |z|^-p max(1, |lead|), the
+    rounding scale of a function like lead * z^-p near 0, for ``moduli`` the |z| of the
+    values, an array that broadcasts against them: on a grid, the (radii x 1) column of its
+    radii against the (... x radii x angles) view of its values, one threshold per circle.
+    |z|^-p is the running product of 1/|z|, whose bits do not depend on the CPU features
+    numpy dispatches to.  A non-finite value never vanishes; where |z|^-p overflows, every
+    finite one does."""
+    inverse = np.divide(1.0, moduli)
+    scale = inverse
     with np.errstate(over="ignore"):
-        vanish = np.isfinite(circles) & (np.abs(circles) <= 1e-14 * moduli ** (-p) * max(1.0, abs(lead)))
-    return vanish.reshape(np.shape(values))
+        for _ in range(p - 1):
+            scale = scale * inverse
+    return np.isfinite(values) & (np.abs(values) <= 1e-14 * scale * max(1.0, abs(lead)))
 
 
 def _quotient_margin(p: int, form, at_pole: float):
@@ -326,8 +323,9 @@ def _quotient_margin(p: int, form, at_pole: float):
 def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, form):
     F = apply_coeff(op, f)
     zs = grid.points(radius_cap=RADIUS_CAP)
-    b, a = eval_circles(SeriesRows.of((F, z_derivative(F))), grid, RADIUS_CAP)
-    return zs, _quotient_margin(op.p, *form)(zs, vanishes(b, grid, op.p, f.lead), b, a)
+    circles, radii = zs.reshape(-1, grid.angles_count), _radii_column(grid, RADIUS_CAP)
+    b, a = eval_circles(SeriesRows.of((F, z_derivative(F))), grid, RADIUS_CAP).reshape(2, *circles.shape)
+    return zs, _quotient_margin(op.p, *form)(circles, vanishes(b, radii, op.p, f.lead), b, a).ravel()
 
 
 def _numeric_form(cp: ClassParams):
@@ -402,48 +400,56 @@ def _grid_verdict(points, margins, passes, detail) -> Report:
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _margins(rows: SeriesRows, zs, values, margin_of, vanish_at):
-    """The mask where the first series vanishes (None if ``vanish_at`` is) and ``margin_of`` of
-    ``values``.  ``vanish_at`` is what ``vanishes`` takes for the points zs: the grid they are
-    on, or zs themselves."""
-    if vanish_at is None:
+def _radii_column(grid: SampleGrid, cap):
+    """The grid's radii <= cap as a column, the moduli of its capped points' (radii x angles)
+    view, as ``vanishes`` takes them."""
+    return np.array(grid.capped_radii(cap))[:, None]
+
+
+def _margins(rows: SeriesRows, zs, values, margin_of, moduli):
+    """The mask where the first series vanishes (None if ``moduli`` is) and ``margin_of`` of
+    ``values``.  ``moduli`` are the |z| of the points zs, as ``vanishes`` takes them."""
+    if moduli is None:
         return None, margin_of(zs, *values)
-    vanish = vanishes(values[0], vanish_at, rows.pole_order, rows.lead[0])
+    vanish = vanishes(values[0], moduli, rows.pole_order, rows.lead[0])
     return vanish, margin_of(zs, vanish, *values)
 
 
-def _grid_witness(rows: SeriesRows, count: int, points, values, margin_of, grid: SampleGrid | None = None):
+def _grid_witness(rows: SeriesRows, count: int, circles, values, margin_of, moduli=None):
     """The FFT half of the grid checks' one reduction: each candidate's grid
     margins, reduced to its witness, for a single check or the candidates of
     ``_grid_minima``.
 
     ``rows`` stacks every candidate's ``count`` series, series-major (the first
     series of each candidate, then the second, ...), and ``values`` are their
-    values at the (nonempty) ``points``, by FFT: ``eval_circles`` of ``rows``,
-    which ``margin_of`` may consume.  ``margin_of(points, *values)`` takes one
-    (candidates x points) array per series and is elementwise; given the
-    ``grid`` that the points are on, it is ``margin_of(points, vanish, *values)``,
-    given also the mask where the first series (of a single check) vanishes, by
-    ``vanishes`` on the grid.  Returns the mask on the points (None without a
-    grid), and per candidate the index of its witness, its first point of least
-    FFT margin, and that margin.
+    values at the (nonempty) capped grid points, by FFT: ``eval_circles`` of
+    ``rows``, which ``margin_of`` may consume.  ``circles`` are the points'
+    (radii x angles) view, and ``margin_of(circles, *values)`` takes one
+    (candidates x radii x angles) array per series and is elementwise; given the
+    ``moduli`` of the circles (``_radii_column``), it is ``margin_of(circles,
+    vanish, *values)``, given also the mask where the first series (of a single
+    check) vanishes.  Returns the mask on the circles (None without moduli), and
+    per candidate the index into the points of its witness, its first point of
+    least FFT margin, and that margin.
     """
-    vanish, fft = _margins(rows, points, values.reshape(count, -1, values.shape[-1]), margin_of, grid)
+    values = values.reshape(count, -1, *circles.shape)
+    vanish, fft = _margins(rows, circles, values, margin_of, moduli)
+    fft = fft.reshape(fft.shape[0], -1)
     i = np.argmin(fft, axis=1)
     return vanish, i, fft[np.arange(i.size), i]
 
 
-def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, masked: bool = False):
+def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, moduli=None):
     """The Horner half: one pass (``eval_many`` of ``rows``, stacked as in
     ``_grid_witness``) gives every series' value at each candidate's witness
-    ``at``, hence its margin there.  Returns the margins and the Horner values,
-    one row per series, unconsumed."""
+    ``at``, hence its margin there, given the vanish mask there if given the
+    ``moduli`` of the witnesses (a column).  Returns the margins and the Horner
+    values, one row per series, unconsumed."""
     # z^-p divides by an underflowed z^p only where the FFT overflowed too,
     # a margin that the caller refuses
     with np.errstate(divide="ignore"):
         values_at = eval_many(rows, np.tile(at, count)).reshape(count, at.size)
-    zs = at[:, None]
-    return _margins(rows, zs, values_at[:, :, None].copy(), margin_of, zs if masked else None)[1][:, 0], values_at
+    return _margins(rows, at[:, None], values_at[:, :, None].copy(), margin_of, moduli)[1][:, 0], values_at
 
 
 def _grid_minima(grid: SampleGrid, cap, series, margin_ofs):
@@ -462,7 +468,8 @@ def _grid_minima(grid: SampleGrid, cap, series, margin_ofs):
         return np.concatenate([margin_of(points[j : j + 1], *(v[j : j + 1] for v in values))
                                for j, margin_of in enumerate(margin_ofs)])
 
-    _, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), on_grid)
+    circles = points.reshape(-1, grid.angles_count)
+    _, i, fft = _grid_witness(rows, count, circles, eval_circles(rows, grid, cap), on_grid)
     repeated = SeriesRows(rows.pole_order, np.repeat(rows.lead, n), np.repeat(rows.coeffs, n, axis=0))
     return points[i], fft, _grid_margin_at(repeated, count, points[i], at_witnesses)[0]
 
@@ -488,9 +495,12 @@ def _grid_check(
         return _grid_verdict(points, points, passes, note)
     rows, count = SeriesRows.of(series), len(series)
     masked = vanishing is not None
-    vanish, i, fft = _grid_witness(rows, count, points, eval_circles(rows, grid, cap), margin_of, grid if masked else None)
+    vanish, i, fft = _grid_witness(
+        rows, count, points.reshape(-1, grid.angles_count), eval_circles(rows, grid, cap), margin_of,
+        _radii_column(grid, cap) if masked else None,
+    )
     at = points[i]
-    worst, values_at = _grid_margin_at(rows, count, at, margin_of, masked)
+    worst, values_at = _grid_margin_at(rows, count, at, margin_of, np.abs(at)[:, None] if masked else None)
     if masked and np.any(vanish):
         note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
     _grid_verdict(at, fft, passes, note)  # an FFT margin that is not finite is an OverflowError

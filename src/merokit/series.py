@@ -26,8 +26,9 @@ multiply-add, the same on every route and whatever CPU features numpy
 dispatches to.  ``eval_circles`` evaluates on the circles of a
 ``SampleGrid`` by one inverse FFT of M bins per circle, M = angles_count,
 each term a_k r^k added into bin k mod M; its powers r^k are running
-products, so its bits do not depend on those CPU features either.  A
-``SampleGrid`` builds its points once, on first use.
+products with each step's rounding corrected, correctly rounded in all but
+the far tails, so its bits do not depend on those CPU features either.  A
+``SampleGrid`` builds its points and its table of r^k once, on first use.
 """
 from __future__ import annotations
 
@@ -202,8 +203,9 @@ class SampleGrid:
 
     Points are r * exp(2*pi*i*j/angles_count) for each radius r and
     j = 0..angles_count-1, radii-major, built once per grid on first use
-    as a read-only array outside the fields.  ``margin`` is the
-    strictness slack used when testing strict inequalities on the grid.
+    as a read-only array outside the fields, as is its table of r^k
+    (``powers``).  ``margin`` is the strictness slack used when testing
+    strict inequalities on the grid.
     """
 
     radii: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -226,11 +228,15 @@ class SampleGrid:
         object.__setattr__(self, "angles_count", int(self.angles_count))
         object.__setattr__(self, "margin", float(self.margin))
 
+    def capped_radii(self, radius_cap: float | None = None) -> tuple[float, ...]:
+        """The radii <= radius_cap (all for None): a prefix of the radii, which increase."""
+        return tuple(r for r in self.radii if radius_cap is None or r <= radius_cap)
+
     def points(self, radius_cap: float | None = None) -> np.ndarray:
-        """The points on the radii <= radius_cap (all for None), radii-major: a
-        read-only view of the grid's points, built once per grid on first use.
-        The radii increase, so the capped points are a prefix of the array."""
-        count = sum(1 for r in self.radii if radius_cap is None or r <= radius_cap)
+        """The points on the ``capped_radii(radius_cap)``, radii-major: a read-only
+        view of the grid's points, built once per grid on first use.  The capped
+        points are a prefix of the array."""
+        count = len(self.capped_radii(radius_cap))
         return self._points if count == len(self.radii) else self._points[: count * self.angles_count]
 
     @cached_property
@@ -240,6 +246,20 @@ class SampleGrid:
         points = (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
         points.setflags(write=False)
         return points
+
+    def powers(self, radius_cap: float | None, p: int, n: int) -> np.ndarray:
+        """r^k for k = -p .. n - 1 - p, a row per radius of ``capped_radii(radius_cap)``
+        (``_radius_powers``): a read-only view of one table per grid, built on first use and
+        rebuilt wider when a call needs a power beyond it.  A table's columns do not depend
+        on how many it has, so every view has the bits of its own ``_radius_powers``."""
+        held = self.__dict__.get("_powers")  # (q, r^k for k = -q ..), outside the fields
+        if held is None or held[0] < p or held[1].shape[1] - held[0] < n - p:
+            q, m = (p, n - p) if held is None else (max(p, held[0]), max(n - p, held[1].shape[1] - held[0]))
+            table = _radius_powers(np.array(self.radii), q, q + m)
+            table.setflags(write=False)
+            held = self.__dict__["_powers"] = (q, table)
+        q, table = held
+        return table[: len(self.capped_radii(radius_cap)), q - p : q - p + n]
 
     def digest(self) -> str:
         return self._digest
@@ -452,21 +472,58 @@ def eval_at(f: LaurentSeries, z: complex) -> complex:
     return complex(eval_many(f, np.array([z]))[0])
 
 
+#: Veltkamp's splitter, 2^27 + 1 (``_split``)
+_SPLIT = 134217729.0
+#: the least power that ``_radius_powers`` corrects: from there up no partial product of
+#: Dekker's product falls below the normal range
+_CORRECTED_FROM = 2.0**-900
+
+
+def _split(a):
+    """a = hi + lo exactly, hi and lo of at most 26 bits each (Veltkamp)."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(a, b, ab):
+    """a b - ab exactly, for ab = fl(a b) where no partial product overflows or underflows
+    (Dekker's product)."""
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return ((ah * bh - ab) + ah * bl + al * bh) + al * bl
+
+
 def _radius_powers(radii: np.ndarray, p: int, n: int) -> np.ndarray:
-    """r^k for k = -p .. n - 1 - p, a row per radius r, as running products: of r from
-    r^0 = 1 up, and of 1/r (one division per radius) from r^-1 down.  No power function
-    is called, so the bits do not depend on the CPU features numpy dispatches to.  With
-    u = 2^-53, r^k for k >= 1 is within (k - 1) u / (1 - (k - 1) u) of its value,
-    relative, and r^-j, the j-th power of the rounded 1/r, within (2j - 1) u / (1 - (2j - 1) u).
-    An overflow stays infinite and an underflow goes to 0 (or stays within 2^-1075 / (1 - r)
-    of r^k, a few of the least subnormals), without a warning."""
-    powers = np.empty((radii.size, p + max(n - p, 1)))
-    powers[:, p:] = radii[:, None]
-    powers[:, p] = 1.0
-    with np.errstate(over="ignore", under="ignore"):
-        np.divide(1.0, radii[:, None], out=powers[:, :p])
-        np.multiply.accumulate(powers[:, p:], axis=1, out=powers[:, p:])
-        np.multiply.accumulate(powers[:, p - 1 :: -1], axis=1, out=powers[:, p - 1 :: -1])
+    """r^k for k = -p .. n - 1 - p, a row per radius r in (0, 1), rounded once.
+
+    For k >= 0 the running product x_k = fl(x_{k-1} r) from x_0 = 1 is r^k (1 + rho_k) to
+    first order in u = 2^-53, rho_k the sum of its steps' relative roundings, each found
+    exactly (``_product_error``), so x_k + x_k rho_k is correctly rounded.  For k < 0,
+    q = fl(1 / x_|k|) has 1 - q x_|k| = d, exactly by the same product, and r^k is
+    q (1 + d - rho_|k|).  So between 2^-900 and 2^900 each r^k is the correctly rounded power,
+    as a correctly rounded pow gives it (but for a power within about (k u)^2 of a midpoint
+    between floats, relative).  Below 2^-900 x_k is kept: within (k - 1) u / (1 - (k - 1) u)
+    of r^k, relative, and 2^-1075 / (1 - r) absolute below the normal range, 0 on underflow;
+    a reciprocal past the float range is infinite.  No power function is called and no
+    warning raised: each operation is one of numpy's +, -, * or /, correctly rounded, so the
+    bits do not depend on the CPU features numpy dispatches to."""
+    powers = np.empty((radii.size, p + max(n - p, p + 1)))
+    up = powers[:, p:]  # k = 0, 1, ..
+    up[:] = radii[:, None]
+    up[:, 0] = 1.0
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        np.multiply.accumulate(up, axis=1, out=up)
+        step = up[:, 1:]  # x_k = fl(x_{k-1} r), k >= 1
+        rho = _product_error(up[:, :-1], radii[:, None], step)
+        np.cumsum(np.divide(rho, step, out=rho), axis=1, out=rho)
+        corrected = step >= _CORRECTED_FROM
+        x, q = step[:, :p], np.divide(1.0, step[:, :p])
+        t = q * x
+        d = (1.0 - t) - _product_error(q, x, t)  # 1 - t is exact, t being within u of 1
+        np.add(q, q * (d - rho[:, :p]), out=q, where=corrected[:, :p])
+        powers[:, p - 1 :: -1] = q  # k = -1 .. -p
+        np.add(step, step * rho, out=step, where=corrected)
     return powers[:, :n]
 
 
@@ -479,8 +536,9 @@ def eval_circles(
     With M = angles_count and w = exp(2 pi i / M), f(r w^j) = sum_k a_k r^k w^(jk)
     is the unscaled inverse DFT of M bins per circle, bin b holding the sum of
     the terms a_k r^k with k = b mod M (the pole at bin M - p), which is exact
-    since w^M = 1.  The powers r^k are running products (``_radius_powers``), so
-    the values' bits do not depend on the CPU features numpy dispatches to.  The
+    since w^M = 1.  The powers r^k are running products, each step's rounding
+    corrected (``_radius_powers``), held in the grid's table (``SampleGrid.powers``),
+    so the values' bits do not depend on the CPU features numpy dispatches to.  The
     terms are added into their bins in increasing k, M consecutive k (each bin
     once) at a time, and the bins are transformed in place (``ifft``'s ``out``,
     numpy >= 2.0), so the values are the bins' buffer.  Each row is its own
@@ -488,18 +546,19 @@ def eval_circles(
     that overflows is left infinite or NaN, without a warning, for the caller to
     refuse.
     """
-    radii = np.array([r for r in grid.radii if radius_cap is None or r <= radius_cap])
     m = grid.angles_count
     p = f.pole_order
     c = np.concatenate((np.asarray(f.lead)[..., None], f.coeffs), axis=-1)  # a_k for k = -p .. K
     *rows, n = c.shape
-    bins = np.zeros((*rows, radii.size, m), dtype=np.complex128)
+    powers = grid.powers(radius_cap, p, n)
+    circles = powers.shape[0]
+    bins = np.zeros((*rows, circles, m), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = c[..., None, :] * _radius_powers(radii, p, n)
+        terms = c[..., None, :] * powers
         for first in range(0, n, m):  # k = first - p .., from bin (first - p) mod M
             start = (first - p) % m
             block = terms[..., first : first + m]
             fit = min(block.shape[-1], m - start)  # the rest wraps to bins 0 ..
             bins[..., start : start + fit] += block[..., :fit]
             bins[..., : block.shape[-1] - fit] += block[..., fit:]
-        return np.fft.ifft(bins, axis=-1, norm="forward", out=bins).reshape(*rows, radii.size * m)
+        return np.fft.ifft(bins, axis=-1, norm="forward", out=bins).reshape(*rows, circles * m)

@@ -226,8 +226,8 @@ def test_vanishing_denominator_margin_is_the_limit_of_the_form():
 
 def test_vanishing_mask_is_computed_once_per_set_of_values(monkeypatch):
     """One mask serves the margins and the detail: one ``vanishes`` call on the
-    FFT values and one on Horner's value at the witness, and none where the
-    detail names no vanishing point."""
+    FFT values (candidates x radii x angles) and one on Horner's value at the
+    witness, and none where the detail names no vanishing point."""
     from merokit import bounds, membership
 
     calls = []
@@ -244,10 +244,10 @@ def test_vanishing_mask_is_computed_once_per_set_of_values(monkeypatch):
     for check in (numeric_membership, disk_characterization):
         calls.clear()
         assert check(M0, cp, f, grid).detail.startswith("denominator vanishes near z=(0.5+0j)")
-        assert calls == [(1, 8), (1, 1)]
+        assert calls == [(1, 1, 8), (1, 1)]
     calls.clear()
     assert subordination_power_target(M0, 0.5, f, grid).detail.startswith("z^p F vanishes near z=(0.5+0j)")
-    assert calls == [(1, 8), (1, 1)]
+    assert calls == [(1, 1, 8), (1, 1)]
     calls.clear()
     bounds.convolution_nonvanishing(M0, cp, f, grid)
     assert calls == []
@@ -490,7 +490,7 @@ def _reference_margin(zs, Fz, p, c):
     v = zs ** p * Fz
     best, admissible = _all_branches(v, c)
     theta = np.angle(v) / c
-    vanish = vanishes(Fz, zs, p)
+    vanish = vanishes(Fz, np.abs(zs), p)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         principal = np.abs(1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta))
         w = np.where(admissible, best, principal)

@@ -457,16 +457,17 @@ def _exact_powers(r: float, p: int, top: int) -> tuple[np.ndarray, np.ndarray]:
         return np.array(hi), np.array([float(v - h) if math.isfinite(h) else 0.0 for v, h in zip(powers, hi)])
 
 
-def test_radius_powers_within_their_roundings_of_mpmath():
-    """``eval_circles``' r^k, k = -p..K, are running products: r^k for k >= 1 takes k - 1
-    correctly rounded products of r, and r^-j is the j-th power of the rounded 1/r, by
-    j - 1 products.  So in the float range each lies within gamma_n = n u / (1 - n u) of
-    r^k, relative, u = 2^-53 (Higham, 2nd ed., Lemma 3.1), with n = k - 1 for k >= 1 and
-    n = 2j - 1 for k = -j: checked against 40-digit mpmath at p = 8, K = 4096 (the error
-    taken as (r^k - hi) - lo from the nearest floats hi + lo to the exact power, which
-    rounds it by at most 2^-52 of itself).  Past the float range an overflow is infinite;
-    below the normal range each step adds at most half the least subnormal, so r^k stays
-    within gamma_n r^k + 2^-1075 / (1 - r), and r^2 at r = 1e-200 is 0.  No step warns.
+def test_radius_powers_are_correctly_rounded_against_mpmath():
+    """``eval_circles``' r^k, k = -p..K, are a running product of r, each step's rounding
+    corrected, and its reciprocals, so between 2^-900 and 2^900 each is the float nearest r^k
+    (relative error at most u = 2^-53; one within about (k u)^2 of a midpoint between floats
+    might round the other way, and none does here): checked against 40-digit mpmath at
+    p = 8, K = 4096.  Below 2^-900 the powers are the uncorrected running product: within
+    gamma_n = n u / (1 - n u) of r^k, relative, n = k - 1 (Higham, 2nd ed., Lemma 3.1), the
+    error taken as (r^k - hi) - lo from the nearest floats hi + lo to the exact power, which
+    rounds it by at most 2^-52 of itself; below the normal range each step adds at most
+    half the least subnormal, so r^k stays within gamma_n r^k + 2^-1075 / (1 - r), and r^2
+    at r = 1e-200 is 0.  Past the float range an overflow is infinite.  No step warns.
     Every other p in 1..8 and K up to 4096 gives the same columns, bit for bit."""
     radii, p, top = np.array(POWER_RADII), 8, 4096
     with warnings.catch_warnings():
@@ -478,24 +479,30 @@ def test_radius_powers_within_their_roundings_of_mpmath():
                 assert _radius_powers(radii, q, n).tobytes() == table[:, p - q : p - q + n].tobytes()
     u, tiny = 2.0**-53, np.finfo(float).tiny
     ks = np.arange(-p, top + 1)
-    n = np.where(ks < 0, -2 * ks - 1, np.maximum(ks - 1, 0))
-    gamma = n * u / (1.0 - n * u) * (1.0 + 2.0**-52)
-    worst = 0.0
+    gamma = np.maximum(ks - 1, 0) * u / (1.0 - np.maximum(ks - 1, 0) * u) * (1.0 + 2.0**-52)
+    corrected = 0
     for r, got in zip(POWER_RADII, table):
         hi, lo = _exact_powers(r, p, top)
         over = np.isinf(hi)
         assert np.all(np.isinf(got[over]))
-        normal = ~over & (hi >= tiny)
+        band = (hi >= 2.0**-900) & (hi <= 2.0**900)
+        assert got[band].tobytes() == hi[band].tobytes(), r
+        corrected += int(np.count_nonzero(band))
+        normal = ~over & ~band & (hi >= tiny)
+        assert np.all(ks[normal] > 0)
         err = np.abs((got[normal] - hi[normal]) - lo[normal]) / hi[normal]
         assert np.all(err <= gamma[normal]), r
-        worst = max(worst, float(np.max(err, initial=0.0)))
-        sub = ~over & ~normal
+        sub = ~over & ~band & ~normal
         # 2^-1075 / (1 - r) rounded up to whole subnormals, and one more for the underflow of
         # gamma_n r^k and of lo
         slack = (math.ceil(0.5 / (1.0 - r)) + 1) * 2.0**-1074
         assert np.all(got[sub] >= 0.0)
         assert np.all(np.abs((got[sub] - hi[sub]) - lo[sub]) <= gamma[sub] * hi[sub] + slack)
-    assert worst > 0.0  # some power did round
+    assert corrected > table.size // 3  # a third of the table lies in the band
+    # the plain running product is off by 1.1e-15 here, numpy's ** by 1.7e-17
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(0.9) ** 1000
+    assert float(abs(mpmath.mpf(float(table[POWER_RADII.index(0.9), p + 1000])) - exact) / exact) < 2.0**-53
     assert _radius_powers(np.array([1e-200]), 2, 5).tolist() == [[np.inf, 1e200, 1.0, 1e-200, 0.0]]
 
 
@@ -665,10 +672,25 @@ def test_grid_points_are_built_once_as_the_direct_formula():
     assert dense.points(radius_cap=0.95) is dense.points()
 
 
+def test_grid_powers_are_views_of_one_table_with_their_own_bits():
+    """``powers(cap, p, n)`` has the bytes of ``_radius_powers`` on the radii <= cap, as a
+    read-only view of one table per grid, rebuilt wider only when a call needs more powers."""
+    g = SampleGrid(radii=(0.2, 0.5, 0.8, 0.97), angles_count=12)
+    for cap, p, n in ((None, 1, 5), (0.95, 2, 4), (0.6, 1, 70), (None, 3, 6), (0.1, 2, 9), (0.95, 1, 5)):
+        got = g.powers(cap, p, n)
+        want = _radius_powers(np.array(g.capped_radii(cap)), p, n)
+        assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    before = g.powers(0.6, 1, 5)
+    assert np.shares_memory(before, g.powers(None, 3, 72))  # within the table: no rebuild
+    assert not np.shares_memory(before, g.powers(None, 4, 6))
+
+
 def test_grid_tables_stay_out_of_equality_hash_digest_and_json():
     fresh = SampleGrid(radii=(0.1, 0.5), angles_count=12, margin=1e-8)
     used = SampleGrid(radii=(0.1, 0.5), angles_count=12, margin=1e-8)
     used.points()
+    used.powers(None, 2, 9)
     used.digest()
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert used.digest() == fresh.digest()
@@ -678,8 +700,9 @@ def test_grid_tables_stay_out_of_equality_hash_digest_and_json():
 
 
 def test_a_dense_check_retains_no_per_point_table_but_the_points():
-    """After a first check on a 20x4096 grid, the memory still allocated is the grid's
-    points (1.25 MiB) and no other per-point array: one of floats would be 0.625 MiB."""
+    """After a first check on a 20x4096 grid at K = 1024, the memory still allocated is the
+    grid's points (1.25 MiB) and its r^k table (20 x 1026 floats, 160 KiB), and no per-point
+    array besides: one of floats would be 0.625 MiB."""
     from merokit.membership import ClassParams, numeric_membership
     from merokit.operator import OperatorParams
 
@@ -697,9 +720,9 @@ def test_a_dense_check_retains_no_per_point_table_but_the_points():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    points = grid.points()
-    assert points.nbytes == 20 * 4096 * 16
-    assert points.nbytes <= retained < points.nbytes + 64 * 1024
+    points, powers = grid.points(), grid.powers(None, 1, 1026)
+    assert points.nbytes == 20 * 4096 * 16 and powers.base.nbytes == 20 * 1026 * 8
+    assert points.nbytes + powers.base.nbytes <= retained < points.nbytes + powers.base.nbytes + 64 * 1024
 
 
 def test_grid_validation():

@@ -22,10 +22,13 @@ POWER = re.compile(r"\*\*|np\.power|numpy\.power")
 
 
 def test_grid_powers_are_running_products():
-    """``eval_circles`` forms its r^k as running products (``_radius_powers``), whose bits do
-    not depend on the CPU features numpy dispatches to, as its float ``power`` does: neither
-    function calls a power function."""
-    from merokit import series
+    """``eval_circles`` forms its r^k as running products (``_radius_powers`` and its
+    helpers), and ``vanishes`` its |z|^-p, whose bits do not depend on the CPU features numpy
+    dispatches to, as its float ``power`` does: none of these functions calls a power
+    function."""
+    from merokit import membership, series
 
-    for function in (series.eval_circles, series._radius_powers):
+    functions = (series.eval_circles, series.SampleGrid.powers, series._radius_powers, series._product_error,
+                 series._split, membership.vanishes)
+    for function in functions:
         assert POWER.findall(inspect.getsource(function)) == [], function.__name__

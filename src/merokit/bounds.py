@@ -148,7 +148,8 @@ def coeff_bounds_report(
         margins = bounds - f.coeffs[mask].real
         ks = ks[mask]
     notes.append(f"indices checked: {len(ks)}")
-    return _grid_verdict(ks, margins, lambda worst: worst >= -SUM_TOL, "; ".join(notes))
+    i = int(np.argmin(margins))
+    return _grid_verdict(int(ks[i]), float(margins[i]), lambda worst: worst >= -SUM_TOL, "; ".join(notes))
 
 
 # ----------------------------------------------------------------- distortion
@@ -393,8 +394,8 @@ def convolution_nonvanishing(
     def detail_at(report, a, b):
         # theta* from the Horner values at the witness, by margin_of's operations; z^p cancels
         with np.errstate(over="ignore", invalid="ignore"):
-            pf = op.p * b[0]
-            u = a[0] + pf
+            pf = op.p * b
+            u = a + pf
             v = u + (shift - 1.0) * pf
         return f"{_phase_detail(report.worst_margin, complex(u), complex(v))}; {note}"
 

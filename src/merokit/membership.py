@@ -322,10 +322,9 @@ def _quotient_margin(p: int, form, at_pole: float):
 
 def _quotient_margins(op: OperatorParams, f: LaurentSeries, grid: SampleGrid, form):
     F = apply_coeff(op, f)
-    zs = grid.points(radius_cap=RADIUS_CAP)
-    circles, radii = zs.reshape(-1, grid.angles_count), _radii_column(grid, RADIUS_CAP)
-    b, a = eval_circles(SeriesRows.of((F, z_derivative(F))), grid, RADIUS_CAP).reshape(2, *circles.shape)
-    return zs, _quotient_margin(op.p, *form)(circles, vanishes(b, radii, op.p, f.lead), b, a).ravel()
+    rows = SeriesRows.of((F, z_derivative(F)))
+    points, _, (margins,) = _grid_margins(grid, RADIUS_CAP, rows, [_quotient_margin(op.p, *form)], True)
+    return points, margins.ravel()
 
 
 def _numeric_form(cp: ClassParams):
@@ -382,130 +381,84 @@ def _grid_note(grid: SampleGrid) -> str:
     return note
 
 
-def _grid_verdict(points, margins, passes, detail) -> Report:
-    """Reduce pointwise margins to a Report.
-
-    ``points`` are the sample points (grid points, or coefficient indices)
-    and ``margins`` their margins; ``passes(worst)`` is the caller's own
-    threshold test.  No points gives inconclusive with a NaN margin;
-    otherwise the smallest margin decides, witnessed by its point, unless
-    it is not finite: the evaluation overflowed, an OverflowError.
-    """
-    if points.size == 0:
-        return Report(INCONCLUSIVE, float("nan"), None, f"no usable grid points; {detail}")
-    i = int(np.argmin(margins))
-    worst, witness = float(margins[i]), points[i].item()
+def _grid_verdict(witness, worst: float, passes, detail: str) -> Report:
+    """The Report of a least margin ``worst``, at ``witness``: holds if ``passes(worst)``, the
+    caller's own threshold test, else fails.  A least margin that is not finite means the
+    evaluation overflowed: an OverflowError."""
     if not math.isfinite(worst):
         raise OverflowError(f"margin: not finite at {witness}; the evaluation overflows a float")
     return Report(HOLDS if passes(worst) else FAILS, worst, witness, detail)
 
 
-def _radii_column(grid: SampleGrid, cap):
-    """The grid's radii <= cap as a column, the moduli of its capped points' (radii x angles)
-    view, as ``vanishes`` takes them."""
-    return np.array(grid.capped_radii(cap))[:, None]
+def _grid_margins(grid: SampleGrid, cap, rows: SeriesRows, margin_ofs, masked: bool):
+    """The FFT half of the grid reduction, the package's one call of ``eval_circles``: the
+    values of ``rows`` at the grid's points on its radii <= cap (all for cap None), each
+    series' a (1 x radii x angles) array in the buffer of that call.  Returns the points,
+    the mask where the first series vanishes there (``vanishes`` at its pole order and
+    lead, one threshold per circle) as a 1-tuple if ``masked``, else empty, and each margin
+    function's margins, ``margin_of(circles, *mask, *values)``, elementwise on the points'
+    (radii x angles) view ``circles``.  Only the last margin function may consume the
+    values."""
+    points = grid.points(radius_cap=cap)
+    circles = points.reshape(-1, grid.angles_count)
+    values = eval_circles(rows, grid, cap).reshape(len(rows.lead), 1, *circles.shape)
+    mask = ()
+    if masked:
+        radii = np.array(grid.capped_radii(cap))[:, None]  # the circles' |z|
+        mask = (vanishes(values[0], radii, rows.pole_order, rows.lead[0]),)
+    return points, mask, [margin_of(circles, *mask, *values) for margin_of in margin_ofs]
 
 
-def _margins(rows: SeriesRows, zs, values, margin_of, moduli):
-    """The mask where the first series vanishes (None if ``moduli`` is) and ``margin_of`` of
-    ``values``.  ``moduli`` are the |z| of the points zs, as ``vanishes`` takes them."""
-    if moduli is None:
-        return None, margin_of(zs, *values)
-    vanish = vanishes(values[0], moduli, rows.pole_order, rows.lead[0])
-    return vanish, margin_of(zs, vanish, *values)
-
-
-def _grid_witness(rows: SeriesRows, count: int, circles, values, margin_of, moduli=None):
-    """The FFT half of the grid checks' one reduction: each candidate's grid
-    margins, reduced to its witness, for a single check or the candidates of
-    ``_grid_minima``.
-
-    ``rows`` stacks every candidate's ``count`` series, series-major (the first
-    series of each candidate, then the second, ...), and ``values`` are their
-    values at the (nonempty) capped grid points, by FFT: ``eval_circles`` of
-    ``rows``, which ``margin_of`` may consume.  ``circles`` are the points'
-    (radii x angles) view, and ``margin_of(circles, *values)`` takes one
-    (candidates x radii x angles) array per series and is elementwise; given the
-    ``moduli`` of the circles (``_radii_column``), it is ``margin_of(circles,
-    vanish, *values)``, given also the mask where the first series (of a single
-    check) vanishes.  Returns the mask on the circles (None without moduli), and
-    per candidate the index into the points of its witness, its first point of
-    least FFT margin, and that margin.
-    """
-    values = values.reshape(count, -1, *circles.shape)
-    vanish, fft = _margins(rows, circles, values, margin_of, moduli)
-    fft = fft.reshape(fft.shape[0], -1)
-    i = np.argmin(fft, axis=1)
-    return vanish, i, fft[np.arange(i.size), i]
-
-
-def _grid_margin_at(rows: SeriesRows, count: int, at, margin_of, moduli=None):
-    """The Horner half: one pass (``eval_many`` of ``rows``, stacked as in
-    ``_grid_witness``) gives every series' value at each candidate's witness
-    ``at``, hence its margin there, given the vanish mask there if given the
-    ``moduli`` of the witnesses (a column).  Returns the margins and the Horner
-    values, one row per series, unconsumed."""
+def _grid_minima(grid: SampleGrid, cap, series, margin_ofs, masked: bool = False):
+    """The grid reduction of ``series``, once per margin function of ``margin_ofs``, from
+    one FFT call and one Horner pass; the grid must have points on its radii <= cap.  A
+    function's witness is its first point of least FFT margin (``_grid_margins``).  The
+    Horner pass (``eval_many``) takes the series' rows once per function, series-major,
+    each at that function's witness: it gives every series' value there, hence the margin
+    there by the same function, on (1 x 1) arrays, given the mask at the witness' |z| if
+    ``masked``.  So no function's bits depend on the others.  Returns the points, the mask
+    on them as ``_grid_margins`` does, and per function its witness (a complex), its FFT
+    margin and its Horner margin there, and the Horner values, one per series."""
+    rows, count = SeriesRows.of(series), len(series)
+    points, mask, margins = _grid_margins(grid, cap, rows, margin_ofs, masked)
+    i = [int(np.argmin(m)) for m in margins]
+    at, n, p = points[i], len(i), rows.pole_order
     # z^-p divides by an underflowed z^p only where the FFT overflowed too,
     # a margin that the caller refuses
     with np.errstate(divide="ignore"):
-        values_at = eval_many(rows, np.tile(at, count)).reshape(count, at.size)
-    return _margins(rows, at[:, None], values_at[:, :, None].copy(), margin_of, moduli)[1][:, 0], values_at
-
-
-def _grid_minima(grid: SampleGrid, cap, series, margin_ofs):
-    """``_grid_check``'s reduction of the same ``series``, once per margin function of
-    ``margin_ofs`` (without a vanish mask), from one FFT call and one Horner pass: the
-    margin functions are the candidates of ``_grid_witness``, and the Horner pass takes
-    the series' rows once per candidate, each at its own witness.  Returns the points at
-    the witnesses, the FFT margins there and the Horner margins, one per candidate.  The
-    grid must have points on the radii <= cap."""
-    points, rows, count, n = grid.points(radius_cap=cap), SeriesRows.of(series), len(series), len(margin_ofs)
-
-    def on_grid(points, *values):
-        return np.concatenate([margin_of(points, *values) for margin_of in margin_ofs])
-
-    def at_witnesses(points, *values):  # row j: candidate j's witness and the values there
-        return np.concatenate([margin_of(points[j : j + 1], *(v[j : j + 1] for v in values))
-                               for j, margin_of in enumerate(margin_ofs)])
-
-    circles = points.reshape(-1, grid.angles_count)
-    _, i, fft = _grid_witness(rows, count, circles, eval_circles(rows, grid, cap), on_grid)
-    repeated = SeriesRows(rows.pole_order, np.repeat(rows.lead, n), np.repeat(rows.coeffs, n, axis=0))
-    return points[i], fft, _grid_margin_at(repeated, count, points[i], at_witnesses)[0]
+        repeated = SeriesRows(p, np.repeat(rows.lead, n), np.repeat(rows.coeffs, n, axis=0))
+        values_at = eval_many(repeated, points[i * count]).reshape(count, n)
+    values = values_at[:, :, None].copy()
+    at_mask = (vanishes(values[0], np.abs(at)[:, None], p, rows.lead[0]),) if masked else ()
+    args = (at[:, None], *at_mask, *values)
+    return points, mask, [
+        (z.item(), float(m.flat[j]), float(margin_of(*(x[k : k + 1] for x in args))[0, 0]), values_at[:, k])
+        for k, (j, z, m, margin_of) in enumerate(zip(i, at, margins, margin_ofs))
+    ]
 
 
 def _grid_check(
     grid: SampleGrid, cap, series, margin_of, passes, note: str, vanishing=None, detail_at=None
 ) -> Report:
-    """Reduce the margins from the values of ``series`` by ``_grid_witness`` and
-    ``_grid_margin_at``, as one candidate, on the grid's radii <= cap (all for
-    cap None).  The series are evaluated together, as ``SeriesRows``: one FFT
-    call (``eval_circles``) locates the witness, one Horner pass (``eval_many``)
-    gives every series' value there, hence the margin, and ``passes(worst)`` the
-    verdict.  No points is inconclusive and a margin that is not finite an
-    OverflowError, as in ``_grid_verdict``.
+    """``_grid_minima`` of ``margin_of`` alone, on the grid's radii <= cap (all for cap
+    None), and ``passes(worst)`` at its Horner margin the verdict.  No points is
+    inconclusive, with a NaN margin, and an FFT or Horner margin that is not finite an
+    OverflowError (``_grid_verdict``).
 
-    ``vanishing`` names the first series, when ``margin_of`` takes the mask
-    where it vanishes (``vanishes`` at its pole order and lead: on the grid at
-    one threshold per circle, at the witness at its |z|); the note is then led
-    by the first such point, if any.  ``detail_at(report, *values)``,
-    if given, is the report's detail, from the Horner values at its witness."""
-    points = grid.points(radius_cap=cap)
-    if points.size == 0:
-        return _grid_verdict(points, points, passes, note)
-    rows, count = SeriesRows.of(series), len(series)
-    masked = vanishing is not None
-    vanish, i, fft = _grid_witness(
-        rows, count, points.reshape(-1, grid.angles_count), eval_circles(rows, grid, cap), margin_of,
-        _radii_column(grid, cap) if masked else None,
+    ``vanishing`` names the first series, when ``margin_of`` takes the mask where it
+    vanishes (``vanishes`` at its pole order and lead: on the grid at one threshold per
+    circle, at the witness at its |z|); the note is then led by the first such point, if
+    any.  ``detail_at(report, *values)``, if given, is the report's detail, from the
+    Horner values at its witness."""
+    if grid.points(radius_cap=cap).size == 0:
+        return Report(INCONCLUSIVE, math.nan, None, f"no usable grid points; {note}")
+    points, mask, [(z, fft, worst, values)] = _grid_minima(
+        grid, cap, series, [margin_of], vanishing is not None
     )
-    at = points[i]
-    worst, values_at = _grid_margin_at(rows, count, at, margin_of, np.abs(at)[:, None] if masked else None)
-    if masked and np.any(vanish):
-        note = f"{vanishing} vanishes near z={points[int(np.argmax(vanish[0]))].item()}; {note}"
-    _grid_verdict(at, fft, passes, note)  # an FFT margin that is not finite is an OverflowError
-    report = _grid_verdict(at, worst, passes, note)
-    return report if detail_at is None else replace(report, detail=detail_at(report, *values_at))
+    if mask and np.any(mask[0]):
+        note = f"{vanishing} vanishes near z={points[int(np.argmax(mask[0]))].item()}; {note}"
+    report = _grid_verdict(z, worst if math.isfinite(fft) else fft, passes, note)  # refuses either
+    return report if detail_at is None else replace(report, detail=detail_at(report, *values))
 
 
 def _quotient_check(op: OperatorParams, f: LaurentSeries, grid: SampleGrid | None, form) -> Report:

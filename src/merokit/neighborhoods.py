@@ -246,11 +246,11 @@ def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, pha
             m = cp.beta * np.abs(a + shift * b) - np.abs(a + p * b) - np.max(powers * slack, axis=-1)
             return m / (p * (np.abs(b) + np.max(powers * inflate, axis=-1)))
 
-    at, fft, c = _grid_minima(grid, RADIUS_CAP, image, [partial(margin_of, phase=phase) for phase in phases])
+    margin_ofs = [partial(margin_of, phase=phase) for phase in phases]
     return [
-        Report(HOLDS if c_at > grid.margin else INCONCLUSIVE, float(c_at), z.item())
+        Report(HOLDS if c_at > grid.margin else INCONCLUSIVE, c_at, z)
         if math.isfinite(c_fft) and math.isfinite(c_at) else Report(INCONCLUSIVE, math.nan)
-        for z, c_fft, c_at in zip(at, fft, c)
+        for z, c_fft, c_at, _ in _grid_minima(grid, RADIUS_CAP, image, margin_ofs)[2]
     ]
 
 

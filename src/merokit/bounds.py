@@ -134,7 +134,8 @@ def coeff_bounds_report(
                 f"no stored indices in the bound's range k >= {lo}",
             )
         bounds = budget(op, cp) / ((ks[mask] + op.p) * phi_array(op, ks[mask]))
-        margins = bounds - np.abs(f.coeffs[mask])
+        a = f.coeffs[mask]
+        margins = bounds - np.hypot(a.real, a.imag)
         ks = ks[mask]
     else:
         require_nonnegative_real(f)
@@ -447,7 +448,7 @@ def partial_sum_bounds(
         raise ValueError(f"m_cut: the ratio bounds need m_cut >= {1 - op.p}, got {m_cut}")
     grid = grid or default_grid()
     th = ratio_weights(op, cp, f.k_values())
-    hyp, within, slack = _weighted_sum(th, np.abs(f.coeffs), 1.0, "hypothesis sum")
+    hyp, within, slack = _weighted_sum(th, np.hypot(f.coeffs.real, f.coeffs.imag), 1.0, "hypothesis sum")
     if not f.exact_support:
         return Report(
             INCONCLUSIVE, slack, None,

@@ -14,8 +14,14 @@ Four routes are implemented:
 * ``exact_membership_plus`` the weighted coefficient sum that is the
   exact (necessary and sufficient) criterion on the nonnegative-
   coefficient subclass;
-* ``sufficient_condition`` the same sum over moduli, sufficient only,
-  so it never returns "fails" -- just holds or inconclusive.
+* ``sufficient_condition`` the sum over moduli |a_k|, sufficient only,
+  so it never returns "fails" -- just holds or inconclusive.  On |z| < 1,
+  |z|^p |zF' + pF| <= sum (k + p) phi_k |a_k| and
+  |z|^p |zF' + (2 alpha - 1) pF| >= 2p(1 - alpha) - sum |k + (2 alpha - 1)p| phi_k |a_k|,
+  so it sums with the modulus bracket (k + p) + beta |k + (2 alpha - 1)p|.
+  That is the criterion weight's bracket wherever k + (2 alpha - 1)p >= 0,
+  and larger where k + (2 alpha - 1)p < 0 (k < (1 - 2 alpha)p, only for
+  alpha < 1/2), where the signed bracket would undercount a_k.
 
 Strict inequalities are tested with the grid's margin (default 1e-9)
 and only at radii <= 0.95; nearer the boundary, truncation error in the
@@ -23,14 +29,18 @@ series dominates anything the margin could certify.
 
 Degenerate criterion weights exist (the weight at k is
 [k(beta+1) + p(1 + beta(2 alpha - 1))] * phi_k and can vanish or go
-negative at small k).  Sums over such indices carry no information, so
-the coefficient criteria report them in their detail instead of
-pretending the bound constrains anything there.
+negative at small k, always where k + (2 alpha - 1)p < 0).  Sums over
+such indices carry no information, so the exact criterion reports them
+in its detail instead of pretending the bound constrains anything there.
+The sufficient criterion has none: its modulus bracket is at least
+k + p >= 1.  Both name, in their detail, the k with k + (2 alpha - 1)p < 0
+that carry a coefficient ("sub-modulus weight"), and what was summed there.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -220,11 +230,30 @@ def _weighted_sum(w: np.ndarray, a: np.ndarray, rhs: float, what: str):
     return total, total <= rhs + SUM_TOL, rhs - total
 
 
-def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str, weights=None):
+def _modulus_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray) -> np.ndarray:
+    """The ``sufficient_condition`` weights over ``ks``: the criterion weights, but
+    [(k + p) + beta |k + p(2 alpha - 1)|] phi_k, the modulus bracket, where
+    k + p(2 alpha - 1) < 0; one that overflows a float is an OverflowError."""
+    ks = _admitted(op, ks)
+    phis, w = _criterion_weights(op, cp, ks)
+    shifted = ks + op.p * (2.0 * cp.alpha - 1.0)
+    sub = shifted < 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w[sub] = ((ks[sub] + op.p) + cp.beta * np.abs(shifted[sub])) * phis[sub]
+    return _checked_criterion(op, ks, phis, w)
+
+
+#: what the criterion weights, and the ``_modulus_weights``, are where k + p(2 alpha - 1) < 0
+_SIGNED_NOTE = "the sum criterion is not equivalent to the pointwise condition there"
+_MODULUS_NOTE = "summed there with the modulus bracket (k + p) + beta |k + p(2 alpha - 1)|"
+
+
+def _coefficient_sum(op, cp, f: LaurentSeries, a, tail_note: str, weights=None, sub_note=_SIGNED_NOTE):
     """Weights, whether the weighted sum of ``a`` is within the budget, the
     margin and the report detail shared by the coefficient criteria; an
     overflowing weight or sum is an OverflowError.  ``weights`` maps ks to
-    their criterion weights (``criterion_weight_array`` by default)."""
+    their criterion weights (``criterion_weight_array`` by default), and
+    ``sub_note`` says what they are where k + p(2 alpha - 1) < 0."""
     ks = f.k_values()
     w = criterion_weight_array(op, cp, ks) if weights is None else weights(ks)
     total, within, margin = _weighted_sum(w, a, budget(op, cp), "coefficient sum")
@@ -237,10 +266,7 @@ def _coefficient_sum(op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str, we
         )
     sub = ks[(ks + op.p * (2.0 * cp.alpha - 1.0) < 0) & (a > 0)]
     if sub.size:
-        notes.append(
-            f"sub-modulus weight at k={sub.tolist()} (k + p(2 alpha - 1) < 0); "
-            "the sum criterion is not equivalent to the pointwise condition there"
-        )
+        notes.append(f"sub-modulus weight at k={sub.tolist()} (k + p(2 alpha - 1) < 0); {sub_note}")
     if not f.exact_support:
         notes.append(tail_note)
     detail = "; ".join(notes) if notes else f"sum={total:.17g} rhs={budget(op, cp):.17g}"
@@ -281,7 +307,8 @@ def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) 
     function; an exceeded sum proves nothing, hence inconclusive."""
     _require_class_form(f, op)
     _, within, margin, detail = _coefficient_sum(
-        op, cp, f, np.abs(f.coeffs), "tail not certified; verdict applies to the truncation"
+        op, cp, f, np.hypot(f.coeffs.real, f.coeffs.imag), "tail not certified; verdict applies to the truncation",
+        partial(_modulus_weights, op, cp), _MODULUS_NOTE,
     )
     return Report(HOLDS if within else INCONCLUSIVE, margin, None, detail)
 

@@ -117,7 +117,8 @@ def _distance_to(weights, f: LaurentSeries, g: LaurentSeries, delta: float):
     a, b, ks = _aligned(f, g)
     s = weights(ks)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(b - a)
+        d = b - a
+        diff = np.hypot(d.real, d.imag)
     return _weighted_sum(s, diff, delta, "distance")
 
 

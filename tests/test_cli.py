@@ -251,6 +251,39 @@ def test_check_sufficient_inconclusive_exit_code(capsys, params_file, tmp_path):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
+#: f = 1/z + 2 under the identity operator at alpha = 1/4, beta = 1: the defining inequality
+#: is 2|z| < |1.5 + z|, false at z = -0.7, so f is not in the class.  Its coefficient at k = 0
+#: lies where k + p(2 alpha - 1) < 0 (ROADMAP item 11)
+OUTSIDE_PARAMS = {"lambda": 0, "mu": 0, "m": 0, "p": 1, "alpha": 0.25, "beta": 1}
+OUTSIDE_SERIES = {"pole_order": 1, "trunc_order": 0, "coeffs": [[2.0, 0.0]], "exact_support": True}
+
+
+def _check_outside(capsys, tmp_path, criterion):
+    params, series = tmp_path / "params.json", tmp_path / "series.json"
+    params.write_text(json.dumps(OUTSIDE_PARAMS))
+    series.write_text(json.dumps(OUTSIDE_SERIES))
+    code, out, _ = run(capsys, "check", "--criterion", criterion, "--params", params, "--series", series)
+    return code, json.loads(out)
+
+
+def test_sufficient_does_not_hold_outside_the_class(capsys, tmp_path):
+    code, rep = _check_outside(capsys, tmp_path, "numeric")
+    assert (code, rep["verdict"]) == (1, "fails") and rep["worst_margin"] < 0
+    code, rep = _check_outside(capsys, tmp_path, "sufficient")
+    assert (code, rep["verdict"], rep["worst_margin"]) == (2, "inconclusive", -1.5)
+    assert "sub-modulus weight at k=[0]" in rep["detail"] and "modulus bracket" in rep["detail"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: exact_membership_plus still sums with the signed bracket "
+    "k(beta + 1) + p(1 + beta(2 alpha - 1)), so it says holds (margin 0.5) for this f",
+)
+def test_exact_does_not_hold_outside_the_class(capsys, tmp_path):
+    code, rep = _check_outside(capsys, tmp_path, "exact")
+    assert rep["verdict"] != "holds" and code != 0
+
+
 def test_check_numeric_reports_grid_digest(capsys, params_file, tmp_path):
     member = series_file(tmp_path, "m.json", 1, 2, [0.0, 1 / 18, 0.0])
     code, out, _ = run(

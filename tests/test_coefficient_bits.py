@@ -12,6 +12,10 @@ is pinned through one sha256 per route.  A change to how the sums are formed,
 guarded or compared must leave all of them in place.
 """
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,9 @@ from merokit.membership import ClassParams, exact_membership_plus, ratio_weights
 from merokit.neighborhoods import WeightSeq, distance, in_neighborhood, verify_inclusion_plus
 from merokit.operator import OperatorParams, delta_star
 from merokit.series import LaurentSeries, SampleGrid
+
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(TESTS).parent / "src")
 
 #: cases per route in the sweep, and how many of them are pinned one by one
 CASES = 400
@@ -129,13 +136,15 @@ ROUTES = {
 }
 
 
+def sweep(route):
+    """The outcome of every case of the route's seeded sweep."""
+    rng = np.random.default_rng([20261019, list(ROUTES).index(route)])
+    return [ROUTES[route](rng) for _ in range(CASES)]
+
+
 def observed():
     """Per route, the outcome of every case of its seeded sweep."""
-    out = {}
-    for i, (name, draw) in enumerate(ROUTES.items()):
-        rng = np.random.default_rng([20261019, i])
-        out[name] = [draw(rng) for _ in range(CASES)]
-    return out
+    return {route: sweep(route) for route in ROUTES}
 
 
 def _sha(outcomes):
@@ -160,6 +169,10 @@ def _sha(outcomes):
 #: cases that held (0, 6, 7 and 9 among them) hold at budget * premise_slack,
 #: witnessed by k*, and the 70 with trials = 0 (2 among them) hold there too; every
 #: other "plus" case kept its bits.
+#: Then "sufficient" came to sum with the modulus bracket (k + p) + beta |k + p(2 alpha - 1)|
+#: where k + p(2 alpha - 1) < 0, and with |a_k| from hypot: 43 cases that held (1 and 5
+#: among them) are inconclusive, none went the other way, and the margins of cases 2, 3, 4,
+#: 6, 7 and 9 moved, their "degenerate criterion weight" notes gone with the signed bracket.
 EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True),
  'distance 1': ('0x1.bec8628c6cfc6p-1', '0x1.bec8628c6cfc6p-1', True),
  'distance 2': ('0x1.9e6ca24e7ba9ep-3', '0x1.9e6ca24e7ba9ep-3', True),
@@ -324,60 +337,57 @@ EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True)
                   '0x1.fa6f2aada82d8p-4',
                   None,
                   'sum=0.018303985566240015 rhs=0.14194515865459478'),
- 'sufficient 1': ('holds',
-                  '0x1.f8049f0e37f00p-8',
+ 'sufficient 1': ('inconclusive',
+                  '-0x1.5289b9a17f828p-2',
                   None,
-                  'sub-modulus weight at k=[-2, -1] (k + p(2 alpha - 1) < 0); the sum criterion is '
-                  'not equivalent to the pointwise condition there'),
+                  'sub-modulus weight at k=[-2, -1] (k + p(2 alpha - 1) < 0); summed there with '
+                  'the modulus bracket (k + p) + beta |k + p(2 alpha - 1)|'),
  'sufficient 2': ('holds',
-                  '0x1.e042344b2d8dbp-1',
+                  '0x1.d6f6a7faf799ep-1',
                   None,
-                  'degenerate criterion weight (<= 0) at k=[-2]; the sum does not constrain those '
-                  'coefficients; sub-modulus weight at k=[2] (k + p(2 alpha - 1) < 0); the sum '
-                  'criterion is not equivalent to the pointwise condition there'),
+                  'sub-modulus weight at k=[2] (k + p(2 alpha - 1) < 0); summed there with the '
+                  'modulus bracket (k + p) + beta |k + p(2 alpha - 1)|'),
  'sufficient 3': ('holds',
-                  '0x1.04badf5977a38p+0',
+                  '0x1.f7bb447fb187ap-1',
                   None,
-                  'degenerate criterion weight (<= 0) at k=[-2]; the sum does not constrain those '
-                  'coefficients; sub-modulus weight at k=[0, 1] (k + p(2 alpha - 1) < 0); the sum '
-                  'criterion is not equivalent to the pointwise condition there'),
+                  'sub-modulus weight at k=[0, 1] (k + p(2 alpha - 1) < 0); summed there with the '
+                  'modulus bracket (k + p) + beta |k + p(2 alpha - 1)|'),
  'sufficient 4': ('inconclusive',
-                  '-0x1.5ccc9b490f9cap+998',
+                  '-0x1.6d506dfffaf0ap+998',
                   None,
-                  'sub-modulus weight at k=[-1] (k + p(2 alpha - 1) < 0); the sum criterion is not '
-                  'equivalent to the pointwise condition there'),
- 'sufficient 5': ('holds',
-                  '0x1.79fd151bc8800p-12',
+                  'sub-modulus weight at k=[-1] (k + p(2 alpha - 1) < 0); summed there with the '
+                  'modulus bracket (k + p) + beta |k + p(2 alpha - 1)|'),
+ 'sufficient 5': ('inconclusive',
+                  '-0x1.d77c8b24632c0p-7',
                   None,
-                  'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum criterion is not '
-                  'equivalent to the pointwise condition there'),
+                  'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); summed there with the '
+                  'modulus bracket (k + p) + beta |k + p(2 alpha - 1)|'),
  'sufficient 6': ('holds',
-                  '0x1.4642a01959d5ep-2',
+                  '0x1.29e51d124decfp-2',
                   None,
-                  'sub-modulus weight at k=[-1] (k + p(2 alpha - 1) < 0); the sum criterion is not '
-                  'equivalent to the pointwise condition there'),
+                  'sub-modulus weight at k=[-1] (k + p(2 alpha - 1) < 0); summed there with the '
+                  'modulus bracket (k + p) + beta |k + p(2 alpha - 1)|'),
  'sufficient 7': ('holds',
-                  '0x1.5f82cbbf9482cp-3',
+                  '0x1.5d024be2c8652p-3',
                   None,
-                  'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum criterion is not '
-                  'equivalent to the pointwise condition there'),
+                  'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); summed there with the '
+                  'modulus bracket (k + p) + beta |k + p(2 alpha - 1)|'),
  'sufficient 8': ('holds',
                   '0x1.ee9816a0786d4p-2',
                   None,
                   'tail not certified; verdict applies to the truncation'),
  'sufficient 9': ('holds',
-                  '0x1.c38776125c4e8p-2',
+                  '0x1.aebb47dbe7644p-2',
                   None,
-                  'degenerate criterion weight (<= 0) at k=[-2]; the sum does not constrain those '
-                  'coefficients; sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); the sum '
-                  'criterion is not equivalent to the pointwise condition there; tail not '
-                  'certified; verdict applies to the truncation')}
+                  'sub-modulus weight at k=[0] (k + p(2 alpha - 1) < 0); summed there with the '
+                  'modulus bracket (k + p) + beta |k + p(2 alpha - 1)|; tail not certified; '
+                  'verdict applies to the truncation')}
 
 DIGESTS = {'distance': '9e5a85f1738985482aec2db44450033f72771f247ba036b34d08b9b365c70fb1',
  'exact': '8575fc0aa3fe8270bdc3eb949d7d6422315e8fecea61320402e953e1b27680ed',
  'partial-sums': 'b6edc88209191605e262ac6aeb3e5252c5531a41f4025706468913300f1eaac7',
  'plus': 'eaad02cfd47563f113f2e6e360c6fd91de25a0a3430a2d647e37497080343941',
- 'sufficient': 'abfe1ff105a18893b21b0f1a7aca34040c7d79522ac260ef11431b58b4a97b76'}
+ 'sufficient': '9bd9b10f359c775a7725ed7c9c6488342a56295828fafd25bed6ac1429a36e10'}
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +408,29 @@ def test_coefficient_sweep_is_frozen(observed_bits, route):
 
 def test_every_route_is_pinned():
     assert sorted(EXPECTED) == sorted(f"{r} {i}" for r in ROUTES for i in range(PINNED))
+
+
+def test_sufficient_sweep_does_not_depend_on_cpu_dispatch(observed_bits):
+    """The "sufficient" outcomes are the same with every CPU feature above numpy's baseline
+    switched off (numpy's ``NPY_DISABLE_CPU_FEATURES``, read at import) as with them on:
+    its sums take |a_k| by ``hypot``, not by numpy's complex absolute value."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    on = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    if not on:
+        pytest.skip("no CPU feature above numpy's baseline is on here, so none can be switched off")
+    probe = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        f"assert not any(__cpu_features__[name] for name in {on!r})\n"
+        "import test_coefficient_bits\n"
+        "sys.stdout.write(repr(test_coefficient_bits.sweep('sufficient')))\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, (SRC, TESTS, os.environ.get("PYTHONPATH")))),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(on),
+    }
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == repr(observed_bits["sufficient"])

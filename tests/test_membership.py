@@ -15,6 +15,7 @@ from merokit.membership import (
     Report,
     budget,
     criterion_weight,
+    criterion_weight_array,
     disk_characterization,
     disk_margins,
     disk_parameters,
@@ -164,6 +165,54 @@ def test_sufficient_uses_modulus():
     rep = sufficient_condition(M0, cp, L(1, 1, [0.0, a * 1j]))
     assert rep.verdict == "holds"
     assert abs(rep.worst_margin) <= 1e-12
+
+
+#: where a ``sufficient`` holds is held to the defining inequality
+SOUNDNESS_GRID = SampleGrid(tuple(float(r) for r in np.linspace(0.05, 0.95, 19)), 1024)
+
+
+def _exact_numeric_margin(F, cp, z):
+    """beta |Q + 2 alpha - 1| - |Q + 1| at z, Q = zF'/(pF), in 40-digit mpmath from F's
+    float coefficients."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(complex(z))
+        terms = [(-F.pole_order, F.lead), *zip(F.k_values().tolist(), F.coeffs.tolist())]
+        value = mpmath.fsum(mpmath.mpc(c) * z**k for k, c in terms)
+        z_derivative_value = mpmath.fsum(k * mpmath.mpc(c) * z**k for k, c in terms)
+        q = z_derivative_value / (F.pole_order * value)
+        return cp.beta * abs(q + 2 * mpmath.mpf(cp.alpha) - 1) - abs(q + 1)
+
+
+@given(
+    p=st.integers(1, 3),
+    operator=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.integers(0, 2)),
+    alpha=st.floats(0.0, 1.0, exclude_max=True),
+    beta=st.floats(1e-6, 1.0),
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
+    ),
+    frac=st.sampled_from([0.3, 0.9, 0.99, 1.0, 1.5]),
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_sufficient_holds_only_where_the_inequality_holds(p, operator, alpha, beta, coeffs, frac):
+    """Complex a_k at every k from 1 - p, scaled to a fraction of the budget under the
+    positive criterion weights, which undercount the k with k + p(2 alpha - 1) < 0.  Every
+    ``sufficient`` holds has a numeric margin >= 0 at the grid's worst point, recomputed in
+    40-digit mpmath: its sign, not the grid verdict (which takes margins up to the grid
+    margin as fails)."""
+    lam, mu_frac, m = operator
+    op, cp = OperatorParams(lam, lam * mu_frac, m, p), ClassParams(alpha, beta)
+    ks = np.arange(1 - p, 1 - p + len(coeffs))
+    a = np.array(coeffs, dtype=complex)
+    w = criterion_weight_array(op, cp, ks)
+    total = float(np.sum(np.where(w > 0, w, 0.0) * np.abs(a)))
+    if total > 0:
+        a *= frac * budget(op, cp) / total
+    f = LaurentSeries(p, int(ks[-1]), a, 1.0, True)
+    if sufficient_condition(op, cp, f).verdict != "holds":
+        return
+    zs, margins = numeric_margins(op, cp, f, SOUNDNESS_GRID)
+    assert _exact_numeric_margin(apply_coeff(op, f), cp, zs[int(np.argmin(margins))]) >= 0
 
 
 # -------------------------------------------------------------- numeric route
@@ -331,6 +380,51 @@ def test_reported_margin_is_horners_at_the_witness():
     i = int(np.flatnonzero(zs == rep.witness)[0])
     assert rep.worst_margin == horner[i]
     assert rep.worst_margin - horner.min() <= 1e-12 * max(1.0, abs(horner.min()))
+
+
+def _reduction_member():
+    rng = np.random.default_rng(7)
+    coeffs = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.4 / np.arange(1, 65) ** 2
+    return OperatorParams(0.7, 0.3, 1, 2), L(2, 62, coeffs)
+
+
+def _bits(minimum):
+    z, fft, worst, values = minimum
+    return z.real.hex(), z.imag.hex(), fft.hex(), worst.hex(), values.tobytes()
+
+
+def test_grid_minima_margin_functions_do_not_interact():
+    """Margin functions reduced together, by ``_grid_minima``, each get the witness, the FFT
+    and Horner margins and the Horner values that each gets alone, bit for bit, with the
+    vanish mask and without it."""
+    from merokit.membership import _disk_form, _grid_minima, _numeric_form, _quotient_margin
+
+    op, f = _reduction_member()
+    F = apply_coeff(op, f)
+    grid = SampleGrid(radii=(0.2, 0.5, 0.9, 0.97), angles_count=48)
+
+    def kept(margin_of):  # the quotient margins consume their values; these leave them
+        return lambda points, vanish, b, a: margin_of(points, vanish, b.copy(), a.copy())
+
+    numeric = kept(_quotient_margin(op.p, *_numeric_form(ClassParams(0.2, 0.6))))
+    disk = kept(_quotient_margin(op.p, *_disk_form(ClassParams(0.4, 0.5))))
+    masked = [numeric, lambda *args: -disk(*args)]  # least and greatest margins
+    plain = [lambda points, b, a: np.abs(a) - 3.0 * np.abs(b), lambda points, b, a: np.real(a / b) * points.imag]
+    series = (F, z_derivative(F))
+    for margin_ofs, masking in ((masked, True), (plain, False)):
+        together = _grid_minima(grid, 0.95, series, margin_ofs, masking)[2]
+        alone = [_grid_minima(grid, 0.95, series, [margin_of], masking)[2][0] for margin_of in margin_ofs]
+        assert together[0][0] != together[1][0]  # witnesses of their own
+        assert [_bits(m) for m in together] == [_bits(m) for m in alone]
+
+
+def test_margin_array_locates_the_reported_witness():
+    op, f = _reduction_member()
+    grid = SampleGrid(radii=(0.2, 0.5, 0.9), angles_count=48)
+    for margins, check, cp in ((numeric_margins, numeric_membership, ClassParams(0.2, 0.6)),
+                               (disk_margins, disk_characterization, ClassParams(0.4, 0.5))):
+        zs, m = margins(op, cp, f, grid)
+        assert zs[int(np.argmin(m))].item() == check(op, cp, f, grid).witness
 
 
 # --------------------------------------------------- membership implications

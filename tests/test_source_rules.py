@@ -1,4 +1,5 @@
 """Rules on the package source that no behavioural test would notice being broken."""
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -32,3 +33,30 @@ def test_grid_powers_are_running_products():
                  series._split, membership.vanishes)
     for function in functions:
         assert POWER.findall(inspect.getsource(function)) == [], function.__name__
+
+
+def _callers(name):
+    """The functions of the package outside ``series`` that call ``name``, as module.function
+    (module.<module> for a call outside any function)."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)  # outermost first: nested calls count for it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if called == name:
+                    callers.add(f"{path.stem}.{owner.get(node, '<module>')}")
+    return callers
+
+
+def test_grid_values_come_from_one_function():
+    """Every grid check reduces its margins through one FFT half: ``eval_circles`` is
+    called from exactly one function outside ``series``."""
+    assert _callers("eval_circles") == {"membership._grid_margins"}

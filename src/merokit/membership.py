@@ -248,7 +248,9 @@ _SIGNED_NOTE = "the sum criterion is not equivalent to the pointwise condition t
 _MODULUS_NOTE = "summed there with the modulus bracket (k + p) + beta |k + p(2 alpha - 1)|"
 
 
-def _coefficient_sum(op, cp, f: LaurentSeries, a, tail_note: str, weights=None, sub_note=_SIGNED_NOTE):
+def _coefficient_sum(
+    op, cp, f: LaurentSeries, a: np.ndarray, tail_note: str, weights=None, sub_note: str = _SIGNED_NOTE
+):
     """Weights, whether the weighted sum of ``a`` is within the budget, the
     margin and the report detail shared by the coefficient criteria; an
     overflowing weight or sum is an OverflowError.  ``weights`` maps ks to
@@ -304,10 +306,12 @@ def _exact_plus(op: OperatorParams, cp: ClassParams, f: LaurentSeries, weights) 
 
 def sufficient_condition(op: OperatorParams, cp: ClassParams, f: LaurentSeries) -> Report:
     """Modulus-sum condition, sufficient for membership of the truncated
-    function; an exceeded sum proves nothing, hence inconclusive."""
+    function for any complex coefficients: sum_k w_k |a_k| <= 2 p beta (1 - alpha)
+    over ``_modulus_weights``; an exceeded sum proves nothing, hence inconclusive."""
     _require_class_form(f, op)
+    moduli = np.hypot(f.coeffs.real, f.coeffs.imag)
     _, within, margin, detail = _coefficient_sum(
-        op, cp, f, np.hypot(f.coeffs.real, f.coeffs.imag), "tail not certified; verdict applies to the truncation",
+        op, cp, f, moduli, "tail not certified; verdict applies to the truncation",
         partial(_modulus_weights, op, cp), _MODULUS_NOTE,
     )
     return Report(HOLDS if within else INCONCLUSIVE, margin, None, detail)
@@ -484,7 +488,8 @@ def _grid_check(
     )
     if mask and np.any(mask[0]):
         note = f"{vanishing} vanishes near z={points[int(np.argmax(mask[0]))].item()}; {note}"
-    report = _grid_verdict(z, worst if math.isfinite(fft) else fft, passes, note)  # refuses either
+    # an FFT margin that is not finite is refused as a Horner one is
+    report = _grid_verdict(z, worst if math.isfinite(fft) else fft, passes, note)
     return report if detail_at is None else replace(report, detail=detail_at(report, *values))
 
 

@@ -409,7 +409,10 @@ def test_grid_minima_margin_functions_do_not_interact():
     numeric = kept(_quotient_margin(op.p, *_numeric_form(ClassParams(0.2, 0.6))))
     disk = kept(_quotient_margin(op.p, *_disk_form(ClassParams(0.4, 0.5))))
     masked = [numeric, lambda *args: -disk(*args)]  # least and greatest margins
-    plain = [lambda points, b, a: np.abs(a) - 3.0 * np.abs(b), lambda points, b, a: np.real(a / b) * points.imag]
+    plain = [
+        lambda points, b, a: np.abs(a) - 3.0 * np.abs(b),
+        lambda points, b, a: np.real(a / b) * points.imag,
+    ]
     series = (F, z_derivative(F))
     for margin_ofs, masking in ((masked, True), (plain, False)):
         together = _grid_minima(grid, 0.95, series, margin_ofs, masking)[2]

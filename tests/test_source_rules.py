@@ -50,8 +50,8 @@ def _callers(name):
                     owner.setdefault(inner, node.name)  # outermost first: nested calls count for it
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                if called == name:
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                     callers.add(f"{path.stem}.{owner.get(node, '<module>')}")
     return callers
 

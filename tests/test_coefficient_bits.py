@@ -172,7 +172,8 @@ def _sha(outcomes):
 #: Then "sufficient" came to sum with the modulus bracket (k + p) + beta |k + p(2 alpha - 1)|
 #: where k + p(2 alpha - 1) < 0, and with |a_k| from hypot: 43 cases that held (1 and 5
 #: among them) are inconclusive, none went the other way, and the margins of cases 2, 3, 4,
-#: 6, 7 and 9 moved, their "degenerate criterion weight" notes gone with the signed bracket.
+#: 6, 7 and 9 moved (the "degenerate criterion weight" notes of 2, 3 and 9 went with the
+#: signed bracket).
 EXPECTED = {'distance 0': ('0x1.fa6b55faab14bp-1', '0x1.fa6b55faad419p-1', True),
  'distance 1': ('0x1.bec8628c6cfc6p-1', '0x1.bec8628c6cfc6p-1', True),
  'distance 2': ('0x1.9e6ca24e7ba9ep-3', '0x1.9e6ca24e7ba9ep-3', True),

@@ -27,6 +27,9 @@ passing the exact criterion, the premise
 must hold (the criterion alone gives only <= 1, and the single-term
 extremals sit exactly at 1, where inclusion genuinely fails inside the
 radius).  A violated premise yields "inconclusive", never a guess.
+
+``verify_inclusion_general`` decides the hypothesis of Ruscheweyh's lemma, every
+eps-shift of f in the class, by its exact radius at each grid point (``_certified``).
 """
 from __future__ import annotations
 
@@ -225,37 +228,58 @@ def verify_inclusion_plus(
     )
 
 
-def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, phases):
-    """Certify each phase, given as (ks, slack, inflate), for every perturbation of f that moves
-    M = beta |A + (2 alpha - 1) p F| - |A + p F|, the defining inequality times p |F| (A = zF'),
-    by at most max_k slack_k |z|^k and |F| by at most max_k inflate_k |z|^k, over ``ks``.
-    Where positive,
+def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, delta: float):
+    """Phase (a)'s eps-shift radius and phase (b)'s certificate, from one ``_grid_minima`` of
+    f's ``image`` (F, zF') on the capped grid, which has points.
 
-        c(z) = (M - max_k slack_k |z|^k) / (p (|F| + max_k inflate_k |z|^k))
+    (a) The class asks |v| < beta |u|, v = zF' + pF, u = zF' + (2 alpha - 1)pF.  An eps-shift
+    moves v by eps q z^p and u by alpha eps q z^p (q = 2 p phi_p; 1/(1 + eps) drops out), so
+    |v_eps|^2 - beta^2 |u_eps|^2 = a |eps|^2 + 2 Re(eps w) + c0, a = (1 - alpha^2 beta^2)
+    |q z^p|^2 > 0, w = q z^p conj(v - alpha beta^2 u), c0 = |v|^2 - beta^2 |u|^2.  Its largest
+    value over arg eps, along conj(w)/|w|, rises with |eps|: the shifts that pass at z are
+    |eps| < r = (-c0 / (q |z|^p)) / (e + sqrt(e^2 - (1 - alpha^2 beta^2) c0)), e = |v - alpha
+    beta^2 u|, for c0 < 0 (the stable root: Higham, Accuracy and Stability, 1.8), else r = 0.
+    e and -c0 = (beta|u| - |v|)(beta|u| + |v|) are divided by beta|u| + |v|, against overflow.
+    Gives the least r's witness, r there and conj(w)/|w| (1 for w = 0), an OverflowError if r is not finite.
 
-    bounds every perturbed member's numeric margin at z from below.  One ``_grid_minima`` of
-    f's ``image`` (F, zF') on the capped grid, which has points, gives each phase's least c
-    at its witness.  Returns a report per phase: holds when that c is above the grid
-    margin, else inconclusive there.  A bound or a value that is not finite gives no finite
-    c: inconclusive, NaN margin."""
-    p, shift = op.p, (2.0 * cp.alpha - 1.0) * op.p
+    (b) g = f + d, sum s_k |d_k| < delta, moves F by at most delta B |z|^k / D_k and beta|u| - |v|
+    by at most delta B |z|^k (beta |k + (2 alpha - 1) p| + k + p) / D_k, k = 1 - p .. 0 (D_k, the
+    bracket of s_k = D_k phi_k / B, rises by beta + 1 per step).  By those maxima, c = (beta|u| -
+    |v| - slack) / (p (|F| + inflate)) bounds such g's margins: it holds above the grid margin."""
+    p, beta, shift, near = op.p, cp.beta, (2.0 * cp.alpha - 1.0) * op.p, np.arange(1 - op.p, 1)
+    tilt, kappa, q = cp.alpha * beta * beta, 1.0 - (cp.alpha * beta) ** 2, 2.0 * p * phi(op, p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inflate = delta * budget(op, cp) / (beta * (near + abs(shift)) + near + p)
+        slack = inflate * (beta * np.abs(near + shift) + near + p)
 
-    def margin_of(points, b, a, phase):
-        ks, slack, inflate = phase
+    def radius(points, b, a):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            nv, nu = np.abs(a + p * b), beta * np.abs(a + shift * b)
+            e = np.abs((1.0 - tilt) * a + (p - tilt * shift) * b)  # |v - alpha beta^2 u|
+            below, above = nu - nv, np.add(nu, nv, out=nu)
+            e /= above
+            r = below / (e + np.sqrt(e * e + kappa * (below / above))) / (q * np.abs(points) ** p)
+        np.copyto(r, 0.0, where=below <= 0.0)
+        return r
+
+    def certificate(points, b, a):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            powers = np.abs(points)[..., None] ** ks
-            m = cp.beta * np.abs(a + shift * b) - np.abs(a + p * b) - np.max(powers * slack, axis=-1)
+            powers = np.abs(points)[..., None] ** near
+            m = beta * np.abs(a + shift * b) - np.abs(a + p * b) - np.max(powers * slack, axis=-1)
             return m / (p * (np.abs(b) + np.max(powers * inflate, axis=-1)))
 
-    margin_ofs = [partial(margin_of, phase=phase) for phase in phases]
-    return [
-        Report(HOLDS if c_at > grid.margin else INCONCLUSIVE, c_at, z)
-        if math.isfinite(c_fft) and math.isfinite(c_at) else Report(INCONCLUSIVE, math.nan)
-        for z, c_fft, c_at, _ in _grid_minima(grid, RADIUS_CAP, image, margin_ofs)[2]
-    ]
+    shifts, (z, c_fft, c_at, _) = _grid_minima(grid, RADIUS_CAP, image, [radius, certificate])[2]
+    z_a, r_fft, r_at, (b, a) = shifts
+    if not (math.isfinite(r_fft) and math.isfinite(r_at)):
+        raise OverflowError(f"margin: not finite at {z_a}; the evaluation overflows a float")
+    toward = complex((a + p * b - tilt * (a + shift * b)) * (z_a**p).conjugate())  # conj(w) / q
+    shifts = z_a, r_at, toward / abs(toward) if toward else 1.0 + 0j
+    if not (math.isfinite(c_fft) and math.isfinite(c_at)):
+        return shifts, Report(INCONCLUSIVE, math.nan)
+    return shifts, Report(HOLDS if c_at > grid.margin else INCONCLUSIVE, c_at, z)
 
 
-#: the constructed perturbations' radius, as a fraction of delta: inside the neighborhood
+#: the constructed neighbors' radius, as a fraction of delta: inside the neighborhood
 _RIM = 1.0 - 1e-6
 
 
@@ -269,75 +293,47 @@ def verify_inclusion_general(
     grid: SampleGrid | None = None,
     seed: int = 0,
 ) -> Report:
-    """Check of the full-class inclusion statement, certified where it can be.
+    """Check of the full-class inclusion statement, decided where it can be.
 
-    Phase (a) establishes the hypothesis: each perturbed (f + eps z^p)/(1 + eps),
-    |eps| < delta, passes numeric membership.  Phase (b) asks the same of every g
-    in the general-weight delta-neighborhood.  Each phase is first certified at
-    every capped grid point, both by one evaluation of f's image (``_certified``;
-    phase (a) only for delta <= 1).  A phase that does not close is checked, by
-    ``numeric_membership``, one by one, on constructed perturbations at radius
-    r = (1 - 1e-6) delta, for the 16 phases theta_j = 2 pi j / 16: phase (a) on f
-    and the eps-shifts eps = r e^(i theta_j); phase (b) on g = f + (r / s_k)
-    e^(i theta_j) z^k, at distance r < delta, k-major over the stored k in
-    1 - p .. 2 with s_k > SUM_TOL.  A phase (a) miss is inconclusive (hypothesis
-    not established) and a phase (b) miss a failing counterexample.  A certified
-    phase (b) holds at its least certified margin; an uncertified one that no
-    constructed neighbor leaves shows nothing: inconclusive at that margin.
+    Phase (a), the hypothesis, holds when delta < eps_a*, the least eps-shift radius
+    (``_certified``), decided at margin 0, the statement itself, not at the grid's slack.
+    Else it is inconclusive at the margin of the shift at |eps| = min(2 eps_a*, (eps_a* +
+    delta)/2) toward conj(w) at eps_a*'s point (f for eps_a* = 0), taken as f + eps z^p from
+    delta = 1 on, where (f + eps z^p)/(1 + eps) may meet eps = -1.  Phase (b), the general-
+    weight delta-neighborhood, holds where certified; else it fails at the first constructed
+    neighbor that leaves the class, and with none is inconclusive at its least certified c.
 
-    ``eps_trials``, ``trials`` and ``seed`` are read by nothing.  They stay only
-    because perfbench's workloads pass them by position and its span counters
-    pin this signature's parameter count."""
+    ``eps_trials``, ``trials`` and ``seed`` are read by nothing.  They stay only because
+    perfbench's workloads pass them by position and its span counters pin this signature."""
     if not delta > 0:
         raise ValueError(f"delta: must be > 0, got {delta}")
     if f.trunc_order < op.p:
-        raise ValueError(
-            f"trunc_order: need at least p={op.p} to represent the eps-shift, got {f.trunc_order}"
-        )
+        raise ValueError(f"trunc_order: need at least p={op.p} to represent the eps-shift, "
+                         f"got {f.trunc_order}")
     require_pole_order(op, f)
     seq = WeightSeq("general", op, cp)
     grid = grid or default_grid()
     if grid.points(radius_cap=RADIUS_CAP).size == 0:
         return numeric_membership(op, cp, f, grid)  # no usable grid points: nothing is checked
     F = apply_coeff(op, f)
-    image, note = (F, z_derivative(F)), f"delta={delta:.17g} grid={grid.digest()}"
+    note = f"delta={delta:.17g} grid={grid.digest()}"
+    (z, radius, toward), cert = _certified(op, cp, grid, (F, z_derivative(F)), delta)
+    at_minus_one = "" if delta < 1.0 else " (as f + eps z^p: (f + eps z^p)/(1 + eps) is undefined at eps=-1)"
+    if not delta < radius:
+        eps = min(2.0 * radius, 0.5 * radius + 0.5 * delta) * toward
+        g = f.with_coeff(op.p, f.coeff(op.p) + eps)
+        g = f if radius == 0.0 else g if at_minus_one else scale(g, 1.0 / (1.0 + eps))
+        rep = numeric_membership(op, cp, g, grid)
+        name = "f itself (eps=0)" if radius == 0.0 else f"the eps-shift at eps={eps!r}{at_minus_one}"
+        return Report(INCONCLUSIVE, rep.worst_margin, None, (
+            f"hypothesis not established: delta is not below eps_a*={radius:.17g}, the least eps-shift "
+            f"radius, at z={z}; {name} gives {rep.verdict} at witness {rep.witness}"))
+    hypothesis = f"eps-shifts hold for |eps| < {radius:.17g}{at_minus_one}"
     ks = f.k_values()
-    # phase (a): (f + eps z^p)/(1 + eps), |eps| < delta <= 1, has the quotient of f + eps z^p,
-    # whose image moves F by eps phi_p z^p and A by p eps phi_p z^p
-    inflate = delta * phi(op, op.p)
-    phases = [(op.p, 2.0 * op.p * (cp.alpha * cp.beta + 1.0) * inflate, inflate)] if delta <= 1.0 else []
-    # phase (b): g = f + d, sum s_k |d_k| < delta, moves F by at most delta B |z|^k / D_k and M by
-    # at most delta B |z|^k (beta |k + (2 alpha - 1) p| + k + p) / D_k at some k, for the budget B
-    # and the bracket D_k of s_k = D_k phi_k / B.  D_k rises by beta + 1 per step, so for k >= 0
-    # neither exceeds its value at k = 0 (|z| < 1): k = 1 - p .. 0 suffice.  D_{1-p} = 0 or an
-    # overflow leaves them infinite
-    shift, near = (2.0 * cp.alpha - 1.0) * op.p, np.arange(1 - op.p, 1)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inflate = delta * budget(op, cp) / (cp.beta * (near + abs(shift)) + near + op.p)
-        phases.append((near, inflate * (cp.beta * np.abs(near + shift) + near + op.p), inflate))
-    *shifts, cert = _certified(op, cp, grid, image, phases)
-    r, turns = _RIM * delta, np.exp(2j * np.pi * np.arange(16) / 16)
-    if shifts and shifts[0].verdict == HOLDS:
-        hypothesis = f"eps-shifts certified at {shifts[0].worst_margin:.3g}"
-    else:
-        def shifted():
-            yield "f itself (eps=0)", f
-            for j, eps in enumerate(r * turns):
-                with np.errstate(over="ignore", invalid="ignore"):  # an eps near the largest float
-                    g = scale(f.with_coeff(op.p, f.coeff(op.p) + eps), 1.0 / (1.0 + eps))
-                yield f"eps-shift j={j} (eps={complex(eps)})", g
-
-        for name, g in shifted():
-            rep = numeric_membership(op, cp, g, grid)
-            if rep.verdict != HOLDS:
-                return Report(
-                    INCONCLUSIVE, rep.worst_margin, None,
-                    f"hypothesis not established: {name} gives {rep.verdict} at witness {rep.witness}",
-                )
-        hypothesis = "eps-shifts checked: f and 16 at |eps| = (1 - 1e-6) delta"
     s = weight_array(seq, ks)  # an overflowing weight is refused here, certified or not
     if cert.verdict == HOLDS:
         return replace(cert, detail=f"every neighbor certified at every grid point; {hypothesis}; {note}")
+    r, turns = _RIM * delta, np.exp(2j * np.pi * np.arange(16) / 16)
     moved = [i for i in range(min(ks.size, 2 + op.p)) if s[i] > SUM_TOL]  # k = 1 - p .. 2
     for i in moved:
         for j, turn in enumerate(turns):
@@ -345,13 +341,9 @@ def verify_inclusion_general(
                 g = f.with_coeff(int(ks[i]), f.coeffs[i] + r / s[i] * turn)
             rep = numeric_membership(op, cp, g, grid)
             if rep.verdict != HOLDS:
-                return Report(
-                    FAILS, rep.worst_margin, rep.witness,
+                return Report(FAILS, rep.worst_margin, rep.witness, (
                     f"neighbor f + (1 - 1e-6)(delta/s_k) e^(i theta) z^k at k={ks[i]} "
-                    f"theta=2pi*{j}/16 leaves the class: {rep.detail}",
-                )
-    return Report(
-        INCONCLUSIVE, cert.worst_margin, cert.witness,
+                    f"theta=2pi*{j}/16 leaves the class: {rep.detail}"))
+    return Report(INCONCLUSIVE, cert.worst_margin, cert.witness, (
         f"neighborhood not certified; no escape among {16 * len(moved)} constructed neighbors; "
-        f"{hypothesis}; {note}",
-    )
+        f"{hypothesis}; {note}"))

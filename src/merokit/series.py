@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -230,13 +231,18 @@ class SampleGrid:
 
     def capped_radii(self, radius_cap: float | None = None) -> tuple[float, ...]:
         """The radii <= radius_cap (all for None): a prefix of the radii, which increase."""
-        return tuple(r for r in self.radii if radius_cap is None or r <= radius_cap)
+        return self.radii[: self._capped(radius_cap)]
+
+    def _capped(self, radius_cap: float | None) -> int:
+        """How many radii are <= radius_cap, by bisection; none for NaN, which it puts past all."""
+        cap = math.inf if radius_cap is None else radius_cap
+        return bisect_right(self.radii, cap) if cap == cap else 0
 
     def points(self, radius_cap: float | None = None) -> np.ndarray:
         """The points on the ``capped_radii(radius_cap)``, radii-major: a read-only
         view of the grid's points, built once per grid on first use.  The capped
         points are a prefix of the array."""
-        count = len(self.capped_radii(radius_cap))
+        count = self._capped(radius_cap)
         return self._points if count == len(self.radii) else self._points[: count * self.angles_count]
 
     @cached_property
@@ -259,7 +265,7 @@ class SampleGrid:
             table.setflags(write=False)
             held = self.__dict__["_powers"] = (q, table)
         q, table = held
-        return table[: len(self.capped_radii(radius_cap)), q - p : q - p + n]
+        return table[: self._capped(radius_cap), q - p : q - p + n]
 
     def digest(self) -> str:
         return self._digest

@@ -19,10 +19,11 @@ the largest moves lie within 1.8e-15 of their 40-digit mpmath values before and
 after), and no report.
 
 The reports of ``verify_inclusion_general`` are pinned the same way, for
-three radii per member and grid: a certified ``holds``, and two where a
-constructed eps-shift leaves the class.  The checks that the tests rebuild
-evaluate through the same ``eval_circles``, so they cannot catch an evaluator
-that moves bits on both sides; these pins can.
+three radii per member and grid: a certified ``holds``, and two past the
+least eps-shift radius, where the eps-shift that the report names leaves the
+class.  The checks that the tests rebuild evaluate through the same
+``eval_circles``, so they cannot catch an evaluator that moves bits on both
+sides; these pins can.
 """
 import hashlib
 
@@ -261,13 +262,11 @@ EXPECTED = {'herglotz 20x512 convolution': ('holds',
                                              'grid=2485623efeee')}
 
 
-#: delta per member and outcome: a certified ``holds``, and two radii past the one
-#: at which a constructed eps-shift first leaves the class, phase (a)'s
-#: ``inconclusive``.  The larger one is the ``fails`` key: it pinned a sampled
-#: neighbor that left the class, but no delta makes either member fail now.  On
-#: each grid, phase (b) is certified at every delta at which all 16 constructed
-#: eps-shifts stay in the class (scanned from 0.001 to 5), and past that delta the
-#: phase (a) miss comes first
+#: delta per member and outcome: a certified ``holds``, and two radii past eps_a*,
+#: the least eps-shift radius, phase (a)'s ``inconclusive``.  The larger one is the
+#: ``fails`` key: it pinned a sampled neighbor that left the class, but no delta makes
+#: either member fail now.  Both are at least 2 eps_a*, so each names the eps-shift at
+#: |eps| = 2 eps_a*; the Schwarz ``fails`` radius is above 1, where shifts are f + eps z^p
 TRIAL_CASES = {
     "herglotz": {"holds": 0.002, "fails": 0.8, "inconclusive": 0.2},
     "schwarz": {"holds": 0.002, "fails": 3.0, "inconclusive": 0.2},
@@ -287,75 +286,117 @@ def observed_trials():
 
 #: the ``holds`` reports taken since the neighborhood is certified before it is
 #: checked, and the 20x512 ``herglotz holds`` margin since the Horner recheck rounds
-#: as textbook complex arithmetic; the ``fails`` and ``inconclusive`` reports since
-#: phase (a) checks constructed eps-shifts at |eps| = (1 - 1e-6) delta
+#: as textbook complex arithmetic; the details of all twelve, and the ``fails`` and
+#: ``inconclusive`` margins, since phase (a) is decided by the exact eps-shift radius
+#: eps_a* and a miss checks the one eps-shift that it names
 TRIALS_EXPECTED = {'herglotz 20x512 trials fails': ('inconclusive',
-                                                    '-0x1.66666037470d6p+0',
+                                                    '-0x1.8f98c99c59af0p-4',
                                                     None,
-                                                    'hypothesis not established: eps-shift j=0 (eps=(0.7999992+0j)) '
-                                                    'gives fails at witness '
-                                                    '(0.8526675584757054+0.09455905152054178j)'),
+                                                    'hypothesis not established: delta is not below '
+                                                    'eps_a*=0.031380617377874481, the least eps-shift '
+                                                    'radius, at z=(-0.6363961030678927+0.6363961030678928j); '
+                                                    'the eps-shift at '
+                                                    'eps=(0.029955730591188435+0.055150945529649525j) gives '
+                                                    'fails at witness '
+                                                    '(-0.6285386244680755+0.6441577427554368j)'),
                    'herglotz 20x512 trials holds': ('holds',
                                                     '0x1.a9bf0f5f33dd0p-4',
                                                     ('-0x1.5cebfd7993b7dp-1', '0x1.2cfb675e6b551p-1'),
-                                                    'every neighbor certified at every grid point; eps-shifts '
-                                                    'certified at 0.0982; delta=0.002 grid=3393b8c7f592'),
+                                                    'every neighbor certified at every grid point; '
+                                                    'eps-shifts hold for |eps| < 0.031380617377874481; '
+                                                    'delta=0.002 grid=3393b8c7f592'),
                    'herglotz 20x512 trials inconclusive': ('inconclusive',
-                                                           '-0x1.c7312e88fbaa4p-2',
+                                                           '-0x1.8f98c99c59af0p-4',
                                                            None,
-                                                           'hypothesis not established: eps-shift j=0 '
-                                                           '(eps=(0.1999998+0j)) gives fails at witness '
-                                                           '(0.8088070191245584+0.3947546146846749j)'),
+                                                           'hypothesis not established: delta is not below '
+                                                           'eps_a*=0.031380617377874481, the least eps-shift '
+                                                           'radius, at '
+                                                           'z=(-0.6363961030678927+0.6363961030678928j); the '
+                                                           'eps-shift at '
+                                                           'eps=(0.029955730591188435+0.055150945529649525j) '
+                                                           'gives fails at witness '
+                                                           '(-0.6285386244680755+0.6441577427554368j)'),
                    'herglotz fold16 trials fails': ('inconclusive',
-                                                    '-0x1.62bd1092abdb6p+0',
+                                                    '-0x1.8f7b74fc64188p-4',
                                                     None,
-                                                    'hypothesis not established: eps-shift j=0 (eps=(0.7999992+0j)) '
-                                                    'gives fails at witness (0.3444150891285809+0.831491579260158j)'),
+                                                    'hypothesis not established: delta is not below '
+                                                    'eps_a*=0.031380617377874481, the least eps-shift '
+                                                    'radius, at z=(-0.6363961030678927+0.6363961030678928j); '
+                                                    'the eps-shift at '
+                                                    'eps=(0.029955730591188435+0.055150945529649525j) gives '
+                                                    'fails at witness '
+                                                    '(-0.6363961030678927+0.6363961030678928j)'),
                    'herglotz fold16 trials holds': ('holds',
                                                     '0x1.aaab4cafc0f06p-4',
                                                     ('-0x1.45d5b5c3f4f6bp-1', '0x1.45d5b5c3f4f6cp-1'),
-                                                    'every neighbor certified at every grid point; eps-shifts '
-                                                    'certified at 0.0984; delta=0.002 grid=2485623efeee'),
+                                                    'every neighbor certified at every grid point; '
+                                                    'eps-shifts hold for |eps| < 0.031380617377874481; '
+                                                    'delta=0.002 grid=2485623efeee'),
                    'herglotz fold16 trials inconclusive': ('inconclusive',
-                                                           '-0x1.bf1daf82f6aa6p-2',
+                                                           '-0x1.8f7b74fc64188p-4',
                                                            None,
-                                                           'hypothesis not established: eps-shift j=0 '
-                                                           '(eps=(0.1999998+0j)) gives fails at witness '
-                                                           '(0.831491579260158+0.3444150891285808j)'),
+                                                           'hypothesis not established: delta is not below '
+                                                           'eps_a*=0.031380617377874481, the least eps-shift '
+                                                           'radius, at '
+                                                           'z=(-0.6363961030678927+0.6363961030678928j); the '
+                                                           'eps-shift at '
+                                                           'eps=(0.029955730591188435+0.055150945529649525j) '
+                                                           'gives fails at witness '
+                                                           '(-0.6363961030678927+0.6363961030678928j)'),
                    'schwarz 20x512 trials fails': ('inconclusive',
-                                                   '-0x1.304178ccd942ap+5',
+                                                   '-0x1.90e64bb4ae0d8p+0',
                                                    None,
-                                                   'hypothesis not established: eps-shift j=0 (eps=(2.999997+0j)) '
+                                                   'hypothesis not established: delta is not below '
+                                                   'eps_a*=0.078217199303673102, the least eps-shift radius, '
+                                                   'at z=(-0.8993901461295146+0.03312650064722295j); the '
+                                                   'eps-shift at '
+                                                   'eps=(0.030927431359084507-0.1533467151822014j) (as f + '
+                                                   'eps z^p: (f + eps z^p)/(1 + eps) is undefined at eps=-1) '
                                                    'gives fails at witness '
-                                                   '(0.33025362932143737+0.3468762344662289j)'),
+                                                   '(-0.7544022349993543+0.49079248957984173j)'),
                    'schwarz 20x512 trials holds': ('holds',
                                                    '0x1.943bb286ca661p-2',
                                                    ('-0x1.a2f1d1bd196e1p-1', '-0x1.7fc80f3e252fep-2'),
                                                    'every neighbor certified at every grid point; eps-shifts '
-                                                   'certified at 0.386; delta=0.002 grid=3393b8c7f592'),
+                                                   'hold for |eps| < 0.078217199303673102; delta=0.002 '
+                                                   'grid=3393b8c7f592'),
                    'schwarz 20x512 trials inconclusive': ('inconclusive',
-                                                          '-0x1.139fe45d77b99p+4',
+                                                          '-0x1.ae20cbab05fd0p-1',
                                                           None,
-                                                          'hypothesis not established: eps-shift j=0 '
-                                                          '(eps=(0.1999998+0j)) gives fails at witness '
-                                                          '(-0.5878555586583989+0.6814879618558363j)'),
+                                                          'hypothesis not established: delta is not below '
+                                                          'eps_a*=0.078217199303673102, the least eps-shift '
+                                                          'radius, at '
+                                                          'z=(-0.8993901461295146+0.03312650064722295j); the '
+                                                          'eps-shift at '
+                                                          'eps=(0.027502082057983546-0.13636289077153974j) '
+                                                          'gives fails at witness '
+                                                          '(-0.7544022349993543+0.49079248957984173j)'),
                    'schwarz fold16 trials fails': ('inconclusive',
-                                                   '-0x1.9099f888d975fp+1',
+                                                   '-0x1.1f69518e0115cp+0',
                                                    None,
-                                                   'hypothesis not established: eps-shift j=0 (eps=(2.999997+0j)) '
+                                                   'hypothesis not established: delta is not below '
+                                                   'eps_a*=0.078236380523499585, the least eps-shift radius, '
+                                                   'at z=(-0.9+1.1021821192326179e-16j); the eps-shift at '
+                                                   'eps=(0.018549154437491642-0.15536941082248262j) (as f + '
+                                                   'eps z^p: (f + eps z^p)/(1 + eps) is undefined at eps=-1) '
                                                    'gives fails at witness '
-                                                   '(-0.4242640687119286-0.42426406871192845j)'),
+                                                   '(0.3444150891285809+0.831491579260158j)'),
                    'schwarz fold16 trials holds': ('holds',
                                                    '0x1.9495183dc04d1p-2',
                                                    ('-0x1.a9b943a7a4bf3p-1', '-0x1.60ae596039871p-2'),
                                                    'every neighbor certified at every grid point; eps-shifts '
-                                                   'certified at 0.387; delta=0.002 grid=2485623efeee'),
+                                                   'hold for |eps| < 0.078236380523499585; delta=0.002 '
+                                                   'grid=2485623efeee'),
                    'schwarz fold16 trials inconclusive': ('inconclusive',
-                                                          '-0x1.2d88e0c8c32b4p+2',
+                                                          '-0x1.feaf58a7c0ee0p-2',
                                                           None,
-                                                          'hypothesis not established: eps-shift j=0 '
-                                                          '(eps=(0.1999998+0j)) gives fails at witness '
-                                                          '(0.6363961030678928+0.6363961030678927j)')}
+                                                          'hypothesis not established: delta is not below '
+                                                          'eps_a*=0.078236380523499585, the least eps-shift '
+                                                          'radius, at z=(-0.9+1.1021821192326179e-16j); the '
+                                                          'eps-shift at '
+                                                          'eps=(0.016491846753151112-0.1381372138577255j) '
+                                                          'gives fails at witness '
+                                                          '(0.3444150891285809+0.831491579260158j)')}
 
 
 @pytest.fixture(scope="module")

@@ -647,9 +647,15 @@ def test_grid_points_frozen():
 
 
 def test_grid_radius_cap_filters():
+    """A cap selects the radii <= it: one equal to a radius keeps that radius, and a NaN
+    cap, which no radius is <= and bisection would put past them all, selects none."""
     g = SampleGrid(radii=(0.2, 0.8), angles_count=4)
     assert g.points(radius_cap=0.5).size == 4
     assert g.points(radius_cap=0.1).size == 0
+    assert g.capped_radii(0.8) == (0.2, 0.8) and g.points(radius_cap=0.8).size == 8
+    assert g.capped_radii(0.2) == (0.2,) and g.powers(0.2, 1, 3).shape == (1, 3)
+    assert g.capped_radii(float("nan")) == () and g.points(radius_cap=float("nan")).size == 0
+    assert g.powers(float("nan"), 1, 3).shape == (0, 3) and g.capped_radii(None) == g.radii
 
 
 def test_grid_points_are_built_once_as_the_direct_formula():

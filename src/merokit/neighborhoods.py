@@ -268,8 +268,8 @@ def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, del
             m = beta * np.abs(a + shift * b) - np.abs(a + p * b) - np.max(powers * slack, axis=-1)
             return m / (p * (np.abs(b) + np.max(powers * inflate, axis=-1)))
 
-    shifts, (z, c_fft, c_at, _) = _grid_minima(grid, RADIUS_CAP, image, [radius, certificate])[2]
-    z_a, r_fft, r_at, (b, a) = shifts
+    minima = _grid_minima(grid, RADIUS_CAP, image, [radius, certificate])[2]
+    (z_a, r_fft, r_at, (b, a)), (z, c_fft, c_at, _) = minima
     if not (math.isfinite(r_fft) and math.isfinite(r_at)):
         raise OverflowError(f"margin: not finite at {z_a}; the evaluation overflows a float")
     toward = complex((a + p * b - tilt * (a + shift * b)) * (z_a**p).conjugate())  # conj(w) / q

@@ -269,10 +269,11 @@ def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, del
             return m / (p * (np.abs(b) + np.max(powers * inflate, axis=-1)))
 
     minima = _grid_minima(grid, RADIUS_CAP, image, [radius, certificate])[2]
-    (z_a, r_fft, r_at, (b, a)), (z, c_fft, c_at, _) = minima
+    (z_a, r_fft, r_at, image_at), (z, c_fft, c_at, _) = minima
     if not (math.isfinite(r_fft) and math.isfinite(r_at)):
         raise OverflowError(f"margin: not finite at {z_a}; the evaluation overflows a float")
-    toward = complex((a + p * b - tilt * (a + shift * b)) * (z_a**p).conjugate())  # conj(w) / q
+    b, a = map(complex, image_at)  # Python scalars: an overflow here is inf, not a numpy warning
+    toward = (a + p * b - tilt * (a + shift * b)) * (z_a**p).conjugate()  # conj(w) / q
     shifts = z_a, r_at, toward / abs(toward) if toward else 1.0 + 0j
     if not (math.isfinite(c_fft) and math.isfinite(c_at)):
         return shifts, Report(INCONCLUSIVE, math.nan)

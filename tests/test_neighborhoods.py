@@ -493,6 +493,18 @@ def test_verify_general_overflowing_rows_as_serially():
     assert got[0] == "OverflowError" and "image overflows" in got[1]
 
 
+def test_verify_general_overflow_at_the_radius_witness_as_serially():
+    """f = 1/z + 1.5e308 z under the identity operator: on |z| = 0.9, F and zF' are finite
+    but zF' + pF overflows, so the eps-shift radius there is 0 and f itself is checked,
+    whose margin overflows: the single check's error, with no numpy warning from the
+    shift's direction at the radius' witness."""
+    f, cp, grid = L(1, 1, [0.0, 1.5e308]), ClassParams(0.0, 1.0), SampleGrid(radii=(0.9,), angles_count=48)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _general(M0, cp, f, 0.05, 8, 32, grid, 0)
+    assert got == _outcome(numeric_membership, M0, cp, f, grid) and got[0] == "OverflowError"
+
+
 def test_verify_general_tiny_radius_as_serially():
     """At |z| = 1e-200 a double pole's term overflows: the margin's usage error,
     with no numpy warning from a Horner pass past the FFT's non-finite margin."""

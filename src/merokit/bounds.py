@@ -380,7 +380,9 @@ def convolution_nonvanishing(
 
     def margin_of(points, a, b):
         # |z|^p | |zF' + pF| - beta |zF' + (2 alpha - 1) pF| |, in the buffers of the values
-        # zF' (a) and F (b), which it consumes; _grid_check refuses non-finite margins
+        # zF' (a) and F (b), which it consumes; _grid_check refuses non-finite margins.
+        # |z|^p is taken at each circle's first point, whose |z| is the radius, and
+        # broadcast over its angles; at the witness (1 x 1) it is the point's own |z|
         with np.errstate(over="ignore", invalid="ignore"):
             pf = np.multiply(b, op.p, out=b)
             at_u = np.abs(np.add(a, pf, out=a))
@@ -388,7 +390,7 @@ def convolution_nonvanishing(
             at_v = np.abs(a, out=b.real)
             margins = np.subtract(at_u, np.multiply(at_v, cp.beta, out=at_v), out=at_u)
             np.abs(margins, out=margins)
-            return np.multiply(margins, np.power(np.abs(points, out=b.imag), op.p, out=b.imag), out=margins)
+            return np.multiply(margins, np.power(np.abs(points[..., :1]), op.p), out=margins)
 
     note = _grid_note(grid)
 

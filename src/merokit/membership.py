@@ -521,9 +521,22 @@ def disk_characterization(
 
 def _containment_margin(v, c: float):
     """min(1 - |w|, cos(min(|theta|, pi))) per point, for w = 1 - v^{1/c} and
-    theta = arg(v)/c on the principal branch.
+    theta = arg(v)/c on the principal branch, with real functions only.
 
-    |w|^2 = (|v|^{1/c} - cos theta)^2 + sin^2 theta, so 1 - |w| <= 1 - sin|theta|,
+    With rho = exp(log|v| / c), w = 1 - rho e^{i theta} and
+
+        |w|^2 = 1 - 2 rho cos theta + rho^2 = (1 - rho)^2 + 4 rho sin^2(theta/2),
+
+    a sum of two terms >= 0, so it does not cancel where w is near 0 (rho near 1,
+    theta near 0), as forming 1 - rho e^{i theta} does (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 1.8).  (1 - rho)^2 overflows from rho about
+    1.3e154; where the sum is not finite and theta is a number, |w| lies within 1 of
+    rho >= 1.3e154 and so rounds to rho, which it is set to, taken again from v at
+    those few points: a margin stays finite as long as rho is.  The passes over the
+    points: arg(v), |v|, log, exp, sin and the sum's products, its square root, and
+    the cosine gate, in three real arrays besides v.
+
+    |w|^2 = (rho - cos theta)^2 + sin^2 theta, so 1 - |w| <= 1 - sin|theta|,
     which lies below cos theta by cos t + sin t - 1 >= 0.045 t at t = |theta| < 1.5
     (the left side is concave on [0, pi/2] and 0.068 at 1.5).  That is more than
     the few units of 2**-53 by which either side is rounded, down to t about 1e-13,
@@ -532,11 +545,41 @@ def _containment_margin(v, c: float):
     1 - |w| is NaN already.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        theta = np.angle(v) / c
-        m = 1.0 - np.abs(1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta))
-        far = np.abs(theta) >= 1.5
+        theta = np.angle(v)
+        theta /= c
+        spare = np.abs(v)  # rho, then (1 - rho)^2, then |theta|
+        np.log(spare, out=spare)
+        spare /= c
+        rho = np.exp(spare, out=spare)
+        w = np.multiply(theta, 0.5)
+        np.sin(w, out=w)
+        np.multiply(w, w, out=w)
+        w *= rho
+        w *= 4.0
+        gap = np.subtract(1.0, rho, out=spare)
+        w += np.multiply(gap, gap, out=gap)
+        np.sqrt(w, out=w)
+        big = ~np.isfinite(w)
+        if big.any():
+            big &= ~np.isnan(theta)
+            w[big] = np.exp(np.log(np.abs(v[big])) / c)  # rho there
+        m = np.subtract(1.0, w, out=w)
+        far = np.abs(theta, out=spare) >= 1.5
         m[far] = np.minimum(m[far], np.cos(np.minimum(np.abs(theta[far]), np.pi)))
     return m
+
+
+def _int_power(z: np.ndarray, n: int) -> np.ndarray:
+    """z^n for an integer n >= 1 by binary powering: z itself at n = 1, z * z at n = 2,
+    the bits of numpy's ``z ** n`` there, without its general complex power."""
+    power, square = None, z
+    while True:
+        if n & 1:
+            power = square if power is None else power * square
+        n >>= 1
+        if not n:
+            return power
+        square = square * square
 
 
 def subordination_power_target(
@@ -566,10 +609,11 @@ def subordination_power_target(
 
     def margin_of(points, vanish, Fz):
         # a vanishing v has w = 1 to rounding: margin <= 0, not |v|^{1/c} noise.
-        # An overflowing F or exp leaves a non-finite margin for _grid_verdict
+        # An overflowing F or rho leaves a non-finite margin for _grid_verdict.  The
+        # product is formed out of place: an aliased out= complex product can move bits
         with np.errstate(over="ignore", invalid="ignore"):
-            m = _containment_margin(points ** op.p * Fz, c)
-            return np.where(vanish, np.minimum(m, 0.0), m)
+            m = _containment_margin(_int_power(points, op.p) * Fz, c)
+        return np.minimum(m, 0.0, out=m, where=vanish)
 
     return _grid_check(
         grid, RADIUS_CAP, (apply_coeff(op, f),), margin_of, lambda worst: worst > grid.margin,

@@ -59,7 +59,16 @@ from .membership import (
     numeric_membership,
     ratio_weights,
 )
-from .operator import OperatorParams, apply_coeff, delta_star, phi, phi_array, phi_base, require_pole_order
+from .operator import (
+    OperatorParams,
+    _applied,
+    _finite_phi,
+    _phi_product,
+    delta_star,
+    phi_array,
+    phi_base,
+    require_pole_order,
+)
 from .series import LaurentSeries, SampleGrid, _common_range, default_grid, scale, z_derivative
 
 _KINDS = ("plus", "general")
@@ -98,9 +107,15 @@ def weight_array(seq: WeightSeq, ks: np.ndarray) -> np.ndarray:
     op, cp = seq.op, seq.cp
     if seq.kind == "plus":
         return ratio_weights(op, cp, ks)
+    return _general_weights(op, cp, ks, phi_array(op, ks))
+
+
+def _general_weights(op: OperatorParams, cp: ClassParams, ks: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The general weights over ``ks`` from their multipliers ``phis``, each finite; one
+    that overflows a float is an OverflowError."""
     bracket = cp.beta * (ks + abs(2.0 * cp.alpha - 1.0) * op.p) + ks + op.p
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _finite_weights(bracket * phi_array(op, ks) / budget(op, cp), ks, "general weight")
+        return _finite_weights(bracket * phis / budget(op, cp), ks, "general weight")
 
 
 def _aligned(f: LaurentSeries, g: LaurentSeries):
@@ -228,9 +243,9 @@ def verify_inclusion_plus(
     )
 
 
-def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, delta: float):
+def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, delta: float, phi_p: float):
     """Phase (a)'s eps-shift radius and phase (b)'s certificate, from one ``_grid_minima`` of
-    f's ``image`` (F, zF') on the capped grid, which has points.
+    f's ``image`` (F, zF') on the capped grid, which has points; ``phi_p`` is phi at k = p.
 
     (a) The class asks |v| < beta |u|, v = zF' + pF, u = zF' + (2 alpha - 1)pF.  An eps-shift
     moves v by eps q z^p and u by alpha eps q z^p (q = 2 p phi_p; 1/(1 + eps) drops out), so
@@ -247,7 +262,7 @@ def _certified(op: OperatorParams, cp: ClassParams, grid: SampleGrid, image, del
     bracket of s_k = D_k phi_k / B, rises by beta + 1 per step).  By those maxima, c = (beta|u| -
     |v| - slack) / (p (|F| + inflate)) bounds such g's margins: it holds above the grid margin."""
     p, beta, shift, near = op.p, cp.beta, (2.0 * cp.alpha - 1.0) * op.p, np.arange(1 - op.p, 1)
-    tilt, kappa, q = cp.alpha * beta * beta, 1.0 - (cp.alpha * beta) ** 2, 2.0 * p * phi(op, p)
+    tilt, kappa, q = cp.alpha * beta * beta, 1.0 - (cp.alpha * beta) ** 2, 2.0 * p * phi_p
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inflate = delta * budget(op, cp) / (beta * (near + abs(shift)) + near + p)
         slack = inflate * (beta * np.abs(near + shift) + near + p)
@@ -312,13 +327,19 @@ def verify_inclusion_general(
         raise ValueError(f"trunc_order: need at least p={op.p} to represent the eps-shift, "
                          f"got {f.trunc_order}")
     require_pole_order(op, f)
-    seq = WeightSeq("general", op, cp)
+    # phi over k = 1 - p .. K, built once: the metric's weight at 1 - p, F's coefficients,
+    # phi_p and the weights s_k, each with the bits and the error of its own build
+    ks = f.k_values()
+    phis = _phi_product(op, ks)
+    metric = _general_weights(op, cp, ks[:1], _finite_phi(op, ks[:1], phis[:1]))
+    _require_metric("general", op, float(metric[0]))
     grid = grid or default_grid()
     if grid.points(radius_cap=RADIUS_CAP).size == 0:
         return numeric_membership(op, cp, f, grid)  # no usable grid points: nothing is checked
-    F = apply_coeff(op, f)
+    F = _applied(op, f, _finite_phi(op, ks, phis))
     note = f"delta={delta:.17g} grid={grid.digest()}"
-    (z, radius, toward), cert = _certified(op, cp, grid, (F, z_derivative(F)), delta)
+    phi_p = float(phis[2 * op.p - 1])  # k = p
+    (z, radius, toward), cert = _certified(op, cp, grid, (F, z_derivative(F)), delta, phi_p)
     at_minus_one = "" if delta < 1.0 else " (as f + eps z^p: (f + eps z^p)/(1 + eps) is undefined at eps=-1)"
     if not delta < radius:
         eps = min(2.0 * radius, 0.5 * radius + 0.5 * delta) * toward
@@ -330,8 +351,7 @@ def verify_inclusion_general(
             f"hypothesis not established: delta is not below eps_a*={radius:.17g}, the least eps-shift "
             f"radius, at z={z}; {name} gives {rep.verdict} at witness {rep.witness}"))
     hypothesis = f"eps-shifts hold for |eps| < {radius:.17g}{at_minus_one}"
-    ks = f.k_values()
-    s = weight_array(seq, ks)  # an overflowing weight is refused here, certified or not
+    s = _general_weights(op, cp, ks, phis)  # an overflowing weight is refused here, certified or not
     if cert.verdict == HOLDS:
         return replace(cert, detail=f"every neighbor certified at every grid point; {hypothesis}; {note}")
     r, turns = _RIM * delta, np.exp(2j * np.pi * np.arange(16) / 16)

@@ -150,8 +150,14 @@ def apply_coeff(op: OperatorParams, f: LaurentSeries) -> LaurentSeries:
     """Coefficient route: multiply a_k by phi_k (pole untouched, phi_{-p}=1).
     An image coefficient that overflows a float is an OverflowError."""
     require_pole_order(op, f)
+    return _applied(op, f, phi_array(op, f.k_values()))
+
+
+def _applied(op: OperatorParams, f: LaurentSeries, phis: np.ndarray) -> LaurentSeries:
+    """``apply_coeff`` of f, of pole order p, from its multipliers ``phis`` over its ks,
+    each finite; an image coefficient that overflows a float is an OverflowError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = f.coeffs * phi_array(op, f.k_values())
+        coeffs = f.coeffs * phis
     if not np.all(np.isfinite(coeffs)):
         k = f.k_values()[~np.isfinite(coeffs)][0]
         raise OverflowError(f"apply: the operator image overflows a float at k={k} (m={op.m})")

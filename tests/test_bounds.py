@@ -541,24 +541,42 @@ def test_convolution_theta_count_bound():
     assert rep.worst_margin == pytest.approx(np.min(np.abs(np.abs(u) - np.abs(v))), rel=1e-9)
 
 
-def test_convolution_memory_stays_within_the_values():
-    """The margins are formed in the buffers of the FFT values, so the
-    convolution check peaks no higher than the subordination check of the
-    same member, which evaluates one series (K = 255 on a 20x512 grid)."""
+def _memory_member():
+    """A K = 255 member on a 20x512 grid, and the bytes of one complex value row on it."""
     op = OperatorParams(0.8, 0.2, 1, 1)
     f = from_herglotz(op, 0.3, MeasureAtoms(((1j, 0.5), (-1.0 + 0j, 0.5))), 255)
     grid = SampleGrid(tuple(float(r) for r in np.linspace(0.1, 0.9, 20)), 512)
-    peaks = []
-    for check in (lambda: convolution_nonvanishing(op, ClassParams(0.3, 1.0), f, grid),
-                  lambda: subordination_power_target(op, 0.3, f, grid)):
+    return op, f, grid, 16 * grid.points(radius_cap=RADIUS_CAP).size
+
+
+def _second_call_peak(check) -> int:
+    """tracemalloc's peak of a second call of ``check`` (the first builds the grid's tables)."""
+    check()
+    tracemalloc.start()
+    try:
         check()
-        tracemalloc.start()
-        try:
-            check()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1], peaks
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convolution_memory_stays_within_the_values():
+    """The margins are formed in the buffers of the FFT values of zF' and F, so the
+    convolution check peaks below 2.875 times those two value rows (942080 bytes on a
+    20x512 grid; it measured 914882): no more than the 973498 bytes of the subordination
+    check of the same member with its margin formed by complex exp."""
+    op, f, grid, row = _memory_member()
+    peak = _second_call_peak(lambda: convolution_nonvanishing(op, ClassParams(0.3, 1.0), f, grid))
+    assert peak <= 2.875 * (2 * row) <= 973498, (peak, row)
+
+
+def test_subordination_memory_stays_within_four_value_rows():
+    """The containment margin holds v = z^p F and three real arrays besides the FFT
+    values of F, so the subordination check peaks below 4 value rows (655360 bytes on
+    a 20x512 grid; it measured 616533, and 973498 with the complex exp form)."""
+    op, f, grid, row = _memory_member()
+    peak = _second_call_peak(lambda: subordination_power_target(op, 0.3, f, grid))
+    assert peak <= 4 * row, (peak, row)
 
 
 # ----------------------------------------------------------------- partial sums

@@ -251,6 +251,22 @@ def test_check_sufficient_inconclusive_exit_code(capsys, params_file, tmp_path):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
+def test_check_subordination_fails_with_a_finite_margin_where_rho_is_huge(capsys, params_file, tmp_path):
+    """v = z F = 1 + 1e200 z (the operator doubles a_0 = 5e199) at c = 2p(1 - alpha) = 1,
+    so rho = |v|^{1/c} is about 1e200 on the outer circles, where (1 - rho)^2 overflows
+    a float.  The margin 1 - |w| is still finite, about -0.95e200, and the check fails
+    with it (exit 1), without a numpy warning."""
+    huge = series_file(tmp_path, "huge-rho.json", 1, 0, [5e199])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(
+            capsys, "check", "--criterion", "subordination", "--params", params_file, "--series", huge
+        )
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (1, "fails")
+    assert -1e201 < rep["worst_margin"] < -1e199
+
+
 #: f = 1/z + 2 under the identity operator at alpha = 1/4, beta = 1: the defining inequality
 #: is 2|z| < |1.5 + z|, false at z = -0.7, so f is not in the class.  Its coefficient at k = 0
 #: lies where k + p(2 alpha - 1) < 0 (ROADMAP item 11)

@@ -516,12 +516,45 @@ def test_subordination_branch_cut_collision():
     assert rep.detail == "grid=291f11565520"
 
 
+def _modulus(logmag, theta, c):
+    """|w| = |1 - rho e^{i theta}|, rho = exp(logmag / c), by the half-angle form
+    sqrt((1 - rho)^2 + 4 rho sin^2(theta/2)) in the checker's order of operations; rho
+    where that is not finite and theta is a number (|w| rounds to rho there)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = np.exp(logmag / c)
+        s = np.sin(theta * 0.5)
+        w = np.sqrt(s * s * rho * 4.0 + (1.0 - rho) * (1.0 - rho))
+    return np.where(np.isfinite(w) | np.isnan(theta), w, rho)
+
+
 def _ungated_containment_margin(v, c):
     """The containment margin with the cosine taken at every point."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         theta = np.angle(v) / c
-        w = 1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta)
-        return np.minimum(1.0 - np.abs(w), np.cos(np.minimum(np.abs(theta), np.pi)))
+        w = _modulus(np.log(np.abs(v)), theta, c)
+        return np.minimum(1.0 - w, np.cos(np.minimum(np.abs(theta), np.pi)))
+
+
+def _margin_40(v: complex, c: float):
+    """The containment margin of the float ``v`` to 40 digits (principal branch, the
+    cosine gate included), and a first-order bound on the absolute error of the
+    checker's float margin there.  In units of 2**-53: |v| and arg(v) are rounded once each,
+    log and exp and the division by c each once, so rho errs relatively by at most
+    2 |log rho| + 2/c + 2 and theta by 3 |theta|; |w| moves by at most those
+    absolutely (d|w|/d rho and d|w|/d theta are at most 1 in modulus, since
+    |rho - cos theta| and rho |sin theta| are at most |w|), its half-angle sum and
+    square root round by 4 |w|, and 1 - |w| and the cosine by |m| + 1.  Doubled."""
+    with mpmath.workdps(40):
+        vm = mpmath.mpc(v.real, v.imag)
+        theta = (mpmath.mpf(float(np.angle(v))) if vm == 0 else mpmath.arg(vm)) / c
+        rho = abs(vm) ** (1 / mpmath.mpf(c))
+        w = abs(1 - rho * mpmath.expj(theta))
+        m = 1 - w
+        if abs(theta) >= 1.5:
+            m = min(m, mpmath.cos(min(abs(theta), mpmath.pi)))
+        log_rho = abs(mpmath.log(rho)) if rho else 0
+        bound = 2 * (rho * (2 * log_rho + 2 / mpmath.mpf(c) + 2) + 3 * abs(theta) + 4 * w + abs(m) + 1)
+        return m, bound * mpmath.mpf(2) ** -53
 
 
 def test_containment_margin_gates_its_cosine_bit_for_bit():
@@ -555,6 +588,40 @@ def test_containment_margin_gates_its_cosine_bit_for_bit():
     assert m[0] == 1.0 and m[1] == -1.0 and np.isnan(m[2]) and np.isnan(m[3]) and m[4] == -np.inf
 
 
+def test_containment_margin_matches_40_digits():
+    """Against 40-digit mpmath: v near 1 (w near 0, where forming 1 - v^{1/c} would
+    cancel), near the branch cut (on it from both sides, and off it by 1e-9), tiny
+    and huge |v|, at c = 0.8, 1.7 and 3.6.  Every margin lies within ``_margin_40``'s
+    bound, and is finite wherever rho = |v|^{1/c} is below 1e307: past about 1.3e154,
+    (1 - rho)^2 overflows, and |w| is rho."""
+    rng = np.random.default_rng(30)
+    n = 40
+    turns = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    classes = {
+        "near 1": 1.0 + 10.0 ** rng.uniform(-12, -1, n) * turns,
+        "branch cut": np.concatenate([
+            -(10.0 ** rng.uniform(-2, 2, n // 2)) + 1e-9j * rng.choice([-1.0, 1.0], n // 2),
+            -(10.0 ** rng.uniform(-2, 2, n // 2)) * np.array([complex(1.0, 0.0), complex(1.0, -0.0)] * (n // 4)),
+        ]),
+        "tiny": 10.0 ** rng.uniform(-300, -5, n) * turns,
+        "huge": 10.0 ** rng.uniform(5, 300, n) * turns,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (0.8, 1.7, 3.6):
+            for name, v in classes.items():
+                got = _containment_margin(v, c)
+                for x, m in zip(v.tolist(), got.tolist()):
+                    m40, bound = _margin_40(x, c)
+                    if mpmath.mpf(abs(x)) ** (1 / c) < 1e307:
+                        assert np.isfinite(m), (name, c, x)
+                    if np.isfinite(m):
+                        assert abs(m - m40) <= bound, (name, c, x, m, m40, bound)
+    # the guard at work: rho about 1e200 and 1e300, each finite, and |w| = rho there
+    v = np.array([1e160, -1e160, 1e240j])
+    assert _containment_margin(v, 0.8).tolist() == (1.0 - np.exp(np.log(np.abs(v)) / 0.8)).tolist()
+
+
 def _all_branches(v, c):
     """Reference inversion: the best |w| over every admissible branch of
     w = 1 - v^{1/c}, and whether any branch is admissible."""
@@ -570,9 +637,7 @@ def _all_branches(v, c):
         ok = np.abs(theta) < half
         if not np.any(ok):
             continue
-        with np.errstate(over="ignore"):
-            w = 1.0 - np.exp(logmag / c + 1j * theta)
-        cand = np.abs(w)
+        cand = _modulus(logmag, theta, c)
         take = ok & (cand < best)
         best[take] = cand[take]
         admissible |= ok
@@ -589,7 +654,7 @@ def _reference_margin(zs, Fz, p, c):
     theta = np.angle(v) / c
     vanish = vanishes(Fz, np.abs(zs), p)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        principal = np.abs(1.0 - np.exp(np.log(np.abs(v)) / c + 1j * theta))
+        principal = _modulus(np.log(np.abs(v)), theta, c)
         w = np.where(admissible, best, principal)
         m = np.minimum(1.0 - w, np.cos(np.minimum(np.abs(theta), np.pi)))
         return np.where(vanish, np.minimum(m, 0.0), m), admissible, vanish
@@ -598,14 +663,17 @@ def _reference_margin(zs, Fz, p, c):
 def test_subordination_on_the_branch_cut_has_a_finite_margin():
     # f = 1/z + 0.5 z, operator (1, 0, 1), alpha = 0: v = z F = 1 + 1.5 z^2 is
     # -0.215, on the negative real axis, at z = +-0.9i.  c = 2, theta = +-pi/2,
-    # and |w| = |1 -+ 0.215^{1/2} i| > 1 on either side of the cut
+    # and |w| = |1 -+ 0.215^{1/2} i| > 1 on either side of the cut.  The FFT margins
+    # at the two points tie, so the witness is the first, z = 0.9i
     op, alpha = OperatorParams(1.0, 0.0, 1, 1), 0.0
     f = L(1, 1, [0.0, 0.5])
     grid = default_grid()
     rep = subordination_power_target(op, alpha, f, grid)
     assert rep.verdict == "fails"
-    assert rep.worst_margin == -0.10227038425242974
-    assert rep.witness == complex(-1.6532731788489269e-16, -0.9)
+    assert rep.worst_margin == -0.10227038425243018
+    assert rep.witness == complex(5.5109105961630896e-17, 0.9)
+    # 1 - sqrt(1.215) = -0.10227038425243014418877...; the margin is 2.6 units of 2**-56 below it
+    assert abs(rep.worst_margin - (1 - mpmath.sqrt(mpmath.mpf("1.215")))) < 2**-53
     expected = 1.0 - abs(complex(1.0, 0.215 ** 0.5))
     F = apply_coeff(op, f)
     zs = grid.points()
@@ -617,6 +685,8 @@ def test_subordination_on_the_branch_cut_has_a_finite_margin():
     at = np.array([rep.witness])
     margin, _, _ = _reference_margin(at, eval_many(F, at), 1, 2.0)
     assert rep.worst_margin == margin[0]
+    m40, bound = _margin_40(complex((at * eval_many(F, at))[0]), 2.0)
+    assert abs(rep.worst_margin - m40) <= bound
 
 
 target_v = st.one_of(
@@ -656,6 +726,8 @@ def test_subordination_principal_branch_matches_enumeration(v0, c, r, n):
     rep = subordination_power_target(op, alpha, f, grid)
     assert rep.witness == zs[i]
     assert rep.worst_margin == margin[0]
+    m40, bound = _margin_40(complex((at ** 2 * eval_many(F, at))[0]), c)
+    assert abs(rep.worst_margin - (min(m40, 0) if vanish[0] else m40)) <= bound
     if admissible[0] and not vanish[0]:
         # where a branch is admissible, 1 - |w| <= cos(theta): the margin
         # is the best branch's own

@@ -689,6 +689,48 @@ def test_certified_run_screens_nothing(monkeypatch):
     assert calls == {"eval_circles": [2], "eval_many": [4]}
 
 
+def test_verify_general_builds_phi_once(monkeypatch):
+    """phi over k = 1 - p .. K is built once per call: the metric's weight at k = 1 - p,
+    F's coefficients, phi_p and the weights s_k all come from that one build."""
+    from merokit import operator
+
+    op, cp, f = _member(1, 0)
+    delta = 0.002 / phi(op, 1)
+    builds, build = [], operator._phi_product
+
+    def counted(op, ks):
+        builds.append(np.asarray(ks).tolist())
+        return build(op, ks)
+
+    monkeypatch.setattr(operator, "_phi_product", counted)
+    monkeypatch.setattr(neighborhoods, "_phi_product", counted)
+    rep = verify_inclusion_general(op, cp, f, delta, 8, 32, None, 0)
+    assert rep.verdict == "holds" and builds == [f.k_values().tolist()]
+
+
+@pytest.mark.parametrize("op,cp,message", [
+    (OperatorParams(1.0, 1.0, 700, 1), ClassParams(0.0, 1.0), r"phi: the multiplier at k=0 overflows a float \(m=700\)"),
+    (OperatorParams(1.0, 1.0, 645, 1), ClassParams(0.9, 1.0), r"weight: the general weight at k=0 overflows a float"),
+    (OperatorParams(1.0, 1.0, 645, 1), ClassParams(0.0, 1.0), r"phi: the multiplier at k=1 overflows a float \(m=645\)"),
+])
+def test_verify_general_refuses_overflow_in_the_order_of_separate_builds(op, cp, message):
+    """From its one build of phi, the call raises what building the metric's weight at
+    k = 1 - p (its phi, then the weight) and then F (phi at every k) each on its own
+    raises, in that order: phi_0 = 3^m, phi_1 = 7^m, and the general weight at k = 0 is
+    9 phi_0 at alpha = 0.9."""
+    f = LaurentSeries.pole_only(1, 3)
+    for separate in (lambda: WeightSeq("general", op, cp), lambda: apply_coeff(op, f)):
+        try:
+            separate()
+        except OverflowError as exc:
+            assert re.fullmatch(message, str(exc))
+            break
+    else:
+        pytest.fail("no separate build overflows")
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        verify_inclusion_general(op, cp, f, 0.01)
+
+
 def _schwarz_member(p, seed):
     """A seeded Schwarz member (beta < 1), its operator and class parameters."""
     rng = np.random.default_rng([seed, p, 7])
@@ -808,7 +850,7 @@ def test_shift_radius_is_the_exact_disk(monkeypatch, kind, p):
                 inside = _shift_margin(op, cp, v[i], u[i], zs[i], mid * phases) < 0
                 lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
             assert radii[i] * (1 - 1e-9) <= hi.min() <= radii[i] * (1 + 1e-5)
-        z_star, eps_star = neighborhoods._certified(op, cp, grid, (F, z_derivative(F)), 1e-6)[0][:2]
+        z_star, eps_star = neighborhoods._certified(op, cp, grid, (F, z_derivative(F)), 1e-6, phi(op, p))[0][:2]
         assert rep.verdict == "holds" and f"eps-shifts hold for |eps| < {eps_star:.17g}; " in rep.detail
         assert eps_star == pytest.approx(radii.min(), rel=1e-12)
         with mpmath.workdps(40):
